@@ -25,8 +25,7 @@ import numpy as np
 from scipy import stats
 
 from . import snapshot
-from .errors import (ConfigError, ConvergenceError, DataError,
-                     DegenerateError, ParseError)
+from .errors import ConfigError, ConvergenceError, DataError, DegenerateError
 
 _MAX_ITER = 200
 _MAX_HALVINGS = 20
@@ -425,78 +424,54 @@ def forecast(fit_: ArimaFit, horizon: int) -> np.ndarray:
     return out
 
 
+# ArimaFit fields stored as they are, in file order, with their parsers
+_FIT_FIELDS = (
+    ("intercept", float), ("ar", snapshot.parse_array),
+    ("ma", snapshot.parse_array), ("seasonal_ar", snapshot.parse_array),
+    ("seasonal_ma", snapshot.parse_array), ("sigma2", float), ("sse", float),
+    ("iterations", int), ("near_unit_root", lambda v: v.strip() == "1"),
+    ("residuals", snapshot.parse_array),
+)
+
+
 def to_text(fit_: ArimaFit, extra: Optional[dict] = None) -> str:
     """Serialize a fit, including the anchors forecasting needs."""
-    spec = fit_.spec
-    lines = [snapshot.header_line("arima")]
-    for name in ("p", "d", "q", "sp", "sd", "sq", "season", "pre_diff_lag"):
-        lines.append(f"spec.{name}={getattr(spec, name)}")
-    lines.append(f"intercept={snapshot.format_float(fit_.intercept)}")
-    for name in ("ar", "ma", "seasonal_ar", "seasonal_ma"):
-        lines.append(f"{name}={snapshot.format_array(getattr(fit_, name))}")
-    lines.append(f"sigma2={snapshot.format_float(fit_.sigma2)}")
-    lines.append(f"sse={snapshot.format_float(fit_.sse)}")
-    lines.append(f"iterations={fit_.iterations}")
-    lines.append(f"near_unit_root={1 if fit_.near_unit_root else 0}")
-    lines.append(f"residuals={snapshot.format_array(fit_.residuals)}")
+    fields = snapshot.config_fields("spec", fit_.spec)
+    fields.update({key: getattr(fit_, key) for key, _ in _FIT_FIELDS})
     tail = fit_.training_tail
-    lines.append(f"stages={len(tail.stages)}")
+    fields["stages"] = len(tail.stages)
     for k, (lag, anchor) in enumerate(tail.stages):
-        lines.append(f"stage.{k}.lag={lag}")
-        lines.append(f"stage.{k}.anchor={snapshot.format_array(anchor)}")
-    lines.append(f"z_tail={snapshot.format_array(tail.z_tail)}")
-    lines.append(f"e_tail={snapshot.format_array(tail.e_tail)}")
-    for key in sorted(extra or {}):
-        lines.append(f"extra.{key}={extra[key]}")
-    return "\n".join(lines) + "\n"
+        fields[f"stage.{k}.lag"] = lag
+        fields[f"stage.{k}.anchor"] = anchor
+    fields.update(z_tail=tail.z_tail, e_tail=tail.e_tail)
+    return snapshot.dump("arima", fields, extra)
 
 
 def from_text(text: str):
     """Parse a serialized fit; returns (fit, extra_dict)."""
-    kind = snapshot.parse_header(text.splitlines()[0] if text else "")
-    if kind != "arima":
-        raise ParseError(f"expected an arima snapshot, got kind={kind!r}")
-    body = snapshot.parse_body(text)
-    spec = ArimaSpec(**{
-        name: int(snapshot.need(body, f"spec.{name}"))
-        for name in ("p", "d", "q", "sp", "sd", "sq", "season", "pre_diff_lag")
-    })
-    anchors = ForecastAnchors()
-    for k in range(int(snapshot.need(body, "stages"))):
-        lag = int(snapshot.need(body, f"stage.{k}.lag"))
-        anchor = snapshot.parse_array(snapshot.need(body, f"stage.{k}.anchor"))
-        anchors.stages.append((lag, anchor))
-    anchors.z_tail = snapshot.parse_array(snapshot.need(body, "z_tail"))
-    anchors.e_tail = snapshot.parse_array(snapshot.need(body, "e_tail"))
-    fit_ = ArimaFit(
-        spec=spec,
-        intercept=float(snapshot.need(body, "intercept")),
-        ar=snapshot.parse_array(snapshot.need(body, "ar")),
-        ma=snapshot.parse_array(snapshot.need(body, "ma")),
-        seasonal_ar=snapshot.parse_array(snapshot.need(body, "seasonal_ar")),
-        seasonal_ma=snapshot.parse_array(snapshot.need(body, "seasonal_ma")),
-        residuals=snapshot.parse_array(snapshot.need(body, "residuals")),
-        sigma2=float(snapshot.need(body, "sigma2")),
-        training_tail=anchors,
-        near_unit_root=snapshot.need(body, "near_unit_root").strip() == "1",
-        iterations=int(snapshot.need(body, "iterations")),
-        sse=float(snapshot.need(body, "sse")),
+    body, extra = snapshot.load(text, "arima")
+    need, parse_array = snapshot.need, snapshot.parse_array
+    anchors = ForecastAnchors(
+        stages=[(need(body, f"stage.{k}.lag", int),
+                 need(body, f"stage.{k}.anchor", parse_array))
+                for k in range(need(body, "stages", int))],
+        z_tail=need(body, "z_tail", parse_array),
+        e_tail=need(body, "e_tail", parse_array),
     )
-    extra = {
-        key[len("extra."):]: value
-        for key, value in body.items() if key.startswith("extra.")
-    }
+    fit_ = ArimaFit(
+        spec=ArimaSpec(**snapshot.config_kwargs(ArimaSpec, body, "spec")),
+        training_tail=anchors,
+        **{key: need(body, key, parse) for key, parse in _FIT_FIELDS},
+    )
     return fit_, extra
 
 
 def save(fit_: ArimaFit, path, extra: Optional[dict] = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_text(fit_, extra))
+    snapshot.write(path, to_text(fit_, extra))
 
 
 def load(path):
-    with open(path) as fh:
-        return from_text(fh.read())
+    return from_text(snapshot.read(path))
 
 
 def diagnostics(fit_: ArimaFit) -> DiagnosticsReport:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import arima as arima_mod
-from . import dataset, mlp
+from . import dataset, mlp, snapshot
 from .dataset import FEATURE_NAMES, HALF_HOURS_PER_DAY, NormStats
 from .efunn import EfunnConfig, EfunnModel
 from .errors import ConfigError, DataError
@@ -107,11 +107,6 @@ class BenchReport:
     training_examples: int
 
 
-def count_flops(counter: FlopCounter) -> int:
-    """Flops accumulated in an instrumented scope (see module flops)."""
-    return counter.total
-
-
 def make_partitions(mf_count: int = 4):
     """Input and output membership partitions over the normalized range."""
     inputs = [
@@ -122,7 +117,19 @@ def make_partitions(mf_count: int = 4):
     return inputs, output
 
 
-def _recursive_forecast(records, stats, predict_fn, test_start, periods):
+def training_pool(records, test_start: int):
+    """Normalized feature vectors for every record before the test window.
+
+    The pool starts one day in, where the lag-48 input first exists;
+    returns (pool, stats) with the stats fitted on the pool alone.
+    """
+    raw = [dataset.encode_features(records, i)
+           for i in range(HALF_HOURS_PER_DAY, test_start)]
+    stats = dataset.fit_norm(raw)
+    return [dataset.apply_norm(v, stats) for v in raw], stats
+
+
+def recursive_forecast(records, stats, predict_fn, test_start, periods):
     """Normalized and demand-unit predictions over the test window.
 
     Lag-48 inputs falling inside the window use the model's own earlier
@@ -163,12 +170,7 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
         )
     test_start = n - config.test_periods
 
-    pool_raw = [
-        dataset.encode_features(records, i)
-        for i in range(HALF_HOURS_PER_DAY, test_start)
-    ]
-    stats = dataset.fit_norm(pool_raw)
-    pool = [dataset.apply_norm(v, stats) for v in pool_raw]
+    pool, stats = training_pool(records, test_start)
     samples = dataset.sample_training(
         pool, config.training_fraction, config.seed, config.n_samples
     )
@@ -207,12 +209,12 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
             if name == "efunn":
                 outcomes.append(
                     _run_efunn(config, records, stats, train_x, train_y,
-                               test_start, s)
+                               test_start, s, actual_norm)
                 )
             elif name in ("mlp-bp", "mlp-scg"):
                 outcomes.append(
                     _run_mlp(config, records, stats, train_x, train_y,
-                             test_start, s, name)
+                             test_start, s, actual_norm, name)
                 )
             else:
                 outcomes.append(
@@ -236,7 +238,8 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
     )
 
 
-def _run_efunn(config, records, stats, train_x, train_y, test_start, s):
+def _run_efunn(config, records, stats, train_x, train_y, test_start, s,
+               actual_norm):
     counter = FlopCounter()
     inputs, output = make_partitions(config.mf_count)
     model = EfunnModel(config.efunn, inputs, output, counter=counter)
@@ -247,13 +250,9 @@ def _run_efunn(config, records, stats, train_x, train_y, test_start, s):
     training_flops = counter.total
     model.counter = None
     train_pred = [model.predict(x) for x in train_x]
-    norm_preds, demand_preds = _recursive_forecast(
+    norm_preds, demand_preds = recursive_forecast(
         records, stats, model.predict, test_start, config.test_periods
     )
-    actual_norm = [
-        dataset.norm_target(records[i].demand, stats)
-        for i in range(test_start, test_start + config.test_periods)
-    ]
     return SampleOutcome(
         model="efunn", sample=s, epochs=1,
         train_rmse=mlp.rmse(train_pred, list(train_y)),
@@ -263,7 +262,8 @@ def _run_efunn(config, records, stats, train_x, train_y, test_start, s):
     )
 
 
-def _run_mlp(config, records, stats, train_x, train_y, test_start, s, name):
+def _run_mlp(config, records, stats, train_x, train_y, test_start, s,
+             actual_norm, name):
     counter = FlopCounter()
     seed = config.seed * 1000 + 101 + s
     model = mlp.init_mlp(config.mlp_layers, seed)
@@ -277,14 +277,10 @@ def _run_mlp(config, records, stats, train_x, train_y, test_start, s, name):
                               counter=counter)
     wall = time.perf_counter() - t0
     train_pred = mlp.forward_batch(model, train_x)
-    norm_preds, demand_preds = _recursive_forecast(
+    norm_preds, demand_preds = recursive_forecast(
         records, stats, lambda x: mlp.forward(model, x), test_start,
         config.test_periods,
     )
-    actual_norm = [
-        dataset.norm_target(records[i].demand, stats)
-        for i in range(test_start, test_start + config.test_periods)
-    ]
     return SampleOutcome(
         model=name, sample=s, epochs=config.epochs,
         train_rmse=mlp.rmse(train_pred, train_y),
@@ -298,30 +294,27 @@ def _run_mlp(config, records, stats, train_x, train_y, test_start, s, name):
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "-"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.17g" % float(x)
+    return "-" if x is None else snapshot.format_value(x)
 
 
 def emit_report(report: BenchReport, out_dir) -> list:
     """Write report.csv, forecast.csv, convergence.csv, forecast.svg."""
     out = Path(out_dir)
+    paths = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = [
-            _write_report_csv(report, out / "report.csv"),
-            _write_forecast_csv(report, out / "forecast.csv"),
-            _write_convergence_csv(report, out / "convergence.csv"),
-            _write_forecast_svg(report, out / "forecast.svg"),
-        ]
+        for name, render in (("report.csv", _report_csv),
+                             ("forecast.csv", _forecast_csv),
+                             ("convergence.csv", _convergence_csv),
+                             ("forecast.svg", _forecast_svg)):
+            paths.append(out / name)
+            paths[-1].write_text("\n".join(render(report)) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write report into {out}: {exc}") from exc
     return paths
 
 
-def _write_report_csv(report: BenchReport, path: Path) -> Path:
+def _report_csv(report: BenchReport) -> list:
     cfg = report.config
     lines = [
         "# demand forecasting benchmark",
@@ -348,33 +341,31 @@ def _write_report_csv(report: BenchReport, path: Path) -> Path:
             o = per_sample[s]
             row += [_fmt(o.train_rmse), _fmt(o.test_rmse), _fmt(o.flops)]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return lines
 
 
-def _write_forecast_csv(report: BenchReport, path: Path) -> Path:
-    cols = ["period", "timestamp", "actual_mwh"]
-    for name in report.config.models:
-        cols.append(name.replace("-", "_") + "_mwh")
-    lines = [",".join(cols)]
-    for k in range(report.config.test_periods):
-        row = [str(k + 1), report.timestamps[k].isoformat(),
-               _fmt(report.actuals[k])]
-        for name in report.config.models:
-            row.append(_fmt(report.worst[name].predictions[k]))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+def forecast_lines(timestamps, actual, columns: dict) -> list:
+    """Forecast CSV: period, timestamp, actual demand, one column per entry."""
+    lines = [",".join(["period", "timestamp", "actual_mwh", *columns])]
+    for k, ts in enumerate(timestamps):
+        row = [str(k + 1), ts.isoformat(), _fmt(actual[k])]
+        lines.append(",".join(row + [_fmt(p[k]) for p in columns.values()]))
+    return lines
 
 
-def _write_convergence_csv(report: BenchReport, path: Path) -> Path:
+def _forecast_csv(report: BenchReport) -> list:
+    return forecast_lines(report.timestamps, report.actuals, {
+        name.replace("-", "_") + "_mwh": report.worst[name].predictions
+        for name in report.config.models})
+
+
+def _convergence_csv(report: BenchReport) -> list:
     lines = ["trainer,epoch,rmse"]
     for name in ("mlp-bp", "mlp-scg"):
         if name in report.worst and report.worst[name].trace:
             for epoch, value in enumerate(report.worst[name].trace, start=1):
                 lines.append(f"{name},{epoch},{_fmt(value)}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return lines
 
 
 _SVG_COLORS = {
@@ -386,7 +377,7 @@ _SVG_COLORS = {
 }
 
 
-def _write_forecast_svg(report: BenchReport, path: Path) -> Path:
+def _forecast_svg(report: BenchReport) -> list:
     """Minimal polyline chart of the test window, no plotting library."""
     width, height = 960, 420
     left, right, top, bottom = 60, 150, 20, 40
@@ -458,5 +449,4 @@ def _write_forecast_svg(report: BenchReport, path: Path) -> Path:
             f'fill="#333">{name}</text>'
         )
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
-    return path
+    return parts

@@ -19,20 +19,13 @@ import numpy as np
 from . import __version__
 from . import arima as arima_mod
 from . import bench, dataset, mlp, snapshot
-from .bench import _recursive_forecast
+from .config import read_config, scalar_fields
 from .dataset import HALF_HOURS_PER_DAY, NormStats
 from .efunn import EfunnConfig, EfunnModel
-from .errors import (ConfigError, ConvergenceError, DataError,
-                     DemandcastError, DivergenceError)
+from .errors import (ConvergenceError, DataError, DemandcastError,
+                     DivergenceError)
 
 HOLDOUT_PERIODS = 96
-
-_EFUNN_KEYS = ("sthr", "errthr", "lr1", "lr2", "lr3", "ss", "tc",
-               "max_nodes", "m_mode", "activation", "mf_count")
-_ARIMA_KEYS = ("p", "d", "q", "sp", "sd", "sq", "season", "pre_diff_lag")
-_MLP_KEYS = ("layers", "epsilon", "alpha")
-_BENCH_KEYS = ("training_fraction", "n_samples", "test_periods", "mf_count",
-               "bp_epsilon", "bp_alpha", "mlp_layers", "models")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,47 +35,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_kv(path) -> dict:
-    """key=value lines, # comments and blanks ignored."""
-    out = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected key=value, got {stripped!r}"
-                    )
-                key, _, value = stripped.partition("=")
-                key = key.strip()
-                if key in out:
-                    raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-                out[key] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return out
-
-
-def _check_keys(kv: dict, allowed, context: str) -> None:
-    unknown = sorted(set(kv) - set(allowed))
-    if unknown:
-        raise ConfigError(
-            f"unknown {context} config keys {unknown}; allowed: {sorted(allowed)}"
-        )
+def _parse_names(text: str) -> tuple:
+    return tuple(text.replace(",", " ").split())
 
 
 def _parse_layers(text: str) -> tuple:
-    try:
-        sizes = tuple(int(t) for t in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"bad layer list {text!r}") from None
+    sizes = tuple(int(t) for t in _parse_names(text))
     if len(sizes) < 2 or sizes[0] != 6 or sizes[-1] != 1:
-        raise ConfigError(
+        raise ValueError(
             f"layer list must run from 6 inputs to 1 output, got {sizes}"
         )
     return sizes
+
+
+_MLP_KEYS = dict(layers=_parse_layers, epsilon=float, alpha=float)
+_TRAIN_KEYS = {"efunn": dict(scalar_fields(EfunnConfig), mf_count=int),
+               "mlp-bp": _MLP_KEYS, "mlp-scg": _MLP_KEYS,
+               "arima": scalar_fields(arima_mod.ArimaSpec)}
+_BENCH_KEYS = dict(training_fraction=float, n_samples=int, test_periods=int,
+                   mf_count=int, bp_epsilon=float, bp_alpha=float,
+                   mlp_layers=_parse_layers, models=_parse_names)
 
 
 def _norm_extra(stats: NormStats) -> dict:
@@ -99,6 +71,21 @@ def _stats_from_extra(extra: dict, path) -> NormStats:
         )
     return NormStats(snapshot.parse_array(extra["norm.mins"]),
                      snapshot.parse_array(extra["norm.maxs"]))
+
+
+def _check_trained_on(fit, extra: dict, demand, path, data) -> None:
+    """Refuse an ARIMA fit on any CSV but its own: it forecasts its tail."""
+    rows = extra.get("trained.rows")
+    if rows is not None and rows != str(demand.size):
+        raise DataError(f"snapshot {path} was trained on {rows} rows, "
+                        f"{data} has {demand.size}")
+    stages = fit.training_tail.stages
+    if stages:
+        lag, anchor = stages[0]
+        end = demand.size - HOLDOUT_PERIODS
+        if not np.array_equal(anchor, demand[end - lag:end]):
+            raise DataError(f"snapshot {path} was not trained on {data}: "
+                            "its last pre-holdout values differ")
 
 
 def _load_records(path, minimum: int):
@@ -122,23 +109,11 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _training_pool(records):
-    """Normalized feature vectors for everything before the holdout window."""
-    test_start = len(records) - HOLDOUT_PERIODS
-    raw = [dataset.encode_features(records, i)
-           for i in range(HALF_HOURS_PER_DAY, test_start)]
-    stats = dataset.fit_norm(raw)
-    return [dataset.apply_norm(v, stats) for v in raw], stats, test_start
-
-
 def _cmd_train(args) -> int:
-    kv = _read_kv(args.config) if args.config else {}
-
+    kv = (read_config(args.config, _TRAIN_KEYS[args.model], args.model)
+          if args.config else {})
     if args.model == "arima":
-        _check_keys(kv, _ARIMA_KEYS, "arima")
-        spec_kwargs = {k: int(v) for k, v in kv.items()}
-        spec = (arima_mod.ArimaSpec(**spec_kwargs) if spec_kwargs
-                else bench.default_arima_spec())
+        spec = arima_mod.ArimaSpec(**kv) if kv else bench.default_arima_spec()
         records = _load_records(args.data, HOLDOUT_PERIODS + 1)
         demand = np.array([r.demand for r in records])
         fit = arima_mod.fit(demand[:-HOLDOUT_PERIODS], spec)
@@ -150,25 +125,15 @@ def _cmd_train(args) -> int:
     records = _load_records(
         args.data, HALF_HOURS_PER_DAY + HOLDOUT_PERIODS + 1
     )
-    pool, stats, _ = _training_pool(records)
+    pool, stats = bench.training_pool(records, len(records) - HOLDOUT_PERIODS)
     train_x = np.stack([v.x for v in pool])
     train_y = np.array([v.y for v in pool])
     extra = _norm_extra(stats)
     extra["trained.examples"] = str(len(pool))
 
     if args.model == "efunn":
-        _check_keys(kv, _EFUNN_KEYS, "efunn")
-        mf_count = int(kv.pop("mf_count", 4))
-        cfg_kwargs = {}
-        for key, value in kv.items():
-            if key in ("m_mode", "activation"):
-                cfg_kwargs[key] = value
-            elif key == "max_nodes":
-                cfg_kwargs[key] = int(value)
-            else:
-                cfg_kwargs[key] = float(value)
-        inputs, output = bench.make_partitions(mf_count)
-        model = EfunnModel(EfunnConfig(**cfg_kwargs), inputs, output)
+        inputs, output = bench.make_partitions(kv.pop("mf_count", 4))
+        model = EfunnModel(EfunnConfig(**kv), inputs, output)
         for x, y in zip(train_x, train_y):
             model.learn_one(x, y)
         train_rmse = mlp.rmse([model.predict(x) for x in train_x],
@@ -179,14 +144,10 @@ def _cmd_train(args) -> int:
               f"snapshot {args.out}")
         return 0
 
-    # mlp-bp / mlp-scg
-    _check_keys(kv, _MLP_KEYS, "mlp")
-    layers = _parse_layers(kv.get("layers", "6,40,40,1"))
-    model = mlp.init_mlp(layers, args.seed)
+    # mlp-bp / mlp-scg; scg has no settings beyond the layers
+    model = mlp.init_mlp(kv.pop("layers", (6, 40, 40, 1)), args.seed)
     if args.model == "mlp-bp":
-        cfg = mlp.BpConfig(epsilon=float(kv.get("epsilon", 0.01)),
-                           alpha=float(kv.get("alpha", 0.9)),
-                           epochs=args.epochs)
+        cfg = mlp.BpConfig(epochs=args.epochs, **kv)
         trace = mlp.bp_train(model, (train_x, train_y), cfg)
     else:
         trace = mlp.scg_train(model, (train_x, train_y), args.epochs)
@@ -199,21 +160,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    try:
-        with open(args.snapshot) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read snapshot {args.snapshot}: {exc}") from exc
-    kind = snapshot.parse_header(text.splitlines()[0] if text else "")
+    text = snapshot.read(args.snapshot)
+    kind = snapshot.kind_of(text)
+    lookback = 0 if kind == "arima" else HALF_HOURS_PER_DAY
+    records = _load_records(args.data, lookback + HOLDOUT_PERIODS + 1)
+    demand = np.array([r.demand for r in records])
+    test_start = demand.size - HOLDOUT_PERIODS
 
     if kind == "arima":
-        fit, _ = arima_mod.from_text(text)
-        records = _load_records(args.data, HOLDOUT_PERIODS + 1)
+        fit, extra = arima_mod.from_text(text)
+        _check_trained_on(fit, extra, demand, args.snapshot, args.data)
         preds = arima_mod.forecast(fit, HOLDOUT_PERIODS)
     else:
-        records = _load_records(
-            args.data, HALF_HOURS_PER_DAY + HOLDOUT_PERIODS + 1
-        )
         if kind == "efunn":
             model, extra = EfunnModel.from_text(text)
             predict = model.predict
@@ -223,17 +181,12 @@ def _cmd_forecast(args) -> int:
         else:
             raise DataError(f"cannot forecast from snapshot kind {kind!r}")
         stats = _stats_from_extra(extra, args.snapshot)
-        test_start = len(records) - HOLDOUT_PERIODS
-        _, preds = _recursive_forecast(records, stats, predict, test_start,
-                                       HOLDOUT_PERIODS)
+        _, preds = bench.recursive_forecast(records, stats, predict,
+                                            test_start, HOLDOUT_PERIODS)
 
-    test_start = len(records) - HOLDOUT_PERIODS
-    actual = np.array([r.demand for r in records[test_start:]])
-    lines = ["period,timestamp,actual_mwh,predicted_mwh"]
-    for k in range(HOLDOUT_PERIODS):
-        ts = records[test_start + k].timestamp.isoformat()
-        lines.append(f"{k + 1},{ts},{snapshot.format_float(actual[k])},"
-                     f"{snapshot.format_float(preds[k])}")
+    actual = demand[test_start:]
+    lines = bench.forecast_lines([r.timestamp for r in records[test_start:]],
+                                 actual, {"predicted_mwh": preds})
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     err = mlp.rmse(list(preds), list(actual))
@@ -243,24 +196,13 @@ def _cmd_forecast(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    kv = _read_kv(args.config) if args.config else {}
-    _check_keys(kv, _BENCH_KEYS, "bench")
-    cfg_kwargs = dict(seed=args.seed, epochs=args.epochs)
+    cfg_kwargs = (read_config(args.config, _BENCH_KEYS, "bench")
+                  if args.config else {})
+    cfg_kwargs.update(seed=args.seed, epochs=args.epochs)
     if args.data:
         cfg_kwargs["csv_path"] = args.data
     else:
         cfg_kwargs["synth_days"] = args.days
-    for key, value in kv.items():
-        if key == "models":
-            cfg_kwargs[key] = tuple(
-                t for t in value.replace(",", " ").split() if t
-            )
-        elif key == "mlp_layers":
-            cfg_kwargs[key] = _parse_layers(value)
-        elif key in ("n_samples", "test_periods", "mf_count"):
-            cfg_kwargs[key] = int(value)
-        else:
-            cfg_kwargs[key] = float(value)
     config = bench.ExperimentConfig(**cfg_kwargs)
     report = bench.run_experiment(config)
     paths = bench.emit_report(report, args.out)

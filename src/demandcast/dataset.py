@@ -28,7 +28,9 @@ from typing import Optional
 
 import numpy as np
 
+from .config import read_config, scalar_fields
 from .errors import ConfigError, DataError, DegenerateError, GapError, ParseError
+from .snapshot import format_float
 
 CSV_HEADER = ("timestamp", "demand_mwh", "tmin_c", "tmax_c")
 FEATURE_NAMES = ("tmin", "tmax", "prev_day_demand", "half_hour", "season",
@@ -109,6 +111,8 @@ def _parse_stream(handle, name: str) -> list:
             demand, tmin, tmax = (float(v) for v in row[1:])
         except ValueError as exc:
             raise ParseError(f"{name}:{lineno}: non-numeric field: {exc}") from None
+        if not all(math.isfinite(v) for v in (demand, tmin, tmax)):
+            raise ParseError(f"{name}:{lineno}: non-finite field in {row!r}")
         if records:
             expected = records[-1].timestamp + STEP
             if ts != expected:
@@ -130,19 +134,14 @@ def write_csv(records, target) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in records:
-            writer.writerow(
-                [r.timestamp.isoformat(), _num(r.demand), _num(r.tmin), _num(r.tmax)]
-            )
+            writer.writerow([r.timestamp.isoformat()] + [
+                format_float(v) for v in (r.demand, r.tmin, r.tmax)])
 
     if hasattr(target, "write"):
         emit(target)
     else:
         with open(target, "w", newline="") as handle:
             emit(handle)
-
-
-def _num(x: float) -> str:
-    return "%.17g" % x
 
 
 def season_of(month: int) -> int:
@@ -273,34 +272,7 @@ class SynthConfig:
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":
-        return cls.from_text(Path(path).read_text(), name=str(path))
-
-    @classmethod
-    def from_text(cls, text: str, name: str = "<config>") -> "SynthConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"{name}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise ConfigError(f"{name}:{lineno}: unknown generator key {key!r}")
-            if key in kwargs:
-                raise ConfigError(f"{name}:{lineno}: duplicate key {key!r}")
-            if key == "start":
-                kwargs[key] = value.strip()
-            else:
-                try:
-                    kwargs[key] = float(value)
-                except ValueError:
-                    raise ParseError(
-                        f"{name}:{lineno}: non-numeric value for {key!r}"
-                    ) from None
-        return cls(**kwargs)
+        return cls(**read_config(path, scalar_fields(cls), "generator"))
 
 
 def _clipped_normal(rng, sigma: float) -> float:

@@ -20,8 +20,7 @@ Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
 """
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,12 +32,12 @@ from .errors import (
     DataError,
     DisabledError,
     EmptyModelError,
-    ParseError,
     ShapeError,
 )
 from .fuzzy import (
     FuzzyVector,
     MembershipPartition,
+    as_degrees,
     defuzzify,
     fuzzify,
     fuzzify_vector,
@@ -176,8 +175,8 @@ def update_node(node: RuleNode, ex, te, a1: float, lr1: float, lr2: float) -> Ru
     output centroid moves against the node-local signed output error,
     scaled by both lr2 and the node's activation.
     """
-    ex = _degrees(ex)
-    te = _degrees(te)
+    ex = as_degrees(ex)
+    te = as_degrees(te)
     node.w1 += lr1 * (ex - node.w1)
     local_out = satlin(node.w2)
     node.w2 += lr2 * (te - local_out) * a1
@@ -185,10 +184,12 @@ def update_node(node: RuleNode, ex, te, a1: float, lr1: float, lr2: float) -> Ru
     return node
 
 
-def _degrees(v) -> np.ndarray:
-    if isinstance(v, FuzzyVector):
-        return v.degrees
-    return np.asarray(v, dtype=float)
+# per-node snapshot fields in file order: (key, RuleNode attribute, parser)
+_NODE_FIELDS = (
+    ("age", "age", int), ("a1av", "a1av", float),
+    ("absorbed", "examples_absorbed", int),
+    ("w1", "w1", snapshot.parse_array), ("w2", "w2", snapshot.parse_array),
+)
 
 
 class EfunnModel:
@@ -248,8 +249,8 @@ class EfunnModel:
 
     def create_rule_node(self, ex, te) -> int:
         """Append a node memorizing (ex, te) exactly; grows w3 by one."""
-        ex = _degrees(ex)
-        te = _degrees(te)
+        ex = as_degrees(ex)
+        te = as_degrees(te)
         if ex.size != self.input_width:
             raise ShapeError(
                 f"input centroid has {ex.size} degrees, partitions define "
@@ -281,7 +282,7 @@ class EfunnModel:
         """A1 activation of every rule node for a fuzzified input."""
         if not self.nodes:
             raise EmptyModelError("model has no rule nodes")
-        ex = _degrees(ex)
+        ex = as_degrees(ex)
         w1 = np.stack([node.w1 for node in self.nodes])
         dist = np.abs(w1 - ex).sum(axis=1) / (w1.sum(axis=1) + ex.sum())
         cfg = self.config
@@ -532,108 +533,64 @@ class EfunnModel:
 
     def to_text(self, extra: Optional[dict] = None) -> str:
         cfg = self.config
-        ff, fa = snapshot.format_float, snapshot.format_array
-        lines = [snapshot.header_line("efunn")]
-        for name in ("sthr", "errthr", "lr1", "lr2", "lr3", "ss", "tc"):
-            lines.append(f"config.{name}={ff(getattr(cfg, name))}")
-        lines.append(f"config.max_nodes={cfg.max_nodes}")
-        lines.append(f"config.m_mode={cfg.m_mode}")
-        lines.append(f"config.activation={cfg.activation}")
-        if cfg.pruning is not None:
-            lines.append(f"config.pruning.old_age={cfg.pruning.old_age}")
-            lines.append(
-                f"config.pruning.low_activation={ff(cfg.pruning.low_activation)}"
-            )
-            lines.append(
-                f"config.pruning.density_radius={ff(cfg.pruning.density_radius)}"
-            )
-        if cfg.aggregation is not None:
-            lines.append(f"config.aggregation.thr1={ff(cfg.aggregation.thr1)}")
-            lines.append(f"config.aggregation.thr2={ff(cfg.aggregation.thr2)}")
-        lines.append(f"inputs={len(self.input_partitions)}")
+        fields = snapshot.config_fields("config", cfg)
+        for block in ("pruning", "aggregation"):
+            if getattr(cfg, block) is not None:
+                fields.update(snapshot.config_fields(f"config.{block}",
+                                                     getattr(cfg, block)))
+        fields["inputs"] = len(self.input_partitions)
         for i, p in enumerate(self.input_partitions):
-            lines.extend(_partition_lines(f"partition.in.{i}", p))
-        lines.extend(_partition_lines("partition.out", self.output_partition))
-        lines.append(f"nodes={len(self.nodes)}")
+            fields.update(_partition_fields(f"partition.in.{i}", p))
+        fields.update(_partition_fields("partition.out", self.output_partition))
+        fields["nodes"] = len(self.nodes)
         for k, node in enumerate(self.nodes):
-            lines.append(f"node.{k}.age={node.age}")
-            lines.append(f"node.{k}.a1av={ff(node.a1av)}")
-            lines.append(f"node.{k}.absorbed={node.examples_absorbed}")
-            lines.append(f"node.{k}.w1={fa(node.w1)}")
-            lines.append(f"node.{k}.w2={fa(node.w2)}")
-        w3 = self.w3
-        for r in range(len(self.nodes)):
-            lines.append(f"w3.{r}={fa(w3[r])}")
-        lines.append(f"examples_seen={self.examples_seen}")
-        lw = "none" if self._last_winner is None else str(self._last_winner)
-        lines.append(f"last_winner={lw}")
-        lines.append(f"last_winner_activation={ff(self._last_act)}")
-        for key, value in (extra or {}).items():
-            lines.append(f"extra.{key}={value}")
-        return "\n".join(lines) + "\n"
+            fields.update({f"node.{k}.{key}": getattr(node, attr)
+                           for key, attr, _ in _NODE_FIELDS})
+        fields.update({f"w3.{r}": row for r, row in enumerate(self.w3)})
+        fields["examples_seen"] = self.examples_seen
+        lw = self._last_winner
+        fields["last_winner"] = "none" if lw is None else lw
+        fields["last_winner_activation"] = self._last_act
+        return snapshot.dump("efunn", fields, extra)
 
     @classmethod
     def from_text(cls, text: str):
         """Rebuild (model, extra) from snapshot text."""
-        kind = snapshot.parse_header(text.splitlines()[0] if text else "")
-        if kind != "efunn":
-            raise ParseError(f"expected an efunn snapshot, got kind={kind!r}")
-        body = snapshot.parse_body(text)
+        body, extra = snapshot.load(text, "efunn")
         need = snapshot.need
-        kwargs = {
-            name: float(need(body, f"config.{name}"))
-            for name in ("sthr", "errthr", "lr1", "lr2", "lr3", "ss", "tc")
-        }
-        kwargs["max_nodes"] = int(need(body, "config.max_nodes"))
-        kwargs["m_mode"] = need(body, "config.m_mode")
-        kwargs["activation"] = need(body, "config.activation")
-        if "config.pruning.old_age" in body:
-            kwargs["pruning"] = PruningConfig(
-                old_age=int(body["config.pruning.old_age"]),
-                low_activation=float(body["config.pruning.low_activation"]),
-                density_radius=float(body["config.pruning.density_radius"]),
-            )
-        if "config.aggregation.thr1" in body:
-            kwargs["aggregation"] = AggregationConfig(
-                thr1=float(body["config.aggregation.thr1"]),
-                thr2=float(body["config.aggregation.thr2"]),
-            )
-        n_in = int(need(body, "inputs"))
+        kwargs = snapshot.config_kwargs(EfunnConfig, body, "config")
+        for block, block_cls in (("pruning", PruningConfig),
+                                 ("aggregation", AggregationConfig)):
+            prefix = f"config.{block}"
+            if any(key.startswith(prefix + ".") for key in body):
+                kwargs[block] = block_cls(
+                    **snapshot.config_kwargs(block_cls, body, prefix))
+        n_in = need(body, "inputs", int)
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")
         model = cls(EfunnConfig(**kwargs), inputs, output)
-        n_nodes = int(need(body, "nodes"))
+        n_nodes = need(body, "nodes", int)
         for k in range(n_nodes):
-            node = RuleNode(
-                w1=snapshot.parse_array(need(body, f"node.{k}.w1")),
-                w2=snapshot.parse_array(need(body, f"node.{k}.w2")),
-                age=int(need(body, f"node.{k}.age")),
-                a1av=float(need(body, f"node.{k}.a1av")),
-                examples_absorbed=int(need(body, f"node.{k}.absorbed")),
-            )
-            model.nodes.append(node)
+            model.nodes.append(RuleNode(**{
+                attr: need(body, f"node.{k}.{key}", parse)
+                for key, attr, parse in _NODE_FIELDS}))
         cap = max(4, n_nodes)
         model._w3cap = cap
         model._w3buf = np.zeros((cap, cap))
         for r in range(n_nodes):
-            model._w3buf[r, :n_nodes] = snapshot.parse_array(need(body, f"w3.{r}"))
-        model.examples_seen = int(need(body, "examples_seen"))
-        lw = need(body, "last_winner")
-        model._last_winner = None if lw == "none" else int(lw)
-        model._last_act = float(need(body, "last_winner_activation"))
-        extra = {
-            key[len("extra.") :]: value
-            for key, value in body.items()
-            if key.startswith("extra.")
-        }
+            model._w3buf[r, :n_nodes] = need(body, f"w3.{r}", snapshot.parse_array)
+        model.examples_seen = need(body, "examples_seen", int)
+        model._last_winner = need(
+            body, "last_winner", lambda v: None if v == "none" else int(v))
+        model._last_act = need(body, "last_winner_activation", float)
         return model, extra
 
     def save(self, path, extra: Optional[dict] = None) -> None:
-        Path(path).write_text(self.to_text(extra))
+        snapshot.write(path, self.to_text(extra))
 
     @classmethod
     def load(cls, path):
-        return cls.from_text(Path(path).read_text())
+        return cls.from_text(snapshot.read(path))
 
 
 def _one_hot(label: str, partition: MembershipPartition) -> np.ndarray:
@@ -648,13 +605,9 @@ def _one_hot(label: str, partition: MembershipPartition) -> np.ndarray:
     return out
 
 
-def _partition_lines(prefix: str, p: MembershipPartition) -> list:
-    return [
-        f"{prefix}.name={p.variable_name}",
-        f"{prefix}.kind={p.kind}",
-        f"{prefix}.centers={snapshot.format_array(p.centers)}",
-        f"{prefix}.widths={snapshot.format_array(p.widths)}",
-    ]
+def _partition_fields(prefix: str, p: MembershipPartition) -> dict:
+    return {f"{prefix}.name": p.variable_name, f"{prefix}.kind": p.kind,
+            f"{prefix}.centers": p.centers, f"{prefix}.widths": p.widths}
 
 
 def _partition_from(body: dict, prefix: str) -> MembershipPartition:
@@ -662,6 +615,6 @@ def _partition_from(body: dict, prefix: str) -> MembershipPartition:
     return MembershipPartition(
         variable_name=need(body, f"{prefix}.name"),
         kind=need(body, f"{prefix}.kind"),
-        centers=snapshot.parse_array(need(body, f"{prefix}.centers")),
-        widths=snapshot.parse_array(need(body, f"{prefix}.widths")),
+        centers=need(body, f"{prefix}.centers", snapshot.parse_array),
+        widths=need(body, f"{prefix}.widths", snapshot.parse_array),
     )

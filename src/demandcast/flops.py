@@ -24,10 +24,6 @@ class FlopCounter:
         """Count ``n`` multiply-accumulate pairs."""
         self.total += MAC_FLOPS * int(n)
 
-    def add_dot(self, n):
-        """Count one dot product of length ``n``."""
-        self.total += MAC_FLOPS * int(n)
-
     def add_gemm(self, m, n, k):
         """Count an (m x k) @ (k x n) matrix product."""
         self.total += MAC_FLOPS * int(m) * int(n) * int(k)
@@ -35,7 +31,3 @@ class FlopCounter:
     def add_transcendental(self, n):
         """Count ``n`` tanh/exp evaluations."""
         self.total += TRANSCENDENTAL_FLOPS * int(n)
-
-    @property
-    def count(self) -> int:
-        return self.total

@@ -178,18 +178,7 @@ def fuzzify_vector(values, partitions) -> FuzzyVector:
     return FuzzyVector(np.concatenate(parts), tuple(p.size for p in partitions))
 
 
-def defuzzify_vector(fv: FuzzyVector, partitions) -> np.ndarray:
-    """Defuzzify each segment of a fuzzy vector back to real values."""
-    if len(fv.segments) != len(partitions):
-        raise ShapeError(
-            f"{len(fv.segments)} segments for {len(partitions)} partitions"
-        )
-    return np.array(
-        [defuzzify(fv.segment(i), p) for i, p in enumerate(partitions)]
-    )
-
-
-def _degrees(v) -> np.ndarray:
+def as_degrees(v) -> np.ndarray:
     if isinstance(v, FuzzyVector):
         return v.degrees
     return np.asarray(v, dtype=float)
@@ -197,8 +186,8 @@ def _degrees(v) -> np.ndarray:
 
 def fuzzy_difference(a, b) -> float:
     """Normalized fuzzy difference sum(|a-b|) / sum(a+b), in [0, 1]."""
-    da = _degrees(a)
-    db = _degrees(b)
+    da = as_degrees(a)
+    db = as_degrees(b)
     if da.shape != db.shape:
         raise ShapeError(f"fuzzy vectors differ in length: {da.size} vs {db.size}")
     denom = float(da.sum() + db.sum())

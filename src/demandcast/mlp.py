@@ -16,8 +16,7 @@ regulated by raising and lowering lambda. The SCG core works on any
 """
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -406,55 +405,45 @@ def scg_train(model: MlpModel, data, epochs: int, sigma0: float = 1e-5,
 
 
 def to_text(model: MlpModel, extra: Optional[dict] = None) -> str:
-    lines = [snapshot.header_line("mlp")]
-    lines.append("layers=" + " ".join(str(s) for s in model.layer_sizes))
-    lines.append(f"hidden_activation={model.hidden_activation}")
-    lines.append(f"output_activation={model.output_activation}")
+    fields = {"layers": " ".join(str(s) for s in model.layer_sizes),
+              "hidden_activation": model.hidden_activation,
+              "output_activation": model.output_activation}
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        lines.append(f"weight.{l}={snapshot.format_array(w)}")
-        lines.append(f"bias.{l}={snapshot.format_array(b)}")
-    for key, value in (extra or {}).items():
-        lines.append(f"extra.{key}={value}")
-    return "\n".join(lines) + "\n"
+        fields[f"weight.{l}"] = w
+        fields[f"bias.{l}"] = b
+    return snapshot.dump("mlp", fields, extra)
 
 
 def from_text(text: str):
     """Rebuild (model, extra) from snapshot text."""
-    kind = snapshot.parse_header(text.splitlines()[0] if text else "")
-    if kind != "mlp":
-        raise ParseError(f"expected an mlp snapshot, got kind={kind!r}")
-    body = snapshot.parse_body(text)
-    sizes = tuple(int(t) for t in snapshot.need(body, "layers").split())
+    body, extra = snapshot.load(text, "mlp")
+    need = snapshot.need
+    sizes = need(body, "layers", lambda v: tuple(int(t) for t in v.split()))
     if len(sizes) < 2:
         raise ParseError(f"snapshot layer list too short: {sizes}")
     weights = []
     biases = []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = snapshot.parse_array(snapshot.need(body, f"weight.{l}"))
+        w = need(body, f"weight.{l}", snapshot.parse_array)
         if w.size != fan_in * fan_out:
             raise ParseError(f"weight.{l} has {w.size} entries, expected "
                              f"{fan_in * fan_out}")
         weights.append(w.reshape(fan_out, fan_in))
-        b = snapshot.parse_array(snapshot.need(body, f"bias.{l}"))
+        b = need(body, f"bias.{l}", snapshot.parse_array)
         if b.size != fan_out:
             raise ParseError(f"bias.{l} has {b.size} entries, expected {fan_out}")
         biases.append(b)
     model = MlpModel(
         sizes, weights, biases,
-        hidden_activation=snapshot.need(body, "hidden_activation"),
-        output_activation=snapshot.need(body, "output_activation"),
+        hidden_activation=need(body, "hidden_activation"),
+        output_activation=need(body, "output_activation"),
     )
-    extra = {
-        key[len("extra.") :]: value
-        for key, value in body.items()
-        if key.startswith("extra.")
-    }
     return model, extra
 
 
 def save(model: MlpModel, path, extra: Optional[dict] = None) -> None:
-    Path(path).write_text(to_text(model, extra))
+    snapshot.write(path, to_text(model, extra))
 
 
 def load(path):
-    return from_text(Path(path).read_text())
+    return from_text(snapshot.read(path))

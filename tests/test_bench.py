@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demandcast import bench, dataset
+from demandcast import dataset
 from demandcast.bench import ExperimentConfig, emit_report, run_experiment
 from demandcast.errors import ConfigError, DataError
 from demandcast.flops import FlopCounter
@@ -21,7 +21,7 @@ def small_report():
 
 def test_flop_counter_primitives():
     c = FlopCounter()
-    c.add_dot(10)
+    c.add_mac(10)
     assert c.total == 20  # multiply plus add per element
     c.add_gemm(2, 3, 4)
     assert c.total == 20 + 2 * 2 * 3 * 4
@@ -167,9 +167,3 @@ def test_csv_input_matches_synthetic_route(tmp_path):
     via_csv = run_experiment(small_config(models=("efunn",), n_samples=1,
                                           csv_path=str(csv_path)))
     assert direct.worst["efunn"].test_rmse == via_csv.worst["efunn"].test_rmse
-
-
-def test_count_flops_reads_counter():
-    c = FlopCounter()
-    c.add(41)
-    assert bench.count_flops(c) == 41

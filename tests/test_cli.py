@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from demandcast import dataset
+from demandcast import dataset, mlp
 from demandcast.cli import main
 
 
@@ -170,3 +170,86 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "demandcast" in proc.stdout
+
+
+EXIT_1_CASES = (
+    "bad csv header", "timestamp gap", "nan demand, mlp", "nan demand, efunn",
+    "non-numeric efunn config", "non-numeric arima config",
+    "non-numeric bench config", "mlp snapshot to rules",
+    "arima on another csv", "arima on a longer csv",
+)
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(data_csv, tmp_path_factory):
+    """Per case: argv that must exit 1, and text its error must contain."""
+    d = tmp_path_factory.mktemp("bad")
+    lines = data_csv.read_text().splitlines(keepends=True)
+
+    def write(name, text):
+        (d / name).write_text(text)
+        return str(d / name)
+
+    fields = lines[10].split(",")
+    nan_row = ",".join([fields[0], "nan"] + fields[2:])
+    header = write("header.csv", "wrong,header\n")
+    gap = write("gap.csv", "".join(lines[:100] + lines[101:]))
+    nan = write("nan.csv", "".join(lines[:10] + [nan_row] + lines[11:]))
+    efunn_cfg = write("efunn.cfg", "# tuned\nsthr=high\n")
+    arima_cfg = write("arima.cfg", "p=one\n")
+    bench_cfg = write("bench.cfg", "n_samples=two\n")
+    mlp_snap, arima_snap = str(d / "mlp.snap"), str(d / "arima.snap")
+    other, longer, out = str(d / "other.csv"), str(d / "longer.csv"), str(d / "o")
+    mlp.save(mlp.init_mlp((6, 4, 1), seed=0), mlp_snap)
+    assert main(["train", "--model", "arima", "--data", str(data_csv),
+                 "--out", arima_snap]) == 0
+    assert main(["synth", "--days", "40", "--seed", "4", "--out", other]) == 0
+    assert main(["synth", "--days", "41", "--seed", "3", "--out", longer]) == 0
+
+    def train(model, data, *more):
+        return ["train", "--model", model, "--data", data, "--out", out, *more]
+
+    def forecast(data):
+        return ["forecast", "--snapshot", arima_snap, "--data", data,
+                "--out", out]
+
+    return {
+        "bad csv header": (train("efunn", header), f"{header}: bad header"),
+        "timestamp gap": (train("arima", gap), f"{gap}:101:"),
+        "nan demand, mlp": (train("mlp-scg", nan), f"{nan}:11: non-finite"),
+        "nan demand, efunn": (train("efunn", nan), f"{nan}:11: non-finite"),
+        "non-numeric efunn config": (
+            train("efunn", header, "--config", efunn_cfg),
+            f"{efunn_cfg}:2: bad value 'high' for 'sthr'"),
+        "non-numeric arima config": (
+            train("arima", header, "--config", arima_cfg), f"{arima_cfg}:1:"),
+        "non-numeric bench config": (
+            ["bench", "--days", "40", "--out", out, "--config", bench_cfg],
+            f"{bench_cfg}:1:"),
+        "mlp snapshot to rules": (["rules", "--snapshot", mlp_snap],
+                                  "kind='mlp'"),
+        "arima on another csv": (
+            forecast(other), f"snapshot {arima_snap} was not trained on"),
+        "arima on a longer csv": (
+            forecast(longer), f"snapshot {arima_snap} was trained on 1920 rows"),
+    }
+
+
+@pytest.mark.parametrize("case", EXIT_1_CASES)
+def test_bad_input_exits_1_naming_the_source(case, bad_inputs, capsys):
+    argv, expected = bad_inputs[case]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert expected in err
+
+
+def test_mlp_snapshot_still_forecasts_other_data(data_csv, tmp_path):
+    snap, other = tmp_path / "mlp.snap", tmp_path / "other.csv"
+    assert main(["train", "--model", "mlp-scg", "--data", str(data_csv),
+                 "--out", str(snap), "--epochs", "2"]) == 0
+    assert main(["synth", "--days", "40", "--seed", "4",
+                 "--out", str(other)]) == 0
+    assert main(["forecast", "--snapshot", str(snap), "--data", str(other),
+                 "--out", str(tmp_path / "fc.csv")]) == 0

@@ -233,11 +233,16 @@ def test_synth_config_file_round_trip(tmp_path):
     assert back == cfg
 
 
-def test_synth_config_parse_errors():
+def test_synth_config_parse_errors(tmp_path):
+    def parse(text):
+        path = tmp_path / "gen.cfg"
+        path.write_text(text)
+        return SynthConfig.from_file(path)
+
     with pytest.raises(ConfigError, match="unknown"):
-        SynthConfig.from_text("voltage=11\n")
+        parse("voltage=11\n")
     with pytest.raises(ConfigError, match="duplicate"):
-        SynthConfig.from_text("base=1\nbase=2\n")
+        parse("base=1\nbase=2\n")
     with pytest.raises(ParseError):
-        SynthConfig.from_text("base=abc\n")
-    assert SynthConfig.from_text("# comment\n\nbase=4000\n").base == 4000.0
+        parse("base=abc\n")
+    assert parse("# comment\n\nbase=4000\n").base == 4000.0

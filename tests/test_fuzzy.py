@@ -5,7 +5,7 @@ import pytest
 
 from demandcast.errors import ConfigError, DegenerateError, ShapeError
 from demandcast.fuzzy import (FuzzyVector, MembershipPartition,
-                              build_partition, defuzzify, defuzzify_vector,
+                              build_partition, defuzzify,
                               fuzzify, fuzzify_vector, fuzzy_difference,
                               mf_labels, radbas, satlin)
 
@@ -132,16 +132,6 @@ def test_fuzzify_vector_concatenates_segments():
     assert fv.degrees.size == 7
     assert np.allclose(fv.segment(0), fuzzify(0.0, parts[0]))
     assert np.allclose(fv.segment(1), fuzzify(1.0, parts[1]))
-
-
-def test_defuzzify_vector_inverts_each_variable():
-    # overlapping gaussians pull the center of gravity slightly inward,
-    # so the round trip is close but not exact
-    parts = [build_partition(0.0, 1.0, 4, name="a"),
-             build_partition(0.0, 1.0, 4, name="b")]
-    fv = fuzzify_vector(np.array([1 / 3, 2 / 3]), parts)
-    out = defuzzify_vector(fv, parts)
-    assert np.allclose(out, [1 / 3, 2 / 3], atol=0.01)
 
 
 def test_mf_labels_level_names():
