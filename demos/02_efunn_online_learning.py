@@ -41,7 +41,8 @@ def main():
             print(f"  after {i + 1:4d} examples: {model.n_nodes:4d} rule "
                   f"nodes ({created} created so far)")
 
-    preds = np.array([model.predict(v.x) for v in pool])
+    xs = np.stack([v.x for v in pool])
+    preds = model.predict_batch(xs)
     targets = np.array([v.y for v in pool])
     print(f"\none-pass training rmse (normalized): "
           f"{rmse(preds, targets):.4f}")
@@ -62,7 +63,7 @@ def main():
     loose = EfunnModel(EfunnConfig(sthr=0.90, errthr=0.10), inputs, output)
     for vec in pool:
         loose.learn_one(vec.x, vec.y)
-    loose_preds = np.array([loose.predict(v.x) for v in pool])
+    loose_preds = loose.predict_batch(xs)
     print(f"\nrelaxing sthr to 0.90 and errthr to 0.10 trades size for "
           f"error:\n  {loose.n_nodes} nodes, "
           f"rmse {rmse(loose_preds, targets):.4f}")

@@ -434,8 +434,8 @@ _FIT_FIELDS = (
 )
 
 
-def to_text(fit_: ArimaFit, extra: Optional[dict] = None) -> str:
-    """Serialize a fit, including the anchors forecasting needs."""
+def _fields(fit_: ArimaFit) -> dict:
+    """Snapshot fields of a fit, including the anchors forecasting needs."""
     fields = snapshot.config_fields("spec", fit_.spec)
     fields.update({key: getattr(fit_, key) for key, _ in _FIT_FIELDS})
     tail = fit_.training_tail
@@ -444,7 +444,12 @@ def to_text(fit_: ArimaFit, extra: Optional[dict] = None) -> str:
         fields[f"stage.{k}.lag"] = lag
         fields[f"stage.{k}.anchor"] = anchor
     fields.update(z_tail=tail.z_tail, e_tail=tail.e_tail)
-    return snapshot.dump("arima", fields, extra)
+    return fields
+
+
+def to_text(fit_: ArimaFit, extra: Optional[dict] = None) -> str:
+    """Serialize a fit, including the anchors forecasting needs."""
+    return snapshot.dump("arima", _fields(fit_), extra)
 
 
 def from_text(text: str):
@@ -467,11 +472,11 @@ def from_text(text: str):
 
 
 def save(fit_: ArimaFit, path, extra: Optional[dict] = None) -> None:
-    snapshot.write(path, to_text(fit_, extra))
+    snapshot.write(path, "arima", _fields(fit_), extra)
 
 
 def load(path):
-    return from_text(snapshot.read(path))
+    return snapshot.read(path, from_text)
 
 
 def diagnostics(fit_: ArimaFit) -> DiagnosticsReport:

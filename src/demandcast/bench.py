@@ -19,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -206,20 +206,15 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
         train_x = np.stack([pool[i].x for i in idx])
         train_y = np.array([pool[i].y for i in idx])
         for name in config.models:
-            if name == "efunn":
-                outcomes.append(
-                    _run_efunn(config, records, stats, train_x, train_y,
-                               test_start, s, actual_norm)
-                )
-            elif name in ("mlp-bp", "mlp-scg"):
-                outcomes.append(
-                    _run_mlp(config, records, stats, train_x, train_y,
-                             test_start, s, actual_norm, name)
-                )
-            else:
+            if name == "arima":
                 outcomes.append(
                     SampleOutcome(model="arima", sample=s,
                                   train_rmse=None, **arima_outcome)
+                )
+            else:
+                outcomes.append(
+                    _run_model(config, records, stats, train_x, train_y,
+                               test_start, s, actual_norm, name)
                 )
 
     worst = {}
@@ -238,36 +233,33 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
     )
 
 
-def _run_efunn(config, records, stats, train_x, train_y, test_start, s,
-               actual_norm):
-    counter = FlopCounter()
-    inputs, output = make_partitions(config.mf_count)
-    model = EfunnModel(config.efunn, inputs, output, counter=counter)
+@dataclass
+class TrainedModel:
+    """One model fitted to a training set and scored on it."""
+
+    model: object
+    predict: Callable  # normalized input vector -> normalized demand
+    train_rmse: float
+    wall_time: float  # seconds of learning, scoring excluded
+    trace: Optional[list] = None
+
+
+def train_model(name: str, config: ExperimentConfig, train_x, train_y,
+                seed: int, counter=None) -> TrainedModel:
+    """Train efunn, mlp-bp or mlp-scg under ``config``; flops of learning
+    (not of scoring) go to ``counter``. ``seed`` initializes an MLP."""
     t0 = time.perf_counter()
-    for x, y in zip(train_x, train_y):
-        model.learn_one(x, y)
-    wall = time.perf_counter() - t0
-    training_flops = counter.total
-    model.counter = None
-    train_pred = [model.predict(x) for x in train_x]
-    norm_preds, demand_preds = recursive_forecast(
-        records, stats, model.predict, test_start, config.test_periods
-    )
-    return SampleOutcome(
-        model="efunn", sample=s, epochs=1,
-        train_rmse=mlp.rmse(train_pred, list(train_y)),
-        test_rmse=mlp.rmse(norm_preds, actual_norm),
-        flops=training_flops, wall_time=wall,
-        predictions=demand_preds, nodes=model.n_nodes,
-    )
-
-
-def _run_mlp(config, records, stats, train_x, train_y, test_start, s,
-             actual_norm, name):
-    counter = FlopCounter()
-    seed = config.seed * 1000 + 101 + s
+    if name == "efunn":
+        inputs, output = make_partitions(config.mf_count)
+        model = EfunnModel(config.efunn, inputs, output, counter=counter)
+        for x, y in zip(train_x, train_y):
+            model.learn_one(x, y)
+        wall = time.perf_counter() - t0
+        model.counter = None
+        return TrainedModel(model, model.predict,
+                            mlp.rmse(model.predict_batch(train_x), train_y),
+                            wall)
     model = mlp.init_mlp(config.mlp_layers, seed)
-    t0 = time.perf_counter()
     if name == "mlp-bp":
         cfg = BpConfig(epsilon=config.bp_epsilon, alpha=config.bp_alpha,
                        epochs=config.epochs)
@@ -276,17 +268,27 @@ def _run_mlp(config, records, stats, train_x, train_y, test_start, s,
         trace = mlp.scg_train(model, (train_x, train_y), config.epochs,
                               counter=counter)
     wall = time.perf_counter() - t0
-    train_pred = mlp.forward_batch(model, train_x)
+    return TrainedModel(model, lambda x: mlp.forward(model, x),
+                        mlp.rmse(mlp.forward_batch(model, train_x), train_y),
+                        wall, trace)
+
+
+def _run_model(config, records, stats, train_x, train_y, test_start, s,
+               actual_norm, name):
+    counter = FlopCounter()
+    trained = train_model(name, config, train_x, train_y,
+                          config.seed * 1000 + 101 + s, counter)
     norm_preds, demand_preds = recursive_forecast(
-        records, stats, lambda x: mlp.forward(model, x), test_start,
-        config.test_periods,
+        records, stats, trained.predict, test_start, config.test_periods
     )
+    efunn = name == "efunn"
     return SampleOutcome(
-        model=name, sample=s, epochs=config.epochs,
-        train_rmse=mlp.rmse(train_pred, train_y),
+        model=name, sample=s, epochs=1 if efunn else config.epochs,
+        train_rmse=trained.train_rmse,
         test_rmse=mlp.rmse(norm_preds, actual_norm),
-        flops=counter.total, wall_time=wall,
-        predictions=demand_preds, trace=trace,
+        flops=counter.total, wall_time=trained.wall_time,
+        predictions=demand_preds, trace=trained.trace,
+        nodes=trained.model.n_nodes if efunn else None,
     )
 
 

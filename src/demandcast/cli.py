@@ -23,7 +23,7 @@ from .config import read_config, scalar_fields
 from .dataset import HALF_HOURS_PER_DAY, NormStats
 from .efunn import EfunnConfig, EfunnModel
 from .errors import (ConvergenceError, DataError, DemandcastError,
-                     DivergenceError)
+                     DivergenceError, ParseError)
 
 HOLDOUT_PERIODS = 96
 
@@ -49,6 +49,8 @@ def _parse_layers(text: str) -> tuple:
 
 
 _MLP_KEYS = dict(layers=_parse_layers, epsilon=float, alpha=float)
+# the ExperimentConfig field each mlp config key sets
+_MLP_SETTINGS = dict(layers="mlp_layers", epsilon="bp_epsilon", alpha="bp_alpha")
 _TRAIN_KEYS = {"efunn": dict(scalar_fields(EfunnConfig), mf_count=int),
                "mlp-bp": _MLP_KEYS, "mlp-scg": _MLP_KEYS,
                "arima": scalar_fields(arima_mod.ArimaSpec)}
@@ -132,54 +134,53 @@ def _cmd_train(args) -> int:
     extra["trained.examples"] = str(len(pool))
 
     if args.model == "efunn":
-        inputs, output = bench.make_partitions(kv.pop("mf_count", 4))
-        model = EfunnModel(EfunnConfig(**kv), inputs, output)
-        for x, y in zip(train_x, train_y):
-            model.learn_one(x, y)
-        train_rmse = mlp.rmse([model.predict(x) for x in train_x],
-                              list(train_y))
-        model.save(args.out, extra=extra)
+        settings = {"mf_count": kv.pop("mf_count")} if "mf_count" in kv else {}
+        settings["efunn"] = EfunnConfig(**kv)
+    else:  # scg has no settings beyond the layers
+        settings = {_MLP_SETTINGS[k]: v for k, v in kv.items()}
+        settings["epochs"] = args.epochs
+    trained = bench.train_model(args.model, bench.ExperimentConfig(**settings),
+                                train_x, train_y, args.seed)
+    if args.model == "efunn":
+        trained.model.save(args.out, extra=extra)
         print(f"trained efunn in 1 pass over {len(pool)} examples: "
-              f"{model.n_nodes} rule nodes, train rmse {train_rmse:.4f}; "
-              f"snapshot {args.out}")
+              f"{trained.model.n_nodes} rule nodes, train rmse "
+              f"{trained.train_rmse:.4f}; snapshot {args.out}")
         return 0
-
-    # mlp-bp / mlp-scg; scg has no settings beyond the layers
-    model = mlp.init_mlp(kv.pop("layers", (6, 40, 40, 1)), args.seed)
-    if args.model == "mlp-bp":
-        cfg = mlp.BpConfig(epochs=args.epochs, **kv)
-        trace = mlp.bp_train(model, (train_x, train_y), cfg)
-    else:
-        trace = mlp.scg_train(model, (train_x, train_y), args.epochs)
-    train_rmse = mlp.rmse(mlp.forward_batch(model, train_x), train_y)
-    mlp.save(model, args.out, extra=extra)
+    mlp.save(trained.model, args.out, extra=extra)
     print(f"trained {args.model} for {args.epochs} epochs over {len(pool)} "
-          f"examples: train rmse {train_rmse:.4f} (first epoch "
-          f"{trace[0]:.4f}); snapshot {args.out}")
+          f"examples: train rmse {trained.train_rmse:.4f} (first epoch "
+          f"{trained.trace[0]:.4f}); snapshot {args.out}")
     return 0
 
 
-def _cmd_forecast(args) -> int:
-    text = snapshot.read(args.snapshot)
+def _decode(text: str):
+    """(kind, model or fit, extra) of a snapshot forecast can replay."""
     kind = snapshot.kind_of(text)
+    if kind == "arima":
+        return (kind, *arima_mod.from_text(text))
+    if kind == "efunn":
+        return (kind, *EfunnModel.from_text(text))
+    if kind == "mlp":
+        return (kind, *mlp.from_text(text))
+    raise ParseError(f"cannot forecast from snapshot kind {kind!r}")
+
+
+def _cmd_forecast(args) -> int:
+    kind, model, extra = snapshot.read(args.snapshot, _decode)
     lookback = 0 if kind == "arima" else HALF_HOURS_PER_DAY
     records = _load_records(args.data, lookback + HOLDOUT_PERIODS + 1)
     demand = np.array([r.demand for r in records])
     test_start = demand.size - HOLDOUT_PERIODS
 
     if kind == "arima":
-        fit, extra = arima_mod.from_text(text)
-        _check_trained_on(fit, extra, demand, args.snapshot, args.data)
-        preds = arima_mod.forecast(fit, HOLDOUT_PERIODS)
+        _check_trained_on(model, extra, demand, args.snapshot, args.data)
+        preds = arima_mod.forecast(model, HOLDOUT_PERIODS)
     else:
         if kind == "efunn":
-            model, extra = EfunnModel.from_text(text)
             predict = model.predict
-        elif kind == "mlp":
-            model, extra = mlp.from_text(text)
-            predict = lambda x: mlp.forward(model, x)
         else:
-            raise DataError(f"cannot forecast from snapshot kind {kind!r}")
+            predict = lambda x: mlp.forward(model, x)
         stats = _stats_from_extra(extra, args.snapshot)
         _, preds = bench.recursive_forecast(records, stats, predict,
                                             test_start, HOLDOUT_PERIODS)

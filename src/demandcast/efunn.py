@@ -16,6 +16,12 @@ A square matrix ``w3`` of temporal links between consecutive winners can
 bias activation toward temporally correlated prototypes; it is inert at
 the default ``lr3 = 0``.
 
+The rule layer is held as the connection matrices of Kasabov (2001):
+row k of ``w1`` (nodes x input degrees) and ``w2`` (nodes x output
+degrees) are node k's centroids, beside per-node ``age``, ``a1av`` and
+``absorbed`` vectors and the ``w3`` square, all grown together by
+capacity doubling. ``nodes[k]`` is a live view of row k.
+
 Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
 """
@@ -30,8 +36,10 @@ from .errors import (
     CapacityError,
     ConfigError,
     DataError,
+    DegenerateError,
     DisabledError,
     EmptyModelError,
+    ParseError,
     ShapeError,
 )
 from .fuzzy import (
@@ -121,20 +129,40 @@ class EfunnConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
-class RuleNode:
-    """One rule-layer prototype: fuzzy input/output centroids plus stats.
+# temporaries of batched scoring, pruning and row moves stay within this
+_BATCH_BYTES = 2 * 1024 * 1024
 
-    age counts examples seen since creation; a1av is the running mean
-    activation (creation counts as one observation of 1.0);
-    examples_absorbed counts how many examples shaped the centroids.
+
+def _row_field(array: str, doc: str) -> property:
+    def get(node):
+        return getattr(node._model, array)[node._rows]
+
+    def put(node, value):
+        getattr(node._model, array)[node._rows] = value
+
+    return property(get, put, doc=doc)
+
+
+class RuleNode:
+    """Live view of one rule-layer row, or of several given an index array.
+
+    Reading an attribute reads the model's arrays and assigning writes
+    them, so ``node.w1 += d`` updates the model in place.
     """
 
-    w1: np.ndarray
-    w2: np.ndarray
-    age: int = 0
-    a1av: float = 1.0
-    examples_absorbed: int = 1
+    __slots__ = ("_model", "_rows")
+
+    def __init__(self, model, rows):
+        self._model = model
+        self._rows = rows
+
+    w1 = _row_field("_w1", "fuzzy input centroid")
+    w2 = _row_field("_w2", "fuzzy output centroid")
+    age = _row_field("_age", "examples seen since creation")
+    a1av = _row_field(
+        "_a1av", "running mean activation; creation counts as one 1.0")
+    examples_absorbed = _row_field(
+        "_absorbed", "examples that shaped the centroids")
 
 
 @dataclass
@@ -168,27 +196,27 @@ class LinguisticRule:
         return f"IF {clauses} THEN {self.output_variable} is {self.consequent}"
 
 
-def update_node(node: RuleNode, ex, te, a1: float, lr1: float, lr2: float) -> RuleNode:
-    """Drift one node's centroids toward an absorbed example.
+def update_node(node: RuleNode, ex, te, a1, lr1: float, lr2: float) -> RuleNode:
+    """Drift the centroids of the viewed node(s) toward an absorbed example.
 
     The input centroid moves a fraction lr1 toward the example; the
     output centroid moves against the node-local signed output error,
-    scaled by both lr2 and the node's activation.
+    scaled by both lr2 and the node's activation (a column of
+    activations when the view covers several rows).
     """
     ex = as_degrees(ex)
     te = as_degrees(te)
     node.w1 += lr1 * (ex - node.w1)
-    local_out = satlin(node.w2)
-    node.w2 += lr2 * (te - local_out) * a1
+    node.w2 += lr2 * (te - satlin(node.w2)) * a1
     node.examples_absorbed += 1
     return node
 
 
-# per-node snapshot fields in file order: (key, RuleNode attribute, parser)
+# per-node snapshot fields in file order: (key, model array, parser)
 _NODE_FIELDS = (
-    ("age", "age", int), ("a1av", "a1av", float),
-    ("absorbed", "examples_absorbed", int),
-    ("w1", "w1", snapshot.parse_array), ("w2", "w2", snapshot.parse_array),
+    ("age", "_age", int), ("a1av", "_a1av", float),
+    ("absorbed", "_absorbed", int),
+    ("w1", "_w1", snapshot.parse_array), ("w2", "_w2", snapshot.parse_array),
 )
 
 
@@ -212,26 +240,44 @@ class EfunnModel:
         self.config = config
         self.input_partitions = tuple(input_partitions)
         self.output_partition = output_partition
-        self.nodes: list = []
         self.examples_seen = 0
         self.counter = counter
         self._last_winner: Optional[int] = None
         self._last_act = 0.0
-        # temporal links kept in a capacity-doubled buffer; the public
-        # w3 property exposes the live square view
-        self._w3cap = 4
-        self._w3buf = np.zeros((self._w3cap, self._w3cap))
+        # the rule layer: rows [:_n] are live, later rows spare capacity;
+        # w3 outside its live [:_n, :_n] block is kept all zero
+        self._n = 0
+        self._w1 = np.zeros((0, self.input_width))
+        self._w2 = np.zeros((0, output_partition.size))
+        self._age = np.zeros(0, dtype=np.int64)
+        self._a1av = np.zeros(0)
+        self._absorbed = np.zeros(0, dtype=np.int64)
+        self._w3 = np.zeros((0, 0))
+        self._reserve(4)
 
     # -- basic accessors -------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self._n
+
+    @property
+    def nodes(self) -> list:
+        """Live views of the rule nodes in creation order (see RuleNode)."""
+        return [RuleNode(self, k) for k in range(self._n)]
+
+    @property
+    def w1(self) -> np.ndarray:
+        return self._w1[: self._n]
+
+    @property
+    def w2(self) -> np.ndarray:
+        return self._w2[: self._n]
 
     @property
     def w3(self) -> np.ndarray:
-        n = len(self.nodes)
-        return self._w3buf[:n, :n]
+        n = self._n
+        return self._w3[:n, :n]
 
     @property
     def last_winner(self) -> Optional[int]:
@@ -247,6 +293,28 @@ class EfunnModel:
 
     # -- structural operations -------------------------------------------
 
+    def _reserve(self, rows: int) -> None:
+        """Grow every rule-layer array to hold ``rows`` nodes, at least
+        doubling the capacity when it has to grow."""
+        cap = self._age.size
+        if rows <= cap:
+            return
+        cap = max(rows, 2 * cap)
+        n = self._n
+        for _, name, _ in _NODE_FIELDS:
+            old = getattr(self, name)
+            new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+        w3 = np.zeros((cap, cap))
+        if self.w3.any():  # an all-zero w3 (lr3 = 0) is never written
+            w3[:n, :n] = self.w3
+        self._w3 = w3
+
+    def _chunk_rows(self) -> int:
+        """Rows of a (rows x nodes x width) temporary within _BATCH_BYTES."""
+        return max(1, _BATCH_BYTES // (8 * max(1, self.w1.size)))
+
     def create_rule_node(self, ex, te) -> int:
         """Append a node memorizing (ex, te) exactly; grows w3 by one."""
         ex = as_degrees(ex)
@@ -261,39 +329,46 @@ class EfunnModel:
                 f"output centroid has {te.size} degrees, partition defines "
                 f"{self.output_partition.size}"
             )
-        if len(self.nodes) >= self.config.max_nodes:
+        if self._n >= self.config.max_nodes:
             raise CapacityError(
                 f"node budget exhausted at max_nodes={self.config.max_nodes}"
             )
-        self.nodes.append(RuleNode(w1=ex.copy(), w2=te.copy()))
-        n = len(self.nodes)
-        if n > self._w3cap:
-            newcap = self._w3cap * 2
-            buf = np.zeros((newcap, newcap))
-            buf[: self._w3cap, : self._w3cap] = self._w3buf
-            self._w3buf = buf
-            self._w3cap = newcap
-        else:
-            self._w3buf[n - 1, :n] = 0.0
-            self._w3buf[:n, n - 1] = 0.0
-        return n - 1
+        k = self._n
+        self._reserve(k + 1)
+        self._w1[k] = ex
+        self._w2[k] = te
+        self._age[k] = 0
+        self._a1av[k] = 1.0
+        self._absorbed[k] = 1
+        self._n = k + 1
+        return k
 
-    def rule_activation(self, ex) -> np.ndarray:
-        """A1 activation of every rule node for a fuzzified input."""
-        if not self.nodes:
+    def _distances(self, ex: np.ndarray) -> np.ndarray:
+        """Normalized fuzzy difference from each row of ``ex`` (one
+        fuzzified input per row) to every node's input centroid."""
+        w1 = self.w1
+        diff = w1 - ex[:, None, :]
+        np.abs(diff, out=diff)
+        return diff.sum(axis=2) / (w1.sum(axis=1) + ex.sum(axis=1)[:, None])
+
+    def _activations(self, ex: np.ndarray) -> np.ndarray:
+        """A1 of every rule node (columns) for each row of ``ex``."""
+        if not self._n:
             raise EmptyModelError("model has no rule nodes")
-        ex = as_degrees(ex)
-        w1 = np.stack([node.w1 for node in self.nodes])
-        dist = np.abs(w1 - ex).sum(axis=1) / (w1.sum(axis=1) + ex.sum())
+        dist = self._distances(ex)
         cfg = self.config
         if self.counter is not None:
-            self.counter.add(4 * w1.size)
+            self.counter.add(4 * self.w1.size * len(ex))
         temporal = 0.0
         if cfg.tc != 0.0 and self._last_winner is not None:
             temporal = cfg.tc * self.w3[self._last_winner, :]
         if cfg.activation == "satlin":
             return satlin(1.0 - cfg.ss * dist + temporal)
         return radbas(cfg.ss * dist - temporal)
+
+    def rule_activation(self, ex) -> np.ndarray:
+        """A1 activation of every rule node for a fuzzified input."""
+        return self._activations(as_degrees(ex)[None, :])[0]
 
     def _select(self, a1: np.ndarray) -> np.ndarray:
         """Indices of the m nodes that propagate, per m_mode."""
@@ -306,7 +381,7 @@ class EfunnModel:
 
     def _propagate(self, a1: np.ndarray, sel: np.ndarray) -> np.ndarray:
         """Fuzzy output A2: activation-weighted blend of selected w2."""
-        w2 = np.stack([self.nodes[k].w2 for k in sel])
+        w2 = self._w2[sel]
         weights = a1[sel]
         total = weights.sum()
         if total <= 0.0:
@@ -325,11 +400,7 @@ class EfunnModel:
         updated) or memorized in a new node. At the node budget the
         nearest node is updated instead of failing the stream.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size != len(self.input_partitions):
-            raise ShapeError(
-                f"expected {len(self.input_partitions)} inputs, got shape {x.shape}"
-            )
+        x = self._check_input(x)
         if np.any(x < -0.5) or np.any(x > 1.5) or not -0.5 <= y <= 1.5:
             raise DataError(
                 "input outside [-0.5, 1.5]: examples must be normalized first"
@@ -341,17 +412,18 @@ class EfunnModel:
             self.counter.add_transcendental(ex.size + te.size)
         self.examples_seen += 1
 
-        if not self.nodes:
+        if not self._n:
             idx = self.create_rule_node(ex, te)
             self._last_winner, self._last_act = idx, 1.0
             return LearnOutcome(True, idx, 0.0, 1)
 
         a1 = self.rule_activation(ex)
-        for node, a in zip(self.nodes, a1):
-            node.a1av = (node.a1av * (node.age + 1) + float(a)) / (node.age + 2)
-            node.age += 1
+        n = self._n
+        age = self._age[:n]
+        self._a1av[:n] = (self._a1av[:n] * (age + 1) + a1) / (age + 2)
+        age += 1
         if self.counter is not None:
-            self.counter.add(4 * len(self.nodes))
+            self.counter.add(4 * n)
 
         prev_winner, prev_act = self._last_winner, self._last_act
         winner = int(np.argmax(a1))
@@ -365,8 +437,8 @@ class EfunnModel:
             if err > cfg.errthr:
                 winner, created = self._create_or_absorb(ex, te, a1)
             else:
-                for k in sel:
-                    update_node(self.nodes[k], ex, te, float(a1[k]), cfg.lr1, cfg.lr2)
+                update_node(RuleNode(self, sel), ex, te, a1[sel, None],
+                            cfg.lr1, cfg.lr2)
                 if self.counter is not None:
                     self.counter.add_mac(2 * (ex.size + te.size) * sel.size)
                 created = False
@@ -375,43 +447,68 @@ class EfunnModel:
         if cfg.lr3 > 0.0 and prev_winner is not None:
             self.update_temporal(prev_winner, winner, prev_act, winner_act)
         self._last_winner, self._last_act = winner, winner_act
-        return LearnOutcome(created, winner, float(err), len(self.nodes))
+        return LearnOutcome(created, winner, float(err), self._n)
 
     def _create_or_absorb(self, ex, te, a1):
         """Create a node, or at the budget update the nearest one."""
-        if len(self.nodes) < self.config.max_nodes:
+        if self._n < self.config.max_nodes:
             return self.create_rule_node(ex, te), True
         k = int(np.argmax(a1))
-        update_node(self.nodes[k], ex, te, float(a1[k]),
+        update_node(RuleNode(self, k), ex, te, float(a1[k]),
                     self.config.lr1, self.config.lr2)
         return k, False
 
     def update_temporal(self, prev: int, curr: int, prev_activation: float = 1.0,
                         curr_activation: float = 1.0) -> None:
         """Strengthen the link from the previous winner to the current one."""
-        n = len(self.nodes)
+        n = self._n
         if not (0 <= prev < n and 0 <= curr < n):
             raise IndexError(
                 f"temporal link ({prev}, {curr}) outside live nodes 0..{n - 1}"
             )
-        self._w3buf[prev, curr] += self.config.lr3 * prev_activation * curr_activation
+        self._w3[prev, curr] += self.config.lr3 * prev_activation * curr_activation
 
     # -- inference --------------------------------------------------------
 
-    def predict(self, x) -> float:
-        """Crisp demand estimate for a normalized input; pure."""
-        if not self.nodes:
-            raise EmptyModelError("cannot predict with no rule nodes")
+    def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size != len(self.input_partitions):
             raise ShapeError(
                 f"expected {len(self.input_partitions)} inputs, got shape {x.shape}"
             )
-        ex = self.fuzzify_input(x)
-        a1 = self.rule_activation(ex)
-        sel = self._select(a1)
-        a2 = self._propagate(a1, sel)
+        return x
+
+    def _output(self, a1: np.ndarray) -> float:
+        a2 = self._propagate(a1, self._select(a1))
         return defuzzify(a2, self.output_partition)
+
+    def predict(self, x) -> float:
+        """Crisp demand estimate for a normalized input; pure."""
+        if not self._n:
+            raise EmptyModelError("cannot predict with no rule nodes")
+        x = self._check_input(x)
+        return self._output(self.rule_activation(self.fuzzify_input(x)))
+
+    def predict_batch(self, xs) -> np.ndarray:
+        """``predict`` of every row of ``xs``, equal to it bit for bit.
+
+        Activations are computed for a chunk of rows at a time, so the
+        temporaries stay within a fixed memory budget at any node count.
+        """
+        if not self._n:
+            raise EmptyModelError("cannot predict with no rule nodes")
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != len(self.input_partitions):
+            raise ShapeError(f"expected rows of {len(self.input_partitions)} "
+                             f"inputs, got shape {xs.shape}")
+        ex = np.array([self.fuzzify_input(x) for x in xs])
+        out = np.empty(len(xs))
+        step = self._chunk_rows()
+        for start in range(0, len(xs), step):
+            a1 = self._activations(ex[start : start + step])
+            for k, row in enumerate(a1, start):
+                out[k] = self._output(row)
+        return out
 
     # -- structure maintenance --------------------------------------------
 
@@ -420,72 +517,95 @@ class EfunnModel:
         cfg = self.config.pruning
         if cfg is None:
             raise DisabledError("pruning is not configured on this model")
-        n = len(self.nodes)
+        n = self._n
         if n < 2:
             return 0
-        w1 = np.stack([node.w1 for node in self.nodes])
-        sums = w1.sum(axis=1)
-        # pairwise normalized fuzzy distance between input centroids
-        dist = np.abs(w1[:, None, :] - w1[None, :, :]).sum(axis=2)
-        dist = dist / (sums[:, None] + sums[None, :])
-        np.fill_diagonal(dist, np.inf)
-        doomed = [
-            i
-            for i, node in enumerate(self.nodes)
-            if node.age > cfg.old_age
-            and node.a1av < cfg.low_activation
-            and dist[i].min() <= cfg.density_radius
-        ]
+        candidates = np.flatnonzero((self._age[:n] > cfg.old_age)
+                                    & (self._a1av[:n] < cfg.low_activation))
+        doomed = []
+        step = self._chunk_rows()
+        for start in range(0, candidates.size, step):
+            rows = candidates[start : start + step]
+            dist = self._distances(self.w1[rows])
+            dist[np.arange(rows.size), rows] = np.inf
+            doomed.extend(rows[dist.min(axis=1) <= cfg.density_radius])
         if doomed:
             self._remove_nodes(doomed)
         return len(doomed)
 
     def aggregate(self) -> int:
-        """Greedily merge node pairs whose centroids sit within thresholds."""
+        """Greedily merge node pairs whose centroids sit within thresholds.
+
+        In index order, each surviving node absorbs every later node
+        within thr1 (input centroids) and thr2 (output centroids) of its
+        current centroids, scanning all later nodes at once; merged
+        nodes are removed together at the end.
+        """
         cfg = self.config.aggregation
         if cfg is None:
             raise DisabledError("aggregation is not configured on this model")
-        merged = 0
-        i = 0
-        while i < len(self.nodes):
-            j = i + 1
-            while j < len(self.nodes):
-                a, b = self.nodes[i], self.nodes[j]
-                if (
-                    fuzzy_difference(a.w1, b.w1) <= cfg.thr1
-                    and fuzzy_difference(a.w2, b.w2) <= cfg.thr2
-                ):
-                    a.w1 = (a.w1 + b.w1) / 2.0
-                    a.w2 = (a.w2 + b.w2) / 2.0
-                    a.age = max(a.age, b.age)
-                    a.a1av = (a.a1av + b.a1av) / 2.0
-                    a.examples_absorbed += b.examples_absorbed
-                    w3 = self.w3
-                    w3[i, :] += w3[j, :]
-                    w3[:, i] += w3[:, j]
-                    self._remove_nodes([j])
-                    merged += 1
-                else:
-                    j += 1
-            i += 1
-        return merged
+        n = self._n
+        w1, w2, w3 = self.w1, self.w2, self.w3
+        age, a1av, absorbed = self._age, self._a1av, self._absorbed
+        live = np.ones(n, dtype=bool)
+        for i in range(n):
+            start = i + 1
+            while live[i] and start < n:
+                d1, bad1 = _differences(w1[i], w1[start:])
+                d2, bad2 = _differences(w2[i], w2[start:])
+                # an undefined difference stops the scan where it is reached
+                hit = live[start:] & (bad1 | ((d1 <= cfg.thr1)
+                                              & (bad2 | (d2 <= cfg.thr2))))
+                if not hit.any():
+                    break
+                j = start + int(np.argmax(hit))
+                if bad1[j - start] or bad2[j - start]:
+                    raise DegenerateError(
+                        "fuzzy difference of two all-zero vectors is undefined")
+                w1[i] = (w1[i] + w1[j]) / 2.0
+                w2[i] = (w2[i] + w2[j]) / 2.0
+                age[i] = max(age[i], age[j])
+                a1av[i] = (a1av[i] + a1av[j]) / 2.0
+                absorbed[i] += absorbed[j]
+                w3[i, :] += w3[j, :]
+                w3[:, i] += w3[:, j]
+                live[j] = False
+                start = j + 1
+        merged = np.flatnonzero(~live)
+        if merged.size:
+            self._remove_nodes(merged)
+        return int(merged.size)
 
     def _remove_nodes(self, indices) -> None:
         """Drop nodes and their w3 rows/columns; remap the last winner."""
-        doomed = sorted(set(indices))
-        keep = [i for i in range(len(self.nodes)) if i not in doomed]
-        w3 = self.w3[np.ix_(keep, keep)].copy()
-        self.nodes = [self.nodes[i] for i in keep]
-        n = len(self.nodes)
-        self._w3cap = max(4, 2 * n)
-        self._w3buf = np.zeros((self._w3cap, self._w3cap))
-        self._w3buf[:n, :n] = w3
+        n = self._n
+        doomed = np.unique(indices)
+        keep = np.setdiff1d(np.arange(n), doomed)
+        k = keep.size
+        for _, name, _ in _NODE_FIELDS:
+            array = getattr(self, name)
+            array[:k] = array[keep]
+        # w3 moves a chunk of rows, then of columns, at a time: nothing
+        # kept moves past where it was, and each chunk is read whole
+        # before it is written
+        w3 = self._w3
+        step = max(1, _BATCH_BYTES // (8 * w3.shape[0]))
+        for start in range(0, k, step):
+            part = keep[start : start + step]
+            w3[start : start + part.size, :n] = w3[part, :n]
+        for start in range(0, k, step):
+            part = keep[start : start + step]
+            w3[:k, start : start + part.size] = w3[:k, part]
+        w3[k:n, :n] = 0.0
+        w3[:k, k:n] = 0.0
+        self._n = k
         if self._last_winner is not None:
-            if self._last_winner in doomed:
+            shift = int(np.searchsorted(doomed, self._last_winner))
+            if shift < doomed.size and doomed[shift] == self._last_winner:
                 self._last_winner = None
                 self._last_act = 0.0
             else:
-                self._last_winner -= sum(1 for d in doomed if d < self._last_winner)
+                self._last_winner -= shift
 
     # -- linguistic rules --------------------------------------------------
 
@@ -495,21 +615,22 @@ class EfunnModel:
         in_names = tuple(p.variable_name for p in self.input_partitions)
         out_name = self.output_partition.variable_name
         out_labels = mf_labels(self.output_partition.size)
-        for node in self.nodes:
-            fv = FuzzyVector(node.w1, tuple(p.size for p in self.input_partitions))
+        segments = tuple(p.size for p in self.input_partitions)
+        for w1, w2 in zip(self.w1, self.w2):
+            fv = FuzzyVector(w1, segments)
             antecedents = []
             for i, p in enumerate(self.input_partitions):
                 labels = mf_labels(p.size)
                 antecedents.append(labels[int(np.argmax(fv.segment(i)))])
-            consequent = out_labels[int(np.argmax(node.w2))]
+            consequent = out_labels[int(np.argmax(w2))]
             rules.append(
                 LinguisticRule(
                     input_variables=in_names,
                     antecedents=tuple(antecedents),
                     output_variable=out_name,
                     consequent=consequent,
-                    w1=node.w1.copy(),
-                    w2=node.w2.copy(),
+                    w1=w1.copy(),
+                    w2=w2.copy(),
                 )
             )
         return rules
@@ -531,7 +652,8 @@ class EfunnModel:
 
     # -- serialization -----------------------------------------------------
 
-    def to_text(self, extra: Optional[dict] = None) -> str:
+    def _fields(self) -> dict:
+        """Snapshot fields in file order."""
         cfg = self.config
         fields = snapshot.config_fields("config", cfg)
         for block in ("pruning", "aggregation"):
@@ -542,16 +664,19 @@ class EfunnModel:
         for i, p in enumerate(self.input_partitions):
             fields.update(_partition_fields(f"partition.in.{i}", p))
         fields.update(_partition_fields("partition.out", self.output_partition))
-        fields["nodes"] = len(self.nodes)
-        for k, node in enumerate(self.nodes):
-            fields.update({f"node.{k}.{key}": getattr(node, attr)
-                           for key, attr, _ in _NODE_FIELDS})
+        fields["nodes"] = self._n
+        for k in range(self._n):
+            fields.update({f"node.{k}.{key}": getattr(self, array)[k]
+                           for key, array, _ in _NODE_FIELDS})
         fields.update({f"w3.{r}": row for r, row in enumerate(self.w3)})
         fields["examples_seen"] = self.examples_seen
         lw = self._last_winner
         fields["last_winner"] = "none" if lw is None else lw
         fields["last_winner_activation"] = self._last_act
-        return snapshot.dump("efunn", fields, extra)
+        return fields
+
+    def to_text(self, extra: Optional[dict] = None) -> str:
+        return snapshot.dump("efunn", self._fields(), extra)
 
     @classmethod
     def from_text(cls, text: str):
@@ -569,16 +694,37 @@ class EfunnModel:
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")
         model = cls(EfunnConfig(**kwargs), inputs, output)
+
+        def put(array, index, key, parse):
+            value = need(body, key, parse)
+            if np.shape(value) != np.shape(array[index]):
+                raise ParseError(f"snapshot key {key!r} holds {np.size(value)} "
+                                 f"values, expected {np.size(array[index])}")
+            try:
+                # the new arrays hold +0.0: skipping zeros leaves an
+                # all-zero w3 (lr3 = 0) unwritten, so it never becomes
+                # resident
+                if np.asarray(value, dtype=float).view(np.uint64).any():
+                    array[index] = value
+            except OverflowError:
+                raise ParseError(f"snapshot key {key!r} is out of range: "
+                                 f"{body[key]!r}") from None
+
+        rows = {}  # w3 rows repeat (all zeros at lr3 = 0): parse each once
+
+        def parse_row(text):
+            if text not in rows:
+                rows[text] = snapshot.parse_array(text)
+            return rows[text]
+
         n_nodes = need(body, "nodes", int)
+        model._reserve(n_nodes)
         for k in range(n_nodes):
-            model.nodes.append(RuleNode(**{
-                attr: need(body, f"node.{k}.{key}", parse)
-                for key, attr, parse in _NODE_FIELDS}))
-        cap = max(4, n_nodes)
-        model._w3cap = cap
-        model._w3buf = np.zeros((cap, cap))
+            for key, array, parse in _NODE_FIELDS:
+                put(getattr(model, array), k, f"node.{k}.{key}", parse)
         for r in range(n_nodes):
-            model._w3buf[r, :n_nodes] = need(body, f"w3.{r}", snapshot.parse_array)
+            put(model._w3, (r, slice(0, n_nodes)), f"w3.{r}", parse_row)
+        model._n = max(0, n_nodes)
         model.examples_seen = need(body, "examples_seen", int)
         model._last_winner = need(
             body, "last_winner", lambda v: None if v == "none" else int(v))
@@ -586,11 +732,18 @@ class EfunnModel:
         return model, extra
 
     def save(self, path, extra: Optional[dict] = None) -> None:
-        snapshot.write(path, self.to_text(extra))
+        snapshot.write(path, "efunn", self._fields(), extra)
 
     @classmethod
     def load(cls, path):
-        return cls.from_text(snapshot.read(path))
+        return snapshot.read(path, cls.from_text)
+
+
+def _differences(v: np.ndarray, rows: np.ndarray):
+    """fuzzy_difference(v, row) for each row, and where it is undefined."""
+    den = v.sum() + rows.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(v - rows).sum(axis=1) / den, den <= 0.0
 
 
 def _one_hot(label: str, partition: MembershipPartition) -> np.ndarray:

@@ -404,14 +404,18 @@ def scg_train(model: MlpModel, data, epochs: int, sigma0: float = 1e-5,
 # -- serialization ---------------------------------------------------------
 
 
-def to_text(model: MlpModel, extra: Optional[dict] = None) -> str:
+def _fields(model: MlpModel) -> dict:
     fields = {"layers": " ".join(str(s) for s in model.layer_sizes),
               "hidden_activation": model.hidden_activation,
               "output_activation": model.output_activation}
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         fields[f"weight.{l}"] = w
         fields[f"bias.{l}"] = b
-    return snapshot.dump("mlp", fields, extra)
+    return fields
+
+
+def to_text(model: MlpModel, extra: Optional[dict] = None) -> str:
+    return snapshot.dump("mlp", _fields(model), extra)
 
 
 def from_text(text: str):
@@ -433,17 +437,18 @@ def from_text(text: str):
         if b.size != fan_out:
             raise ParseError(f"bias.{l} has {b.size} entries, expected {fan_out}")
         biases.append(b)
-    model = MlpModel(
-        sizes, weights, biases,
-        hidden_activation=need(body, "hidden_activation"),
-        output_activation=need(body, "output_activation"),
-    )
-    return model, extra
+    # _forward_layers implements exactly these two
+    for key, implemented in (("hidden_activation", "tanh_sigmoid"),
+                             ("output_activation", "linear")):
+        if need(body, key) != implemented:
+            raise ParseError(f"snapshot {key} {body[key]!r} is not "
+                             f"implemented; expected {implemented!r}")
+    return MlpModel(sizes, weights, biases), extra
 
 
 def save(model: MlpModel, path, extra: Optional[dict] = None) -> None:
-    snapshot.write(path, to_text(model, extra))
+    snapshot.write(path, "mlp", _fields(model), extra)
 
 
 def load(path):
-    return from_text(snapshot.read(path))
+    return snapshot.read(path, from_text)

@@ -12,23 +12,31 @@ Floats are printed with 17 significant digits, which is enough to
 reconstruct an IEEE double exactly, so parse followed by serialize is
 byte-identical. Arrays are space-separated in row-major order.
 
-``write`` replaces a snapshot file atomically (temp file in the same
-directory, then ``os.replace``), so an interrupted write leaves the
-previous file intact.
+A key may hold neither ``=`` nor a line break and a value no line
+break, since either would read back as something else; ``dump`` and
+``write`` refuse them.
+
+``write`` streams the lines into a temp file in the same directory and
+then ``os.replace``s the snapshot file, so an interrupted write leaves
+the previous file intact. ``read`` decodes a file and prefixes every
+error raised while decoding with the file's path.
 """
 
 import os
+import re
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .config import scalar_fields
-from .errors import DataError, ParseError
+from .errors import DataError, DemandcastError, ParseError
 
 FORMAT_VERSION = 1
 _PREFIX = "demandcast-snapshot"
 _EXTRA = "extra."
+# every character str.splitlines, and so parse_body, splits a line at
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def format_float(x) -> str:
@@ -36,9 +44,16 @@ def format_float(x) -> str:
 
 
 def format_array(a) -> str:
-    """Row-major space-separated rendering of an array (may be empty)."""
-    flat = np.asarray(a, dtype=float).ravel()
-    return " ".join(format_float(v) for v in flat)
+    """Row-major space-separated rendering of an array (may be empty).
+
+    Each distinct bit pattern is formatted once, so long runs of one
+    value (the zeros of an unused ``w3``) cost a lookup per entry.
+    """
+    flat = np.ascontiguousarray(a, dtype=float).ravel()
+    bits, where = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = np.array([format_float(v) for v in bits.view(np.float64)],
+                     dtype=object)
+    return " ".join(texts[where])
 
 
 def parse_array(text: str) -> np.ndarray:
@@ -123,12 +138,28 @@ def config_kwargs(cls, body: dict, prefix: str) -> dict:
             for name, convert in scalar_fields(cls).items()}
 
 
+def _line(key: str, text: str) -> str:
+    if "=" in key or _LINE_BREAK.search(key) or _LINE_BREAK.search(text):
+        raise DataError(f"snapshot key {key!r} cannot be written: a key may "
+                        "hold no '=' or line break, a value no line break")
+    return f"{key}={text}"
+
+
+def _lines(kind: str, fields: dict, extra: Optional[dict] = None):
+    """The lines of ``dump``, one at a time."""
+    yield header_line(kind)
+    for key, value in fields.items():
+        if isinstance(value, str):
+            yield _line(key, value)
+        else:  # numbers and arrays format to neither '=' nor line breaks
+            yield f"{key}={format_value(value)}"
+    for key, value in (extra or {}).items():
+        yield _line(f"{_EXTRA}{key}", str(value))
+
+
 def dump(kind: str, fields: dict, extra: Optional[dict] = None) -> str:
     """Header, then the ordered fields (see format_value), then extras."""
-    lines = [header_line(kind)]
-    lines.extend(f"{key}={format_value(v)}" for key, v in fields.items())
-    lines.extend(f"{_EXTRA}{key}={v}" for key, v in (extra or {}).items())
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in _lines(kind, fields, extra))
 
 
 def load(text: str, kind: str):
@@ -141,19 +172,27 @@ def load(text: str, kind: str):
     return fields, {key[len(_EXTRA) :]: fields.pop(key) for key in extras}
 
 
-def write(path, text: str) -> None:
-    """Replace ``path`` with ``text``; a failed write leaves it untouched."""
+def write(path, kind: str, fields: dict, extra: Optional[dict] = None) -> None:
+    """Replace ``path`` with ``dump(kind, fields, extra)``, streamed line
+    by line; a failed write leaves the old file untouched."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            fh.writelines(line + "\n" for line in _lines(kind, fields, extra))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def read(path) -> str:
+def read(path, decode):
+    """``decode(text)`` of the snapshot file at ``path``; any error raised
+    while decoding is raised again with the path in front."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read snapshot {path}: {exc}") from exc
+    try:
+        return decode(text)
+    except DemandcastError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

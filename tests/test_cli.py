@@ -1,10 +1,12 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from demandcast import dataset, mlp
+from demandcast import bench, dataset, mlp
 from demandcast.cli import main
+from demandcast.efunn import EfunnConfig, EfunnModel
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +178,8 @@ EXIT_1_CASES = (
     "bad csv header", "timestamp gap", "nan demand, mlp", "nan demand, efunn",
     "non-numeric efunn config", "non-numeric arima config",
     "non-numeric bench config", "mlp snapshot to rules",
-    "arima on another csv", "arima on a longer csv",
+    "arima on another csv", "arima on a longer csv", "corrupt efunn field",
+    "unimplemented mlp activation",
 )
 
 
@@ -201,6 +204,14 @@ def bad_inputs(data_csv, tmp_path_factory):
     mlp_snap, arima_snap = str(d / "mlp.snap"), str(d / "arima.snap")
     other, longer, out = str(d / "other.csv"), str(d / "longer.csv"), str(d / "o")
     mlp.save(mlp.init_mlp((6, 4, 1), seed=0), mlp_snap)
+    efunn_snap, act_snap = str(d / "efunn.snap"), str(d / "act.snap")
+    model = EfunnModel(EfunnConfig(), *bench.make_partitions())
+    model.learn_one(np.full(6, 0.5), 0.5)
+    text = model.to_text().replace("\nnodes=1\n", "\nnodes=many\n")
+    write("efunn.snap", text)
+    unknown = mlp.init_mlp((6, 4, 1), seed=0)
+    unknown.hidden_activation = "xx"
+    mlp.save(unknown, act_snap)
     assert main(["train", "--model", "arima", "--data", str(data_csv),
                  "--out", arima_snap]) == 0
     assert main(["synth", "--days", "40", "--seed", "4", "--out", other]) == 0
@@ -226,12 +237,20 @@ def bad_inputs(data_csv, tmp_path_factory):
         "non-numeric bench config": (
             ["bench", "--days", "40", "--out", out, "--config", bench_cfg],
             f"{bench_cfg}:1:"),
-        "mlp snapshot to rules": (["rules", "--snapshot", mlp_snap],
-                                  "kind='mlp'"),
+        "mlp snapshot to rules": (
+            ["rules", "--snapshot", mlp_snap],
+            f"{mlp_snap}: expected an efunn snapshot, got kind='mlp'"),
         "arima on another csv": (
             forecast(other), f"snapshot {arima_snap} was not trained on"),
         "arima on a longer csv": (
             forecast(longer), f"snapshot {arima_snap} was trained on 1920 rows"),
+        "corrupt efunn field": (
+            ["rules", "--snapshot", efunn_snap],
+            f"{efunn_snap}: bad value for snapshot key 'nodes': 'many'"),
+        "unimplemented mlp activation": (
+            ["forecast", "--snapshot", act_snap, "--data", str(data_csv),
+             "--out", out],
+            f"{act_snap}: snapshot hidden_activation 'xx' is not implemented"),
     }
 
 

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from demandcast.efunn import (AggregationConfig, EfunnConfig, EfunnModel,
-                              LinguisticRule, PruningConfig, RuleNode,
-                              update_node)
+                              LinguisticRule, PruningConfig, update_node)
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                DisabledError, EmptyModelError, ParseError,
                                ShapeError)
@@ -41,17 +44,23 @@ def test_distant_example_creates_a_second_node():
     assert out.created_node and m.n_nodes == 2
 
 
+def _one_node(w1, w2):
+    m = make_model(mfs=2)
+    m.create_rule_node(np.array(w1), np.array(w2))
+    return m.nodes[0]
+
+
 def test_update_node_input_centroid_drift_oracle():
-    node = RuleNode(w1=np.array([0.4]), w2=np.array([0.5]))
-    update_node(node, np.array([0.8]), np.array([0.6]), a1=1.0,
+    node = _one_node([0.4, 0.4], [0.5, 0.5])
+    update_node(node, np.array([0.8, 0.8]), np.array([0.6, 0.6]), a1=1.0,
                 lr1=0.05, lr2=0.0)
     assert node.w1[0] == pytest.approx(0.42)
     assert node.examples_absorbed == 2
 
 
 def test_update_node_output_drift_scales_with_activation():
-    node = RuleNode(w1=np.array([0.5]), w2=np.array([0.2]))
-    update_node(node, np.array([0.5]), np.array([1.0]), a1=0.5,
+    node = _one_node([0.5, 0.5], [0.2, 0.2])
+    update_node(node, np.array([0.5, 0.5]), np.array([1.0, 1.0]), a1=0.5,
                 lr1=0.0, lr2=0.1)
     # w2 += lr2 * (te - satlin(w2)) * a1 = 0.1 * 0.8 * 0.5
     assert node.w2[0] == pytest.approx(0.24)
@@ -357,6 +366,21 @@ def test_snapshot_save_load_file(tmp_path):
     assert m2.n_nodes == 1
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("node.0.w1", "0.5", "'node.0.w1' holds 1 values, expected 3"),
+    ("node.0.age", "9" * 20, "'node.0.age' is out of range"),
+    ("node.0.absorbed", "9" * 400, "'node.0.absorbed' is out of range"),
+    ("w3.0", "0 0", "'w3.0' holds 2 values, expected 1"),
+])
+def test_snapshot_rejects_node_fields_that_do_not_fit(key, value, message):
+    m = make_model()
+    m.learn_one(np.array([0.5]), 0.5)
+    lines = [f"{key}={value}" if line.startswith(key + "=") else line
+             for line in m.to_text().splitlines()]
+    with pytest.raises(ParseError, match=message):
+        EfunnModel.from_text("\n".join(lines))
+
+
 def test_snapshot_rejects_wrong_kind():
     with pytest.raises(ParseError):
         EfunnModel.from_text("demandcast-snapshot v1 kind=mlp\n")
@@ -375,3 +399,168 @@ def test_config_validation():
         PruningConfig(low_activation=2.0)
     with pytest.raises(ConfigError):
         AggregationConfig(thr1=-0.1)
+
+
+# -- the rule layer as arrays --------------------------------------------
+
+_PROPERTY = settings(max_examples=40, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def trained_models(draw):
+    """Random small models, and inputs to score, over both activations,
+    both m_modes and (when drawn) temporal links that bias activation."""
+    temporal = draw(st.booleans())
+    n_in = draw(st.integers(1, 3))
+    m = make_model(
+        n_inputs=n_in, mfs=draw(st.integers(2, 4)),
+        sthr=draw(st.floats(0.5, 0.99)), errthr=draw(st.floats(1e-4, 0.5)),
+        lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
+        lr3=draw(st.floats(0.01, 0.5)) if temporal else 0.0,
+        tc=draw(st.floats(0.01, 1.0)) if temporal else 0.0,
+        m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
+        activation=draw(st.sampled_from(("satlin", "radbas"))),
+    )
+    inputs = st.lists(_UNIT, min_size=n_in, max_size=n_in).map(np.array)
+    for _ in range(draw(st.integers(1, 30))):
+        m.learn_one(draw(inputs), draw(_UNIT))
+    return m, draw(st.lists(inputs, min_size=1, max_size=20))
+
+
+@_PROPERTY
+@given(trained_models())
+def test_predict_batch_equals_predict_bit_for_bit(model_and_xs):
+    m, xs = model_and_xs
+    batch = m.predict_batch(np.array(xs))
+    assert batch.tolist() == [m.predict(x) for x in xs]
+
+
+def test_predict_batch_spans_several_chunks():
+    # 1500 nodes of 24 degrees: a 2 MB budget scores 7 rows per chunk
+    rng = np.random.default_rng(5)
+    m = make_model(n_inputs=6, mfs=4, sthr=0.5)
+    for _ in range(1500):
+        m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
+    xs = rng.uniform(size=(40, 6))
+    assert m.predict_batch(xs).tolist() == [m.predict(x) for x in xs]
+    assert m.predict_batch(np.empty((0, 6))).size == 0
+    with pytest.raises(ShapeError):
+        m.predict_batch(xs[:, :5])
+
+
+def test_node_views_write_through_to_the_arrays():
+    m = make_model(mfs=2)
+    m.learn_one(np.array([0.2]), 0.2)
+    node = m.nodes[0]
+    for x in np.linspace(0.0, 1.0, 9):  # grows capacity past 4 nodes
+        m.learn_one(np.array([x]), float(x))
+    node.w1 += 1.0
+    node.examples_absorbed = 7
+    assert m.w1[0].tolist() == node.w1.tolist()
+    assert m.nodes[0].examples_absorbed == 7
+
+
+def _old_aggregate(m, cfg):
+    """The pair loop aggregate used to run, on plain lists and a w3 copy."""
+    nodes = [dict(w1=n.w1.copy(), w2=n.w2.copy(), age=int(n.age),
+                  a1av=float(n.a1av), absorbed=int(n.examples_absorbed))
+             for n in m.nodes]
+    w3 = m.w3.copy()
+    last = m.last_winner
+    i = 0
+    while i < len(nodes):
+        j = i + 1
+        while j < len(nodes):
+            a, b = nodes[i], nodes[j]
+            if (fuzzy_difference(a["w1"], b["w1"]) <= cfg.thr1
+                    and fuzzy_difference(a["w2"], b["w2"]) <= cfg.thr2):
+                a["w1"] = (a["w1"] + b["w1"]) / 2.0
+                a["w2"] = (a["w2"] + b["w2"]) / 2.0
+                a["age"] = max(a["age"], b["age"])
+                a["a1av"] = (a["a1av"] + b["a1av"]) / 2.0
+                a["absorbed"] += b["absorbed"]
+                w3[i, :] += w3[j, :]
+                w3[:, i] += w3[:, j]
+                w3 = np.delete(np.delete(w3, j, axis=0), j, axis=1)
+                del nodes[j]
+                if last is not None:
+                    last = None if last == j else last - (j < last)
+            else:
+                j += 1
+        i += 1
+    return nodes, w3, last
+
+
+@_PROPERTY
+@given(trained_models(), st.floats(0.0, 0.6), st.floats(0.0, 0.6))
+def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
+    m, _ = model_and_xs
+    m.config.aggregation = cfg = AggregationConfig(thr1=thr1, thr2=thr2)
+    nodes, w3, last = _old_aggregate(m, cfg)
+    before = m.n_nodes
+    assert m.aggregate() == before - len(nodes)
+    assert m.last_winner == last
+    assert np.array_equal(m.w3, w3)
+    for view, node in zip(m.nodes, nodes, strict=True):
+        assert view.w1.tolist() == node["w1"].tolist()
+        assert view.w2.tolist() == node["w2"].tolist()
+        assert (view.age, view.a1av, view.examples_absorbed) == (
+            node["age"], node["a1av"], node["absorbed"])
+
+
+def test_aggregate_skips_nodes_already_merged():
+    # node 0 absorbs node 2 first; node 1, within reach of node 2 but not
+    # of node 0, must not absorb it again
+    cfg = AggregationConfig(thr1=0.3, thr2=0.3)
+    m = make_model(mfs=2, aggregation=cfg)
+    for w1 in ([0.9, 0.1], [0.5, 0.5], [0.8, 0.2]):
+        m.create_rule_node(np.array(w1), np.array([0.5, 0.5]))
+    nodes, _, _ = _old_aggregate(m, cfg)
+    assert m.aggregate() == 1
+    assert [v.w1.tolist() for v in m.nodes] == [n["w1"].tolist() for n in nodes]
+    assert m.nodes[1].examples_absorbed == 1
+
+
+def test_prune_moves_kept_rows_and_links_across_chunks():
+    # at 1000 nodes w3 rows move 256 at a time
+    rng = np.random.default_rng(12)
+    m = make_model(n_inputs=6, mfs=4,
+                   pruning=PruningConfig(old_age=0, low_activation=0.5,
+                                         density_radius=0.25))
+    for _ in range(1000):
+        m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
+    for k, node in enumerate(m.nodes):  # the id rides in examples_absorbed
+        node.age, node.a1av, node.examples_absorbed = k % 2, 0.1, k
+    m.w3[:] = rng.uniform(size=(1000, 1000))
+    w1, w3 = m.w1.copy(), m.w3.copy()
+    assert m.prune() > 300
+    ids = np.array([node.examples_absorbed for node in m.nodes])
+    assert np.all(np.diff(ids) > 0)
+    assert np.array_equal(m.w1, w1[ids])
+    assert np.array_equal(m.w3, w3[np.ix_(ids, ids)])
+    m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
+    assert not m.w3[-1].any() and not m.w3[:, -1].any()  # no stale links
+
+
+def test_prune_and_aggregate_stay_bounded_at_4000_nodes():
+    rng = np.random.default_rng(11)
+    m = make_model(n_inputs=6, mfs=4,
+                   pruning=PruningConfig(old_age=0, low_activation=0.5,
+                                         density_radius=0.2),
+                   aggregation=AggregationConfig(thr1=0.2, thr2=0.2))
+    for _ in range(4000):
+        m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
+    for k, node in enumerate(m.nodes):  # rarely activated, every other old
+        node.age, node.a1av = 5 * (k % 2 == 0), 0.1
+    tracemalloc.start()
+    try:
+        pruned = m.prune()
+        merged = m.aggregate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pruned > 0 and merged > 0
+    assert m.n_nodes == 4000 - pruned - merged
+    assert peak < 200 * 2**20

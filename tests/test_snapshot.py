@@ -1,4 +1,4 @@
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from demandcast import arima, mlp, snapshot
 from demandcast.efunn import (AggregationConfig, EfunnConfig, EfunnModel,
                               PruningConfig)
-from demandcast.errors import ParseError
+from demandcast.errors import DataError, ParseError
 from demandcast.fuzzy import build_partition
 
 
@@ -63,6 +63,31 @@ def test_need_converts_and_names_bad_values():
     assert snapshot.need({"nodes": "3"}, "nodes", int) == 3
     with pytest.raises(ParseError, match="nodes"):
         snapshot.need({"nodes": "three"}, "nodes", int)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1 / 3])
+
+
+@given(st.lists(st.one_of(_SPECIAL, st.floats()), max_size=30))
+def test_format_array_formats_every_entry_as_format_float(values):
+    a = np.array(values + values[::-1], dtype=float)  # every value repeats
+    expected = " ".join(snapshot.format_float(v) for v in a)
+    assert snapshot.format_array(a) == expected
+    assert snapshot.format_array(a.reshape(2, -1)) == expected
+
+
+@pytest.mark.parametrize("extra", [
+    {"note": "a\nb=2"}, {"note": "a\nplain"}, {"note": "a\r"},
+    {"note": "a\u2028b"}, {"a=b": "v"}, {"a\nb": "v"},
+])
+def test_extras_that_cannot_round_trip_are_refused(extra, tmp_path):
+    [key] = extra
+    model = mlp.init_mlp((1, 1), seed=0)
+    with pytest.raises(DataError, match=re.escape(repr(f"extra.{key}"))):
+        mlp.to_text(model, extra)
+    with pytest.raises(DataError):
+        mlp.save(model, tmp_path / "m.snap", extra)
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- property: every model round-trips byte for byte -----------------------
@@ -191,15 +216,22 @@ def test_failed_write_keeps_previous_snapshot(tmp_path, monkeypatch):
     path = tmp_path / "model.snap"
     mlp.save(mlp.init_mlp((2, 3, 1), seed=0), path)
     before = path.read_bytes()
-    real_write_text = Path.write_text
+    real_format_array = snapshot.format_array
+    calls = []
 
-    def write_half_then_fail(self, text, *args, **kwargs):
-        real_write_text(self, text[: len(text) // 2], *args, **kwargs)
-        raise OSError("disk full")
+    def fail_after_first_array(a):
+        # weight.0 of a (2, 400, 1) net is longer than the file buffer,
+        # so the temp file already holds data when bias.0 fails
+        if calls:
+            [tmp] = tmp_path.glob("*.tmp")
+            assert tmp.stat().st_size > 0
+            raise OSError("disk full")
+        calls.append(a)
+        return real_format_array(a)
 
-    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    monkeypatch.setattr(snapshot, "format_array", fail_after_first_array)
     with pytest.raises(OSError, match="disk full"):
-        mlp.save(mlp.init_mlp((2, 3, 1), seed=1), path)
+        mlp.save(mlp.init_mlp((2, 400, 1), seed=1), path)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.snap"]
