@@ -371,7 +371,7 @@ def test_snapshot_save_load_file(tmp_path):
     ("node.0.age", "9" * 20, "'node.0.age' is out of range"),
     ("node.0.absorbed", "9" * 400, "'node.0.absorbed' is out of range"),
     ("w3.0", "0 0", "'w3.0' holds 2 values, expected 1"),
-])
+], ids=["short w1", "age past int64", "absorbed past float", "long w3 row"])
 def test_snapshot_rejects_node_fields_that_do_not_fit(key, value, message):
     m = make_model()
     m.learn_one(np.array([0.5]), 0.5)
