@@ -454,7 +454,10 @@ def to_text(fit_: ArimaFit, extra: Optional[dict] = None) -> str:
 
 def from_text(text: str):
     """Parse a serialized fit; returns (fit, extra_dict)."""
-    body, extra = snapshot.load(text, "arima")
+    return _from_fields(*snapshot.load(text, "arima"))
+
+
+def _from_fields(body: dict, extra: dict):
     need, parse_array = snapshot.need, snapshot.parse_array
     anchors = ForecastAnchors(
         stages=[(need(body, f"stage.{k}.lag", int),
@@ -476,7 +479,7 @@ def save(fit_: ArimaFit, path, extra: Optional[dict] = None) -> None:
 
 
 def load(path):
-    return snapshot.read(path, from_text)
+    return snapshot.read(path, "arima", _from_fields)
 
 
 def diagnostics(fit_: ArimaFit) -> DiagnosticsReport:

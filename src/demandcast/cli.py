@@ -154,20 +154,20 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _decode(text: str):
+def _load(path):
     """(kind, model or fit, extra) of a snapshot forecast can replay."""
-    kind = snapshot.kind_of(text)
+    kind = snapshot.read_kind(path)
     if kind == "arima":
-        return (kind, *arima_mod.from_text(text))
+        return (kind, *arima_mod.load(path))
     if kind == "efunn":
-        return (kind, *EfunnModel.from_text(text))
+        return (kind, *EfunnModel.load(path))
     if kind == "mlp":
-        return (kind, *mlp.from_text(text))
-    raise ParseError(f"cannot forecast from snapshot kind {kind!r}")
+        return (kind, *mlp.load(path))
+    raise ParseError(f"{path}: cannot forecast from snapshot kind {kind!r}")
 
 
 def _cmd_forecast(args) -> int:
-    kind, model, extra = snapshot.read(args.snapshot, _decode)
+    kind, model, extra = _load(args.snapshot)
     lookback = 0 if kind == "arima" else HALF_HOURS_PER_DAY
     records = _load_records(args.data, lookback + HOLDOUT_PERIODS + 1)
     demand = np.array([r.demand for r in records])

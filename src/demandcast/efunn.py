@@ -681,7 +681,10 @@ class EfunnModel:
     @classmethod
     def from_text(cls, text: str):
         """Rebuild (model, extra) from snapshot text."""
-        body, extra = snapshot.load(text, "efunn")
+        return cls._from_fields(*snapshot.load(text, "efunn"))
+
+    @classmethod
+    def _from_fields(cls, body: dict, extra: dict):
         need = snapshot.need
         kwargs = snapshot.config_kwargs(EfunnConfig, body, "config")
         for block, block_cls in (("pruning", PruningConfig),
@@ -736,7 +739,7 @@ class EfunnModel:
 
     @classmethod
     def load(cls, path):
-        return snapshot.read(path, cls.from_text)
+        return snapshot.read(path, "efunn", cls._from_fields)
 
 
 def _differences(v: np.ndarray, rows: np.ndarray):

@@ -420,7 +420,10 @@ def to_text(model: MlpModel, extra: Optional[dict] = None) -> str:
 
 def from_text(text: str):
     """Rebuild (model, extra) from snapshot text."""
-    body, extra = snapshot.load(text, "mlp")
+    return _from_fields(*snapshot.load(text, "mlp"))
+
+
+def _from_fields(body: dict, extra: dict):
     need = snapshot.need
     sizes = need(body, "layers", lambda v: tuple(int(t) for t in v.split()))
     if len(sizes) < 2:
@@ -451,4 +454,4 @@ def save(model: MlpModel, path, extra: Optional[dict] = None) -> None:
 
 
 def load(path):
-    return snapshot.read(path, from_text)
+    return snapshot.read(path, "mlp", _from_fields)

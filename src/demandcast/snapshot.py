@@ -18,10 +18,12 @@ break, since either would read back as something else; ``dump`` and
 
 ``write`` streams the lines into a temp file in the same directory and
 then ``os.replace``s the snapshot file, so an interrupted write leaves
-the previous file intact. ``read`` decodes a file and prefixes every
-error raised while decoding with the file's path.
+the previous file intact. ``read`` parses a file a line at a time, so
+the file's text is never held whole, and prefixes every error raised
+while decoding with the file's path.
 """
 
+import contextlib
 import os
 import re
 from pathlib import Path
@@ -92,16 +94,14 @@ def parse_header(line: str) -> str:
     return parts[2][len("kind=") :]
 
 
-def kind_of(text: str) -> str:
-    """Kind named by the header of snapshot text."""
-    return parse_header(text.partition("\n")[0])
-
-
-def parse_body(text: str) -> dict:
-    """Parse the key=value lines after the header into an ordered dict."""
+def _body(lines) -> dict:
+    """Parse key=value lines (the ones after the header) into an ordered
+    dict. Equal values share one string, so the identical rows of an
+    unused ``w3`` are held once."""
     out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if lineno == 1 or not line.strip():
+    values = {}
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
             continue
         if "=" not in line:
             raise ParseError(f"snapshot line {lineno} has no '=': {line!r}")
@@ -109,8 +109,13 @@ def parse_body(text: str) -> dict:
         key = key.strip()
         if key in out:
             raise ParseError(f"duplicate snapshot key {key!r}")
-        out[key] = value
+        out[key] = values.setdefault(value, value)
     return out
+
+
+def parse_body(text: str) -> dict:
+    """Parse the key=value lines after the header into an ordered dict."""
+    return _body(text.splitlines()[1:])
 
 
 def need(body: dict, key: str, convert=None):
@@ -162,14 +167,21 @@ def dump(kind: str, fields: dict, extra: Optional[dict] = None) -> str:
     return "".join(line + "\n" for line in _lines(kind, fields, extra))
 
 
-def load(text: str, kind: str):
-    """Check the header names ``kind``; return (fields, extra) raw dicts."""
-    got = kind_of(text)
+def _check_kind(header: str, kind: str) -> None:
+    got = parse_header(header)
     if got != kind:
         raise ParseError(f"expected an {kind} snapshot, got kind={got!r}")
-    fields = parse_body(text)
+
+
+def _split_extra(fields: dict):
     extras = [key for key in fields if key.startswith(_EXTRA)]
     return fields, {key[len(_EXTRA) :]: fields.pop(key) for key in extras}
+
+
+def load(text: str, kind: str):
+    """Check the header names ``kind``; return (fields, extra) raw dicts."""
+    _check_kind(text.partition("\n")[0], kind)
+    return _split_extra(parse_body(text))
 
 
 def write(path, kind: str, fields: dict, extra: Optional[dict] = None) -> None:
@@ -185,14 +197,36 @@ def write(path, kind: str, fields: dict, extra: Optional[dict] = None) -> None:
         raise
 
 
-def read(path, decode):
-    """``decode(text)`` of the snapshot file at ``path``; any error raised
-    while decoding is raised again with the path in front."""
+@contextlib.contextmanager
+def _open(path):
+    """The snapshot file at ``path`` open for reading; any error raised
+    while it is read is raised again with the path in front."""
     try:
-        text = Path(path).read_text()
+        fh = open(path)
     except OSError as exc:
         raise DataError(f"cannot read snapshot {path}: {exc}") from exc
-    try:
-        return decode(text)
-    except DemandcastError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    with fh:
+        try:
+            yield fh
+        except DemandcastError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+
+def _file_lines(fh):
+    # the lines text.splitlines() would give, without the whole text
+    for line in fh:
+        yield from line.splitlines()
+
+
+def read_kind(path) -> str:
+    """Kind named by the header of the snapshot file at ``path``."""
+    with _open(path) as fh:
+        return parse_header(fh.readline())
+
+
+def read(path, kind: str, decode):
+    """``decode(fields, extra)`` of the ``kind`` snapshot file at ``path``
+    (see ``load``), parsed a line at a time."""
+    with _open(path) as fh:
+        _check_kind(fh.readline(), kind)
+        return decode(*_split_extra(_body(_file_lines(fh))))

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +239,74 @@ def test_failed_write_keeps_previous_snapshot(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.snap"]
+
+
+# -- streamed reads ----------------------------------------------------------
+
+
+def test_parse_body_holds_equal_values_once():
+    body = snapshot.parse_body("header\nw3.0=0 0 0\nw3.1=0 0 0\nx=1\n")
+    assert body["w3.0"] is body["w3.1"]
+
+
+def _small_efunn():
+    model = EfunnModel(EfunnConfig(lr3=0.2, tc=0.1),
+                       [build_partition(0.0, 1.0, 3, "gaussian", "x0")],
+                       build_partition(0.0, 1.0, 3, "gaussian", "y"))
+    for x, y in ((0.1, 0.2), (0.9, 0.7), (0.5, 0.5), (0.12, 0.21)):
+        model.learn_one(np.array([x]), y)
+    return model
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("kind", ["efunn", "mlp", "arima"])
+def test_load_reads_a_file_as_from_text_reads_its_text(kind, newline,
+                                                       tmp_path):
+    if kind == "efunn":
+        obj, to_text, load = _small_efunn(), EfunnModel.to_text, EfunnModel.load
+    elif kind == "mlp":
+        obj, to_text, load = mlp.init_mlp((2, 3, 1), seed=0), mlp.to_text, mlp.load
+    else:
+        obj, to_text, load = (arima.fit(np.sin(np.arange(80) / 3.0),
+                                        arima.ArimaSpec(p=1, d=1, q=0)),
+                              arima.to_text, arima.load)
+    text = to_text(obj, {"note": "kept"})
+    path = tmp_path / "model.snap"
+    path.write_bytes(text.replace("\n", newline).encode())
+    back, extra = load(path)
+    assert extra == {"note": "kept"}
+    assert to_text(back, extra) == text
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads the peak resident set from /proc")
+def test_load_does_not_hold_the_file_text(tmp_path):
+    # a 3000-node EFuNN snapshot is mostly the text of its all-zero w3
+    # (about 18 MB); loading it must not hold that text, whole or as lines
+    rng = np.random.default_rng(0)
+    model = EfunnModel(EfunnConfig(), [build_partition(0.0, 1.0, 4, "gaussian",
+                                                       f"x{i}")
+                                       for i in range(6)],
+                       build_partition(0.0, 1.0, 4, "gaussian", "y"))
+    for _ in range(3000):
+        model.create_rule_node(rng.random(24), rng.random(4))
+    path = tmp_path / "big.snap"
+    model.save(path)
+    src = Path(snapshot.__file__).parents[1]
+    # VmHWM, this process's own peak: ru_maxrss would start at the
+    # peak of the process that spawned it
+    probe = ("import sys\n"
+             "from demandcast.efunn import EfunnModel\n"
+             "def peak():\n"
+             "    with open('/proc/self/status') as fh:\n"
+             "        return next(int(line.split()[1]) for line in fh\n"
+             "                    if line.startswith('VmHWM:'))\n"
+             "before = peak()\n"
+             "model, _ = EfunnModel.load(sys.argv[1])\n"
+             "assert model.n_nodes == 3000\n"
+             "print((peak() - before) * 1024)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, str(path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    grown = int(proc.stdout)
+    assert grown < path.stat().st_size / 2
