@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from . import snapshot
 from .errors import ConfigError, ConvergenceError, DataError, DegenerateError
@@ -230,22 +229,24 @@ def _residuals(z: np.ndarray, spec: ArimaSpec, intercept: float,
         raise DataError(
             f"series of length {n} cannot support AR reach {la}"
         )
-    ar_part = np.convolve(z, a_poly)[la:n]
-    ma_lags = [(j, c_poly[j]) for j in range(1, c_poly.size) if c_poly[j] != 0.0]
-    e = np.empty(n - la)
+    ma_lags = [(j, float(c_poly[j])) for j in range(1, c_poly.size)
+               if c_poly[j] != 0.0]
     # trial coefficients outside the invertible region blow the recursion
     # up to inf; the caller's finite check rejects the step, so overflow
     # here is expected and silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        if not ma_lags:
-            e[:] = ar_part - intercept
-        else:
-            for t in range(e.size):
-                acc = ar_part[t] - intercept
-                for j, cj in ma_lags:
-                    if t - j >= 0:
-                        acc -= cj * e[t - j]
-                e[t] = acc
+        e = np.convolve(z, a_poly)[la:n] - intercept
+    if ma_lags:
+        # the MA recursion on Python floats: the same IEEE operations in
+        # the same order as on numpy scalars, at a third of the cost
+        out = []
+        for t, acc in enumerate(e.tolist()):
+            for j, cj in ma_lags:  # ascending lags
+                if j > t:
+                    break
+                acc -= cj * out[t - j]
+            out.append(acc)
+        e = np.array(out)
     if counter is not None:
         counter.add(2 * n * (np.count_nonzero(a_poly) + len(ma_lags) + 1))
     return e
@@ -484,6 +485,10 @@ def load(path):
 
 def diagnostics(fit_: ArimaFit) -> DiagnosticsReport:
     """Residual whiteness check: ACF band and the Ljung-Box statistic."""
+    # imported on first use: scipy.stats takes most of a second and about
+    # 70 MB to import, and nothing else in the package needs it
+    from scipy import stats
+
     e = fit_.residuals
     n = e.size
     if n < 50:

@@ -65,19 +65,25 @@ def init_mlp(layer_sizes, seed: int = 0) -> MlpModel:
     return MlpModel(sizes, weights, biases)
 
 
-def _forward_layers(model: MlpModel, x: np.ndarray, counter=None):
-    """Activations of every layer for a batch; hidden tanh, output linear."""
-    acts = [x]
+def _forward_layers(model: MlpModel, x: np.ndarray, counter=None, acts=None):
+    """Activations of every layer for a batch; hidden tanh, output linear.
+
+    acts, when given, is ``[x]`` followed by one (N, size) buffer per
+    later layer, and is filled in place; otherwise it is allocated.
+    """
+    if acts is None:
+        acts = [x] + [np.empty((x.shape[0], w.shape[0])) for w in model.weights]
     last = len(model.weights) - 1
-    a = x
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
+        a, z = acts[l], acts[l + 1]
+        np.matmul(a, w.T, out=z)
+        z += b
         if counter is not None:
             counter.add_gemm(a.shape[0], w.shape[0], w.shape[1])
-        a = z if l == last else np.tanh(z)
-        if l != last and counter is not None:
-            counter.add_transcendental(z.size)
-        acts.append(a)
+        if l != last:
+            np.tanh(z, out=z)
+            if counter is not None:
+                counter.add_transcendental(z.size)
     return acts
 
 
@@ -133,30 +139,68 @@ def _as_batch(model: MlpModel, data):
     return X, Y
 
 
+class Batch:
+    """Training inputs and targets with the buffers one gradient writes.
+
+    ``gradient`` of a Batch fills the same per-layer activation and delta
+    buffers and the same flat gradient vector ``grad`` (weights then
+    biases, the order of ``flatten_params``) on every call, so a trainer
+    that prepares its batch once allocates nothing per evaluation.
+    """
+
+    def __init__(self, model: MlpModel, data):
+        self.layer_sizes = model.layer_sizes
+        self.X, self.Y = _as_batch(model, data)
+        n = self.X.shape[0]
+        self.acts = [self.X] + [np.empty((n, s)) for s in self.layer_sizes[1:]]
+        self.deltas = [np.empty((n, s)) for s in self.layer_sizes[1:]]
+        self.grad = np.empty(model.n_params)
+        views, pos = [], 0
+        for param in model.weights + model.biases:
+            views.append(self.grad[pos : pos + param.size].reshape(param.shape))
+            pos += param.size
+        self.grads_w = views[: len(model.weights)]
+        self.grads_b = views[len(model.weights) :]
+
+
 def gradient(model: MlpModel, data, counter=None):
     """Exact backpropagated gradient of the batch mean squared error.
 
-    Returns (weight gradients, bias gradients, E).
+    data is (X, Y) arrays, a sequence of (x, y) pairs, or a ``Batch``.
+    Returns (weight gradients, bias gradients, E); for a Batch the
+    gradients are views into ``data.grad``, which the next call on the
+    same Batch overwrites.
     """
-    X, Y = _as_batch(model, data)
-    n = X.shape[0]
-    acts = _forward_layers(model, X, counter)
-    diff = acts[-1] - Y
-    e_value = float((diff * diff).sum(axis=1).mean())
-    delta = 2.0 * diff / n
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    batch = data if isinstance(data, Batch) else Batch(model, data)
+    if batch.layer_sizes != model.layer_sizes:
+        raise ShapeError(f"batch was prepared for layers {batch.layer_sizes}, "
+                         f"network has {model.layer_sizes}")
+    acts, deltas = batch.acts, batch.deltas
+    n = batch.X.shape[0]
+    _forward_layers(model, batch.X, counter, acts)
+    delta = deltas[-1]
+    np.subtract(acts[-1], batch.Y, out=delta)
+    e_value = float((delta * delta).sum(axis=1).mean())
+    delta *= 2.0
+    delta /= n
     for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = delta.T @ acts[l]
-        grads_b[l] = delta.sum(axis=0)
+        delta = deltas[l]
+        np.matmul(delta.T, acts[l], out=batch.grads_w[l])
+        np.sum(delta, axis=0, out=batch.grads_b[l])
         if counter is not None:
             counter.add_gemm(delta.shape[1], acts[l].shape[1], n)
         if l > 0:
-            delta = (delta @ model.weights[l]) * (1.0 - acts[l] * acts[l])
+            # acts[l] is spent once its weight gradient is taken, so the
+            # tanh derivative 1 - a^2 overwrites it
+            a = acts[l]
+            np.matmul(delta, model.weights[l], out=deltas[l - 1])
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            deltas[l - 1] *= a
             if counter is not None:
-                counter.add_gemm(n, model.weights[l].shape[1], delta.shape[1])
-                counter.add(3 * delta.size)
-    return grads_w, grads_b, e_value
+                counter.add_gemm(n, a.shape[1], deltas[l - 1].shape[1])
+                counter.add(3 * a.size)
+    return batch.grads_w, batch.grads_b, e_value
 
 
 def flatten_params(model: MlpModel) -> np.ndarray:
@@ -176,11 +220,6 @@ def set_params(model: MlpModel, vec: np.ndarray) -> None:
     for b in model.biases:
         b[...] = vec[pos : pos + b.size]
         pos += b.size
-
-
-def _flatten_grads(grads_w, grads_b) -> np.ndarray:
-    parts = [g.ravel() for g in grads_w] + [g.ravel() for g in grads_b]
-    return np.concatenate(parts)
 
 
 def rmse(predictions, targets) -> float:
@@ -217,7 +256,7 @@ def bp_train(model: MlpModel, data, cfg: BpConfig, counter=None) -> list:
     Returns the per-epoch RMSE trace, evaluated at the parameters each
     epoch starts from. The momentum state persists across epochs.
     """
-    X, Y = _as_batch(model, data)
+    batch = Batch(model, data)
     deltas_w = [np.zeros_like(w) for w in model.weights]
     deltas_b = [np.zeros_like(b) for b in model.biases]
     trace = []
@@ -225,7 +264,7 @@ def bp_train(model: MlpModel, data, cfg: BpConfig, counter=None) -> list:
         # runaway weights overflow quietly here; the check below turns
         # the non-finite error into the failure signal
         with np.errstate(over="ignore", invalid="ignore"):
-            grads_w, grads_b, e_value = gradient(model, (X, Y), counter)
+            grads_w, grads_b, e_value = gradient(model, batch, counter)
         if not math.isfinite(e_value):
             raise DivergenceError(f"training error became non-finite at epoch {epoch}")
         trace.append(math.sqrt(e_value))
@@ -282,14 +321,15 @@ def scg_minimize(fun_grad, w0, iterations: int, sigma0: float = 1e-5,
                  grad_tol: Optional[float] = None, counter=None) -> ScgResult:
     """Scaled conjugate gradient minimization of a smooth function.
 
-    fun_grad(w) must return (value, gradient). Runs the full step
-    sequence: curvature along the direction from the sigma-scaled
-    gradient difference, positive-definiteness repair and step-quality
-    control through lambda (raised x4 on poor steps, lowered x1/4 on
-    very good ones), and a restart to steepest descent every
-    restart_every iterations (default: problem dimension). Accepted
-    steps never increase the function value; rejected steps leave the
-    iterate unchanged.
+    fun_grad(w) must return (value, gradient); each gradient is read
+    before the next call, so fun_grad may hand back one reused buffer.
+    Runs the full step sequence: curvature along the direction from the
+    sigma-scaled gradient difference, positive-definiteness repair and
+    step-quality control through lambda (raised x4 on poor steps,
+    lowered x1/4 on very good ones), and a restart to steepest descent
+    every restart_every iterations (default: problem dimension).
+    Accepted steps never increase the function value; rejected steps
+    leave the iterate unchanged.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
@@ -350,7 +390,6 @@ def scg_minimize(fun_grad, w0, iterations: int, sigma0: float = 1e-5,
             e_value = e_new
             r_old = r
             r = -np.asarray(g_new, dtype=float)
-            g = g_new
             lam_bar = 0.0
             success = True
             if k % n_restart == 0:
@@ -383,12 +422,11 @@ def scg_train(model: MlpModel, data, epochs: int, sigma0: float = 1e-5,
 
     Returns the per-epoch RMSE trace (same convention as bp_train).
     """
-    X, Y = _as_batch(model, data)
+    batch = Batch(model, data)
 
     def fun_grad(vec):
         set_params(model, vec)
-        gw, gb, e_value = gradient(model, (X, Y), counter)
-        return e_value, _flatten_grads(gw, gb)
+        return gradient(model, batch, counter)[2], batch.grad
 
     result = scg_minimize(
         fun_grad, flatten_params(model), iterations=epochs,

@@ -49,10 +49,14 @@ def format_array(a) -> str:
     """Row-major space-separated rendering of an array (may be empty).
 
     Each distinct bit pattern is formatted once, so long runs of one
-    value (the zeros of an unused ``w3``) cost a lookup per entry.
+    value cost a lookup per entry, and an array of one value (a row of an
+    unused ``w3``) is one repeated text.
     """
     flat = np.ascontiguousarray(a, dtype=float).ravel()
-    bits, where = np.unique(flat.view(np.uint64), return_inverse=True)
+    bits = flat.view(np.uint64)
+    if bits.size and (bits == bits[0]).all():
+        return " ".join([format_float(flat[0])] * flat.size)
+    bits, where = np.unique(bits, return_inverse=True)
     texts = np.array([format_float(v) for v in bits.view(np.float64)],
                      dtype=object)
     return " ".join(texts[where])
@@ -126,6 +130,8 @@ def need(body: dict, key: str, convert=None):
         return body[key]
     try:
         return convert(body[key])
+    except ParseError as exc:
+        raise ParseError(f"snapshot key {key!r}: {exc}") from None
     except ValueError:
         raise ParseError(f"bad value for snapshot key {key!r}: "
                          f"{body[key]!r}") from None
@@ -189,7 +195,7 @@ def write(path, kind: str, fields: dict, extra: Optional[dict] = None) -> None:
     by line; a failed write leaves the old file untouched."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in _lines(kind, fields, extra))
         os.replace(tmp, path)
     except BaseException:
@@ -202,7 +208,7 @@ def _open(path):
     """The snapshot file at ``path`` open for reading; any error raised
     while it is read is raised again with the path in front."""
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read snapshot {path}: {exc}") from exc
     with fh:
@@ -210,6 +216,9 @@ def _open(path):
             yield fh
         except DemandcastError as exc:
             raise type(exc)(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not a snapshot, the file is not "
+                             f"UTF-8 text ({exc.reason})") from None
 
 
 def _file_lines(fh):

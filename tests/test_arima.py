@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandcast import arima
 from demandcast.arima import (ArimaFit, ArimaSpec, ForecastAnchors, acf,
@@ -247,3 +249,62 @@ def test_snapshot_round_trip_preserves_forecasts(tmp_path):
 def test_snapshot_rejects_wrong_kind():
     with pytest.raises(ParseError):
         arima.from_text("demandcast-snapshot v1 kind=mlp\n")
+
+
+# -- property: the float MA recursion is the numpy-scalar one, bit for bit -
+
+
+def _residuals_on_numpy_scalars(z, spec, intercept, coeffs):
+    """_residuals with its MA recursion on numpy scalars, as first written."""
+    a_poly, c_poly = arima._lag_polys(spec, coeffs)
+    la = a_poly.size - 1
+    ar_part = np.convolve(z, a_poly)[la : z.size]
+    ma_lags = [(j, c_poly[j]) for j in range(1, c_poly.size) if c_poly[j] != 0.0]
+    e = np.empty(z.size - la)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(e.size):
+            acc = ar_part[t] - intercept
+            for j, cj in ma_lags:
+                if t - j >= 0:
+                    acc -= cj * e[t - j]
+            e[t] = acc
+    return e
+
+
+@st.composite
+def residual_cases(draw):
+    spec = ArimaSpec(p=draw(st.integers(0, 2)), q=draw(st.integers(0, 2)),
+                     sp=draw(st.integers(0, 1)), sq=draw(st.integers(0, 2)),
+                     season=draw(st.integers(2, 7)))
+    # wide coefficients are far outside the invertible region: their
+    # recursion overflows to inf and nan within the series
+    coef = st.one_of(st.floats(-1.5, 1.5), st.floats(-1e6, 1e6),
+                     st.floats(-1e150, 1e150))
+    coeffs = np.array(draw(st.lists(coef, min_size=spec.n_coeffs,
+                                    max_size=spec.n_coeffs)), dtype=float)
+    z = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=30,
+                               max_size=400)))
+    intercept = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)))
+    return z, spec, intercept, coeffs
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(residual_cases())
+def test_residuals_equal_the_numpy_scalar_recursion_bit_for_bit(case):
+    z, spec, intercept, coeffs = case
+    got = arima._residuals(z, spec, intercept, coeffs)
+    assert _bits(got) == _bits(_residuals_on_numpy_scalars(*case))
+
+
+def test_residuals_of_a_non_invertible_model_overflow_like_numpy_scalars():
+    z = np.random.default_rng(0).normal(size=400)
+    spec = ArimaSpec(q=1, sq=1, season=3)
+    for intercept in (0.0, 0.5):
+        e = arima._residuals(z, spec, intercept, np.array([-40.0, 7.0]))
+        assert not np.all(np.isfinite(e))
+        assert _bits(e) == _bits(_residuals_on_numpy_scalars(
+            z, spec, intercept, np.array([-40.0, 7.0])))

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -179,7 +180,7 @@ EXIT_1_CASES = (
     "non-numeric efunn config", "non-numeric arima config",
     "non-numeric bench config", "mlp snapshot to rules",
     "arima on another csv", "arima on a longer csv", "corrupt efunn field",
-    "unimplemented mlp activation",
+    "corrupt efunn array", "binary snapshot", "unimplemented mlp activation",
 )
 
 
@@ -207,8 +208,13 @@ def bad_inputs(data_csv, tmp_path_factory):
     efunn_snap, act_snap = str(d / "efunn.snap"), str(d / "act.snap")
     model = EfunnModel(EfunnConfig(), *bench.make_partitions())
     model.learn_one(np.full(6, 0.5), 0.5)
-    text = model.to_text().replace("\nnodes=1\n", "\nnodes=many\n")
-    write("efunn.snap", text)
+    text = model.to_text()
+    write("efunn.snap", text.replace("\nnodes=1\n", "\nnodes=many\n"))
+    array_snap = write("array.snap", re.sub(r"\nnode\.0\.w1=[^\n]*",
+                                            "\nnode.0.w1=banana", text))
+    binary = str(d / "binary.snap")  # shaped like the head of an executable
+    (d / "binary.snap").write_bytes(b"\x7fELF\x02\x01\x01"
+                                    + bytes(range(256)) * 8)
     unknown = mlp.init_mlp((6, 4, 1), seed=0)
     unknown.hidden_activation = "xx"
     mlp.save(unknown, act_snap)
@@ -247,6 +253,12 @@ def bad_inputs(data_csv, tmp_path_factory):
         "corrupt efunn field": (
             ["rules", "--snapshot", efunn_snap],
             f"{efunn_snap}: bad value for snapshot key 'nodes': 'many'"),
+        "corrupt efunn array": (
+            ["rules", "--snapshot", array_snap],
+            f"{array_snap}: snapshot key 'node.0.w1': bad number in snapshot "
+            "array"),
+        "binary snapshot": (["rules", "--snapshot", binary],
+                            f"{binary}: not a snapshot, the file is not UTF-8"),
         "unimplemented mlp activation": (
             ["forecast", "--snapshot", act_snap, "--data", str(data_csv),
              "--out", out],

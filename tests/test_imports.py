@@ -1,0 +1,48 @@
+"""scipy stays off every path a command or a protocol run takes.
+
+Importing ``scipy.stats`` costs most of a second and about 70 MB, more
+than the rest of a command's set-up; only ``arima.diagnostics`` needs
+it and imports it when called.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import demandcast
+
+_SCRIPT = """
+import sys
+from pathlib import Path
+
+import demandcast, demandcast.cli
+from demandcast import bench
+from demandcast.cli import main
+
+d = Path(sys.argv[1])
+data = str(d / "demand.csv")
+assert main(["synth", "--days", "40", "--seed", "3", "--out", data]) == 0
+for model in ("efunn", "mlp-bp", "mlp-scg", "arima"):
+    snap = str(d / f"{model}.snap")
+    assert main(["train", "--model", model, "--data", data, "--out", snap,
+                 "--epochs", "2"]) == 0
+    assert main(["forecast", "--snapshot", snap, "--data", data,
+                 "--out", str(d / f"{model}.csv")]) == 0
+assert main(["rules", "--snapshot", str(d / "efunn.snap"),
+             "--out", str(d / "rules.txt")]) == 0
+report = bench.run_experiment(bench.ExperimentConfig(
+    synth_days=40, seed=0, epochs=2, n_samples=1))
+bench.emit_report(report, d / "report")
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_commands_and_protocol_never_import_scipy(tmp_path):
+    src = str(Path(demandcast.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

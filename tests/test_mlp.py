@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandcast import mlp
 from demandcast.errors import (ConfigError, DataError, DivergenceError,
@@ -272,3 +274,98 @@ def test_snapshot_parse_errors():
     good = mlp.to_text(init_mlp((2, 1), seed=0))
     with pytest.raises(ParseError):
         mlp.from_text(good.replace("layers=2 1", "layers=3 1"))
+
+
+# -- the prepared-batch gradient is the allocate-per-call one, bit for bit -
+
+
+def _gradient_per_call(model, X, Y):
+    """gradient as first written: every array allocated per call."""
+    acts = [X]
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(z if l == last else np.tanh(z))
+    diff = acts[-1] - Y
+    e_value = float((diff * diff).sum(axis=1).mean())
+    delta = 2.0 * diff / X.shape[0]
+    grads_w, grads_b = [None] * (last + 1), [None] * (last + 1)
+    for l in range(last, -1, -1):
+        grads_w[l] = delta.T @ acts[l]
+        grads_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ model.weights[l]) * (1.0 - acts[l] * acts[l])
+    return grads_w, grads_b, e_value
+
+
+def _grad_bits(result):
+    grads_w, grads_b, e_value = result
+    return [g.tobytes() for g in grads_w + grads_b], e_value.hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 48), min_size=2, max_size=4),
+       st.integers(1, 300), st.integers(0, 2**16))
+def test_prepared_batch_gradient_equals_tuple_gradient_bit_for_bit(
+        sizes, n, seed):
+    rng = np.random.default_rng(seed)
+    model = init_mlp(sizes, seed=seed)
+    X = rng.normal(size=(n, sizes[0]))
+    Y = rng.normal(size=(n, sizes[-1]))
+    batch = mlp.Batch(model, (X, Y))
+    for _ in range(3):  # fresh weights each round, same buffers
+        for param in model.weights + model.biases:
+            param += rng.normal(scale=0.5, size=param.shape)
+        got = _grad_bits(gradient(model, batch))
+        assert got == _grad_bits(gradient(model, (X, Y)))
+        assert got == _grad_bits(_gradient_per_call(model, X, Y))
+        assert batch.grad.tobytes() == b"".join(got[0])  # the flat layout
+
+
+def test_batch_prepared_for_other_layers_is_refused():
+    batch = mlp.Batch(init_mlp((3, 4, 1), seed=0), tiny_batch())
+    with pytest.raises(ShapeError, match="prepared for layers"):
+        gradient(init_mlp((3, 5, 1), seed=0), batch)
+
+
+def _fixed_problem():
+    X, y = tiny_batch(seed=7, n=40, n_in=3)
+    return init_mlp((3, 8, 6, 1), seed=2), X, y
+
+
+def test_bp_trace_equals_training_on_the_per_call_gradient():
+    cfg = BpConfig(epsilon=0.05, alpha=0.8, epochs=60)
+    model, X, y = _fixed_problem()
+    trace = bp_train(model, (X, y), cfg)
+
+    ref, _, _ = _fixed_problem()
+    steps = [np.zeros_like(p) for p in ref.weights + ref.biases]
+    ref_trace = []
+    for _ in range(cfg.epochs):
+        grads_w, grads_b, e_value = _gradient_per_call(ref, X, y)
+        ref_trace.append(math.sqrt(e_value))
+        for param, g, step in zip(ref.weights + ref.biases,
+                                  grads_w + grads_b, steps):
+            step *= cfg.alpha
+            step -= cfg.epsilon * g
+            param += step
+    assert trace == ref_trace
+    assert mlp.flatten_params(model).tobytes() == \
+        mlp.flatten_params(ref).tobytes()
+
+
+def test_scg_trace_equals_training_on_the_per_call_gradient():
+    model, X, y = _fixed_problem()
+    trace = scg_train(model, (X, y), epochs=60)
+
+    ref, _, _ = _fixed_problem()
+
+    def fun_grad(vec):
+        mlp.set_params(ref, vec)
+        grads_w, grads_b, e_value = _gradient_per_call(ref, X, y)
+        return e_value, np.concatenate([g.ravel() for g in grads_w + grads_b])
+
+    result = scg_minimize(fun_grad, mlp.flatten_params(ref), iterations=60)
+    assert result.iterations == 60
+    assert trace == [math.sqrt(e) for e in result.trace]
+    assert mlp.flatten_params(model).tobytes() == result.w.tobytes()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from demandcast import arima, mlp, snapshot
@@ -72,9 +72,21 @@ def test_need_converts_and_names_bad_values():
 _SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1 / 3])
 
 
-@given(st.lists(st.one_of(_SPECIAL, st.floats()), max_size=30))
+_VALUE = st.one_of(_SPECIAL, st.floats())
+
+
+@given(st.one_of(
+    # every value repeats
+    st.lists(_VALUE, max_size=30).map(lambda v: v + v[::-1]),
+    # one value throughout, as in a row of an unused w3
+    st.builds(lambda v, n: [v] * (2 * n), _VALUE, st.integers(1, 40)),
+))
+@example([0.0] * 8)
+@example([-0.0] * 8)
+@example([np.nan] * 8)
+@example([0.0, -0.0, -0.0, 0.0])  # equal values, two bit patterns
 def test_format_array_formats_every_entry_as_format_float(values):
-    a = np.array(values + values[::-1], dtype=float)  # every value repeats
+    a = np.array(values, dtype=float)
     expected = " ".join(snapshot.format_float(v) for v in a)
     assert snapshot.format_array(a) == expected
     assert snapshot.format_array(a.reshape(2, -1)) == expected
