@@ -14,13 +14,21 @@ the example is either absorbed by the activated nodes (their centroids
 drift toward it) or a fresh node is created that memorizes it exactly.
 A square matrix ``w3`` of temporal links between consecutive winners can
 bias activation toward temporally correlated prototypes; it is inert at
-the default ``lr3 = 0``.
+the default ``lr3 = 0``, and its storage is created only on first use.
 
 The rule layer is held as the connection matrices of Kasabov (2001):
 row k of ``w1`` (nodes x input degrees) and ``w2`` (nodes x output
 degrees) are node k's centroids, beside per-node ``age``, ``a1av`` and
 ``absorbed`` vectors and the ``w3`` square, all grown together by
 capacity doubling. ``nodes[k]`` is a live view of row k.
+
+``w1`` is stored degree-major (Fortran order): the values of one input
+degree over all nodes are contiguous, so the fuzzy difference from an
+input to every node is a few passes of length "all nodes", one per
+degree. The per-node sums over degrees are taken by ``_degree_sum`` in
+exactly the order numpy's pairwise sum adds a contiguous row, so every
+activation is bit-identical to the row-major ``w1.sum(axis=1)`` form,
+whatever the memory layout of its operands.
 
 Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
@@ -48,6 +56,7 @@ from .fuzzy import (
     as_degrees,
     defuzzify,
     fuzzify,
+    fuzzify_rows,
     fuzzify_vector,
     fuzzy_difference,
     mf_labels,
@@ -245,14 +254,15 @@ class EfunnModel:
         self._last_winner: Optional[int] = None
         self._last_act = 0.0
         # the rule layer: rows [:_n] are live, later rows spare capacity;
-        # w3 outside its live [:_n, :_n] block is kept all zero
+        # w3 outside its live [:_n, :_n] block is kept all zero, and is
+        # None until the w3 property is first read
         self._n = 0
-        self._w1 = np.zeros((0, self.input_width))
+        self._w1 = np.zeros((0, self.input_width), order="F")
         self._w2 = np.zeros((0, output_partition.size))
         self._age = np.zeros(0, dtype=np.int64)
         self._a1av = np.zeros(0)
         self._absorbed = np.zeros(0, dtype=np.int64)
-        self._w3 = np.zeros((0, 0))
+        self._w3 = None
         self._reserve(4)
 
     # -- basic accessors -------------------------------------------------
@@ -276,6 +286,10 @@ class EfunnModel:
 
     @property
     def w3(self) -> np.ndarray:
+        """Temporal links among the live nodes; creates their storage."""
+        if self._w3 is None:
+            cap = self._age.size
+            self._w3 = np.zeros((cap, cap))
         n = self._n
         return self._w3[:n, :n]
 
@@ -303,13 +317,14 @@ class EfunnModel:
         n = self._n
         for _, name, _ in _NODE_FIELDS:
             old = getattr(self, name)
-            new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+            new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype,
+                           order="F" if name == "_w1" else "C")
             new[:n] = old[:n]
             setattr(self, name, new)
-        w3 = np.zeros((cap, cap))
-        if self.w3.any():  # an all-zero w3 (lr3 = 0) is never written
+        if self._w3 is not None:
+            w3 = np.zeros((cap, cap))
             w3[:n, :n] = self.w3
-        self._w3 = w3
+            self._w3 = w3
 
     def _chunk_rows(self) -> int:
         """Rows of a (rows x nodes x width) temporary within _BATCH_BYTES."""
@@ -345,11 +360,17 @@ class EfunnModel:
 
     def _distances(self, ex: np.ndarray) -> np.ndarray:
         """Normalized fuzzy difference from each row of ``ex`` (one
-        fuzzified input per row) to every node's input centroid."""
-        w1 = self.w1
-        diff = w1 - ex[:, None, :]
+        fuzzified input per row) to every node's input centroid.
+
+        Equal bit for bit to the row-major ``|w1 - ex|.sum(axis=2) /
+        (w1.sum(axis=1) + ex.sum(axis=1))`` of C-ordered operands, for
+        ``ex`` in any memory layout.
+        """
+        w1t = self.w1.T  # degrees x nodes, each row contiguous
+        diff = w1t[:, None, :] - ex.T[:, :, None]  # degrees x inputs x nodes
         np.abs(diff, out=diff)
-        return diff.sum(axis=2) / (w1.sum(axis=1) + ex.sum(axis=1)[:, None])
+        ex_sums = np.ascontiguousarray(ex).sum(axis=1)
+        return _degree_sum(diff) / (_degree_sum(w1t) + ex_sums[:, None])
 
     def _activations(self, ex: np.ndarray) -> np.ndarray:
         """A1 of every rule node (columns) for each row of ``ex``."""
@@ -466,7 +487,7 @@ class EfunnModel:
             raise IndexError(
                 f"temporal link ({prev}, {curr}) outside live nodes 0..{n - 1}"
             )
-        self._w3[prev, curr] += self.config.lr3 * prev_activation * curr_activation
+        self.w3[prev, curr] += self.config.lr3 * prev_activation * curr_activation
 
     # -- inference --------------------------------------------------------
 
@@ -501,12 +522,11 @@ class EfunnModel:
         if xs.ndim != 2 or xs.shape[1] != len(self.input_partitions):
             raise ShapeError(f"expected rows of {len(self.input_partitions)} "
                              f"inputs, got shape {xs.shape}")
-        ex = np.array([self.fuzzify_input(x) for x in xs])
         out = np.empty(len(xs))
         step = self._chunk_rows()
         for start in range(0, len(xs), step):
-            a1 = self._activations(ex[start : start + step])
-            for k, row in enumerate(a1, start):
+            ex = fuzzify_rows(xs[start : start + step], self.input_partitions)
+            for k, row in enumerate(self._activations(ex), start):
                 out[k] = self._output(row)
         return out
 
@@ -545,7 +565,8 @@ class EfunnModel:
         if cfg is None:
             raise DisabledError("aggregation is not configured on this model")
         n = self._n
-        w1, w2, w3 = self.w1, self.w2, self.w3
+        w1, w2 = self.w1, self.w2
+        w3 = None if self._w3 is None else self.w3
         age, a1av, absorbed = self._age, self._a1av, self._absorbed
         live = np.ones(n, dtype=bool)
         for i in range(n):
@@ -567,8 +588,9 @@ class EfunnModel:
                 age[i] = max(age[i], age[j])
                 a1av[i] = (a1av[i] + a1av[j]) / 2.0
                 absorbed[i] += absorbed[j]
-                w3[i, :] += w3[j, :]
-                w3[:, i] += w3[:, j]
+                if w3 is not None:
+                    w3[i, :] += w3[j, :]
+                    w3[:, i] += w3[:, j]
                 live[j] = False
                 start = j + 1
         merged = np.flatnonzero(~live)
@@ -589,15 +611,16 @@ class EfunnModel:
         # kept moves past where it was, and each chunk is read whole
         # before it is written
         w3 = self._w3
-        step = max(1, _BATCH_BYTES // (8 * w3.shape[0]))
-        for start in range(0, k, step):
-            part = keep[start : start + step]
-            w3[start : start + part.size, :n] = w3[part, :n]
-        for start in range(0, k, step):
-            part = keep[start : start + step]
-            w3[:k, start : start + part.size] = w3[:k, part]
-        w3[k:n, :n] = 0.0
-        w3[:k, k:n] = 0.0
+        if w3 is not None:
+            step = max(1, _BATCH_BYTES // (8 * w3.shape[0]))
+            for start in range(0, k, step):
+                part = keep[start : start + step]
+                w3[start : start + part.size, :n] = w3[part, :n]
+            for start in range(0, k, step):
+                part = keep[start : start + step]
+                w3[:k, start : start + part.size] = w3[:k, part]
+            w3[k:n, :n] = 0.0
+            w3[:k, k:n] = 0.0
         self._n = k
         if self._last_winner is not None:
             shift = int(np.searchsorted(doomed, self._last_winner))
@@ -664,11 +687,13 @@ class EfunnModel:
         for i, p in enumerate(self.input_partitions):
             fields.update(_partition_fields(f"partition.in.{i}", p))
         fields.update(_partition_fields("partition.out", self.output_partition))
-        fields["nodes"] = self._n
-        for k in range(self._n):
+        n = fields["nodes"] = self._n
+        for k in range(n):
             fields.update({f"node.{k}.{key}": getattr(self, array)[k]
                            for key, array, _ in _NODE_FIELDS})
-        fields.update({f"w3.{r}": row for r, row in enumerate(self.w3)})
+        # without w3 storage every link is zero: all rows share one zero row
+        w3 = self.w3 if self._w3 is not None else [np.zeros(n)] * n
+        fields.update({f"w3.{r}": row for r, row in enumerate(w3)})
         fields["examples_seen"] = self.examples_seen
         lw = self._last_winner
         fields["last_winner"] = "none" if lw is None else lw
@@ -698,17 +723,16 @@ class EfunnModel:
         output = _partition_from(body, "partition.out")
         model = cls(EfunnConfig(**kwargs), inputs, output)
 
-        def put(array, index, key, parse):
+        def put(name, index, key, parse, shape):
             value = need(body, key, parse)
-            if np.shape(value) != np.shape(array[index]):
+            if np.shape(value) != shape:
                 raise ParseError(f"snapshot key {key!r} holds {np.size(value)} "
-                                 f"values, expected {np.size(array[index])}")
+                                 f"values, expected {int(np.prod(shape))}")
             try:
-                # the new arrays hold +0.0: skipping zeros leaves an
-                # all-zero w3 (lr3 = 0) unwritten, so it never becomes
-                # resident
+                # the new arrays hold +0.0, so only nonzero values are
+                # written: w3 storage is created only for a nonzero link
                 if np.asarray(value, dtype=float).view(np.uint64).any():
-                    array[index] = value
+                    getattr(model, name)[index] = value
             except OverflowError:
                 raise ParseError(f"snapshot key {key!r} is out of range: "
                                  f"{body[key]!r}") from None
@@ -722,12 +746,13 @@ class EfunnModel:
 
         n_nodes = need(body, "nodes", int)
         model._reserve(n_nodes)
-        for k in range(n_nodes):
-            for key, array, parse in _NODE_FIELDS:
-                put(getattr(model, array), k, f"node.{k}.{key}", parse)
-        for r in range(n_nodes):
-            put(model._w3, (r, slice(0, n_nodes)), f"w3.{r}", parse_row)
         model._n = max(0, n_nodes)
+        for k in range(n_nodes):
+            for key, name, parse in _NODE_FIELDS:
+                put(name, k, f"node.{k}.{key}", parse,
+                    getattr(model, name).shape[1:])
+        for r in range(n_nodes):
+            put("w3", r, f"w3.{r}", parse_row, (n_nodes,))
         model.examples_seen = need(body, "examples_seen", int)
         model._last_winner = need(
             body, "last_winner", lambda v: None if v == "none" else int(v))
@@ -742,11 +767,45 @@ class EfunnModel:
         return snapshot.read(path, "efunn", cls._from_fields)
 
 
+def _degree_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order numpy's pairwise sum adds a contiguous
+    row, so ``_degree_sum(a.T)`` equals a C-ordered ``a.sum(axis=1)`` bit
+    for bit, whatever the layout of ``a``.
+
+    That order: below 8 terms one after another; up to 128 terms eight
+    running sums over blocks of 8, combined by a fixed tree, then the
+    remainder one at a time; above 128 the two halves (the first a
+    multiple of 8 long) summed apart and added; finally the reduction's
+    start value +0.0 is added. Each step is one pass over whole slices.
+    """
+    return _pairwise(a) + 0.0
+
+
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(a[:half]) + _pairwise(a[half:])
+    if n < 8:
+        total, tail = a[0].copy(), 1
+    else:
+        tail = n - n % 8
+        r = a[:8] + a[8:16] if tail > 8 else a[:8].copy()
+        for i in range(16, tail, 8):
+            r += a[i : i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        total = r[0] + r[1]
+    for i in range(tail, n):
+        total += a[i]
+    return total
+
+
 def _differences(v: np.ndarray, rows: np.ndarray):
     """fuzzy_difference(v, row) for each row, and where it is undefined."""
-    den = v.sum() + rows.sum(axis=1)
+    den = _degree_sum(v) + _degree_sum(rows.T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(v - rows).sum(axis=1) / den, den <= 0.0
+        return _degree_sum(np.abs(v - rows).T) / den, den <= 0.0
 
 
 def _one_hot(label: str, partition: MembershipPartition) -> np.ndarray:

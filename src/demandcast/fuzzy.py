@@ -13,6 +13,7 @@ network, together with the two scalar activations ``satlin`` and
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,13 +34,14 @@ def radbas(x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipPartition:
     """MF set for one variable: ascending centers with per-MF widths.
 
     For gaussian MFs the width is the standard deviation; for triangular
     MFs it is the half-base (membership reaches zero one width away from
-    the center).
+    the center). A partition is immutable, its arrays read-only copies,
+    and it compares and hashes by identity.
     """
 
     variable_name: str
@@ -50,8 +52,9 @@ class MembershipPartition:
     def __post_init__(self):
         if self.kind not in MF_KINDS:
             raise ConfigError(f"unknown MF kind {self.kind!r}")
-        centers = np.asarray(self.centers, dtype=float)
-        widths = np.asarray(self.widths, dtype=float)
+        centers = np.array(self.centers, dtype=float)
+        widths = np.array(self.widths, dtype=float)
+        centers.flags.writeable = widths.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "widths", widths)
         if centers.ndim != 1 or centers.size < 2:
@@ -116,12 +119,44 @@ def fuzzify(x, partition: MembershipPartition) -> np.ndarray:
     queries (a test-period heat wave, say) degrade gracefully instead of
     failing.
     """
-    x = min(max(float(x), partition.lo), partition.hi)
-    c = partition.centers
-    w = partition.widths
-    if partition.kind == "gaussian":
-        return np.exp(-((x - c) ** 2) / (2.0 * w * w))
-    return np.maximum(0.0, 1.0 - np.abs(x - c) / w)
+    return fuzzify_rows([[float(x)]], (partition,))[0]
+
+
+def fuzzify_rows(xs, partitions) -> np.ndarray:
+    """Membership degrees of each row of ``xs``, one value per partition.
+
+    Row i is the concatenation of ``fuzzify(xs[i, j], partitions[j])``
+    over j, bit for bit: every degree of every row is one element of the
+    same array expression, whatever mix of gaussian and triangular
+    partitions is given.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != len(partitions):
+        raise ShapeError(
+            f"expected rows of {len(partitions)} values, got shape {xs.shape}"
+        )
+    var, lo, hi, c, w, w2, gaussian = _mf_layout(tuple(partitions))
+    d = np.minimum(np.maximum(xs[:, var], lo), hi) - c
+    return np.where(gaussian, np.exp(-(d ** 2) / w2),
+                    np.maximum(0.0, 1.0 - np.abs(d) / w))
+
+
+@lru_cache(maxsize=32)
+def _mf_layout(partitions: tuple) -> tuple:
+    """Per-MF read-only arrays of ``fuzzify_rows``: the input column, the
+    clamp bounds, center, width, gaussian denominator 2 w^2, and whether
+    the MF is gaussian."""
+    sizes = [p.size for p in partitions]
+    w = np.concatenate([p.widths for p in partitions])
+    layout = (np.repeat(np.arange(len(partitions)), sizes),
+              np.repeat([p.lo for p in partitions], sizes),
+              np.repeat([p.hi for p in partitions], sizes),
+              np.concatenate([p.centers for p in partitions]), w,
+              2.0 * w * w,
+              np.repeat([p.kind == "gaussian" for p in partitions], sizes))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def defuzzify(degrees, partition: MembershipPartition) -> float:
@@ -174,8 +209,8 @@ def fuzzify_vector(values, partitions) -> FuzzyVector:
         raise ShapeError(
             f"{values.size} values for {len(partitions)} partitions"
         )
-    parts = [fuzzify(v, p) for v, p in zip(values, partitions)]
-    return FuzzyVector(np.concatenate(parts), tuple(p.size for p in partitions))
+    return FuzzyVector(fuzzify_rows(values.reshape(1, -1), partitions)[0],
+                       tuple(p.size for p in partitions))
 
 
 def as_degrees(v) -> np.ndarray:

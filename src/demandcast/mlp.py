@@ -198,7 +198,7 @@ def gradient(model: MlpModel, data, counter=None):
             np.subtract(1.0, a, out=a)
             deltas[l - 1] *= a
             if counter is not None:
-                counter.add_gemm(n, a.shape[1], deltas[l - 1].shape[1])
+                counter.add_gemm(n, deltas[l - 1].shape[1], delta.shape[1])
                 counter.add(3 * a.size)
     return batch.grads_w, batch.grads_b, e_value
 

@@ -6,7 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from demandcast.efunn import (AggregationConfig, EfunnConfig, EfunnModel,
-                              LinguisticRule, PruningConfig, update_node)
+                              LinguisticRule, PruningConfig, _degree_sum,
+                              _differences, update_node)
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                DisabledError, EmptyModelError, ParseError,
                                ShapeError)
@@ -564,3 +565,95 @@ def test_prune_and_aggregate_stay_bounded_at_4000_nodes():
     assert pruned > 0 and merged > 0
     assert m.n_nodes == 4000 - pruned - merged
     assert peak < 200 * 2**20
+
+
+# -- the degree-major rule layer ------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+_EDGES = st.sampled_from([0.0, -0.0, np.inf, -np.inf])
+
+
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 1199), _EDGES), max_size=6))
+def test_degree_sum_adds_in_numpys_row_order(rows, width, seed, edges):
+    # mixed signs and scales, so that adding in any other order rounds
+    # differently
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal((rows, width))
+         * 10.0 ** rng.integers(-3, 4, size=(rows, width)))
+    for pos, value in edges:
+        a.flat[pos % a.size] = value
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert np.array_equal(_bits(_degree_sum(a.T)), _bits(a.sum(axis=1)))
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 24, 129, 300])
+def test_degree_sum_of_negative_zeros_is_positive_zero(width):
+    a = np.full((2, width), -0.0)
+    assert _bits(_degree_sum(a.T)).tolist() == _bits(a.sum(axis=1)).tolist()
+    assert _bits(_degree_sum(a.T)).tolist() == _bits([0.0, 0.0]).tolist()
+
+
+def _old_distances(w1, ex):
+    """The row-major distance formula over C-ordered copies."""
+    w1, ex = np.ascontiguousarray(w1), np.ascontiguousarray(ex)
+    diff = w1 - ex[:, None, :]
+    np.abs(diff, out=diff)
+    return diff.sum(axis=2) / (w1.sum(axis=1) + ex.sum(axis=1)[:, None])
+
+
+@_PROPERTY
+@given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 300),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_distances_equal_the_row_major_formula_in_any_layout(
+        n_in, mfs, nodes, rows, seed):
+    rng = np.random.default_rng(seed)
+    m = make_model(n_inputs=n_in, mfs=mfs)
+    width = n_in * mfs
+    for _ in range(nodes):  # some degrees exactly zero, as far from centers
+        m.create_rule_node(rng.uniform(size=width) * (rng.uniform(size=width)
+                                                      > 0.2),
+                           rng.uniform(size=mfs))
+    ex = rng.uniform(size=(rows, width))
+    want = _bits(_old_distances(m.w1, ex))
+    strided = np.zeros((2 * rows, 3 * width))[::2, ::3]
+    strided[:] = ex
+    for layout in (np.ascontiguousarray(ex), np.asfortranarray(ex), strided,
+                   ex[::-1][::-1]):
+        assert np.array_equal(_bits(m._distances(layout)), want)
+    w1 = np.ascontiguousarray(m.w1)
+    d, bad = _differences(m.w1[0], m.w1[1:])
+    assert np.array_equal(_bits(d), _bits(np.abs(w1[0] - w1[1:]).sum(axis=1)
+                                          / (w1[0].sum() + w1[1:].sum(axis=1))))
+
+
+def test_w1_is_degree_major_across_growth():
+    m = make_model(n_inputs=2, mfs=4)
+    rng = np.random.default_rng(3)
+    for _ in range(9):  # past the initial capacity of 4
+        m.create_rule_node(rng.uniform(size=8), rng.uniform(size=4))
+    assert m.w1.strides[0] == m.w1.itemsize  # one degree's nodes adjoin
+
+
+def test_w3_storage_appears_only_when_used():
+    # 2000 nodes at lr3 = tc = 0: a dense w3 would take 32 MB
+    rng = np.random.default_rng(4)
+    m = make_model(n_inputs=6, mfs=4)
+    tracemalloc.start()
+    try:
+        for _ in range(2000):
+            m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    text = m.to_text()
+    assert "\nw3.1999=0 0 0 " in text
+    m2, _ = EfunnModel.from_text(text)
+    assert m2.to_text() == text
+    assert m2.w3.shape == (2000, 2000) and not m2.w3.any()
+    assert m2.to_text() == text  # storage now exists, still all zero

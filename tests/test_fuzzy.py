@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demandcast.errors import ConfigError, DegenerateError, ShapeError
 from demandcast.fuzzy import (FuzzyVector, MembershipPartition,
                               build_partition, defuzzify,
-                              fuzzify, fuzzify_vector, fuzzy_difference,
-                              mf_labels, radbas, satlin)
+                              fuzzify, fuzzify_rows, fuzzify_vector,
+                              fuzzy_difference, mf_labels, radbas, satlin)
 
 
 def test_satlin_clamps_to_unit_interval():
@@ -55,6 +57,16 @@ def test_partition_validates_ordering_and_positivity():
     with pytest.raises(ConfigError):
         MembershipPartition("x", "unknown", np.array([0.2, 0.5]),
                             np.array([0.1, 0.1]))
+
+
+def test_partition_holds_read_only_copies():
+    # fuzzify_rows caches per-MF arrays by partition, so they cannot change
+    centers = np.array([0.2, 0.5])
+    p = MembershipPartition("x", "gaussian", centers, np.array([0.1, 0.1]))
+    centers[0] = 0.0
+    assert p.centers.tolist() == [0.2, 0.5]
+    with pytest.raises(ValueError):
+        p.widths[0] = 1.0
 
 
 def test_fuzzify_midpoint_of_four_gaussians():
@@ -140,3 +152,53 @@ def test_mf_labels_level_names():
     assert mf_labels(5) == ("LOW", "MEDIUM-LOW", "MEDIUM", "MEDIUM-HIGH",
                             "HIGH")
     assert mf_labels(6) == ("MF1", "MF2", "MF3", "MF4", "MF5", "MF6")
+
+
+def _scalar_fuzzify(x, p):
+    """Per-variable fuzzification as a scalar formula."""
+    x = min(max(float(x), p.lo), p.hi)
+    if p.kind == "gaussian":
+        return np.exp(-((x - p.centers) ** 2) / (2.0 * p.widths * p.widths))
+    return np.maximum(0.0, 1.0 - np.abs(x - p.centers) / p.widths)
+
+
+@st.composite
+def partitions_and_rows(draw):
+    """Random partitions of mixed kinds, and rows that reach past both
+    ends of every range."""
+    parts = []
+    for i in range(draw(st.integers(1, 6))):
+        lo = draw(st.floats(-100.0, 100.0))
+        span = draw(st.floats(1e-3, 100.0))
+        parts.append(build_partition(lo, lo + span, draw(st.integers(2, 6)),
+                                     kind=draw(st.sampled_from(
+                                         ("gaussian", "triangular"))),
+                                     name=f"x{i}"))
+    values = [st.one_of(st.floats(p.lo - 10.0, p.hi + 10.0),
+                        st.sampled_from([p.lo, p.hi, -np.inf, np.inf]))
+              for p in parts]
+    rows = draw(st.lists(st.tuples(*values), min_size=1, max_size=8))
+    return parts, np.array(rows, dtype=float)
+
+
+@settings(max_examples=80, deadline=None)
+@given(partitions_and_rows())
+def test_fuzzify_rows_equals_per_variable_fuzzify(parts_and_rows):
+    parts, xs = parts_and_rows
+    got = fuzzify_rows(xs, parts)
+    for x, row in zip(xs, got, strict=True):
+        want = np.concatenate([_scalar_fuzzify(v, p) for v, p in zip(x, parts)])
+        assert row.tobytes() == want.tobytes()
+        assert fuzzify_vector(x, parts).degrees.tobytes() == want.tobytes()
+        for v, p, seg in zip(x, parts, np.split(want, np.cumsum(
+                [p.size for p in parts])[:-1])):
+            assert fuzzify(v, p).tobytes() == seg.tobytes()
+
+
+def test_fuzzify_rows_checks_the_row_width():
+    parts = [build_partition(0.0, 1.0, 3, name="a")]
+    assert fuzzify_rows(np.empty((0, 1)), parts).shape == (0, 3)
+    with pytest.raises(ShapeError):
+        fuzzify_rows(np.zeros((2, 2)), parts)
+    with pytest.raises(ShapeError):
+        fuzzify_rows(np.zeros(1), parts)

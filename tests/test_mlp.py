@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from demandcast import mlp
 from demandcast.errors import (ConfigError, DataError, DivergenceError,
                                ParseError, ShapeError)
+from demandcast.flops import FlopCounter
 from demandcast.mlp import (BpConfig, MlpModel, bp_train, forward,
                             forward_batch, gradient, hessian_vector_estimate,
                             init_mlp, rmse, scg_minimize, scg_train)
@@ -113,6 +114,23 @@ def test_gradient_accepts_pair_sequences():
     gw2, _, e2 = gradient(m, (X, y))
     assert e1 == e2
     assert np.allclose(gw1[0], gw2[0])
+
+
+@pytest.mark.parametrize("sizes, per_example", [
+    ((6, 40, 40, 1), 11840), ((3, 7, 5, 2), 510)])
+def test_gradient_flops_follow_the_layer_shapes(sizes, per_example):
+    # forward and weight-gradient gemms cover every layer, the hidden-delta
+    # gemm (N x out)(out x in) every layer but the first; each hidden unit
+    # costs one tanh (10 flops) and three flops of its derivative
+    macs = [a * b for a, b in zip(sizes[:-1], sizes[1:])]
+    hidden = sum(sizes[1:-1])
+    assert 2 * (2 * sum(macs) + sum(macs[1:])) + 13 * hidden == per_example
+    n = 5
+    counter = FlopCounter()
+    X, y = tiny_batch(n=n, n_in=sizes[0])
+    gradient(init_mlp(sizes, seed=0), (X, np.repeat(y, sizes[-1], axis=1)),
+             counter)
+    assert counter.total == n * per_example
 
 
 def test_gradient_batch_errors():
