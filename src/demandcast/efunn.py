@@ -12,23 +12,29 @@ Learning is strictly one pass. For each example the input is fuzzified,
 rule activations are computed from the normalized fuzzy difference, and
 the example is either absorbed by the activated nodes (their centroids
 drift toward it) or a fresh node is created that memorizes it exactly.
-A square matrix ``w3`` of temporal links between consecutive winners can
-bias activation toward temporally correlated prototypes; it is inert at
-the default ``lr3 = 0``, and its storage is created only on first use.
+Temporal links ``w3`` between consecutive winners can bias activation
+toward temporally correlated prototypes; they are inert at the default
+``lr3 = 0``.
 
 The rule layer is held as the connection matrices of Kasabov (2001):
 row k of ``w1`` (nodes x input degrees) and ``w2`` (nodes x output
 degrees) are node k's centroids, beside per-node ``age``, ``a1av`` and
-``absorbed`` vectors and the ``w3`` square, all grown together by
-capacity doubling. ``nodes[k]`` is a live view of row k.
+``absorbed`` vectors, all grown together by capacity doubling.
+``nodes[k]`` is a live view of row k. One learning step adds at most
+one temporal link, so ``w3`` is held sparsely as ``{prev: {curr:
+weight}}``; activation with ``tc > 0`` builds the one dense row it
+needs.
 
 ``w1`` is stored degree-major (Fortran order): the values of one input
 degree over all nodes are contiguous, so the fuzzy difference from an
 input to every node is a few passes of length "all nodes", one per
-degree. The per-node sums over degrees are taken by ``_degree_sum`` in
-exactly the order numpy's pairwise sum adds a contiguous row, so every
-activation is bit-identical to the row-major ``w1.sum(axis=1)`` form,
-whatever the memory layout of its operands.
+degree. ``_pairwise`` adds those passes in exactly the order numpy's
+pairwise sum adds a contiguous row, forming each block of 8 degrees'
+``|w1 - ex|`` in reused scratch just before adding it, and divides by
+per-node degree sums kept beside ``w1``. Every write to ``w1`` refreshes
+them, so every activation is bit-identical to the row-major
+``|w1 - ex|.sum(axis=1) / (w1.sum(axis=1) + ex.sum())`` form, whatever
+the memory layout of its operands.
 
 Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
@@ -51,7 +57,6 @@ from .errors import (
     ShapeError,
 )
 from .fuzzy import (
-    FuzzyVector,
     MembershipPartition,
     as_degrees,
     defuzzify,
@@ -138,8 +143,10 @@ class EfunnConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
 
-# temporaries of batched scoring, pruning and row moves stay within this
+# distance scratch of batched scoring and pruning stays within this
 _BATCH_BYTES = 2 * 1024 * 1024
+# scratch values per (input row, node) pair: two blocks of 8 degrees
+_SCRATCH = 16
 
 
 def _row_field(array: str, doc: str) -> property:
@@ -156,7 +163,8 @@ class RuleNode:
     """Live view of one rule-layer row, or of several given an index array.
 
     Reading an attribute reads the model's arrays and assigning writes
-    them, so ``node.w1 += d`` updates the model in place.
+    them, so ``node.w1 += d`` updates the model in place. ``w1`` reads
+    as a copy: only assigning it refreshes the node's degree sum.
     """
 
     __slots__ = ("_model", "_rows")
@@ -165,7 +173,9 @@ class RuleNode:
         self._model = model
         self._rows = rows
 
-    w1 = _row_field("_w1", "fuzzy input centroid")
+    w1 = property(lambda node: node._model._w1[node._rows].copy(),
+                  lambda node, value: node._model._put_w1(node._rows, value),
+                  doc="fuzzy input centroid")
     w2 = _row_field("_w2", "fuzzy output centroid")
     age = _row_field("_age", "examples seen since creation")
     a1av = _row_field(
@@ -221,20 +231,27 @@ def update_node(node: RuleNode, ex, te, a1, lr1: float, lr2: float) -> RuleNode:
     return node
 
 
-# per-node snapshot fields in file order: (key, model array, parser)
+# node arrays in snapshot order: (field key, model array, parser)
 _NODE_FIELDS = (
-    ("age", "_age", int), ("a1av", "_a1av", float),
-    ("absorbed", "_absorbed", int),
-    ("w1", "_w1", snapshot.parse_array), ("w2", "_w2", snapshot.parse_array),
+    ("nodes.w1", "_w1", snapshot.parse_array),
+    ("nodes.w2", "_w2", snapshot.parse_array),
+    ("nodes.age", "_age", snapshot.parse_ints),
+    ("nodes.a1av", "_a1av", snapshot.parse_array),
+    ("nodes.absorbed", "_absorbed", snapshot.parse_ints),
 )
+# every array of the rule layer: the snapshot's, and _degree_sum of each
+# w1 row, kept beside w1 for the distance kernel
+_ARRAYS = tuple(name for _, name, _ in _NODE_FIELDS) + ("_w1sum",)
 
 
 class EfunnModel:
     """Five-layer evolving fuzzy network over fixed membership partitions.
 
     learn_one mutates the model and must be externally serialized;
-    predict is pure. The temporal layer makes learning order-dependent
-    by design, so training streams should be presented in time order.
+    predict leaves the learned state unchanged but works in the model's
+    scratch, so it is serialized with every other call on the model. The
+    temporal layer makes learning order-dependent by design, so training
+    streams should be presented in time order.
     """
 
     def __init__(self, config: EfunnConfig, input_partitions, output_partition,
@@ -254,15 +271,16 @@ class EfunnModel:
         self._last_winner: Optional[int] = None
         self._last_act = 0.0
         # the rule layer: rows [:_n] are live, later rows spare capacity;
-        # w3 outside its live [:_n, :_n] block is kept all zero, and is
-        # None until the w3 property is first read
+        # the distance kernel's scratch for one input row grows with it
         self._n = 0
         self._w1 = np.zeros((0, self.input_width), order="F")
+        self._w1sum = np.zeros(0)
         self._w2 = np.zeros((0, output_partition.size))
         self._age = np.zeros(0, dtype=np.int64)
         self._a1av = np.zeros(0)
         self._absorbed = np.zeros(0, dtype=np.int64)
-        self._w3 = None
+        self._scratch = np.zeros(0)
+        self._links = {}  # temporal links w3 as {prev: {curr: weight}}
         self._reserve(4)
 
     # -- basic accessors -------------------------------------------------
@@ -278,20 +296,20 @@ class EfunnModel:
 
     @property
     def w1(self) -> np.ndarray:
-        return self._w1[: self._n]
+        """Input centroids, read-only: write them through ``nodes``."""
+        w1 = self._w1[: self._n]
+        w1.flags.writeable = False
+        return w1
 
     @property
     def w2(self) -> np.ndarray:
         return self._w2[: self._n]
 
     @property
-    def w3(self) -> np.ndarray:
-        """Temporal links among the live nodes; creates their storage."""
-        if self._w3 is None:
-            cap = self._age.size
-            self._w3 = np.zeros((cap, cap))
-        n = self._n
-        return self._w3[:n, :n]
+    def links(self) -> dict:
+        """The nonzero temporal links, as a new {(prev, curr): weight}."""
+        return {(prev, curr): weight for prev, row in self._links.items()
+                for curr, weight in row.items() if weight != 0.0}
 
     @property
     def last_winner(self) -> Optional[int]:
@@ -315,23 +333,25 @@ class EfunnModel:
             return
         cap = max(rows, 2 * cap)
         n = self._n
-        for _, name, _ in _NODE_FIELDS:
+        for name in _ARRAYS:
             old = getattr(self, name)
             new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype,
                            order="F" if name == "_w1" else "C")
             new[:n] = old[:n]
             setattr(self, name, new)
-        if self._w3 is not None:
-            w3 = np.zeros((cap, cap))
-            w3[:n, :n] = self.w3
-            self._w3 = w3
+        self._scratch = np.empty(_SCRATCH * cap)
 
     def _chunk_rows(self) -> int:
-        """Rows of a (rows x nodes x width) temporary within _BATCH_BYTES."""
-        return max(1, _BATCH_BYTES // (8 * max(1, self.w1.size)))
+        """Input rows whose distance scratch fits in _BATCH_BYTES."""
+        return max(1, _BATCH_BYTES // (8 * _SCRATCH * max(1, self._n)))
+
+    def _put_w1(self, rows, value) -> None:
+        """Write input centroids and refresh their degree sums."""
+        self._w1[rows] = value
+        self._w1sum[rows] = _degree_sum(self._w1[rows].T)
 
     def create_rule_node(self, ex, te) -> int:
-        """Append a node memorizing (ex, te) exactly; grows w3 by one."""
+        """Append a node memorizing (ex, te) exactly."""
         ex = as_degrees(ex)
         te = as_degrees(te)
         if ex.size != self.input_width:
@@ -350,7 +370,7 @@ class EfunnModel:
             )
         k = self._n
         self._reserve(k + 1)
-        self._w1[k] = ex
+        self._put_w1(k, ex)
         self._w2[k] = te
         self._age[k] = 0
         self._a1av[k] = 1.0
@@ -358,38 +378,63 @@ class EfunnModel:
         self._n = k + 1
         return k
 
-    def _distances(self, ex: np.ndarray) -> np.ndarray:
+    def _distances(self, ex: np.ndarray, scratch=None) -> np.ndarray:
         """Normalized fuzzy difference from each row of ``ex`` (one
         fuzzified input per row) to every node's input centroid.
 
         Equal bit for bit to the row-major ``|w1 - ex|.sum(axis=2) /
         (w1.sum(axis=1) + ex.sum(axis=1))`` of C-ordered operands, for
-        ``ex`` in any memory layout.
+        ``ex`` in any memory layout. ``scratch`` holds at least
+        ``_SCRATCH * len(ex) * n_nodes`` floats; without it they are
+        allocated.
         """
-        w1t = self.w1.T  # degrees x nodes, each row contiguous
-        diff = w1t[:, None, :] - ex.T[:, :, None]  # degrees x inputs x nodes
-        np.abs(diff, out=diff)
-        ex_sums = np.ascontiguousarray(ex).sum(axis=1)
-        return _degree_sum(diff) / (_degree_sum(w1t) + ex_sums[:, None])
+        n, rows = self._n, len(ex)
+        size = 8 * rows * n
+        if scratch is None:
+            scratch = np.empty(2 * size)
+        acc = scratch[:size].reshape(8, rows, n)
+        buf = scratch[size : 2 * size].reshape(8, rows, n)
+        w1t = self._w1[:n].T[:, None, :]  # degrees x 1 x nodes, rows contiguous
+        ext = ex.T[:, :, None]  # degrees x inputs x 1
 
-    def _activations(self, ex: np.ndarray) -> np.ndarray:
+        def term(i, j, out):  # |w1 - ex| of degrees i..j-1
+            if j - i < 8:
+                out = out[: j - i]
+            np.subtract(w1t[i:j], ext[i:j], out)
+            return np.abs(out, out)
+
+        # sums of |w1 - ex| hold no -0.0, so adding the reduction's start
+        # value +0.0 would change no bit
+        total = _pairwise(term, 0, len(w1t), acc, buf)
+        den = self._w1sum[:n] + np.ascontiguousarray(ex).sum(axis=1)[:, None]
+        return np.divide(total, den, den)
+
+    def _activations(self, ex: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """A1 of every rule node (columns) for each row of ``ex``."""
         if not self._n:
             raise EmptyModelError("model has no rule nodes")
-        dist = self._distances(ex)
+        dist = self._distances(ex, scratch)
         cfg = self.config
         if self.counter is not None:
             self.counter.add(4 * self.w1.size * len(ex))
         temporal = 0.0
         if cfg.tc != 0.0 and self._last_winner is not None:
-            temporal = cfg.tc * self.w3[self._last_winner, :]
+            temporal = cfg.tc * self._link_row(self._last_winner)
         if cfg.activation == "satlin":
             return satlin(1.0 - cfg.ss * dist + temporal)
         return radbas(cfg.ss * dist - temporal)
 
+    def _link_row(self, prev: int) -> np.ndarray:
+        """Dense row ``prev`` of w3 over the live nodes."""
+        row = np.zeros(self._n)
+        links = self._links.get(prev)
+        if links:
+            row[list(links)] = list(links.values())
+        return row
+
     def rule_activation(self, ex) -> np.ndarray:
         """A1 activation of every rule node for a fuzzified input."""
-        return self._activations(as_degrees(ex)[None, :])[0]
+        return self._activations(as_degrees(ex)[None, :], self._scratch)[0]
 
     def _select(self, a1: np.ndarray) -> np.ndarray:
         """Indices of the m nodes that propagate, per m_mode."""
@@ -487,7 +532,9 @@ class EfunnModel:
             raise IndexError(
                 f"temporal link ({prev}, {curr}) outside live nodes 0..{n - 1}"
             )
-        self.w3[prev, curr] += self.config.lr3 * prev_activation * curr_activation
+        row = self._links.setdefault(prev, {})
+        row[curr] = (row.get(curr, 0.0)
+                     + self.config.lr3 * prev_activation * curr_activation)
 
     # -- inference --------------------------------------------------------
 
@@ -504,7 +551,8 @@ class EfunnModel:
         return defuzzify(a2, self.output_partition)
 
     def predict(self, x) -> float:
-        """Crisp demand estimate for a normalized input; pure."""
+        """Crisp demand estimate for a normalized input; changes no
+        learned state (see the class docstring on its scratch)."""
         if not self._n:
             raise EmptyModelError("cannot predict with no rule nodes")
         x = self._check_input(x)
@@ -513,8 +561,9 @@ class EfunnModel:
     def predict_batch(self, xs) -> np.ndarray:
         """``predict`` of every row of ``xs``, equal to it bit for bit.
 
-        Activations are computed for a chunk of rows at a time, so the
-        temporaries stay within a fixed memory budget at any node count.
+        Activations are computed for a chunk of rows at a time in
+        scratch allocated once, so the temporaries stay within a fixed
+        memory budget at any node count.
         """
         if not self._n:
             raise EmptyModelError("cannot predict with no rule nodes")
@@ -524,9 +573,10 @@ class EfunnModel:
                              f"inputs, got shape {xs.shape}")
         out = np.empty(len(xs))
         step = self._chunk_rows()
+        scratch = np.empty(_SCRATCH * min(step, len(xs)) * self._n)
         for start in range(0, len(xs), step):
             ex = fuzzify_rows(xs[start : start + step], self.input_partitions)
-            for k, row in enumerate(self._activations(ex), start):
+            for k, row in enumerate(self._activations(ex, scratch), start):
                 out[k] = self._output(row)
         return out
 
@@ -544,9 +594,10 @@ class EfunnModel:
                                     & (self._a1av[:n] < cfg.low_activation))
         doomed = []
         step = self._chunk_rows()
+        scratch = np.empty(_SCRATCH * min(step, candidates.size) * n)
         for start in range(0, candidates.size, step):
             rows = candidates[start : start + step]
-            dist = self._distances(self.w1[rows])
+            dist = self._distances(self._w1[rows], scratch)
             dist[np.arange(rows.size), rows] = np.inf
             doomed.extend(rows[dist.min(axis=1) <= cfg.density_radius])
         if doomed:
@@ -565,14 +616,13 @@ class EfunnModel:
         if cfg is None:
             raise DisabledError("aggregation is not configured on this model")
         n = self._n
-        w1, w2 = self.w1, self.w2
-        w3 = None if self._w3 is None else self.w3
+        w1, w2, links = self._w1, self.w2, self._links
         age, a1av, absorbed = self._age, self._a1av, self._absorbed
         live = np.ones(n, dtype=bool)
         for i in range(n):
             start = i + 1
             while live[i] and start < n:
-                d1, bad1 = _differences(w1[i], w1[start:])
+                d1, bad1 = _differences(w1[i], w1[start:n])
                 d2, bad2 = _differences(w2[i], w2[start:])
                 # an undefined difference stops the scan where it is reached
                 hit = live[start:] & (bad1 | ((d1 <= cfg.thr1)
@@ -583,14 +633,18 @@ class EfunnModel:
                 if bad1[j - start] or bad2[j - start]:
                     raise DegenerateError(
                         "fuzzy difference of two all-zero vectors is undefined")
-                w1[i] = (w1[i] + w1[j]) / 2.0
+                self._put_w1(i, (w1[i] + w1[j]) / 2.0)
                 w2[i] = (w2[i] + w2[j]) / 2.0
                 age[i] = max(age[i], age[j])
                 a1av[i] = (a1av[i] + a1av[j]) / 2.0
                 absorbed[i] += absorbed[j]
-                if w3 is not None:
-                    w3[i, :] += w3[j, :]
-                    w3[:, i] += w3[:, j]
+                # w3[i, :] += w3[j, :], then w3[:, i] += w3[:, j]
+                row_i = links.setdefault(i, {})
+                for c, v in links.get(j, {}).items():
+                    row_i[c] = row_i.get(c, 0.0) + v
+                for row in links.values():
+                    if j in row:
+                        row[i] = row.get(i, 0.0) + row[j]
                 live[j] = False
                 start = j + 1
         merged = np.flatnonzero(~live)
@@ -599,28 +653,19 @@ class EfunnModel:
         return int(merged.size)
 
     def _remove_nodes(self, indices) -> None:
-        """Drop nodes and their w3 rows/columns; remap the last winner."""
+        """Drop nodes and their temporal links; remap the last winner."""
         n = self._n
         doomed = np.unique(indices)
         keep = np.setdiff1d(np.arange(n), doomed)
         k = keep.size
-        for _, name, _ in _NODE_FIELDS:
+        for name in _ARRAYS:
             array = getattr(self, name)
             array[:k] = array[keep]
-        # w3 moves a chunk of rows, then of columns, at a time: nothing
-        # kept moves past where it was, and each chunk is read whole
-        # before it is written
-        w3 = self._w3
-        if w3 is not None:
-            step = max(1, _BATCH_BYTES // (8 * w3.shape[0]))
-            for start in range(0, k, step):
-                part = keep[start : start + step]
-                w3[start : start + part.size, :n] = w3[part, :n]
-            for start in range(0, k, step):
-                part = keep[start : start + step]
-                w3[:k, start : start + part.size] = w3[:k, part]
-            w3[k:n, :n] = 0.0
-            w3[:k, k:n] = 0.0
+        new = np.full(n, -1)
+        new[keep] = np.arange(k)
+        new = new.tolist()
+        self._links = {new[r]: {new[c]: v for c, v in row.items() if new[c] >= 0}
+                       for r, row in self._links.items() if new[r] >= 0}
         self._n = k
         if self._last_winner is not None:
             shift = int(np.searchsorted(doomed, self._last_winner))
@@ -634,29 +679,21 @@ class EfunnModel:
 
     def extract_rules(self) -> list:
         """One IF/THEN rule per node, labeled by argmax membership degree."""
-        rules = []
-        in_names = tuple(p.variable_name for p in self.input_partitions)
-        out_name = self.output_partition.variable_name
+        w1, w2 = np.array(self.w1), np.array(self.w2)
+        labels, start = [], 0
+        for p in self.input_partitions:  # one argmax per partition
+            names = mf_labels(p.size)
+            labels.append([names[k] for k in
+                           np.argmax(w1[:, start : start + p.size], axis=1)])
+            start += p.size
         out_labels = mf_labels(self.output_partition.size)
-        segments = tuple(p.size for p in self.input_partitions)
-        for w1, w2 in zip(self.w1, self.w2):
-            fv = FuzzyVector(w1, segments)
-            antecedents = []
-            for i, p in enumerate(self.input_partitions):
-                labels = mf_labels(p.size)
-                antecedents.append(labels[int(np.argmax(fv.segment(i)))])
-            consequent = out_labels[int(np.argmax(w2))]
-            rules.append(
-                LinguisticRule(
-                    input_variables=in_names,
-                    antecedents=tuple(antecedents),
-                    output_variable=out_name,
-                    consequent=consequent,
-                    w1=w1.copy(),
-                    w2=w2.copy(),
-                )
-            )
-        return rules
+        in_names = tuple(p.variable_name for p in self.input_partitions)
+        return [LinguisticRule(input_variables=in_names,
+                               antecedents=antecedents,
+                               output_variable=self.output_partition.variable_name,
+                               consequent=out_labels[k], w1=a, w2=b)
+                for antecedents, k, a, b in zip(zip(*labels),
+                                                np.argmax(w2, axis=1), w1, w2)]
 
     def insert_rule(self, rule: LinguisticRule) -> int:
         """Add a node from a rule; label-only rules become one-hot centroids."""
@@ -688,12 +725,10 @@ class EfunnModel:
             fields.update(_partition_fields(f"partition.in.{i}", p))
         fields.update(_partition_fields("partition.out", self.output_partition))
         n = fields["nodes"] = self._n
-        for k in range(n):
-            fields.update({f"node.{k}.{key}": getattr(self, array)[k]
-                           for key, array, _ in _NODE_FIELDS})
-        # without w3 storage every link is zero: all rows share one zero row
-        w3 = self.w3 if self._w3 is not None else [np.zeros(n)] * n
-        fields.update({f"w3.{r}": row for r, row in enumerate(w3)})
+        for key, name, _ in _NODE_FIELDS:
+            fields[key] = getattr(self, name)[:n]
+        fields["w3"] = " ".join(f"{prev}:{curr}:{snapshot.format_float(v)}"
+                                for (prev, curr), v in sorted(self.links.items()))
         fields["examples_seen"] = self.examples_seen
         lw = self._last_winner
         fields["last_winner"] = "none" if lw is None else lw
@@ -706,7 +741,7 @@ class EfunnModel:
     @classmethod
     def from_text(cls, text: str):
         """Rebuild (model, extra) from snapshot text."""
-        return cls._from_fields(*snapshot.load(text, "efunn"))
+        return cls._from_fields(*snapshot.load(text, "efunn", _v1_fields))
 
     @classmethod
     def _from_fields(cls, body: dict, extra: dict):
@@ -722,40 +757,28 @@ class EfunnModel:
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")
         model = cls(EfunnConfig(**kwargs), inputs, output)
-
-        def put(name, index, key, parse, shape):
-            value = need(body, key, parse)
-            if np.shape(value) != shape:
-                raise ParseError(f"snapshot key {key!r} holds {np.size(value)} "
-                                 f"values, expected {int(np.prod(shape))}")
+        n = need(body, "nodes", int)
+        if n < 0:
+            raise ParseError(f"snapshot holds {n} nodes")
+        model._reserve(n)
+        for key, name, parse in _NODE_FIELDS:
+            array = getattr(model, name)[:n]
             try:
-                # the new arrays hold +0.0, so only nonzero values are
-                # written: w3 storage is created only for a nonzero link
-                if np.asarray(value, dtype=float).view(np.uint64).any():
-                    getattr(model, name)[index] = value
+                value = np.asarray(need(body, key, parse), dtype=array.dtype)
             except OverflowError:
-                raise ParseError(f"snapshot key {key!r} is out of range: "
-                                 f"{body[key]!r}") from None
-
-        rows = {}  # w3 rows repeat (all zeros at lr3 = 0): parse each once
-
-        def parse_row(text):
-            if text not in rows:
-                rows[text] = snapshot.parse_array(text)
-            return rows[text]
-
-        n_nodes = need(body, "nodes", int)
-        model._reserve(n_nodes)
-        model._n = max(0, n_nodes)
-        for k in range(n_nodes):
-            for key, name, parse in _NODE_FIELDS:
-                put(name, k, f"node.{k}.{key}", parse,
-                    getattr(model, name).shape[1:])
-        for r in range(n_nodes):
-            put("w3", r, f"w3.{r}", parse_row, (n_nodes,))
+                raise ParseError(f"snapshot key {key!r} is out of range") from None
+            if value.size != array.size:
+                raise ParseError(f"snapshot key {key!r} holds {value.size} "
+                                 f"values, expected {array.size}")
+            array[:] = value.reshape(array.shape)
+        model._n = n
+        model._w1sum[:n] = _degree_sum(model._w1[:n].T)
+        model._links = need(body, "w3", lambda text: _parse_links(text, n))
         model.examples_seen = need(body, "examples_seen", int)
-        model._last_winner = need(
+        model._last_winner = lw = need(
             body, "last_winner", lambda v: None if v == "none" else int(v))
+        if lw is not None and not 0 <= lw < n:
+            raise ParseError(f"snapshot last_winner {lw} outside nodes 0..{n - 1}")
         model._last_act = need(body, "last_winner_activation", float)
         return model, extra
 
@@ -764,41 +787,102 @@ class EfunnModel:
 
     @classmethod
     def load(cls, path):
-        return snapshot.read(path, "efunn", cls._from_fields)
+        return snapshot.read(path, "efunn", cls._from_fields, _v1_fields)
+
+
+def _parse_links(text: str, n: int) -> dict:
+    """{prev: {curr: weight}} of ``prev:curr:weight`` triples on n nodes."""
+    links = {}
+    for triple in text.split():
+        try:
+            prev, curr, weight = triple.split(":")
+            prev, curr, weight = int(prev), int(curr), float(weight)
+        except ValueError:
+            raise ParseError(f"bad link {triple!r}") from None
+        if not (0 <= prev < n and 0 <= curr < n):
+            raise ParseError(f"link {prev}:{curr} outside nodes 0..{n - 1}")
+        if curr in links.setdefault(prev, {}):
+            raise ParseError(f"link {prev}:{curr} given twice")
+        links[prev][curr] = weight
+    return links
+
+
+def _v1_fields(body: dict) -> dict:
+    """Format 1 fields as format 2: the five ``node.<k>.<key>`` lines of
+    every node joined into one line per array, and the dense ``w3.<r>``
+    rows as the triples of their nonzero links."""
+    need = snapshot.need
+    n = need(body, "nodes", int)
+    fields = {key: value for key, value in body.items()
+              if not key.startswith(("node.", "w3."))}
+    for key, _, _ in _NODE_FIELDS:
+        texts = [need(body, f"node.{k}.{key[6:]}") for k in range(n)]
+        if len({len(text.split()) for text in texts}) > 1:
+            raise ParseError(f"snapshot nodes differ in {key[6:]} length")
+        fields[key] = " ".join(texts)
+    rows = {}  # the rows of an unused w3 share one text: parse it once
+    triples = []
+    for r in range(n):
+        text = need(body, f"w3.{r}")
+        if text not in rows:
+            rows[text] = need(body, f"w3.{r}", snapshot.parse_array)
+        row = rows[text]
+        if row.size != n:
+            raise ParseError(f"snapshot key 'w3.{r}' holds {row.size} values, "
+                             f"expected {n}")
+        triples += [f"{r}:{c}:{snapshot.format_float(row[c])}"
+                    for c in np.flatnonzero(row)]
+    fields["w3"] = " ".join(triples)
+    return fields
 
 
 def _degree_sum(a: np.ndarray) -> np.ndarray:
     """Sum over axis 0 in the order numpy's pairwise sum adds a contiguous
     row, so ``_degree_sum(a.T)`` equals a C-ordered ``a.sum(axis=1)`` bit
-    for bit, whatever the layout of ``a``.
+    for bit, whatever the layout of ``a``."""
+    acc, buf = np.empty((2, 8) + a.shape[1:])
+    return _pairwise(lambda i, j, out: a[i:j], 0, len(a), acc, buf) + 0.0
+
+
+def _pairwise(term, lo: int, hi: int, acc: np.ndarray, buf: np.ndarray):
+    """Sum of the terms lo..hi-1 in numpy's pairwise order, before the
+    reduction's start value +0.0 is added.
 
     That order: below 8 terms one after another; up to 128 terms eight
     running sums over blocks of 8, combined by a fixed tree, then the
     remainder one at a time; above 128 the two halves (the first a
-    multiple of 8 long) summed apart and added; finally the reduction's
-    start value +0.0 is added. Each step is one pass over whole slices.
+    multiple of 8 long) summed apart and added. Each step is one pass
+    over whole slices.
+
+    ``term(i, j, out)`` gives terms i..j-1 stacked on axis 0, computed
+    into ``out`` or taken from elsewhere; ``acc`` and ``buf`` are scratch
+    for 8 terms each. The sum is returned in ``buf`` (a new array above
+    128 terms).
     """
-    return _pairwise(a) + 0.0
-
-
-def _pairwise(a: np.ndarray) -> np.ndarray:
-    n = len(a)
+    n = hi - lo
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _pairwise(a[:half]) + _pairwise(a[half:])
+        first = _pairwise(term, lo, lo + half, acc, buf).copy()
+        return first + _pairwise(term, lo + half, hi, acc, buf)
+    total = buf[:1]
     if n < 8:
-        total, tail = a[0].copy(), 1
+        np.copyto(total, term(lo, lo + 1, acc))
+        tail = lo + 1
     else:
-        tail = n - n % 8
-        r = a[:8] + a[8:16] if tail > 8 else a[:8].copy()
-        for i in range(16, tail, 8):
-            r += a[i : i + 8]
-        r = r[0::2] + r[1::2]
-        r = r[0::2] + r[1::2]
-        total = r[0] + r[1]
-    for i in range(tail, n):
-        total += a[i]
-    return total
+        tail = hi - n % 8
+        r = acc[:8]
+        if tail - lo > 8:
+            np.add(term(lo, lo + 8, acc), term(lo + 8, lo + 16, buf), r)
+        else:
+            np.copyto(r, term(lo, lo + 8, acc))
+        for i in range(lo + 16, tail, 8):
+            np.add(r, term(i, i + 8, buf), r)
+        np.add(r[0::2], r[1::2], buf[:4])
+        np.add(buf[0:4:2], buf[1:4:2], acc[:2])
+        np.add(acc[:1], acc[1:2], total)
+    for i in range(tail, hi):
+        np.add(total, term(i, i + 1, acc), total)
+    return total[0]
 
 
 def _differences(v: np.ndarray, rows: np.ndarray):

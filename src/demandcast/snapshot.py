@@ -3,24 +3,35 @@
 Snapshots are line-oriented ``key=value`` text with a versioned first
 line, for example::
 
-    demandcast-snapshot v1 kind=mlp
+    demandcast-snapshot v2 kind=mlp
 
 Each model lists its fields in order and hands them to ``dump``; extra
 caller metadata follows as ``extra.<key>=<value>`` lines in insertion
 order. ``load`` checks the header and splits the extras back off.
 Floats are printed with 17 significant digits, which is enough to
 reconstruct an IEEE double exactly, so parse followed by serialize is
-byte-identical. Arrays are space-separated in row-major order.
+byte-identical. Arrays are space-separated in row-major order, integer
+arrays as exact integers.
+
+Format 2 holds a whole array on one line: an EFuNN snapshot writes
+``nodes.w1`` (nodes x input degrees values), ``nodes.w2``,
+``nodes.age``, ``nodes.a1av`` and ``nodes.absorbed``, then one ``w3``
+line of ``prev:curr:weight`` triples, one per nonzero temporal link.
+MLP and ARIMA fields are the same in both formats. Format 1 is read,
+never written: ``load`` and ``read`` hand a format 1 body to the
+caller's ``upgrade``, which rewrites it as format 2 fields (format 1
+EFuNN snapshots held five lines per node and a dense ``w3.<row>`` line
+per node), so each model has a single decoder.
 
 A key may hold neither ``=`` nor a line break and a value no line
 break, since either would read back as something else; ``dump`` and
 ``write`` refuse them.
 
-``write`` streams the lines into a temp file in the same directory and
-then ``os.replace``s the snapshot file, so an interrupted write leaves
-the previous file intact. ``read`` parses a file a line at a time, so
-the file's text is never held whole, and prefixes every error raised
-while decoding with the file's path.
+``write`` streams the text, an array a chunk of values at a time, into
+a temp file in the same directory and then ``os.replace``s the snapshot
+file, so an interrupted write leaves the previous file intact. ``read``
+parses a file a line at a time, so the file's text is never held whole,
+and prefixes every error raised while decoding with the file's path.
 """
 
 import contextlib
@@ -34,7 +45,9 @@ import numpy as np
 from .config import scalar_fields
 from .errors import DataError, DemandcastError, ParseError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# values of an array formatted at a time when writing
+_CHUNK = 16384
 _PREFIX = "demandcast-snapshot"
 _EXTRA = "extra."
 # every character str.splitlines, and so parse_body, splits a line at
@@ -46,16 +59,17 @@ def format_float(x) -> str:
 
 
 def format_array(a) -> str:
-    """Row-major space-separated rendering of an array (may be empty).
+    """Row-major space-separated rendering of an array (may be empty);
+    integer arrays print exactly, floats as ``format_float``.
 
     Each distinct bit pattern is formatted once, so long runs of one
-    value cost a lookup per entry, and an array of one value (a row of an
-    unused ``w3``) is one repeated text.
+    value cost a lookup per entry.
     """
+    a = np.asarray(a)
+    if a.dtype.kind in "iu":
+        return " ".join(map(str, a.ravel().tolist()))
     flat = np.ascontiguousarray(a, dtype=float).ravel()
     bits = flat.view(np.uint64)
-    if bits.size and (bits == bits[0]).all():
-        return " ".join([format_float(flat[0])] * flat.size)
     bits, where = np.unique(bits, return_inverse=True)
     texts = np.array([format_float(v) for v in bits.view(np.float64)],
                      dtype=object)
@@ -63,12 +77,31 @@ def format_array(a) -> str:
 
 
 def parse_array(text: str) -> np.ndarray:
-    if not text.strip():
+    """The floats of space-separated text; accepts what ``float`` accepts.
+
+    numpy parses the text without a token list. It also reads
+    ``nan(chars)``, which ``float`` refuses, and refuses ``1_000`` and
+    non-ASCII digits, which ``float`` reads; those go token by token.
+    """
+    if not text.strip():  # numpy reads blank text as [-1.0]
         return np.empty(0)
+    if "(" not in text:
+        try:
+            return np.fromstring(text, dtype=float, sep=" ")
+        except ValueError:
+            pass
     try:
         return np.array([float(t) for t in text.split()])
     except ValueError as exc:
         raise ParseError(f"bad number in snapshot array: {exc}") from None
+
+
+def parse_ints(text: str) -> list:
+    """The integers of space-separated text, as Python ints."""
+    try:
+        return [int(t) for t in text.split()]
+    except ValueError as exc:
+        raise ParseError(f"bad integer in snapshot array: {exc}") from None
 
 
 def format_value(value) -> str:
@@ -87,11 +120,11 @@ def header_line(kind: str) -> str:
 
 
 def parse_header(line: str) -> str:
-    """Validate the header line and return the snapshot kind."""
+    """Validate the header line (format 1 or 2) and return the kind."""
     parts = line.strip().split()
     if len(parts) != 3 or parts[0] != _PREFIX:
         raise ParseError(f"not a model snapshot: {line.strip()!r}")
-    if parts[1] != f"v{FORMAT_VERSION}":
+    if parts[1] not in ("v1", "v2"):
         raise ParseError(f"unsupported snapshot version {parts[1]!r}")
     if not parts[2].startswith("kind="):
         raise ParseError(f"snapshot header missing kind: {line.strip()!r}")
@@ -101,7 +134,7 @@ def parse_header(line: str) -> str:
 def _body(lines) -> dict:
     """Parse key=value lines (the ones after the header) into an ordered
     dict. Equal values share one string, so the identical rows of an
-    unused ``w3`` are held once."""
+    unused format 1 ``w3`` are held once."""
     out = {}
     values = {}
     for lineno, line in enumerate(lines, start=2):
@@ -156,47 +189,66 @@ def _line(key: str, text: str) -> str:
     return f"{key}={text}"
 
 
-def _lines(kind: str, fields: dict, extra: Optional[dict] = None):
-    """The lines of ``dump``, one at a time."""
-    yield header_line(kind)
+def _pieces(kind: str, fields: dict, extra: Optional[dict] = None):
+    """The text of ``dump`` in pieces; arrays are formatted ``_CHUNK``
+    values at a time, so a long array line is never held whole."""
+    yield header_line(kind) + "\n"
     for key, value in fields.items():
         if isinstance(value, str):
-            yield _line(key, value)
+            yield _line(key, value) + "\n"
+        elif isinstance(value, np.ndarray):
+            flat = value.ravel()
+            yield f"{key}="
+            for start in range(0, flat.size, _CHUNK):
+                if start:
+                    yield " "
+                yield format_array(flat[start : start + _CHUNK])
+            yield "\n"
         else:  # numbers and arrays format to neither '=' nor line breaks
-            yield f"{key}={format_value(value)}"
+            yield f"{key}={format_value(value)}\n"
     for key, value in (extra or {}).items():
-        yield _line(f"{_EXTRA}{key}", str(value))
+        yield _line(f"{_EXTRA}{key}", str(value)) + "\n"
 
 
 def dump(kind: str, fields: dict, extra: Optional[dict] = None) -> str:
     """Header, then the ordered fields (see format_value), then extras."""
-    return "".join(line + "\n" for line in _lines(kind, fields, extra))
+    return "".join(_pieces(kind, fields, extra))
 
 
-def _check_kind(header: str, kind: str) -> None:
+def _check_kind(header: str, kind: str) -> int:
+    """Format version of a header that names ``kind``."""
     got = parse_header(header)
     if got != kind:
         raise ParseError(f"expected an {kind} snapshot, got kind={got!r}")
+    return int(header.split()[1][1:])
 
 
-def _split_extra(fields: dict):
-    extras = [key for key in fields if key.startswith(_EXTRA)]
-    return fields, {key[len(_EXTRA) :]: fields.pop(key) for key in extras}
+def _decoded(version: int, body: dict, upgrade):
+    """(fields, extra) of a body, a format 1 one passed through upgrade."""
+    extras = [key for key in body if key.startswith(_EXTRA)]
+    extra = {key[len(_EXTRA) :]: body.pop(key) for key in extras}
+    if version < FORMAT_VERSION and upgrade is not None:
+        body = upgrade(body)
+    return body, extra
 
 
-def load(text: str, kind: str):
-    """Check the header names ``kind``; return (fields, extra) raw dicts."""
-    _check_kind(text.partition("\n")[0], kind)
-    return _split_extra(parse_body(text))
+def load(text: str, kind: str, upgrade=None):
+    """Check the header names ``kind``; return (fields, extra) raw dicts.
+
+    ``upgrade(fields)`` turns the fields of a format 1 snapshot into
+    format 2 fields; kinds whose fields did not change pass none.
+    """
+    version = _check_kind(text.partition("\n")[0], kind)
+    return _decoded(version, parse_body(text), upgrade)
 
 
 def write(path, kind: str, fields: dict, extra: Optional[dict] = None) -> None:
-    """Replace ``path`` with ``dump(kind, fields, extra)``, streamed line
-    by line; a failed write leaves the old file untouched."""
+    """Replace ``path`` with ``dump(kind, fields, extra)``, streamed in
+    pieces; a failed write leaves the old file untouched."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in _lines(kind, fields, extra))
+            fh.writelines(_pieces(kind, fields, extra))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -233,9 +285,9 @@ def read_kind(path) -> str:
         return parse_header(fh.readline())
 
 
-def read(path, kind: str, decode):
+def read(path, kind: str, decode, upgrade=None):
     """``decode(fields, extra)`` of the ``kind`` snapshot file at ``path``
     (see ``load``), parsed a line at a time."""
     with _open(path) as fh:
-        _check_kind(fh.readline(), kind)
-        return decode(*_split_extra(_body(_file_lines(fh))))
+        version = _check_kind(fh.readline(), kind)
+        return decode(*_decoded(version, _body(_file_lines(fh)), upgrade))

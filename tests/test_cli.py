@@ -36,7 +36,7 @@ def test_train_and_forecast_efunn(data_csv, tmp_path, capsys):
     snap = tmp_path / "efunn.snap"
     assert main(["train", "--model", "efunn", "--data", str(data_csv),
                  "--out", str(snap)]) == 0
-    assert snap.read_text().startswith("demandcast-snapshot v1 kind=efunn")
+    assert snap.read_text().startswith("demandcast-snapshot v2 kind=efunn")
     out = capsys.readouterr().out
     assert "1 pass" in out
 
@@ -52,7 +52,7 @@ def test_train_and_forecast_mlp(data_csv, tmp_path):
     snap = tmp_path / "mlp.snap"
     assert main(["train", "--model", "mlp-scg", "--data", str(data_csv),
                  "--out", str(snap), "--epochs", "3", "--seed", "1"]) == 0
-    assert snap.read_text().startswith("demandcast-snapshot v1 kind=mlp")
+    assert snap.read_text().startswith("demandcast-snapshot v2 kind=mlp")
     fc = tmp_path / "fc.csv"
     assert main(["forecast", "--snapshot", str(snap), "--data", str(data_csv),
                  "--out", str(fc)]) == 0
@@ -63,7 +63,7 @@ def test_train_and_forecast_arima(data_csv, tmp_path):
     snap = tmp_path / "arima.snap"
     assert main(["train", "--model", "arima", "--data", str(data_csv),
                  "--out", str(snap)]) == 0
-    assert snap.read_text().startswith("demandcast-snapshot v1 kind=arima")
+    assert snap.read_text().startswith("demandcast-snapshot v2 kind=arima")
     fc = tmp_path / "fc.csv"
     assert main(["forecast", "--snapshot", str(snap), "--data", str(data_csv),
                  "--out", str(fc)]) == 0
@@ -210,8 +210,8 @@ def bad_inputs(data_csv, tmp_path_factory):
     model.learn_one(np.full(6, 0.5), 0.5)
     text = model.to_text()
     write("efunn.snap", text.replace("\nnodes=1\n", "\nnodes=many\n"))
-    array_snap = write("array.snap", re.sub(r"\nnode\.0\.w1=[^\n]*",
-                                            "\nnode.0.w1=banana", text))
+    array_snap = write("array.snap", re.sub(r"\nnodes\.w1=[^\n]*",
+                                            "\nnodes.w1=banana", text))
     binary = str(d / "binary.snap")  # shaped like the head of an executable
     (d / "binary.snap").write_bytes(b"\x7fELF\x02\x01\x01"
                                     + bytes(range(256)) * 8)
@@ -255,7 +255,7 @@ def bad_inputs(data_csv, tmp_path_factory):
             f"{efunn_snap}: bad value for snapshot key 'nodes': 'many'"),
         "corrupt efunn array": (
             ["rules", "--snapshot", array_snap],
-            f"{array_snap}: snapshot key 'node.0.w1': bad number in snapshot "
+            f"{array_snap}: snapshot key 'nodes.w1': bad number in snapshot "
             "array"),
         "binary snapshot": (["rules", "--snapshot", binary],
                             f"{binary}: not a snapshot, the file is not UTF-8"),

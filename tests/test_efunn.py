@@ -11,7 +11,8 @@ from demandcast.efunn import (AggregationConfig, EfunnConfig, EfunnModel,
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                DisabledError, EmptyModelError, ParseError,
                                ShapeError)
-from demandcast.fuzzy import build_partition, fuzzify, fuzzy_difference, satlin
+from demandcast.fuzzy import (FuzzyVector, build_partition, fuzzify,
+                              fuzzy_difference, mf_labels, radbas, satlin)
 
 
 def make_model(n_inputs=1, mfs=3, **cfg_kwargs):
@@ -92,7 +93,7 @@ def test_temporal_link_update_oracle():
     m = make_model(lr3=0.5)
     m.learn_one(np.array([0.1]), 0.2)
     m.learn_one(np.array([0.9]), 0.8)
-    assert m.w3[0, 1] == pytest.approx(0.5)
+    assert m.links == {(0, 1): pytest.approx(0.5)}
     assert m.last_winner == 1
 
 
@@ -100,7 +101,7 @@ def test_temporal_links_stay_zero_at_default_rate():
     m = make_model()  # lr3 = 0
     for x in (0.1, 0.5, 0.9):
         m.learn_one(np.array([x]), x)
-    assert np.all(m.w3 == 0.0)
+    assert m.links == {}
 
 
 def test_update_temporal_rejects_stale_indices():
@@ -176,10 +177,10 @@ def test_w3_buffer_grows_past_initial_capacity():
     for x in xs:
         m.learn_one(np.array([x]), float(x))
     assert m.n_nodes == 9
-    assert m.w3.shape == (9, 9)
     # consecutive creations chain temporal links along the diagonal
+    assert sorted(m.links) == [(k, k + 1) for k in range(8)]
     for k in range(8):
-        assert m.w3[k, k + 1] == pytest.approx(0.5)
+        assert m.links[(k, k + 1)] == pytest.approx(0.5)
 
 
 def test_learn_one_validates_shape_and_range():
@@ -260,11 +261,11 @@ def test_aggregate_sums_temporal_links_of_merged_nodes():
     m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
     m.create_rule_node(np.array([0.3, 0.7]), np.array([0.5, 0.5]))
     m.create_rule_node(np.array([0.9, 0.1]), np.array([0.1, 0.9]))
-    w3 = m.w3
-    w3[0, 2], w3[1, 2] = 0.25, 0.5
+    m.update_temporal(0, 2, 0.25)  # lr3 = 1: links of 0.25 and 0.5
+    m.update_temporal(1, 2, 0.5)
     merged = m.aggregate()
     assert merged == 1 and m.n_nodes == 2
-    assert m.w3[0, 1] == pytest.approx(0.75)
+    assert m.links[(0, 1)] == pytest.approx(0.75)
 
 
 def test_aggregate_never_increases_node_count():
@@ -368,10 +369,11 @@ def test_snapshot_save_load_file(tmp_path):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("node.0.w1", "0.5", "'node.0.w1' holds 1 values, expected 3"),
-    ("node.0.age", "9" * 20, "'node.0.age' is out of range"),
-    ("node.0.absorbed", "9" * 400, "'node.0.absorbed' is out of range"),
-    ("w3.0", "0 0", "'w3.0' holds 2 values, expected 1"),
+    ("nodes.w1", "0.5", "'nodes.w1' holds 1 values, expected 3"),
+    ("nodes.age", "9" * 20, "'nodes.age' is out of range"),
+    ("nodes.absorbed", "9" * 400, "'nodes.absorbed' is out of range"),
+    # w3 row 0 of a one-node model with a second entry
+    ("w3", "0:0:1 0:1:1", "link 0:1 outside nodes 0..0"),
 ], ids=["short w1", "age past int64", "absorbed past float", "long w3 row"])
 def test_snapshot_rejects_node_fields_that_do_not_fit(key, value, message):
     m = make_model()
@@ -439,7 +441,7 @@ def test_predict_batch_equals_predict_bit_for_bit(model_and_xs):
 
 
 def test_predict_batch_spans_several_chunks():
-    # 1500 nodes of 24 degrees: a 2 MB budget scores 7 rows per chunk
+    # 1500 nodes: a 2 MB budget of distance scratch scores 10 rows a chunk
     rng = np.random.default_rng(5)
     m = make_model(n_inputs=6, mfs=4, sthr=0.5)
     for _ in range(1500):
@@ -463,12 +465,20 @@ def test_node_views_write_through_to_the_arrays():
     assert m.nodes[0].examples_absorbed == 7
 
 
+def _dense_w3(m):
+    """The temporal links as the dense nodes x nodes square."""
+    w3 = np.zeros((m.n_nodes, m.n_nodes))
+    for (prev, curr), weight in m.links.items():
+        w3[prev, curr] = weight
+    return w3
+
+
 def _old_aggregate(m, cfg):
-    """The pair loop aggregate used to run, on plain lists and a w3 copy."""
+    """The pair loop aggregate used to run, on plain lists and a dense w3."""
     nodes = [dict(w1=n.w1.copy(), w2=n.w2.copy(), age=int(n.age),
                   a1av=float(n.a1av), absorbed=int(n.examples_absorbed))
              for n in m.nodes]
-    w3 = m.w3.copy()
+    w3 = _dense_w3(m)
     last = m.last_winner
     i = 0
     while i < len(nodes):
@@ -503,12 +513,27 @@ def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
     before = m.n_nodes
     assert m.aggregate() == before - len(nodes)
     assert m.last_winner == last
-    assert np.array_equal(m.w3, w3)
+    assert np.array_equal(_dense_w3(m), w3)
     for view, node in zip(m.nodes, nodes, strict=True):
         assert view.w1.tolist() == node["w1"].tolist()
         assert view.w2.tolist() == node["w2"].tolist()
         assert (view.age, view.a1av, view.examples_absorbed) == (
             node["age"], node["a1av"], node["absorbed"])
+
+
+def test_aggregate_adds_links_in_the_dense_order():
+    # w3[i, :] += w3[j, :] before w3[:, i] += w3[:, j]: the other order
+    # gives w3[0, 0] = (1 + 0) + (e + e), one ulp above 1
+    m = make_model(mfs=2, lr3=1.0,
+                   aggregation=AggregationConfig(thr1=0.5, thr2=0.5))
+    m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
+    m.create_rule_node(np.array([0.3, 0.7]), np.array([0.5, 0.5]))
+    e = 2.0 ** -53
+    for prev, curr, weight in ((0, 0, 1.0), (1, 0, e), (1, 1, e)):
+        m.update_temporal(prev, curr, weight)
+    _, w3, _ = _old_aggregate(m, m.config.aggregation)
+    assert m.aggregate() == 1
+    assert m.links == {(0, 0): 1.0} and np.array_equal(_dense_w3(m), w3)
 
 
 def test_aggregate_skips_nodes_already_merged():
@@ -525,24 +550,26 @@ def test_aggregate_skips_nodes_already_merged():
 
 
 def test_prune_moves_kept_rows_and_links_across_chunks():
-    # at 1000 nodes w3 rows move 256 at a time
+    # at 1000 nodes pruning scores 16 candidates per distance chunk
     rng = np.random.default_rng(12)
-    m = make_model(n_inputs=6, mfs=4,
+    m = make_model(n_inputs=6, mfs=4, lr3=1.0,
                    pruning=PruningConfig(old_age=0, low_activation=0.5,
                                          density_radius=0.25))
     for _ in range(1000):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
     for k, node in enumerate(m.nodes):  # the id rides in examples_absorbed
         node.age, node.a1av, node.examples_absorbed = k % 2, 0.1, k
-    m.w3[:] = rng.uniform(size=(1000, 1000))
-    w1, w3 = m.w1.copy(), m.w3.copy()
+    for prev, curr in rng.integers(0, 1000, size=(20000, 2)):
+        m.update_temporal(int(prev), int(curr), rng.uniform())
+    w1, w3 = m.w1.copy(), _dense_w3(m)
     assert m.prune() > 300
     ids = np.array([node.examples_absorbed for node in m.nodes])
     assert np.all(np.diff(ids) > 0)
     assert np.array_equal(m.w1, w1[ids])
-    assert np.array_equal(m.w3, w3[np.ix_(ids, ids)])
+    assert np.array_equal(_dense_w3(m), w3[np.ix_(ids, ids)])
     m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
-    assert not m.w3[-1].any() and not m.w3[:, -1].any()  # no stale links
+    w3 = _dense_w3(m)
+    assert not w3[-1].any() and not w3[:, -1].any()  # no stale links
 
 
 def test_prune_and_aggregate_stay_bounded_at_4000_nodes():
@@ -652,8 +679,124 @@ def test_w3_storage_appears_only_when_used():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     text = m.to_text()
-    assert "\nw3.1999=0 0 0 " in text
+    assert "\nw3=\n" in text  # no links, and no line per node
     m2, _ = EfunnModel.from_text(text)
     assert m2.to_text() == text
-    assert m2.w3.shape == (2000, 2000) and not m2.w3.any()
-    assert m2.to_text() == text  # storage now exists, still all zero
+    assert m2.links == {}
+
+
+# -- sparse temporal links, stored degree sums, the fused kernel -----------
+
+@pytest.mark.parametrize("nodes", [1, 100, 800, 3600])
+def test_distances_equal_the_row_major_formula_at_thousands_of_nodes(nodes):
+    rng = np.random.default_rng(nodes)
+    m = make_model(n_inputs=6, mfs=4)
+    for _ in range(nodes):
+        m.create_rule_node(rng.uniform(size=24) * (rng.uniform(size=24) > 0.2),
+                           rng.uniform(size=4))
+    for rows in (1, 2, 7, 16):
+        ex = rng.uniform(size=(rows, 24))
+        want = _bits(_old_distances(m.w1, ex))
+        assert np.array_equal(_bits(m._distances(ex)), want)
+    # one row in the model's own scratch, as learning scores it
+    assert np.array_equal(_bits(m._distances(ex[:1], m._scratch)), want[:1])
+
+
+def _assert_sums_fresh(m):
+    assert np.array_equal(_bits(m._w1sum[: m.n_nodes]),
+                          _bits(_degree_sum(m.w1.T)))
+
+
+@_PROPERTY
+@given(trained_models(), st.lists(st.sampled_from(
+    ("learn", "prune", "aggregate", "reload", "write")), max_size=8),
+    st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+def test_stored_degree_sums_stay_fresh(model_and_xs, ops, thr, seed):
+    m, xs = model_and_xs
+    m.config.pruning = PruningConfig(old_age=0, low_activation=0.9,
+                                     density_radius=max(thr, 0.01))
+    m.config.aggregation = AggregationConfig(thr1=thr, thr2=thr)
+    rng = np.random.default_rng(seed)
+    _assert_sums_fresh(m)
+    for op in ops:
+        if op == "learn":
+            for x in xs:
+                m.learn_one(x, float(rng.uniform()))
+        elif op == "prune":
+            m.prune()
+        elif op == "aggregate":
+            m.aggregate()
+        elif op == "reload":
+            m, _ = EfunnModel.from_text(m.to_text())
+        elif m.n_nodes:  # write a centroid through a node view
+            m.nodes[int(rng.integers(m.n_nodes))].w1 = rng.uniform(
+                size=m.input_width)
+        _assert_sums_fresh(m)
+
+
+def test_w1_is_read_only_outside_the_node_views():
+    m = make_model(mfs=2)
+    m.learn_one(np.array([0.2]), 0.2)
+    with pytest.raises(ValueError):
+        m.w1[0, 0] = 0.5
+    node = m.nodes[0]
+    node.w1[0] = 0.5  # a copy: the model is unchanged
+    assert m.w1[0, 0] != 0.5
+    node.w1 = [0.5, 0.25]
+    assert m.w1[0].tolist() == [0.5, 0.25]
+    assert m._w1sum[0] == 0.75
+
+
+@_PROPERTY
+@given(trained_models())
+def test_temporal_activation_equals_the_dense_formula(model_and_xs):
+    m, xs = model_and_xs
+    cfg = m.config
+    w3 = _dense_w3(m)
+    for x in xs:
+        ex = m.fuzzify_input(x)
+        dist = _old_distances(m.w1, ex[None, :])[0]
+        temporal = (cfg.tc * w3[m.last_winner]
+                    if cfg.tc != 0.0 and m.last_winner is not None else 0.0)
+        want = (satlin(1.0 - cfg.ss * dist + temporal)
+                if cfg.activation == "satlin"
+                else radbas(cfg.ss * dist - temporal))
+        assert np.array_equal(_bits(m.rule_activation(ex)), _bits(want))
+
+
+def test_links_at_4000_nodes_need_no_square():
+    # a dense 4000 x 4000 w3 alone would take 128 MB
+    rng = np.random.default_rng(6)
+    m = make_model(n_inputs=6, mfs=4, lr3=0.5, tc=0.1, max_nodes=4000)
+    tracemalloc.start()
+    try:
+        while m.n_nodes < 4000:
+            m.learn_one(rng.uniform(size=6), float(rng.uniform()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert len(m.links) > 3000  # about one link per learning step
+
+
+def _old_rules(m):
+    """(antecedents, consequent) per node, read one node at a time."""
+    segments = tuple(p.size for p in m.input_partitions)
+    out = []
+    for w1, w2 in zip(m.w1, m.w2):
+        fv = FuzzyVector(w1, segments)
+        out.append((tuple(mf_labels(p.size)[int(np.argmax(fv.segment(i)))]
+                          for i, p in enumerate(m.input_partitions)),
+                    mf_labels(m.output_partition.size)[int(np.argmax(w2))]))
+    return out
+
+
+@_PROPERTY
+@given(trained_models())
+def test_extract_rules_labels_each_node_by_its_argmax(model_and_xs):
+    m, _ = model_and_xs
+    rules = m.extract_rules()
+    assert [(r.antecedents, r.consequent) for r in rules] == _old_rules(m)
+    for rule, w1, w2 in zip(rules, m.w1, m.w2, strict=True):
+        assert rule.w1.tolist() == w1.tolist()
+        assert rule.w2.tolist() == w2.tolist()

@@ -34,9 +34,36 @@ def test_parse_array_rejects_junk():
         snapshot.parse_array("1.0 banana 2.0")
 
 
+_TOKENS = st.one_of(
+    st.text("0123456789.eE+-naifNAIFty()x_", min_size=1, max_size=8),
+    st.floats().map(snapshot.format_float), st.floats().map(repr),
+)
+
+
+@given(st.lists(_TOKENS, max_size=6), st.sampled_from([" ", "  ", "\t"]))
+@example(["nan(abc)"], " ")
+@example(["1_000", "2"], " ")
+@example(["0x10"], " ")
+@example([], "  ")
+@example(["5e-324", "-inf", "nan", "1e-400", "1e500"], " ")
+def test_parse_array_accepts_what_float_accepts(tokens, sep):
+    text = sep + sep.join(tokens) + sep
+    try:
+        want = np.array([float(t) for t in text.split()])
+    except ValueError:
+        with pytest.raises(ParseError):
+            snapshot.parse_array(text)
+        return
+    got = snapshot.parse_array(text)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got[~np.isnan(got)]),
+                          np.signbit(want[~np.isnan(want)]))
+
+
 def test_header_line_round_trip():
     line = snapshot.header_line("efunn")
-    assert line == "demandcast-snapshot v1 kind=efunn"
+    assert line == "demandcast-snapshot v2 kind=efunn"
     assert snapshot.parse_header(line) == "efunn"
 
 
@@ -261,11 +288,11 @@ def test_parse_body_holds_equal_values_once():
     assert body["w3.0"] is body["w3.1"]
 
 
-def _small_efunn():
+def _small_efunn(examples=4):
     model = EfunnModel(EfunnConfig(lr3=0.2, tc=0.1),
                        [build_partition(0.0, 1.0, 3, "gaussian", "x0")],
                        build_partition(0.0, 1.0, 3, "gaussian", "y"))
-    for x, y in ((0.1, 0.2), (0.9, 0.7), (0.5, 0.5), (0.12, 0.21)):
+    for x, y in ((0.1, 0.2), (0.9, 0.7), (0.5, 0.5), (0.12, 0.21))[:examples]:
         model.learn_one(np.array([x]), y)
     return model
 
@@ -290,11 +317,7 @@ def test_load_reads_a_file_as_from_text_reads_its_text(kind, newline,
     assert to_text(back, extra) == text
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
-                    reason="reads the peak resident set from /proc")
-def test_load_does_not_hold_the_file_text(tmp_path):
-    # a 3000-node EFuNN snapshot is mostly the text of its all-zero w3
-    # (about 18 MB); loading it must not hold that text, whole or as lines
+def _big_efunn():
     rng = np.random.default_rng(0)
     model = EfunnModel(EfunnConfig(), [build_partition(0.0, 1.0, 4, "gaussian",
                                                        f"x{i}")
@@ -302,8 +325,11 @@ def test_load_does_not_hold_the_file_text(tmp_path):
                        build_partition(0.0, 1.0, 4, "gaussian", "y"))
     for _ in range(3000):
         model.create_rule_node(rng.random(24), rng.random(4))
-    path = tmp_path / "big.snap"
-    model.save(path)
+    return model
+
+
+def _load_growth(path):
+    """Growth of the peak resident set of a process loading ``path``."""
     src = Path(snapshot.__file__).parents[1]
     # VmHWM, this process's own peak: ru_maxrss would start at the
     # peak of the process that spawned it
@@ -320,5 +346,174 @@ def test_load_does_not_hold_the_file_text(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe, str(path)],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
-    grown = int(proc.stdout)
-    assert grown < path.stat().st_size / 2
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads the peak resident set from /proc")
+def test_load_does_not_hold_the_file_text(tmp_path):
+    # a 3000-node format 1 EFuNN snapshot is mostly the text of its
+    # all-zero w3 (about 18 MB); loading it must not hold that text,
+    # whole or as lines
+    path = tmp_path / "big.snap"
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n"
+                      for line in _format_1_lines(_big_efunn().to_text()))
+    assert _load_growth(path) < path.stat().st_size / 2
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
+                    reason="reads the peak resident set from /proc")
+def test_format_2_load_holds_about_the_file_text_once(tmp_path):
+    # format 2 writes an array on one line (nodes.w1 is 85 % of this
+    # file): the body, that line's passing copies and the model's own
+    # arrays stay within three times the file
+    path = tmp_path / "big.snap"
+    _big_efunn().save(path)
+    assert _load_growth(path) < 3 * path.stat().st_size
+
+
+# -- format 1 snapshots still load ----------------------------------------
+
+_DATA = Path(__file__).parent / "data"
+_NODE_KEYS = ("age", "a1av", "absorbed", "w1", "w2")
+
+
+def _format_1_lines(text):
+    """The lines format 1 wrote for the model of a format 2 EFuNN
+    snapshot: five lines per node and a dense w3 row per node."""
+    header, *lines = text.splitlines()
+    body = snapshot.parse_body(text)
+    n = int(body["nodes"])
+    values = {key: body[f"nodes.{key}"].split() for key in _NODE_KEYS}
+    links = {}
+    for triple in body["w3"].split():
+        prev, curr, weight = triple.split(":")
+        links.setdefault(int(prev), []).append((int(curr), weight))
+    yield header.replace(" v2 ", " v1 ")
+    for line in lines:
+        key = line.partition("=")[0]
+        if key.startswith("nodes.") or key == "w3":
+            continue
+        yield line
+        if key != "nodes":
+            continue
+        for k in range(n):
+            for key in _NODE_KEYS:
+                width = len(values[key]) // n
+                yield (f"node.{k}.{key}="
+                       + " ".join(values[key][k * width : (k + 1) * width]))
+        for r in range(n):
+            row = ["0"] * n
+            for curr, weight in links.get(r, ()):
+                row[curr] = weight
+            yield f"w3.{r}=" + " ".join(row)
+
+
+def _format_1(text):
+    return "".join(line + "\n" for line in _format_1_lines(text))
+
+
+def _fixture_stream():
+    """The examples efunn_v1.snap learned, in order: a 30-step pattern
+    three times over. Triangular partitions keep every step exact
+    arithmetic, with no exp whose last bit could vary by platform."""
+    inputs = [build_partition(0.0, 1.0, 3, "triangular", "x0"),
+              build_partition(0.0, 1.0, 4, "triangular", "x1")]
+    output = build_partition(0.0, 1.0, 3, "triangular", "y")
+    model = EfunnModel(EfunnConfig(sthr=0.9, errthr=0.1, lr3=0.3, tc=0.2,
+                                   aggregation=AggregationConfig(thr1=0.05,
+                                                                 thr2=0.05)),
+                       inputs, output)
+    for k in range(90):
+        p = k % 30
+        model.learn_one(np.array([(7 * p % 16) / 15, (p % 11) / 10]),
+                        (5 * p % 13) / 12)
+    return model
+
+
+def test_format_1_efunn_fixture_loads_to_the_same_model(tmp_path):
+    # written by format 1 code from _fixture_stream: 30 nodes, 30 links
+    # of weight 0.6 or 0.9 (each transition seen two or three times)
+    path = _DATA / "efunn_v1.snap"
+    text = path.read_text()
+    model, extra = EfunnModel.load(path)
+    body = snapshot.parse_body(text)
+    n = int(body["nodes"])
+    assert model.n_nodes == n == 30
+    for k, node in enumerate(model.nodes):
+        assert node.w1.tolist() == [float(v) for v in
+                                    body[f"node.{k}.w1"].split()]
+        assert node.w2.tolist() == [float(v) for v in
+                                    body[f"node.{k}.w2"].split()]
+        assert (node.age, node.a1av, node.examples_absorbed) == (
+            int(body[f"node.{k}.age"]), float(body[f"node.{k}.a1av"]),
+            int(body[f"node.{k}.absorbed"]))
+    links = {(r, c): float(v) for r in range(n)
+             for c, v in enumerate(body[f"w3.{r}"].split()) if float(v)}
+    assert len(links) == 30 and model.links == links
+    # today's learning of the same stream gives the same model
+    assert _fixture_stream().to_text() == model.to_text()
+    # the format 1 code's predictions, through the last winner's links
+    grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
+    assert model.predict_batch(grid).tolist() == snapshot.parse_array(
+        extra["predict.values"]).tolist()
+    # rewritten as format 2, and format 1 is what that format wrote
+    model.save(tmp_path / "v2.snap", extra)
+    v2 = (tmp_path / "v2.snap").read_text()
+    assert v2.startswith("demandcast-snapshot v2 kind=efunn\n")
+    assert len(v2) < len(text)
+    assert EfunnModel.from_text(v2)[0].to_text(extra) == v2
+    assert _format_1(v2) == text
+
+
+@pytest.mark.parametrize("kind", ["mlp", "arima"])
+def test_format_1_mlp_and_arima_fixtures_load(kind):
+    # their fields did not change: only the header line is rewritten
+    module = mlp if kind == "mlp" else arima
+    path = _DATA / f"{kind}_v1.snap"
+    text = path.read_text()
+    back, extra = module.load(path)
+    want = text.replace(" v1 ", " v2 ", 1)
+    assert module.to_text(back, extra) == want
+    assert module.to_text(*module.from_text(text)) == want
+
+
+@_ROUND_TRIP
+@given(efunn_models(), _EXTRAS)
+def test_efunn_format_1_text_loads_as_its_format_2_text(model, extra):
+    text = model.to_text(extra)
+    back, extra_back = EfunnModel.from_text(_format_1(text))
+    assert back.to_text(extra_back) == text
+    assert back.links == model.links
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("node.1.w1", "0.5 0.5", "nodes differ in w1 length"),
+    ("w3.1", "0", "'w3.1' holds 1 values, expected 2"),
+    ("w3.0", "0 zero", "'w3.0': bad number"),
+])
+def test_format_1_fields_that_do_not_fit_are_refused(key, value, message):
+    text = _format_1(_small_efunn(2).to_text())
+    lines = [f"{key}={value}" if line.startswith(key + "=") else line
+             for line in text.splitlines()]
+    with pytest.raises(ParseError, match=message):
+        EfunnModel.from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0:1", "bad link '0:1'"), ("0:1:x", "bad link '0:1:x'"),
+    ("0:1:1 0:1:2", "link 0:1 given twice"),
+    ("-1:0:1", "link -1:0 outside nodes 0..1"),
+])
+def test_bad_links_are_refused(value, message):
+    text = _small_efunn(2).to_text()
+    with pytest.raises(ParseError, match=message):
+        EfunnModel.from_text(re.sub(r"\nw3=[^\n]*", f"\nw3={value}", text))
+
+
+def test_only_nonzero_links_are_written():
+    model = _small_efunn(2)
+    model.update_temporal(1, 0, 0.0)  # an activation of 0 adds nothing
+    assert (1, 0) not in model.links
+    assert "\nw3=0:1:" in model.to_text()
