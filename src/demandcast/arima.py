@@ -140,7 +140,9 @@ def undifference(forecasts, anchors, lag: int) -> np.ndarray:
     """Invert one differencing stage, continuing past the anchor values.
 
     anchors must hold the last ``lag`` values of the original (stage
-    input) series; difference(undifference(f), lag) == f exactly.
+    input) series; difference(undifference(f), lag) == f up to rounding,
+    exactly when every sum is exact (values on a common binary grid,
+    such as demand in whole MWh).
     """
     f = np.asarray(forecasts, dtype=float)
     a = np.asarray(anchors, dtype=float)
@@ -173,29 +175,6 @@ def acf(series, max_lag: int) -> np.ndarray:
     out[0] = 1.0
     for k in range(1, max_lag + 1):
         out[k] = float(yc[k:] @ yc[:-k]) / denom
-    return out
-
-
-def pacf(series, max_lag: int) -> np.ndarray:
-    """Partial autocorrelation via the Durbin-Levinson recursion."""
-    r = acf(series, max_lag)
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    phi_prev: list = []
-    for k in range(1, max_lag + 1):
-        if k == 1:
-            phi_kk = r[1]
-            phi_prev = [phi_kk]
-        else:
-            num = r[k] - sum(phi_prev[j] * r[k - 1 - j] for j in range(k - 1))
-            den = 1.0 - sum(phi_prev[j] * r[j + 1] for j in range(k - 1))
-            phi_kk = num / den if abs(den) > 1e-12 else 0.0
-            phi_new = [
-                phi_prev[j] - phi_kk * phi_prev[k - 2 - j] for j in range(k - 1)
-            ]
-            phi_new.append(phi_kk)
-            phi_prev = phi_new
-        out[k] = phi_kk
     return out
 
 
@@ -485,10 +464,6 @@ def load(path):
 
 def diagnostics(fit_: ArimaFit) -> DiagnosticsReport:
     """Residual whiteness check: ACF band and the Ljung-Box statistic."""
-    # imported on first use: scipy.stats takes most of a second and about
-    # 70 MB to import, and nothing else in the package needs it
-    from scipy import stats
-
     e = fit_.residuals
     n = e.size
     if n < 50:
@@ -505,8 +480,29 @@ def diagnostics(fit_: ArimaFit) -> DiagnosticsReport:
         residual_acf=r,
         ljung_box=float(lb),
         dof=dof,
-        p_value=float(stats.chi2.sf(lb, dof)),
+        p_value=_chi2_sf(lb, dof),
         residual_mean=float(e.mean()),
         residual_variance=float(np.var(e)),
         max_lag=m,
     )
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of the chi-square distribution with integer dof.
+
+    Abramowitz & Stegun 26.4.4-26.4.5 with h = x / 2: the sum of
+    exp(-h) h^j / j! over j = 0, 1, ..., dof/2 - 1 for even dof, and
+    erfc(sqrt(h)) plus that sum over j = 1/2, 3/2, ..., dof/2 - 1 for odd
+    dof. Each term is formed in log space, so a large statistic
+    underflows to 0 instead of giving 0 * inf.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    total = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    j = (dof % 2) / 2.0
+    while j < dof / 2.0:
+        total += math.exp(j * log_h - h - math.lgamma(j + 1.0))
+        j += 1.0
+    return total

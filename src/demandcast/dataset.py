@@ -21,9 +21,8 @@ temperatures to whole degrees, as a metered feed would be.
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -265,10 +264,6 @@ class SynthConfig:
     spread_noise: float = 1.0
     demand_quantum: float = 1.0
     temp_quantum: float = 1.0
-
-    def to_file(self, path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
-        Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":

@@ -58,7 +58,6 @@ from .errors import (
 )
 from .fuzzy import (
     MembershipPartition,
-    as_degrees,
     defuzzify,
     fuzzify,
     fuzzify_rows,
@@ -71,23 +70,6 @@ from .fuzzy import (
 
 M_MODES = ("winner_take_all", "all_above_threshold")
 ACTIVATIONS = ("satlin", "radbas")
-
-
-@dataclass
-class PruningConfig:
-    """Crisp thresholds for the OLD / LOW / dense-neighborhood pruning rule."""
-
-    old_age: int = 1000
-    low_activation: float = 0.05
-    density_radius: float = 0.1
-
-    def __post_init__(self):
-        if self.old_age < 0:
-            raise ConfigError("pruning old_age must be >= 0")
-        if not 0.0 <= self.low_activation <= 1.0:
-            raise ConfigError("pruning low_activation must be in [0, 1]")
-        if self.density_radius <= 0.0:
-            raise ConfigError("pruning density_radius must be positive")
 
 
 @dataclass
@@ -110,8 +92,8 @@ class EfunnConfig:
     absorb an example), errthr the maximum fuzzy output error before a
     new node is created, lr1/lr2/lr3 the learning rates of the input
     centroids, output centroids, and temporal links. ss and tc weight
-    the spatial and temporal terms of the activation. Pruning and
-    aggregation stay off unless their config blocks are supplied.
+    the spatial and temporal terms of the activation. Aggregation stays
+    off unless its config block is supplied.
     """
 
     sthr: float = 0.99
@@ -124,7 +106,6 @@ class EfunnConfig:
     max_nodes: int = 100000
     m_mode: str = "all_above_threshold"
     activation: str = "satlin"
-    pruning: Optional[PruningConfig] = None
     aggregation: Optional[AggregationConfig] = None
 
     def __post_init__(self):
@@ -143,7 +124,7 @@ class EfunnConfig:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
 
-# distance scratch of batched scoring and pruning stays within this
+# distance scratch of batched scoring stays within this
 _BATCH_BYTES = 2 * 1024 * 1024
 # scratch values per (input row, node) pair: two blocks of 8 degrees
 _SCRATCH = 16
@@ -223,8 +204,8 @@ def update_node(node: RuleNode, ex, te, a1, lr1: float, lr2: float) -> RuleNode:
     scaled by both lr2 and the node's activation (a column of
     activations when the view covers several rows).
     """
-    ex = as_degrees(ex)
-    te = as_degrees(te)
+    ex = np.asarray(ex, dtype=float)
+    te = np.asarray(te, dtype=float)
     node.w1 += lr1 * (ex - node.w1)
     node.w2 += lr2 * (te - satlin(node.w2)) * a1
     node.examples_absorbed += 1
@@ -321,7 +302,7 @@ class EfunnModel:
 
     def fuzzify_input(self, x) -> np.ndarray:
         """Concatenated membership degrees of a crisp input vector."""
-        return fuzzify_vector(x, self.input_partitions).degrees
+        return fuzzify_vector(x, self.input_partitions)
 
     # -- structural operations -------------------------------------------
 
@@ -352,8 +333,8 @@ class EfunnModel:
 
     def create_rule_node(self, ex, te) -> int:
         """Append a node memorizing (ex, te) exactly."""
-        ex = as_degrees(ex)
-        te = as_degrees(te)
+        ex = np.asarray(ex, dtype=float)
+        te = np.asarray(te, dtype=float)
         if ex.size != self.input_width:
             raise ShapeError(
                 f"input centroid has {ex.size} degrees, partitions define "
@@ -434,7 +415,8 @@ class EfunnModel:
 
     def rule_activation(self, ex) -> np.ndarray:
         """A1 activation of every rule node for a fuzzified input."""
-        return self._activations(as_degrees(ex)[None, :], self._scratch)[0]
+        ex = np.asarray(ex, dtype=float)
+        return self._activations(ex[None, :], self._scratch)[0]
 
     def _select(self, a1: np.ndarray) -> np.ndarray:
         """Indices of the m nodes that propagate, per m_mode."""
@@ -467,7 +449,8 @@ class EfunnModel:
         nearest node is updated instead of failing the stream.
         """
         x = self._check_input(x)
-        if np.any(x < -0.5) or np.any(x > 1.5) or not -0.5 <= y <= 1.5:
+        # NaN fails every comparison, so check what must hold
+        if not (((x >= -0.5) & (x <= 1.5)).all() and -0.5 <= y <= 1.5):
             raise DataError(
                 "input outside [-0.5, 1.5]: examples must be normalized first"
             )
@@ -582,28 +565,6 @@ class EfunnModel:
 
     # -- structure maintenance --------------------------------------------
 
-    def prune(self) -> int:
-        """Remove old, rarely activated nodes that have a close neighbor."""
-        cfg = self.config.pruning
-        if cfg is None:
-            raise DisabledError("pruning is not configured on this model")
-        n = self._n
-        if n < 2:
-            return 0
-        candidates = np.flatnonzero((self._age[:n] > cfg.old_age)
-                                    & (self._a1av[:n] < cfg.low_activation))
-        doomed = []
-        step = self._chunk_rows()
-        scratch = np.empty(_SCRATCH * min(step, candidates.size) * n)
-        for start in range(0, candidates.size, step):
-            rows = candidates[start : start + step]
-            dist = self._distances(self._w1[rows], scratch)
-            dist[np.arange(rows.size), rows] = np.inf
-            doomed.extend(rows[dist.min(axis=1) <= cfg.density_radius])
-        if doomed:
-            self._remove_nodes(doomed)
-        return len(doomed)
-
     def aggregate(self) -> int:
         """Greedily merge node pairs whose centroids sit within thresholds.
 
@@ -716,10 +677,9 @@ class EfunnModel:
         """Snapshot fields in file order."""
         cfg = self.config
         fields = snapshot.config_fields("config", cfg)
-        for block in ("pruning", "aggregation"):
-            if getattr(cfg, block) is not None:
-                fields.update(snapshot.config_fields(f"config.{block}",
-                                                     getattr(cfg, block)))
+        if cfg.aggregation is not None:
+            fields.update(snapshot.config_fields("config.aggregation",
+                                                 cfg.aggregation))
         fields["inputs"] = len(self.input_partitions)
         for i, p in enumerate(self.input_partitions):
             fields.update(_partition_fields(f"partition.in.{i}", p))
@@ -747,12 +707,9 @@ class EfunnModel:
     def _from_fields(cls, body: dict, extra: dict):
         need = snapshot.need
         kwargs = snapshot.config_kwargs(EfunnConfig, body, "config")
-        for block, block_cls in (("pruning", PruningConfig),
-                                 ("aggregation", AggregationConfig)):
-            prefix = f"config.{block}"
-            if any(key.startswith(prefix + ".") for key in body):
-                kwargs[block] = block_cls(
-                    **snapshot.config_kwargs(block_cls, body, prefix))
+        if any(key.startswith("config.aggregation.") for key in body):
+            kwargs["aggregation"] = AggregationConfig(**snapshot.config_kwargs(
+                AggregationConfig, body, "config.aggregation"))
         n_in = need(body, "inputs", int)
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")

@@ -12,7 +12,7 @@ network, together with the two scalar activations ``satlin`` and
 ``radbas``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -174,58 +174,27 @@ def defuzzify(degrees, partition: MembershipPartition) -> float:
     return float((d * partition.centers).sum() / total)
 
 
-@dataclass
-class FuzzyVector:
-    """Concatenated membership degrees for several variables.
-
-    ``segments`` records the per-variable MF counts so the flat degree
-    array can be sliced back per variable.
-    """
-
-    degrees: np.ndarray
-    segments: tuple = field(default=())
-
-    def __post_init__(self):
-        self.degrees = np.asarray(self.degrees, dtype=float)
-        self.segments = tuple(int(s) for s in self.segments)
-        if self.segments and sum(self.segments) != self.degrees.size:
-            raise ShapeError(
-                f"segments {self.segments} do not add up to {self.degrees.size} degrees"
-            )
-
-    def __len__(self):
-        return self.degrees.size
-
-    def segment(self, i: int) -> np.ndarray:
-        """View of the degrees belonging to variable ``i``."""
-        start = sum(self.segments[:i])
-        return self.degrees[start : start + self.segments[i]]
-
-
-def fuzzify_vector(values, partitions) -> FuzzyVector:
+def fuzzify_vector(values, partitions) -> np.ndarray:
     """Fuzzify one value per partition into a single concatenated vector."""
     values = np.asarray(values, dtype=float)
     if values.size != len(partitions):
         raise ShapeError(
             f"{values.size} values for {len(partitions)} partitions"
         )
-    return FuzzyVector(fuzzify_rows(values.reshape(1, -1), partitions)[0],
-                       tuple(p.size for p in partitions))
-
-
-def as_degrees(v) -> np.ndarray:
-    if isinstance(v, FuzzyVector):
-        return v.degrees
-    return np.asarray(v, dtype=float)
+    return fuzzify_rows(values.reshape(1, -1), partitions)[0]
 
 
 def fuzzy_difference(a, b) -> float:
-    """Normalized fuzzy difference sum(|a-b|) / sum(a+b), in [0, 1]."""
-    da = as_degrees(a)
-    db = as_degrees(b)
+    """Normalized fuzzy difference sum(|a-b|) / sum(a+b), in [0, 1].
+
+    For disjoint supports the two sums add the same values in different
+    orders and can round an ulp apart, so the quotient is capped at 1.
+    """
+    da = np.asarray(a, dtype=float)
+    db = np.asarray(b, dtype=float)
     if da.shape != db.shape:
         raise ShapeError(f"fuzzy vectors differ in length: {da.size} vs {db.size}")
     denom = float(da.sum() + db.sum())
     if denom <= 0.0:
         raise DegenerateError("fuzzy difference of two all-zero vectors is undefined")
-    return float(np.abs(da - db).sum() / denom)
+    return min(1.0, float(np.abs(da - db).sum() / denom))

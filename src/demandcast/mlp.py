@@ -31,6 +31,10 @@ from .errors import (
 )
 
 _LAMBDA_FLOOR = 1e-20
+# SCG's curvature step length (sigma, divided by |p| each step) and its
+# starting lambda
+_SIGMA0 = 1e-5
+_LAMBDA0 = 1e-6
 
 
 @dataclass
@@ -98,14 +102,14 @@ def forward(model: MlpModel, x) -> float:
     return float(out[0]) if out.size == 1 else out
 
 
-def forward_batch(model: MlpModel, X, counter=None) -> np.ndarray:
+def forward_batch(model: MlpModel, X) -> np.ndarray:
     """Outputs for a batch; (N,) when the network has a single output."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
         raise ShapeError(
             f"batch has shape {X.shape}, network expects (N, {model.layer_sizes[0]})"
         )
-    out = _forward_layers(model, X, counter)[-1]
+    out = _forward_layers(model, X)[-1]
     return out[:, 0] if model.layer_sizes[-1] == 1 else out
 
 
@@ -295,29 +299,15 @@ def hessian_vector_estimate(fun_grad, w, p, sigma: float, lam: float = 0.0) -> n
 
 
 @dataclass
-class ScgState:
-    """Scalars and direction vectors of the scaled conjugate iteration."""
-
-    lam: float
-    sigma: float
-    direction: np.ndarray
-    residual: np.ndarray
-    success: bool
-    iteration: int
-
-
-@dataclass
 class ScgResult:
     w: np.ndarray
     trace: list
-    state: ScgState
     iterations: int
     grad_norm: float
     converged: bool = False
 
 
-def scg_minimize(fun_grad, w0, iterations: int, sigma0: float = 1e-5,
-                 lambda0: float = 1e-6, restart_every: Optional[int] = None,
+def scg_minimize(fun_grad, w0, iterations: int,
                  grad_tol: Optional[float] = None, counter=None) -> ScgResult:
     """Scaled conjugate gradient minimization of a smooth function.
 
@@ -327,29 +317,26 @@ def scg_minimize(fun_grad, w0, iterations: int, sigma0: float = 1e-5,
     sigma-scaled gradient difference, positive-definiteness repair and
     step-quality control through lambda (raised x4 on poor steps,
     lowered x1/4 on very good ones), and a restart to steepest descent
-    every restart_every iterations (default: problem dimension).
+    every n iterations on an n-dimensional problem.
     Accepted steps never increase the function value; rejected steps
     leave the iterate unchanged.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
-    if sigma0 <= 0.0 or lambda0 < 0.0:
-        raise ConfigError("sigma0 must be > 0 and lambda0 >= 0")
     w = np.asarray(w0, dtype=float).copy()
     e_value, g = fun_grad(w)
     if not math.isfinite(e_value):
         raise DivergenceError("objective is non-finite at the starting point")
     r = -np.asarray(g, dtype=float)
     p = r.copy()
-    lam = lambda0
+    lam = _LAMBDA0
     lam_bar = 0.0
     success = True
     delta = 0.0
-    n_restart = restart_every if restart_every else max(1, w.size)
+    n_restart = max(1, w.size)
     trace = []
     performed = 0
     converged = False
-    sigma_k = sigma0
     for k in range(1, iterations + 1):
         trace.append(e_value)
         performed = k
@@ -362,7 +349,7 @@ def scg_minimize(fun_grad, w0, iterations: int, sigma0: float = 1e-5,
             converged = True
             break
         if success:
-            sigma_k = sigma0 / math.sqrt(pp)
+            sigma_k = _SIGMA0 / math.sqrt(pp)
             _, g2 = fun_grad(w + sigma_k * p)
             s = (np.asarray(g2, dtype=float) + r) / sigma_k
             delta = float(p @ s)
@@ -406,18 +393,13 @@ def scg_minimize(fun_grad, w0, iterations: int, sigma0: float = 1e-5,
             lam = max(lam * 4.0, _LAMBDA_FLOOR)
         if counter is not None:
             counter.add(10 * w.size)
-    state = ScgState(
-        lam=lam, sigma=sigma_k, direction=p, residual=r,
-        success=success, iteration=performed,
-    )
     return ScgResult(
-        w=w, trace=trace, state=state, iterations=performed,
+        w=w, trace=trace, iterations=performed,
         grad_norm=float(np.linalg.norm(r)), converged=converged,
     )
 
 
-def scg_train(model: MlpModel, data, epochs: int, sigma0: float = 1e-5,
-              lambda0: float = 1e-6, counter=None) -> list:
+def scg_train(model: MlpModel, data, epochs: int, counter=None) -> list:
     """Train the network by scaled conjugate gradient for a fixed budget.
 
     Returns the per-epoch RMSE trace (same convention as bp_train).
@@ -428,10 +410,8 @@ def scg_train(model: MlpModel, data, epochs: int, sigma0: float = 1e-5,
         set_params(model, vec)
         return gradient(model, batch, counter)[2], batch.grad
 
-    result = scg_minimize(
-        fun_grad, flatten_params(model), iterations=epochs,
-        sigma0=sigma0, lambda0=lambda0, counter=counter,
-    )
+    result = scg_minimize(fun_grad, flatten_params(model), iterations=epochs,
+                          counter=counter)
     set_params(model, result.w)
     trace = [math.sqrt(e) for e in result.trace]
     while len(trace) < epochs:

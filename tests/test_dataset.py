@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from datetime import datetime
 
@@ -226,11 +227,18 @@ def test_synthesize_validation():
 
 
 def test_synth_config_file_round_trip(tmp_path):
-    cfg = SynthConfig(base=5000.0, weekend_drop=250.0)
+    default = SynthConfig()
+    # every field off its default, so a key that is not read shows
+    cfg = SynthConfig(**{f.name: getattr(default, f.name) + 0.5
+                         for f in dataclasses.fields(SynthConfig)
+                         if f.type is float}, start="2001-03-04")
     path = tmp_path / "gen.cfg"
-    cfg.to_file(path)
+    path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n"
+                            for f in dataclasses.fields(cfg)))
     back = SynthConfig.from_file(path)
     assert back == cfg
+    assert all(getattr(back, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(cfg))
 
 
 def test_synth_config_parse_errors(tmp_path):

@@ -6,12 +6,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from demandcast.efunn import (AggregationConfig, EfunnConfig, EfunnModel,
-                              LinguisticRule, PruningConfig, _degree_sum,
-                              _differences, update_node)
+                              LinguisticRule, _degree_sum, _differences,
+                              update_node)
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                DisabledError, EmptyModelError, ParseError,
                                ShapeError)
-from demandcast.fuzzy import (FuzzyVector, build_partition, fuzzify,
+from demandcast.fuzzy import (build_partition, fuzzify,
                               fuzzy_difference, mf_labels, radbas, satlin)
 
 
@@ -193,6 +193,19 @@ def test_learn_one_validates_shape_and_range():
         m.learn_one(np.array([0.1, 0.2]), -2.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_learn_one_refuses_nan_and_inf_before_changing_the_model(bad):
+    m = make_model(n_inputs=6)
+    m.learn_one(np.full(6, 0.5), 0.5)
+    w1, n, seen = m.w1.copy(), m.n_nodes, m.examples_seen
+    for x, y in (([bad] + [0.5] * 5, 0.5), ([0.5] * 6, bad)):
+        with pytest.raises(DataError):
+            m.learn_one(np.array(x), y)
+        assert m.w1.tobytes() == w1.tobytes()
+        assert (m.n_nodes, m.examples_seen) == (n, seen)
+    assert m.predict(np.full(6, 0.5)) == pytest.approx(0.5, abs=0.05)
+
+
 def test_predict_requires_a_trained_model():
     m = make_model()
     with pytest.raises(EmptyModelError):
@@ -209,38 +222,23 @@ def test_predict_recovers_memorized_targets():
         assert m.predict(np.array([x])) == pytest.approx(y, abs=0.05)
 
 
-def test_prune_requires_configuration():
+def test_aggregate_requires_configuration():
     m = make_model()
-    with pytest.raises(DisabledError):
-        m.prune()
     with pytest.raises(DisabledError):
         m.aggregate()
 
 
-def test_prune_removes_only_old_inactive_crowded_nodes():
-    cfg = PruningConfig(old_age=10, low_activation=0.5, density_radius=0.5)
-    m = make_model(mfs=2, pruning=cfg)
-    m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
-    m.create_rule_node(np.array([0.25, 0.75]), np.array([0.5, 0.5]))
-    m.create_rule_node(np.array([0.9, 0.1]), np.array([0.5, 0.5]))
-    # node 0: old + inactive + has a close neighbor -> removed
-    m.nodes[0].age, m.nodes[0].a1av = 50, 0.1
-    # node 2: old + inactive but isolated -> kept
-    m.nodes[2].age, m.nodes[2].a1av = 50, 0.1
-    assert m.prune() == 1
-    assert m.n_nodes == 2
-    assert m.nodes[1].w1[0] == pytest.approx(0.9)
-
-
-def test_prune_remaps_last_winner():
-    cfg = PruningConfig(old_age=1, low_activation=0.9, density_radius=1.0)
-    m = make_model(mfs=2, pruning=cfg, sthr=0.99)
+def test_aggregate_remaps_last_winner():
+    m = make_model(mfs=2, aggregation=AggregationConfig(thr1=0.05, thr2=0.05))
     m.learn_one(np.array([0.1]), 0.1)
-    m.learn_one(np.array([0.9]), 0.9)  # winner = node 1
-    m.nodes[0].age, m.nodes[0].a1av = 5, 0.0
-    assert m.last_winner == 1
-    m.prune()
-    assert m.last_winner == 0  # node 1 shifted down
+    m.create_rule_node(m.nodes[0].w1, m.nodes[0].w2)  # a twin of node 0
+    m.learn_one(np.array([0.9]), 0.9)
+    assert m.last_winner == 2
+    assert m.aggregate() == 1  # the twin merges into node 0
+    assert m.last_winner == 1  # node 2 shifted down
+    m.config.aggregation = AggregationConfig(thr1=1.0, thr2=1.0)
+    assert m.aggregate() == 1  # the winner itself merges into node 0
+    assert m.n_nodes == 1 and m.last_winner is None
 
 
 def test_aggregate_merges_close_pair_to_elementwise_average():
@@ -399,8 +397,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EfunnConfig(max_nodes=0)
     with pytest.raises(ConfigError):
-        PruningConfig(low_activation=2.0)
-    with pytest.raises(ConfigError):
         AggregationConfig(thr1=-0.1)
 
 
@@ -549,20 +545,18 @@ def test_aggregate_skips_nodes_already_merged():
     assert m.nodes[1].examples_absorbed == 1
 
 
-def test_prune_moves_kept_rows_and_links_across_chunks():
-    # at 1000 nodes pruning scores 16 candidates per distance chunk
+def test_remove_nodes_moves_kept_rows_and_links():
     rng = np.random.default_rng(12)
-    m = make_model(n_inputs=6, mfs=4, lr3=1.0,
-                   pruning=PruningConfig(old_age=0, low_activation=0.5,
-                                         density_radius=0.25))
+    m = make_model(n_inputs=6, mfs=4, lr3=1.0)
     for _ in range(1000):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
     for k, node in enumerate(m.nodes):  # the id rides in examples_absorbed
-        node.age, node.a1av, node.examples_absorbed = k % 2, 0.1, k
+        node.examples_absorbed = k
     for prev, curr in rng.integers(0, 1000, size=(20000, 2)):
         m.update_temporal(int(prev), int(curr), rng.uniform())
     w1, w3 = m.w1.copy(), _dense_w3(m)
-    assert m.prune() > 300
+    m._remove_nodes(rng.choice(1000, size=400, replace=False))
+    assert m.n_nodes == 600
     ids = np.array([node.examples_absorbed for node in m.nodes])
     assert np.all(np.diff(ids) > 0)
     assert np.array_equal(m.w1, w1[ids])
@@ -572,25 +566,20 @@ def test_prune_moves_kept_rows_and_links_across_chunks():
     assert not w3[-1].any() and not w3[:, -1].any()  # no stale links
 
 
-def test_prune_and_aggregate_stay_bounded_at_4000_nodes():
+def test_aggregate_stays_bounded_at_4000_nodes():
     rng = np.random.default_rng(11)
     m = make_model(n_inputs=6, mfs=4,
-                   pruning=PruningConfig(old_age=0, low_activation=0.5,
-                                         density_radius=0.2),
                    aggregation=AggregationConfig(thr1=0.2, thr2=0.2))
     for _ in range(4000):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
-    for k, node in enumerate(m.nodes):  # rarely activated, every other old
-        node.age, node.a1av = 5 * (k % 2 == 0), 0.1
     tracemalloc.start()
     try:
-        pruned = m.prune()
         merged = m.aggregate()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pruned > 0 and merged > 0
-    assert m.n_nodes == 4000 - pruned - merged
+    assert merged > 0
+    assert m.n_nodes == 4000 - merged
     assert peak < 200 * 2**20
 
 
@@ -709,12 +698,10 @@ def _assert_sums_fresh(m):
 
 @_PROPERTY
 @given(trained_models(), st.lists(st.sampled_from(
-    ("learn", "prune", "aggregate", "reload", "write")), max_size=8),
+    ("learn", "aggregate", "reload", "write")), max_size=8),
     st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
 def test_stored_degree_sums_stay_fresh(model_and_xs, ops, thr, seed):
     m, xs = model_and_xs
-    m.config.pruning = PruningConfig(old_age=0, low_activation=0.9,
-                                     density_radius=max(thr, 0.01))
     m.config.aggregation = AggregationConfig(thr1=thr, thr2=thr)
     rng = np.random.default_rng(seed)
     _assert_sums_fresh(m)
@@ -722,8 +709,6 @@ def test_stored_degree_sums_stay_fresh(model_and_xs, ops, thr, seed):
         if op == "learn":
             for x in xs:
                 m.learn_one(x, float(rng.uniform()))
-        elif op == "prune":
-            m.prune()
         elif op == "aggregate":
             m.aggregate()
         elif op == "reload":
@@ -781,12 +766,12 @@ def test_links_at_4000_nodes_need_no_square():
 
 def _old_rules(m):
     """(antecedents, consequent) per node, read one node at a time."""
-    segments = tuple(p.size for p in m.input_partitions)
+    ends = np.cumsum([p.size for p in m.input_partitions])[:-1]
     out = []
     for w1, w2 in zip(m.w1, m.w2):
-        fv = FuzzyVector(w1, segments)
-        out.append((tuple(mf_labels(p.size)[int(np.argmax(fv.segment(i)))]
-                          for i, p in enumerate(m.input_partitions)),
+        out.append((tuple(mf_labels(p.size)[int(np.argmax(seg))]
+                          for seg, p in zip(np.split(w1, ends),
+                                            m.input_partitions)),
                     mf_labels(m.output_partition.size)[int(np.argmax(w2))]))
     return out
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demandcast.errors import ConfigError, DegenerateError, ShapeError
-from demandcast.fuzzy import (FuzzyVector, MembershipPartition,
+from demandcast.fuzzy import (MembershipPartition,
                               build_partition, defuzzify,
                               fuzzify, fuzzify_rows, fuzzify_vector,
                               fuzzy_difference, mf_labels, radbas, satlin)
@@ -117,16 +117,31 @@ def test_fuzzy_difference_oracle_values():
     assert fuzzy_difference([0.5, 0.5], [0.25, 0.75]) == pytest.approx(0.25)
 
 
-def test_fuzzy_difference_identity_symmetry_and_range():
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        a = rng.uniform(0.0, 1.0, size=8)
-        b = rng.uniform(0.0, 1.0, size=8)
-        a[0] += 1e-9  # keep the denominator away from zero
-        d = fuzzy_difference(a, b)
-        assert 0.0 <= d <= 1.0
-        assert fuzzy_difference(a, a) == 0.0
-        assert fuzzy_difference(b, a) == d
+@st.composite
+def degree_pairs(draw):
+    """Two equal-length non-negative vectors, not both all zero, often
+    with disjoint supports (distance 1)."""
+    n = draw(st.integers(1, 40))
+    degree = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    a, b = (np.array(draw(st.lists(degree, min_size=n, max_size=n)))
+            for _ in "ab")
+    if draw(st.booleans()):
+        b[a != 0.0] = 0.0
+    if not a.any() and not b.any():
+        a[0] = draw(st.floats(5e-324, 1.0))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_pairs())
+def test_fuzzy_difference_identity_symmetry_and_range(pair):
+    a, b = pair
+    d = fuzzy_difference(a, b)
+    assert 0.0 <= d <= 1.0
+    assert fuzzy_difference(b, a) == d
+    for v in pair:
+        if v.any():
+            assert fuzzy_difference(v, v) == 0.0
 
 
 def test_fuzzy_difference_error_paths():
@@ -139,11 +154,10 @@ def test_fuzzy_difference_error_paths():
 def test_fuzzify_vector_concatenates_segments():
     parts = [build_partition(0.0, 1.0, 3, name="a"),
              build_partition(0.0, 1.0, 4, name="b")]
-    fv = fuzzify_vector(np.array([0.0, 1.0]), parts)
-    assert isinstance(fv, FuzzyVector)
-    assert fv.degrees.size == 7
-    assert np.allclose(fv.segment(0), fuzzify(0.0, parts[0]))
-    assert np.allclose(fv.segment(1), fuzzify(1.0, parts[1]))
+    degrees = fuzzify_vector(np.array([0.0, 1.0]), parts)
+    assert isinstance(degrees, np.ndarray) and degrees.shape == (7,)
+    assert np.allclose(degrees[:3], fuzzify(0.0, parts[0]))
+    assert np.allclose(degrees[3:], fuzzify(1.0, parts[1]))
 
 
 def test_mf_labels_level_names():
@@ -189,7 +203,7 @@ def test_fuzzify_rows_equals_per_variable_fuzzify(parts_and_rows):
     for x, row in zip(xs, got, strict=True):
         want = np.concatenate([_scalar_fuzzify(v, p) for v, p in zip(x, parts)])
         assert row.tobytes() == want.tobytes()
-        assert fuzzify_vector(x, parts).degrees.tobytes() == want.tobytes()
+        assert fuzzify_vector(x, parts).tobytes() == want.tobytes()
         for v, p, seg in zip(x, parts, np.split(want, np.cumsum(
                 [p.size for p in parts])[:-1])):
             assert fuzzify(v, p).tobytes() == seg.tobytes()

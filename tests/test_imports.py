@@ -1,8 +1,9 @@
-"""scipy stays off every path a command or a protocol run takes.
+"""numpy is the only dependency: no command, protocol run or ARIMA
+diagnostic loads scipy.
 
 Importing ``scipy.stats`` costs most of a second and about 70 MB, more
-than the rest of a command's set-up; only ``arima.diagnostics`` needs
-it and imports it when called.
+than the rest of a command's set-up; the tests use it only as a
+reference.
 """
 
 import os
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 import demandcast, demandcast.cli
-from demandcast import bench
+from demandcast import arima, bench
 from demandcast.cli import main
 
 d = Path(sys.argv[1])
@@ -34,6 +35,8 @@ assert main(["rules", "--snapshot", str(d / "efunn.snap"),
 report = bench.run_experiment(bench.ExperimentConfig(
     synth_days=40, seed=0, epochs=2, n_samples=1))
 bench.emit_report(report, d / "report")
+series = [float(t % 7 + t % 3) for t in range(300)]
+assert 0.0 <= arima.diagnostics(arima.fit(series, arima.ArimaSpec(p=1))).p_value
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 

@@ -211,13 +211,32 @@ def test_scg_minimize_quadratic_finite_termination():
     assert res.grad_norm < 1e-8
 
 
-def test_scg_trace_never_increases():
-    m = init_mlp((3, 10, 1), seed=6)
-    X, y = tiny_batch(seed=6)
-    trace = scg_train(m, (X, y), 120)
-    assert len(trace) == 120
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=2),
+       st.integers(0, 2**32 - 1), st.integers(1, 60))
+def test_scg_trace_never_increases(hidden, seed, epochs):
+    m = init_mlp((3, *hidden, 1), seed=seed)
+    X, y = tiny_batch(seed=seed)
+    trace = scg_train(m, (X, y), epochs)
+    assert len(trace) == epochs
     for a, b in zip(trace, trace[1:]):
-        assert b <= a + 1e-12
+        assert b <= a
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_scg_trace_never_rises_on_quadratics(n, seed, iterations):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+    A = M @ M.T + 1e-3 * np.eye(n)  # positive definite, often ill conditioned
+    b = rng.normal(size=n)
+
+    def fg(w):
+        return 0.5 * w @ A @ w - b @ w, A @ w - b
+
+    trace = scg_minimize(fg, rng.normal(size=n), iterations=iterations).trace
+    for before, after in zip(trace, trace[1:]):
+        assert after <= before
 
 
 def test_scg_solves_xor_exactly_enough():

@@ -10,8 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from demandcast import arima, mlp, snapshot
-from demandcast.efunn import (AggregationConfig, EfunnConfig, EfunnModel,
-                              PruningConfig)
+from demandcast.efunn import AggregationConfig, EfunnConfig, EfunnModel
 from demandcast.errors import DataError, ParseError
 from demandcast.fuzzy import build_partition
 
@@ -176,10 +175,6 @@ def efunn_models(draw):
         max_nodes=draw(st.integers(1, 12)),
         m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
         activation=draw(st.sampled_from(("satlin", "radbas"))),
-        pruning=draw(st.none() | st.builds(
-            PruningConfig, old_age=st.integers(0, 5),
-            low_activation=st.floats(0.0, 1.0),
-            density_radius=st.floats(0.01, 1.0))),
         aggregation=draw(st.none() | st.builds(
             AggregationConfig, thr1=st.floats(0.0, 0.5),
             thr2=st.floats(0.0, 0.5))),
@@ -194,8 +189,6 @@ def efunn_models(draw):
     for _ in range(draw(st.integers(0, 15))):
         model.learn_one(np.array(draw(st.lists(unit, min_size=n_in,
                                                max_size=n_in))), draw(unit))
-    if cfg.pruning is not None:
-        model.prune()
     if cfg.aggregation is not None:
         model.aggregate()
     return model
@@ -465,6 +458,32 @@ def test_format_1_efunn_fixture_loads_to_the_same_model(tmp_path):
     assert len(v2) < len(text)
     assert EfunnModel.from_text(v2)[0].to_text(extra) == v2
     assert _format_1(v2) == text
+
+
+_PRUNING_LINES = ("config.pruning.old_age=1000\n"
+                  "config.pruning.low_activation=0.050000000000000003\n"
+                  "config.pruning.density_radius=0.10000000000000001\n")
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_efunn_snapshot_with_a_pruning_block_loads_as_without(version,
+                                                             tmp_path):
+    # snapshots once held pruning settings where the config block ends;
+    # no decoder reads them, and saving again leaves them out
+    text = (_DATA / "efunn_v1.snap").read_text()
+    if version == 2:
+        model, extra = EfunnModel.from_text(text)
+        text = model.to_text(extra)
+    at = text.index("config.aggregation.")
+    path = tmp_path / "pruned.snap"
+    path.write_text(text[:at] + _PRUNING_LINES + text[at:])
+    model, extra = EfunnModel.load(path)
+    want, want_extra = EfunnModel.from_text(text)
+    assert model.to_text(extra) == want.to_text(want_extra)
+    assert "pruning" not in model.to_text(extra)
+    grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
+    assert model.predict_batch(grid).tolist() == snapshot.parse_array(
+        extra["predict.values"]).tolist()
 
 
 @pytest.mark.parametrize("kind", ["mlp", "arima"])
