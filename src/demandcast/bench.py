@@ -13,9 +13,19 @@ per-period forecasts in demand units (forecast.csv), per-epoch training
 curves (convergence.csv), and a small hand-rolled SVG chart. Report
 numbers contain no wall-clock values, so identical seeds reproduce the
 CSV files byte for byte.
+
+The MLP fits run at once, one per core, each with one OpenBLAS thread:
+a weight gradient summed over the batch rows splits that sum across
+BLAS threads, so its bits would depend on their number. With no
+OpenBLAS found, the fits run one after another and BLAS is left alone.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,15 +128,16 @@ def make_partitions(mf_count: int = 4):
 
 
 def training_pool(records, test_start: int):
-    """Normalized feature vectors for every record before the test window.
+    """Normalized inputs and targets of every record before the test window.
 
     The pool starts one day in, where the lag-48 input first exists;
-    returns (pool, stats) with the stats fitted on the pool alone.
+    returns (x, y, stats) with the stats fitted on the pool alone. Row i
+    equals ``apply_norm`` of the i-th encoded vector, bit for bit.
     """
-    raw = [dataset.encode_features(records, i)
-           for i in range(HALF_HOURS_PER_DAY, test_start)]
-    stats = dataset.fit_norm(raw)
-    return [dataset.apply_norm(v, stats) for v in raw], stats
+    raw = dataset.encode_table(records, HALF_HOURS_PER_DAY, test_start)
+    stats = dataset.norm_stats(raw)
+    norm = np.clip((raw - stats.mins) / (stats.maxs - stats.mins), 0.0, 1.0)
+    return np.ascontiguousarray(norm[:, :-1]), norm[:, -1].copy(), stats
 
 
 def recursive_forecast(records, stats, predict_fn, test_start, periods):
@@ -170,9 +181,9 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
         )
     test_start = n - config.test_periods
 
-    pool, stats = training_pool(records, test_start)
+    pool_x, pool_y, stats = training_pool(records, test_start)
     samples = dataset.sample_training(
-        pool, config.training_fraction, config.seed, config.n_samples
+        pool_y, config.training_fraction, config.seed, config.n_samples
     )
     for idx in samples:
         # test-window isolation: sampled vectors must end before the window
@@ -182,7 +193,6 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
     actual_norm = [dataset.norm_target(d, stats) for d in actual]
     timestamps = [records[i].timestamp for i in range(test_start, n)]
 
-    outcomes = []
     arima_outcome = None
     if "arima" in config.models:
         counter = FlopCounter()
@@ -202,20 +212,22 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
             predictions=preds,
         )
 
-    for s, idx in enumerate(samples):
-        train_x = np.stack([pool[i].x for i in idx])
-        train_y = np.array([pool[i].y for i in idx])
-        for name in config.models:
-            if name == "arima":
-                outcomes.append(
-                    SampleOutcome(model="arima", sample=s,
-                                  train_rmse=None, **arima_outcome)
-                )
-            else:
-                outcomes.append(
-                    _run_model(config, records, stats, train_x, train_y,
-                               test_start, s, actual_norm, name)
-                )
+    def run(s, name):
+        if name == "arima":
+            return SampleOutcome(model="arima", sample=s, train_rmse=None,
+                                 **arima_outcome)
+        idx = samples[s]
+        return _run_model(config, records, stats, pool_x[idx], pool_y[idx],
+                          test_start, s, actual_norm, name)
+
+    # EFuNN and ARIMA in turn, then every MLP fit at once
+    order = [(s, name) for s in range(len(samples)) for name in config.models]
+    fits = [job for job in order if job[1].startswith("mlp")]
+    done = {job: run(*job) for job in order if job not in fits}
+    with _one_blas_thread():
+        done.update(zip(fits, _run_all([functools.partial(run, *job)
+                                        for job in fits])))
+    outcomes = [done[job] for job in order]
 
     worst = {}
     for name in config.models:
@@ -260,13 +272,14 @@ def train_model(name: str, config: ExperimentConfig, train_x, train_y,
                             mlp.rmse(model.predict_batch(train_x), train_y),
                             wall)
     model = mlp.init_mlp(config.mlp_layers, seed)
-    if name == "mlp-bp":
-        cfg = BpConfig(epsilon=config.bp_epsilon, alpha=config.bp_alpha,
-                       epochs=config.epochs)
-        trace = mlp.bp_train(model, (train_x, train_y), cfg, counter)
-    else:
-        trace = mlp.scg_train(model, (train_x, train_y), config.epochs,
-                              counter=counter)
+    with _one_blas_thread():
+        if name == "mlp-bp":
+            cfg = BpConfig(epsilon=config.bp_epsilon, alpha=config.bp_alpha,
+                           epochs=config.epochs)
+            trace = mlp.bp_train(model, (train_x, train_y), cfg, counter)
+        else:
+            trace = mlp.scg_train(model, (train_x, train_y), config.epochs,
+                                  counter=counter)
     wall = time.perf_counter() - t0
     return TrainedModel(model, lambda x: mlp.forward(model, x),
                         mlp.rmse(mlp.forward_batch(model, train_x), train_y),
@@ -290,6 +303,108 @@ def _run_model(config, records, stats, train_x, train_y, test_start, s,
         predictions=demand_preds, trace=trained.trace,
         nodes=trained.model.n_nodes if efunn else None,
     )
+
+
+# -- concurrent MLP fits ---------------------------------------------------
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, found
+    by its mapping in /proc/self/maps; None when there is none."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file was replaced: "(deleted)"
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin = {"depth": 0, "before": 1}
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread while any such block is open, in any thread;
+    the count before the first is restored after the last."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _pin_lock:
+        if not _pin["depth"]:
+            _pin["before"] = get()
+            put(1)
+        _pin["depth"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["depth"] -= 1
+            if not _pin["depth"]:
+                put(_pin["before"])
+
+
+def _workers(jobs: int) -> int:
+    """One thread per core, each using one BLAS thread; one thread when
+    BLAS threads cannot be pinned."""
+    if _openblas() is None:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), jobs))
+
+
+def _run_all(jobs) -> list:
+    """Results of the callables ``jobs``, in order, computed by
+    ``_workers(len(jobs))`` threads that take them in turn; the calling
+    thread is one of them.
+
+    After a failure no job starts. The failure of the earliest job is
+    raised: every job before it had started, so a loop running them in
+    order would have raised the same.
+    """
+    results = [None] * len(jobs)
+    failures = {}
+    pending = iter(range(len(jobs)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = jobs[i]()
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(_workers(len(jobs)) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 # -- report files ----------------------------------------------------------

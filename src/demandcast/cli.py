@@ -127,11 +127,10 @@ def _cmd_train(args) -> int:
     records = _load_records(
         args.data, HALF_HOURS_PER_DAY + HOLDOUT_PERIODS + 1
     )
-    pool, stats = bench.training_pool(records, len(records) - HOLDOUT_PERIODS)
-    train_x = np.stack([v.x for v in pool])
-    train_y = np.array([v.y for v in pool])
+    train_x, train_y, stats = bench.training_pool(
+        records, len(records) - HOLDOUT_PERIODS)
     extra = _norm_extra(stats)
-    extra["trained.examples"] = str(len(pool))
+    extra["trained.examples"] = str(len(train_y))
 
     if args.model == "efunn":
         settings = {"mf_count": kv.pop("mf_count")} if "mf_count" in kv else {}
@@ -143,12 +142,12 @@ def _cmd_train(args) -> int:
                                 train_x, train_y, args.seed)
     if args.model == "efunn":
         trained.model.save(args.out, extra=extra)
-        print(f"trained efunn in 1 pass over {len(pool)} examples: "
+        print(f"trained efunn in 1 pass over {len(train_y)} examples: "
               f"{trained.model.n_nodes} rule nodes, train rmse "
               f"{trained.train_rmse:.4f}; snapshot {args.out}")
         return 0
     mlp.save(trained.model, args.out, extra=extra)
-    print(f"trained {args.model} for {args.epochs} epochs over {len(pool)} "
+    print(f"trained {args.model} for {args.epochs} epochs over {len(train_y)} "
           f"examples: train rmse {trained.train_rmse:.4f} (first epoch "
           f"{trained.trace[0]:.4f}); snapshot {args.out}")
     return 0

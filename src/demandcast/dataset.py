@@ -162,34 +162,49 @@ def encode_features(records, index: int, prev_demand: Optional[float] = None
     substitute its own prediction when the previous day lies inside the
     forecast window.
     """
+    _check_lookback(index)
+    r = records[index]
+    if prev_demand is None:
+        prev_demand = records[index - HALF_HOURS_PER_DAY].demand
+    return FeatureVector(np.array(_features(r, prev_demand)), r.demand)
+
+
+def _check_lookback(index: int) -> None:
     if index < HALF_HOURS_PER_DAY:
         raise DataError(
             f"index {index} has no previous-day lookback (need >= "
             f"{HALF_HOURS_PER_DAY})"
         )
-    r = records[index]
-    if prev_demand is None:
-        prev_demand = records[index - HALF_HOURS_PER_DAY].demand
+
+
+def _features(r: DemandRecord, prev_demand) -> tuple:
     ts = r.timestamp
-    x = np.array([
-        r.tmin,
-        r.tmax,
-        float(prev_demand),
-        float(ts.hour * 2 + ts.minute // 30),
-        float(season_of(ts.month)),
-        float(ts.weekday()),
-    ])
-    return FeatureVector(x, r.demand)
+    return (r.tmin, r.tmax, float(prev_demand),
+            float(ts.hour * 2 + ts.minute // 30), float(season_of(ts.month)),
+            float(ts.weekday()))
+
+
+def encode_table(records, start: int, stop: int) -> np.ndarray:
+    """Raw features and then the target, one row per record in
+    [start, stop); row i equals ``encode_features(records, start + i)``."""
+    _check_lookback(start)
+    rows = [(*_features(records[i], records[i - HALF_HOURS_PER_DAY].demand),
+             records[i].demand) for i in range(start, stop)]
+    return np.array(rows, dtype=float).reshape(-1, len(FEATURE_NAMES) + 1)
 
 
 def fit_norm(train_vectors) -> NormStats:
     """Training minima/maxima for the six features and the target."""
-    vectors = list(train_vectors)
-    if not vectors:
+    return norm_stats(np.array([np.append(v.x, v.y) for v in train_vectors])
+                      .reshape(-1, len(FEATURE_NAMES) + 1))
+
+
+def norm_stats(table: np.ndarray) -> NormStats:
+    """Column minima/maxima of raw rows (six features, then the target)."""
+    if not len(table):
         raise DataError("cannot fit normalization on an empty training set")
-    stacked = np.stack([np.concatenate((v.x, [v.y])) for v in vectors])
-    mins = stacked.min(axis=0)
-    maxs = stacked.max(axis=0)
+    mins = table.min(axis=0)
+    maxs = table.max(axis=0)
     names = FEATURE_NAMES + (TARGET_NAME,)
     for i, name in enumerate(names):
         if maxs[i] <= mins[i]:

@@ -365,7 +365,8 @@ class EfunnModel:
 
         Equal bit for bit to the row-major ``|w1 - ex|.sum(axis=2) /
         (w1.sum(axis=1) + ex.sum(axis=1))`` of C-ordered operands, for
-        ``ex`` in any memory layout. ``scratch`` holds at least
+        ``ex`` in any memory layout, capped at 1 as ``fuzzy_difference``
+        is. ``scratch`` holds at least
         ``_SCRATCH * len(ex) * n_nodes`` floats; without it they are
         allocated.
         """
@@ -388,7 +389,7 @@ class EfunnModel:
         # value +0.0 would change no bit
         total = _pairwise(term, 0, len(w1t), acc, buf)
         den = self._w1sum[:n] + np.ascontiguousarray(ex).sum(axis=1)[:, None]
-        return np.divide(total, den, den)
+        return np.minimum(np.divide(total, den, den), 1.0, out=den)
 
     def _activations(self, ex: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """A1 of every rule node (columns) for each row of ``ex``."""
@@ -846,7 +847,9 @@ def _differences(v: np.ndarray, rows: np.ndarray):
     """fuzzy_difference(v, row) for each row, and where it is undefined."""
     den = _degree_sum(v) + _degree_sum(rows.T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _degree_sum(np.abs(v - rows).T) / den, den <= 0.0
+        d = _degree_sum(np.abs(v - rows).T) / den
+        np.minimum(d, 1.0, out=d)
+    return d, den <= 0.0
 
 
 def _one_hot(label: str, partition: MembershipPartition) -> np.ndarray:

@@ -157,7 +157,14 @@ class Batch:
         self.X, self.Y = _as_batch(model, data)
         n = self.X.shape[0]
         self.acts = [self.X] + [np.empty((n, s)) for s in self.layer_sizes[1:]]
-        self.deltas = [np.empty((n, s)) for s in self.layer_sizes[1:]]
+        # deltas[l] is written once acts[l + 2] is spent, so it takes that
+        # buffer when the shapes agree
+        spent = self.acts[2:]
+        self.deltas = [
+            spent[l] if l < len(spent) and spent[l].shape == (n, s)
+            else np.empty((n, s))
+            for l, s in enumerate(self.layer_sizes[1:])
+        ]
         self.grad = np.empty(model.n_params)
         views, pos = [], 0
         for param in model.weights + model.biases:

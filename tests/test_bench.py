@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from demandcast import dataset
-from demandcast.bench import ExperimentConfig, emit_report, run_experiment
+from demandcast.bench import (ExperimentConfig, emit_report, run_experiment,
+                              training_pool)
 from demandcast.errors import ConfigError, DataError
 from demandcast.flops import FlopCounter
 
@@ -167,3 +168,16 @@ def test_csv_input_matches_synthetic_route(tmp_path):
     via_csv = run_experiment(small_config(models=("efunn",), n_samples=1,
                                           csv_path=str(csv_path)))
     assert direct.worst["efunn"].test_rmse == via_csv.worst["efunn"].test_rmse
+
+
+def test_training_pool_equals_the_per_record_encoding():
+    records = dataset.synthesize(40, seed=3)
+    test_start = len(records) - 96
+    x, y, stats = training_pool(records, test_start)
+    raw = [dataset.encode_features(records, i) for i in range(48, test_start)]
+    want = dataset.fit_norm(raw)
+    pool = [dataset.apply_norm(v, want) for v in raw]
+    assert stats.mins.tobytes() == want.mins.tobytes()
+    assert stats.maxs.tobytes() == want.maxs.tobytes()
+    assert x.tobytes() == np.stack([v.x for v in pool]).tobytes()
+    assert y.tobytes() == np.array([v.y for v in pool]).tobytes()

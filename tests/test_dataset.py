@@ -102,6 +102,8 @@ def test_encode_features_needs_lookback():
     records = synthesize(3, seed=0)
     with pytest.raises(DataError):
         encode_features(records, 47)
+    with pytest.raises(DataError):
+        dataset.encode_table(records, 47, 60)
 
 
 def test_fit_norm_and_apply_norm_clamp():

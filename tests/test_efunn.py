@@ -615,11 +615,13 @@ def test_degree_sum_of_negative_zeros_is_positive_zero(width):
 
 
 def _old_distances(w1, ex):
-    """The row-major distance formula over C-ordered copies."""
+    """The row-major distance formula over C-ordered copies, capped at 1
+    as ``fuzzy_difference`` is."""
     w1, ex = np.ascontiguousarray(w1), np.ascontiguousarray(ex)
     diff = w1 - ex[:, None, :]
     np.abs(diff, out=diff)
-    return diff.sum(axis=2) / (w1.sum(axis=1) + ex.sum(axis=1)[:, None])
+    return np.minimum(diff.sum(axis=2)
+                      / (w1.sum(axis=1) + ex.sum(axis=1)[:, None]), 1.0)
 
 
 @_PROPERTY
@@ -643,8 +645,22 @@ def test_distances_equal_the_row_major_formula_in_any_layout(
         assert np.array_equal(_bits(m._distances(layout)), want)
     w1 = np.ascontiguousarray(m.w1)
     d, bad = _differences(m.w1[0], m.w1[1:])
-    assert np.array_equal(_bits(d), _bits(np.abs(w1[0] - w1[1:]).sum(axis=1)
-                                          / (w1[0].sum() + w1[1:].sum(axis=1))))
+    assert np.array_equal(_bits(d), _bits(np.minimum(
+        np.abs(w1[0] - w1[1:]).sum(axis=1)
+        / (w1[0].sum() + w1[1:].sum(axis=1)), 1.0)))
+
+
+def test_disjoint_supports_lie_at_distance_one():
+    # the two sums add the same values in different orders and round an
+    # ulp apart; uncapped, the quotient was 1.0000000000000002
+    v = np.array([0.5884578316577732, 0.0, 0.5884578316577732])
+    rows = np.array([[0.0, 0.5, 0.0]])
+    assert _differences(v, rows)[0].tolist() == [1.0]
+    m = make_model(aggregation=AggregationConfig(thr1=1.0, thr2=1.0))
+    m.create_rule_node(v, np.array([0.0, 1.0, 0.0]))
+    m.create_rule_node(rows[0], np.array([0.0, 1.0, 0.0]))
+    assert m._distances(v[None, :]).tolist() == [[0.0, 1.0]]
+    assert m.aggregate() == 1  # every pair lies within thr1 = thr2 = 1
 
 
 def test_w1_is_degree_major_across_growth():

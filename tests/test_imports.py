@@ -1,9 +1,10 @@
 """numpy is the only dependency: no command, protocol run or ARIMA
-diagnostic loads scipy.
+diagnostic loads scipy, and none loads ``concurrent.futures``.
 
 Importing ``scipy.stats`` costs most of a second and about 70 MB, more
 than the rest of a command's set-up; the tests use it only as a
-reference.
+reference. The protocol's concurrent fits use ``threading``, which
+numpy loads anyway; ``concurrent.futures`` would add about 1 MB.
 """
 
 import os
@@ -18,6 +19,7 @@ import sys
 from pathlib import Path
 
 import demandcast, demandcast.cli
+assert "concurrent.futures" not in sys.modules
 from demandcast import arima, bench
 from demandcast.cli import main
 
@@ -37,7 +39,7 @@ report = bench.run_experiment(bench.ExperimentConfig(
 bench.emit_report(report, d / "report")
 series = [float(t % 7 + t % 3) for t in range(300)]
 assert 0.0 <= arima.diagnostics(arima.fit(series, arima.ArimaSpec(p=1))).p_value
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")))
 """
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demandcast import mlp
@@ -343,6 +343,9 @@ def _grad_bits(result):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 48), min_size=2, max_size=4),
        st.integers(1, 300), st.integers(0, 2**16))
+# equal hidden widths: a hidden delta reuses a spent activation buffer
+@example([6, 40, 40, 1], 167, 0)
+@example([2, 5, 5, 5, 5, 3], 30, 1)
 def test_prepared_batch_gradient_equals_tuple_gradient_bit_for_bit(
         sizes, n, seed):
     rng = np.random.default_rng(seed)
