@@ -136,8 +136,7 @@ def training_pool(records, test_start: int):
     """
     raw = dataset.encode_table(records, HALF_HOURS_PER_DAY, test_start)
     stats = dataset.norm_stats(raw)
-    norm = np.clip((raw - stats.mins) / (stats.maxs - stats.mins), 0.0, 1.0)
-    return np.ascontiguousarray(norm[:, :-1]), norm[:, -1].copy(), stats
+    return (*dataset.normalize_table(raw, stats), stats)
 
 
 def recursive_forecast(records, stats, predict_fn, test_start, periods):
@@ -220,11 +219,13 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
         return _run_model(config, records, stats, pool_x[idx], pool_y[idx],
                           test_start, s, actual_norm, name)
 
-    # EFuNN and ARIMA in turn, then every MLP fit at once
+    # EFuNN and ARIMA in turn, then every MLP fit at once; so an EFuNN
+    # error is raised before any MLP fit starts, and of the MLP fits the
+    # earliest one's, as a loop over them would
     order = [(s, name) for s in range(len(samples)) for name in config.models]
     fits = [job for job in order if job[1].startswith("mlp")]
     done = {job: run(*job) for job in order if job not in fits}
-    with _one_blas_thread():
+    with one_blas_thread():
         done.update(zip(fits, _run_all([functools.partial(run, *job)
                                         for job in fits])))
     outcomes = [done[job] for job in order]
@@ -259,7 +260,11 @@ class TrainedModel:
 def train_model(name: str, config: ExperimentConfig, train_x, train_y,
                 seed: int, counter=None) -> TrainedModel:
     """Train efunn, mlp-bp or mlp-scg under ``config``; flops of learning
-    (not of scoring) go to ``counter``. ``seed`` initializes an MLP."""
+    (not of scoring) go to ``counter``. ``seed`` initializes an MLP.
+
+    MLP bits equal the protocol's when the call runs inside
+    ``one_blas_thread()``, as ``run_experiment`` and ``cli train`` do.
+    """
     t0 = time.perf_counter()
     if name == "efunn":
         inputs, output = make_partitions(config.mf_count)
@@ -272,14 +277,13 @@ def train_model(name: str, config: ExperimentConfig, train_x, train_y,
                             mlp.rmse(model.predict_batch(train_x), train_y),
                             wall)
     model = mlp.init_mlp(config.mlp_layers, seed)
-    with _one_blas_thread():
-        if name == "mlp-bp":
-            cfg = BpConfig(epsilon=config.bp_epsilon, alpha=config.bp_alpha,
-                           epochs=config.epochs)
-            trace = mlp.bp_train(model, (train_x, train_y), cfg, counter)
-        else:
-            trace = mlp.scg_train(model, (train_x, train_y), config.epochs,
-                                  counter=counter)
+    if name == "mlp-bp":
+        cfg = BpConfig(epsilon=config.bp_epsilon, alpha=config.bp_alpha,
+                       epochs=config.epochs)
+        trace = mlp.bp_train(model, (train_x, train_y), cfg, counter)
+    else:
+        trace = mlp.scg_train(model, (train_x, train_y), config.epochs,
+                              counter=counter)
     wall = time.perf_counter() - t0
     return TrainedModel(model, lambda x: mlp.forward(model, x),
                         mlp.rmse(mlp.forward_batch(model, train_x), train_y),
@@ -332,37 +336,41 @@ def _openblas():
     return None
 
 
-_pin_lock = threading.Lock()
-_pin = {"depth": 0, "before": 1}
-
-
 @contextlib.contextmanager
-def _one_blas_thread():
-    """OpenBLAS on one thread while any such block is open, in any thread;
-    the count before the first is restored after the last."""
+def one_blas_thread():
+    """OpenBLAS on one thread inside the block, its count restored after;
+    nothing changes when no OpenBLAS is found."""
     blas = _openblas()
     if blas is None:
         yield
         return
     get, put = blas
-    with _pin_lock:
-        if not _pin["depth"]:
-            _pin["before"] = get()
-            put(1)
-        _pin["depth"] += 1
+    before = get()
+    put(1)
     try:
         yield
     finally:
-        with _pin_lock:
-            _pin["depth"] -= 1
-            if not _pin["depth"]:
-                put(_pin["before"])
+        put(before)
+
+
+def _functions(*modules) -> dict:
+    return {(m.__name__, k): v for m in modules for k, v in vars(m).items()
+            if callable(v)}
+
+
+# the functions an MLP fit calls, as defined; see _workers
+_DEFINED = _functions(dataset, mlp)
 
 
 def _workers(jobs: int) -> int:
-    """One thread per core, each using one BLAS thread; one thread when
-    BLAS threads cannot be pinned."""
-    if _openblas() is None:
+    """One thread per core, each using one BLAS thread.
+
+    One thread when BLAS threads cannot be pinned, or when a caller has
+    replaced a function of ``dataset`` or ``mlp``: such a wrapper (a
+    profiler's call stack, a counter) was written for fits that run in
+    turn, so they keep that order.
+    """
+    if _openblas() is None or _functions(dataset, mlp) != _DEFINED:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), jobs))
 
@@ -374,22 +382,24 @@ def _run_all(jobs) -> list:
 
     After a failure no job starts. The failure of the earliest job is
     raised: every job before it had started, so a loop running them in
-    order would have raised the same.
+    order would have raised the same. An interrupt of the calling thread
+    propagates as itself once the jobs already running have ended.
     """
     results = [None] * len(jobs)
     failures = {}
     pending = iter(range(len(jobs)))
     lock = threading.Lock()
+    stop = threading.Event()
 
     def work():
         while True:
             with lock:
-                i = None if failures else next(pending, None)
+                i = None if failures or stop.is_set() else next(pending, None)
             if i is None:
                 return
             try:
                 results[i] = jobs[i]()
-            except BaseException as exc:
+            except Exception as exc:
                 with lock:
                     failures[i] = exc
 
@@ -400,6 +410,7 @@ def _run_all(jobs) -> list:
     try:
         work()
     finally:
+        stop.set()
         for t in helpers:
             t.join()
     if failures:

@@ -12,6 +12,7 @@ data problems, 2 when an estimator fails to converge.
 """
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -138,8 +139,12 @@ def _cmd_train(args) -> int:
     else:  # scg has no settings beyond the layers
         settings = {_MLP_SETTINGS[k]: v for k, v in kv.items()}
         settings["epochs"] = args.epochs
-    trained = bench.train_model(args.model, bench.ExperimentConfig(**settings),
-                                train_x, train_y, args.seed)
+    # one BLAS thread gives the MLP bits of the protocol on any machine
+    with (contextlib.nullcontext() if args.model == "efunn"
+          else bench.one_blas_thread()):
+        trained = bench.train_model(args.model,
+                                    bench.ExperimentConfig(**settings),
+                                    train_x, train_y, args.seed)
     if args.model == "efunn":
         trained.model.save(args.out, extra=extra)
         print(f"trained efunn in 1 pass over {len(train_y)} examples: "

@@ -214,12 +214,17 @@ def norm_stats(table: np.ndarray) -> NormStats:
     return NormStats(mins=mins, maxs=maxs)
 
 
+def normalize_table(table: np.ndarray, stats: NormStats) -> tuple:
+    """Raw rows (six features, then the target) mapped to [0,1] and
+    clamped; returns (x, y), the features C-contiguous."""
+    norm = np.clip((table - stats.mins) / (stats.maxs - stats.mins), 0.0, 1.0)
+    return np.ascontiguousarray(norm[..., :-1]), norm[..., -1].copy()
+
+
 def apply_norm(v: FeatureVector, stats: NormStats) -> FeatureVector:
     """Map a raw vector to [0,1] coordinates, clamping out-of-range values."""
-    span = stats.maxs - stats.mins
-    x = np.clip((v.x - stats.mins[:-1]) / span[:-1], 0.0, 1.0)
-    y = float(np.clip((v.y - stats.mins[-1]) / span[-1], 0.0, 1.0))
-    return FeatureVector(x, y)
+    x, y = normalize_table(np.append(v.x, v.y), stats)
+    return FeatureVector(x, float(y))
 
 
 def norm_target(y: float, stats: NormStats) -> float:

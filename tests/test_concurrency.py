@@ -1,20 +1,23 @@
 """The protocol's MLP fits run at once, one BLAS thread each.
 
 Their bytes depend neither on the BLAS thread count nor on the number
-of worker threads; a failing fit raises what a serial run raises; and
-no more threads compute at once than the process has cores.
+of worker threads; a failing fit raises what a serial run raises; no
+more threads compute at once than the process has cores; and wrapped
+layer functions see the fits in turn.
 """
 
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import demandcast
-from demandcast import bench
+from demandcast import bench, mlp
 from demandcast.errors import DivergenceError
 
 _SCRIPT = """
@@ -157,3 +160,59 @@ def test_every_job_runs_once_and_the_earliest_failure_is_raised(monkeypatch):
     assert sorted(ran)[:701] == list(range(701))
     assert len(set(ran)) == len(ran)
     assert threading.active_count() == threads
+
+
+def test_an_interrupt_of_the_calling_thread_propagates_as_itself(monkeypatch):
+    # helpers' jobs, earlier in the list, fail while the calling thread's
+    # job runs; the interrupt still wins and no further job starts
+    monkeypatch.setattr(bench, "_workers", lambda jobs: 4)
+    threads = threading.active_count()
+    main = threading.main_thread()
+    main_started = threading.Event()
+    ran = []
+
+    def job(i):
+        def run():
+            ran.append(i)
+            if threading.current_thread() is main:
+                main_started.set()
+                time.sleep(0.05)
+                raise KeyboardInterrupt
+            main_started.wait(5)
+            raise ValueError(i)
+        return run
+
+    with pytest.raises(KeyboardInterrupt):
+        bench._run_all([job(i) for i in range(100)])
+    assert threading.active_count() == threads
+    assert len(ran) == 4
+
+
+def test_wrapped_layer_functions_keep_the_fits_in_turn(monkeypatch):
+    # a wrapper that keeps one call stack for the whole process, as a
+    # profiler may, sees every gradient inside a trainer of its own thread
+    config = bench.ExperimentConfig(synth_days=40, seed=1, epochs=20,
+                                    n_samples=2, models=("mlp-bp", "mlp-scg"))
+    plain = bench.run_experiment(config)
+    stack, calls = [], []
+
+    def wrap(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append((name, stack[-1] if stack else None))
+            stack.append((name, threading.get_ident()))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return wrapper
+
+    for name in ("bp_train", "scg_train", "gradient"):
+        monkeypatch.setattr(mlp, name, wrap(getattr(mlp, name), name))
+    assert bench._workers(4) == 1
+    wrapped = bench.run_experiment(config)
+    me = threading.get_ident()
+    assert {parent for name, parent in calls if name == "gradient"} <= {
+        ("bp_train", me), ("scg_train", me)}
+    for a, b in zip(plain.outcomes, wrapped.outcomes):
+        assert np.array_equal(a.predictions, b.predictions)
+        assert a.trace == b.trace
