@@ -406,11 +406,12 @@ def forecast(fit_: ArimaFit, horizon: int) -> np.ndarray:
 
 # ArimaFit fields stored as they are, in file order, with their parsers
 _FIT_FIELDS = (
-    ("intercept", float), ("ar", snapshot.parse_array),
-    ("ma", snapshot.parse_array), ("seasonal_ar", snapshot.parse_array),
-    ("seasonal_ma", snapshot.parse_array), ("sigma2", float), ("sse", float),
-    ("iterations", int), ("near_unit_root", lambda v: v.strip() == "1"),
-    ("residuals", snapshot.parse_array),
+    ("intercept", snapshot.finite_float), ("ar", snapshot.parse_finite),
+    ("ma", snapshot.parse_finite), ("seasonal_ar", snapshot.parse_finite),
+    ("seasonal_ma", snapshot.parse_finite), ("sigma2", snapshot.finite_float),
+    ("sse", snapshot.finite_float), ("iterations", int),
+    ("near_unit_root", lambda v: v.strip() == "1"),
+    ("residuals", snapshot.parse_finite),
 )
 
 
@@ -438,13 +439,13 @@ def from_text(text: str):
 
 
 def _from_fields(body: dict, extra: dict):
-    need, parse_array = snapshot.need, snapshot.parse_array
+    need, parse = snapshot.need, snapshot.parse_finite
     anchors = ForecastAnchors(
         stages=[(need(body, f"stage.{k}.lag", int),
-                 need(body, f"stage.{k}.anchor", parse_array))
+                 need(body, f"stage.{k}.anchor", parse))
                 for k in range(need(body, "stages", int))],
-        z_tail=need(body, "z_tail", parse_array),
-        e_tail=need(body, "e_tail", parse_array),
+        z_tail=need(body, "z_tail", parse),
+        e_tail=need(body, "e_tail", parse),
     )
     fit_ = ArimaFit(
         spec=ArimaSpec(**snapshot.config_kwargs(ArimaSpec, body, "spec")),

@@ -214,10 +214,10 @@ def update_node(node: RuleNode, ex, te, a1, lr1: float, lr2: float) -> RuleNode:
 
 # node arrays in snapshot order: (field key, model array, parser)
 _NODE_FIELDS = (
-    ("nodes.w1", "_w1", snapshot.parse_array),
-    ("nodes.w2", "_w2", snapshot.parse_array),
+    ("nodes.w1", "_w1", snapshot.parse_finite),
+    ("nodes.w2", "_w2", snapshot.parse_finite),
     ("nodes.age", "_age", snapshot.parse_ints),
-    ("nodes.a1av", "_a1av", snapshot.parse_array),
+    ("nodes.a1av", "_a1av", snapshot.parse_finite),
     ("nodes.absorbed", "_absorbed", snapshot.parse_ints),
 )
 # every array of the rule layer: the snapshot's, and _degree_sum of each
@@ -737,7 +737,8 @@ class EfunnModel:
             body, "last_winner", lambda v: None if v == "none" else int(v))
         if lw is not None and not 0 <= lw < n:
             raise ParseError(f"snapshot last_winner {lw} outside nodes 0..{n - 1}")
-        model._last_act = need(body, "last_winner_activation", float)
+        model._last_act = need(body, "last_winner_activation",
+                               snapshot.finite_float)
         return model, extra
 
     def save(self, path, extra: Optional[dict] = None) -> None:
@@ -754,7 +755,8 @@ def _parse_links(text: str, n: int) -> dict:
     for triple in text.split():
         try:
             prev, curr, weight = triple.split(":")
-            prev, curr, weight = int(prev), int(curr), float(weight)
+            prev, curr = int(prev), int(curr)
+            weight = snapshot.finite_float(weight)
         except ValueError:
             raise ParseError(f"bad link {triple!r}") from None
         if not (0 <= prev < n and 0 <= curr < n):
@@ -783,7 +785,7 @@ def _v1_fields(body: dict) -> dict:
     for r in range(n):
         text = need(body, f"w3.{r}")
         if text not in rows:
-            rows[text] = need(body, f"w3.{r}", snapshot.parse_array)
+            rows[text] = need(body, f"w3.{r}", snapshot.parse_finite)
         row = rows[text]
         if row.size != n:
             raise ParseError(f"snapshot key 'w3.{r}' holds {row.size} values, "
@@ -874,6 +876,6 @@ def _partition_from(body: dict, prefix: str) -> MembershipPartition:
     return MembershipPartition(
         variable_name=need(body, f"{prefix}.name"),
         kind=need(body, f"{prefix}.kind"),
-        centers=need(body, f"{prefix}.centers", snapshot.parse_array),
-        widths=need(body, f"{prefix}.widths", snapshot.parse_array),
+        centers=need(body, f"{prefix}.centers", snapshot.parse_finite),
+        widths=need(body, f"{prefix}.widths", snapshot.parse_finite),
     )

@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
+from .flops import MAC_FLOPS, TRANSCENDENTAL_FLOPS
 
 _LAMBDA_FLOOR = 1e-20
 # SCG's curvature step length (sigma, divided by |p| each step) and its
@@ -37,19 +38,57 @@ _SIGMA0 = 1e-5
 _LAMBDA0 = 1e-6
 
 
-@dataclass
 class MlpModel:
-    """Layered weights; weights[l] maps layer l (columns) to l+1 (rows)."""
+    """Dense layers held in one flat parameter vector ``params``.
 
-    layer_sizes: tuple
-    weights: list
-    biases: list
-    hidden_activation: str = "tanh_sigmoid"
-    output_activation: str = "linear"
+    ``layers[l]`` is the (out, in + 1) view of ``params`` that maps layer
+    l to layer l + 1: its weights in columns ``:in`` and its bias in the
+    last column, so one matrix product with an input that ends in a row
+    of ones applies both. ``weights[l]`` and ``biases[l]`` are views of
+    those columns; writing into any of them writes ``params``, and none
+    of the three can be rebound.
+    """
+
+    hidden_activation = "tanh_sigmoid"
+    output_activation = "linear"
+
+    def __init__(self, layer_sizes, weights, biases):
+        sizes = self.layer_sizes = tuple(layer_sizes)
+        self._params = np.empty(
+            sum(o * (i + 1) for i, o in zip(sizes, sizes[1:])))
+        self._layers = _layer_views(self._params, sizes)
+        self._weights = tuple(a[:, :-1] for a in self._layers)
+        self._biases = tuple(a[:, -1] for a in self._layers)
+        values = list(weights) + list(biases)
+        if len(values) != 2 * len(self._layers):
+            raise ShapeError(f"{len(sizes)} layer sizes need "
+                             f"{len(self._layers)} weight matrices and "
+                             f"bias vectors each")
+        for view, value in zip(self._weights + self._biases, values):
+            value = np.asarray(value, dtype=float)
+            if value.shape not in (view.shape, ()):
+                raise ShapeError(f"parameter of shape {value.shape}, "
+                                 f"expected {view.shape}")
+            view[...] = value
+
+    params = property(lambda self: self._params)
+    layers = property(lambda self: self._layers)
+    weights = property(lambda self: self._weights)
+    biases = property(lambda self: self._biases)
 
     @property
     def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+        return self.params.size
+
+
+def _layer_views(flat: np.ndarray, sizes) -> list:
+    """(out, in + 1) views of consecutive blocks of ``flat``, one per layer."""
+    views, pos = [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        end = pos + fan_out * (fan_in + 1)
+        views.append(flat[pos:end].reshape(fan_out, fan_in + 1))
+        pos = end
+    return views
 
 
 def init_mlp(layer_sizes, seed: int = 0) -> MlpModel:
@@ -61,34 +100,38 @@ def init_mlp(layer_sizes, seed: int = 0) -> MlpModel:
         raise ConfigError(f"layer sizes must be >= 1, got {sizes}")
     rng = np.random.default_rng(seed)
     weights = []
-    biases = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(sizes, weights, biases)
+    return MlpModel(sizes, weights, [0.0] * len(weights))
 
 
-def _forward_layers(model: MlpModel, x: np.ndarray, counter=None, acts=None):
-    """Activations of every layer for a batch; hidden tanh, output linear.
+def _activations(sizes, X: np.ndarray) -> list:
+    """Feature-major buffers of every layer for the (N, in) batch X.
 
-    acts, when given, is ``[x]`` followed by one (N, size) buffer per
-    later layer, and is filled in place; otherwise it is allocated.
+    The input and each hidden layer get (size + 1, N) with a last row of
+    ones, the bias input of the next layer; the output gets (size, N).
+    acts[0] holds X transposed.
     """
-    if acts is None:
-        acts = [x] + [np.empty((x.shape[0], w.shape[0])) for w in model.weights]
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a, z = acts[l], acts[l + 1]
-        np.matmul(a, w.T, out=z)
-        z += b
-        if counter is not None:
-            counter.add_gemm(a.shape[0], w.shape[0], w.shape[1])
+    n = X.shape[0]
+    acts = [np.ones((s + 1, n)) for s in sizes[:-1]] + [np.empty((sizes[-1], n))]
+    acts[0][:-1] = X.T
+    return acts
+
+
+def _forward_layers(model: MlpModel, acts: list) -> np.ndarray:
+    """Fill ``acts[1:]`` from ``acts[0]``; hidden tanh, output linear.
+
+    Each layer is one matrix product into the rows above the ones row.
+    Returns the (out, N) output.
+    """
+    last = len(model.layers) - 1
+    for l, layer in enumerate(model.layers):
+        z = acts[l + 1][: layer.shape[0]]
+        np.matmul(layer, acts[l], out=z)
         if l != last:
             np.tanh(z, out=z)
-            if counter is not None:
-                counter.add_transcendental(z.size)
-    return acts
+    return acts[-1]
 
 
 def forward(model: MlpModel, x) -> float:
@@ -98,7 +141,7 @@ def forward(model: MlpModel, x) -> float:
         raise ShapeError(
             f"input has shape {x.shape}, network expects {model.layer_sizes[0]}"
         )
-    out = _forward_layers(model, x[None, :])[-1][0]
+    out = _forward_layers(model, _activations(model.layer_sizes, x[None, :]))[:, 0]
     return float(out[0]) if out.size == 1 else out
 
 
@@ -109,8 +152,8 @@ def forward_batch(model: MlpModel, X) -> np.ndarray:
         raise ShapeError(
             f"batch has shape {X.shape}, network expects (N, {model.layer_sizes[0]})"
         )
-    out = _forward_layers(model, X)[-1]
-    return out[:, 0] if model.layer_sizes[-1] == 1 else out
+    out = _forward_layers(model, _activations(model.layer_sizes, X))
+    return out[0] if model.layer_sizes[-1] == 1 else out.T
 
 
 def _as_batch(model: MlpModel, data):
@@ -146,76 +189,93 @@ def _as_batch(model: MlpModel, data):
 class Batch:
     """Training inputs and targets with the buffers one gradient writes.
 
-    ``gradient`` of a Batch fills the same per-layer activation and delta
-    buffers and the same flat gradient vector ``grad`` (weights then
-    biases, the order of ``flatten_params``) on every call, so a trainer
-    that prepares its batch once allocates nothing per evaluation.
+    ``gradient`` of a Batch fills the same activation and delta buffers
+    and the same flat gradient vector ``grad`` (in the order of the
+    model's ``params``) on every call, so a trainer that prepares its
+    batch once allocates nothing per evaluation. ``flops`` is what one
+    gradient costs.
     """
 
     def __init__(self, model: MlpModel, data):
-        self.layer_sizes = model.layer_sizes
-        self.X, self.Y = _as_batch(model, data)
-        n = self.X.shape[0]
-        self.acts = [self.X] + [np.empty((n, s)) for s in self.layer_sizes[1:]]
-        # deltas[l] is written once acts[l + 2] is spent, so it takes that
-        # buffer when the shapes agree
-        spent = self.acts[2:]
-        self.deltas = [
-            spent[l] if l < len(spent) and spent[l].shape == (n, s)
-            else np.empty((n, s))
-            for l, s in enumerate(self.layer_sizes[1:])
-        ]
+        self.layer_sizes = sizes = model.layer_sizes
+        X, Y = _as_batch(model, data)
+        n = X.shape[0]
+        self.acts = _activations(sizes, X)
+        self.Y = np.ascontiguousarray(Y.T)
+        # deltas[l], the error at the output of layers[l], is written by
+        # the backward step of layers[l + 1] once its weight gradient is
+        # taken: over the tanh outputs in acts[l + 1] when layers[l + 1]
+        # has one output (a broadcast product needs no other buffer),
+        # else into the spent rows of acts[l + 2] when they fit and hold
+        # no delta; the output error overwrites the output
+        last = len(sizes) - 2
+        self.deltas = [None] * last + [self.acts[-1]]
+        for l in range(last - 1, -1, -1):
+            if sizes[l + 2] == 1:
+                self.deltas[l] = self.acts[l + 1][:-1]
+            elif (l + 2 <= last and sizes[l + 3] != 1
+                  and sizes[l + 2] == sizes[l + 1]):
+                self.deltas[l] = self.acts[l + 2][:-1]
+            else:
+                self.deltas[l] = np.empty((sizes[l + 1], n))
         self.grad = np.empty(model.n_params)
-        views, pos = [], 0
-        for param in model.weights + model.biases:
-            views.append(self.grad[pos : pos + param.size].reshape(param.shape))
-            pos += param.size
-        self.grads_w = views[: len(model.weights)]
-        self.grads_b = views[len(model.weights) :]
+        self.grads = _layer_views(self.grad, sizes)
+        self.grads_w = [g[:, :-1] for g in self.grads]
+        self.grads_b = [g[:, -1] for g in self.grads]
+        # forward and weight-gradient products of every layer, the
+        # back-propagated delta of every layer but the first, and per
+        # hidden unit one tanh and three flops of its derivative
+        macs = [a * b for a, b in zip(sizes[:-1], sizes[1:])]
+        self.flops = n * (MAC_FLOPS * (2 * sum(macs) + sum(macs[1:]))
+                          + (TRANSCENDENTAL_FLOPS + 3) * sum(sizes[1:-1]))
 
 
 def gradient(model: MlpModel, data, counter=None):
     """Exact backpropagated gradient of the batch mean squared error.
 
     data is (X, Y) arrays, a sequence of (x, y) pairs, or a ``Batch``.
-    Returns (weight gradients, bias gradients, E); for a Batch the
-    gradients are views into ``data.grad``, which the next call on the
+    Returns (weight gradients, bias gradients, E); the gradients are
+    views into ``data.grad`` for a Batch, which the next call on the
     same Batch overwrites.
     """
     batch = data if isinstance(data, Batch) else Batch(model, data)
     if batch.layer_sizes != model.layer_sizes:
         raise ShapeError(f"batch was prepared for layers {batch.layer_sizes}, "
                          f"network has {model.layer_sizes}")
-    acts, deltas = batch.acts, batch.deltas
-    n = batch.X.shape[0]
-    _forward_layers(model, batch.X, counter, acts)
-    delta = deltas[-1]
-    np.subtract(acts[-1], batch.Y, out=delta)
-    e_value = float((delta * delta).sum(axis=1).mean())
+    acts = batch.acts
+    n = acts[0].shape[1]
+    delta = _forward_layers(model, acts)
+    delta -= batch.Y
+    e_value = float((delta * delta).sum()) / n
     delta *= 2.0
     delta /= n
-    for l in range(len(model.weights) - 1, -1, -1):
-        delta = deltas[l]
-        np.matmul(delta.T, acts[l], out=batch.grads_w[l])
-        np.sum(delta, axis=0, out=batch.grads_b[l])
-        if counter is not None:
-            counter.add_gemm(delta.shape[1], acts[l].shape[1], n)
-        if l > 0:
-            # acts[l] is spent once its weight gradient is taken, so the
-            # tanh derivative 1 - a^2 overwrites it
-            a = acts[l]
-            np.matmul(delta, model.weights[l], out=deltas[l - 1])
-            np.multiply(a, a, out=a)
-            np.subtract(1.0, a, out=a)
-            deltas[l - 1] *= a
-            if counter is not None:
-                counter.add_gemm(n, deltas[l - 1].shape[1], delta.shape[1])
-                counter.add(3 * a.size)
+    for l in range(len(model.layers) - 1, -1, -1):
+        # one product gives the weight gradient and, against the ones
+        # row, the bias gradient
+        np.matmul(delta, acts[l].T, out=batch.grads[l])
+        if l == 0:
+            break
+        # the tanh outputs are spent, so their derivative 1 - a^2
+        # overwrites them
+        h = acts[l][:-1]
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)
+        if delta.shape[0] == 1:  # deltas[l - 1] is h
+            h *= model.weights[l].T
+            h *= delta
+        else:
+            np.matmul(model.weights[l].T, delta, out=batch.deltas[l - 1])
+            batch.deltas[l - 1] *= h
+        delta = batch.deltas[l - 1]
+    if counter is not None:
+        counter.add(batch.flops)
     return batch.grads_w, batch.grads_b, e_value
 
 
 def flatten_params(model: MlpModel) -> np.ndarray:
-    """All weights then all biases as one parameter vector."""
+    """All weights then all biases as one vector, the order in which the
+    gradient's weight and bias parts concatenate (``params`` holds them
+    layer by layer instead)."""
     parts = [w.ravel() for w in model.weights] + [b.ravel() for b in model.biases]
     return np.concatenate(parts)
 
@@ -267,28 +327,23 @@ def bp_train(model: MlpModel, data, cfg: BpConfig, counter=None) -> list:
     Returns the per-epoch RMSE trace, evaluated at the parameters each
     epoch starts from. The momentum state persists across epochs.
     """
-    batch = Batch(model, data)
-    deltas_w = [np.zeros_like(w) for w in model.weights]
-    deltas_b = [np.zeros_like(b) for b in model.biases]
+    batch, params = Batch(model, data), model.params
+    step = np.zeros_like(params)
     trace = []
-    for epoch in range(1, cfg.epochs + 1):
-        # runaway weights overflow quietly here; the check below turns
-        # the non-finite error into the failure signal
-        with np.errstate(over="ignore", invalid="ignore"):
-            grads_w, grads_b, e_value = gradient(model, batch, counter)
-        if not math.isfinite(e_value):
-            raise DivergenceError(f"training error became non-finite at epoch {epoch}")
-        trace.append(math.sqrt(e_value))
-        for w, g, d in zip(model.weights, grads_w, deltas_w):
-            d *= cfg.alpha
-            d -= cfg.epsilon * g
-            w += d
-        for b, g, d in zip(model.biases, grads_b, deltas_b):
-            d *= cfg.alpha
-            d -= cfg.epsilon * g
-            b += d
-        if counter is not None:
-            counter.add(4 * model.n_params)
+    # runaway weights overflow quietly here; the check below turns the
+    # non-finite error into the failure signal
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            e_value = gradient(model, batch, counter)[2]
+            if not math.isfinite(e_value):
+                raise DivergenceError(
+                    f"training error became non-finite at epoch {epoch}")
+            trace.append(math.sqrt(e_value))
+            step *= cfg.alpha
+            step -= cfg.epsilon * batch.grad
+            params += step
+    if counter is not None:
+        counter.add(4 * model.n_params * cfg.epochs)
     return trace
 
 
@@ -414,12 +469,12 @@ def scg_train(model: MlpModel, data, epochs: int, counter=None) -> list:
     batch = Batch(model, data)
 
     def fun_grad(vec):
-        set_params(model, vec)
+        np.copyto(model.params, vec)
         return gradient(model, batch, counter)[2], batch.grad
 
-    result = scg_minimize(fun_grad, flatten_params(model), iterations=epochs,
+    result = scg_minimize(fun_grad, model.params.copy(), iterations=epochs,
                           counter=counter)
-    set_params(model, result.w)
+    np.copyto(model.params, result.w)
     trace = [math.sqrt(e) for e in result.trace]
     while len(trace) < epochs:
         trace.append(trace[-1] if trace else 0.0)
@@ -456,12 +511,12 @@ def _from_fields(body: dict, extra: dict):
     weights = []
     biases = []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = need(body, f"weight.{l}", snapshot.parse_array)
+        w = need(body, f"weight.{l}", snapshot.parse_finite)
         if w.size != fan_in * fan_out:
             raise ParseError(f"weight.{l} has {w.size} entries, expected "
                              f"{fan_in * fan_out}")
         weights.append(w.reshape(fan_out, fan_in))
-        b = need(body, f"bias.{l}", snapshot.parse_array)
+        b = need(body, f"bias.{l}", snapshot.parse_finite)
         if b.size != fan_out:
             raise ParseError(f"bias.{l} has {b.size} entries, expected {fan_out}")
         biases.append(b)

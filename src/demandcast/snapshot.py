@@ -96,6 +96,23 @@ def parse_array(text: str) -> np.ndarray:
         raise ParseError(f"bad number in snapshot array: {exc}") from None
 
 
+def parse_finite(text: str) -> np.ndarray:
+    """``parse_array`` of a model parameter, which must be finite: a nan
+    or inf parameter loads, but every answer computed from it is wrong."""
+    return _require_finite(parse_array(text))
+
+
+def finite_float(text: str) -> float:
+    """``float`` of a model parameter, which must be finite."""
+    return _require_finite(float(text))
+
+
+def _require_finite(values):
+    if not np.isfinite(values).all():
+        raise ParseError("holds a non-finite value")
+    return values
+
+
 def parse_ints(text: str) -> list:
     """The integers of space-separated text, as Python ints."""
     try:

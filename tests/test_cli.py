@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,8 @@ EXIT_1_CASES = (
     "non-numeric bench config", "mlp snapshot to rules",
     "arima on another csv", "arima on a longer csv", "corrupt efunn field",
     "corrupt efunn array", "binary snapshot", "unimplemented mlp activation",
+    "nan mlp weight", "nan arima coefficient", "nan efunn weight",
+    "nan efunn format 1 link",
 )
 
 
@@ -220,6 +223,17 @@ def bad_inputs(data_csv, tmp_path_factory):
     mlp.save(unknown, act_snap)
     assert main(["train", "--model", "arima", "--data", str(data_csv),
                  "--out", arima_snap]) == 0
+    # one parameter of each model set to nan: the file parses, but every
+    # forecast from it would be nan or quietly wrong
+    nan_mlp = write("nan-mlp.snap", re.sub(
+        r"\nweight\.1=\S+", "\nweight.1=nan", (d / "mlp.snap").read_text()))
+    nan_arima = write("nan-arima.snap", re.sub(
+        r"\nar=[^\n]*", "\nar=nan", (d / "arima.snap").read_text()))
+    nan_efunn = write("nan-efunn.snap", re.sub(
+        r"\nnodes\.w2=\S+", "\nnodes.w2=nan", text))
+    nan_v1 = write("nan-v1.snap", re.sub(
+        r"\nw3\.0=\S+", "\nw3.0=nan",
+        (Path(__file__).parent / "data" / "efunn_v1.snap").read_text()))
     assert main(["synth", "--days", "40", "--seed", "4", "--out", other]) == 0
     assert main(["synth", "--days", "41", "--seed", "3", "--out", longer]) == 0
 
@@ -263,6 +277,20 @@ def bad_inputs(data_csv, tmp_path_factory):
             ["forecast", "--snapshot", act_snap, "--data", str(data_csv),
              "--out", out],
             f"{act_snap}: snapshot hidden_activation 'xx' is not implemented"),
+        "nan mlp weight": (
+            ["forecast", "--snapshot", nan_mlp, "--data", str(data_csv),
+             "--out", out],
+            f"{nan_mlp}: snapshot key 'weight.1': holds a non-finite value"),
+        "nan arima coefficient": (
+            ["forecast", "--snapshot", nan_arima, "--data", str(data_csv),
+             "--out", out],
+            f"{nan_arima}: snapshot key 'ar': holds a non-finite value"),
+        "nan efunn weight": (
+            ["rules", "--snapshot", nan_efunn],
+            f"{nan_efunn}: snapshot key 'nodes.w2': holds a non-finite value"),
+        "nan efunn format 1 link": (
+            ["rules", "--snapshot", nan_v1],
+            f"{nan_v1}: snapshot key 'w3.0': holds a non-finite value"),
     }
 
 

@@ -42,6 +42,27 @@ def test_init_is_seeded_and_bounded():
     assert all(np.all(b_ == 0.0) for b_ in a.biases)
 
 
+def test_parameters_are_views_that_cannot_be_rebound():
+    m = init_mlp((2, 3, 1), seed=0)
+    m.weights[1][0, 2] = 7.0
+    m.biases[0][1] = -2.0
+    assert m.layers[1][0, 2] == m.params[3 * 3 + 2] == 7.0
+    assert m.layers[0][1, 2] == m.params[5] == -2.0
+    for name in ("params", "layers", "weights", "biases"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(m, name))
+
+
+def test_model_rejects_parameters_that_do_not_fit_the_layers():
+    w, b = [np.zeros((3, 2)), np.zeros((1, 3))], [np.zeros(3), np.zeros(1)]
+    with pytest.raises(ShapeError):
+        MlpModel((2, 3, 1), w[:1], b[:1])
+    with pytest.raises(ShapeError):
+        MlpModel((2, 3, 1), [w[0].T, w[1]], b)
+    with pytest.raises(ShapeError):
+        MlpModel((2, 3, 1), w, [np.zeros(1), np.zeros(1)])
+
+
 def test_init_rejects_degenerate_layer_lists():
     with pytest.raises(ConfigError):
         init_mlp((5,))
@@ -317,7 +338,34 @@ def test_snapshot_parse_errors():
 
 
 def _gradient_per_call(model, X, Y):
-    """gradient as first written: every array allocated per call."""
+    """gradient with every array allocated per call: feature-major
+    activations under a row of ones, one (out, in + 1) matrix per layer."""
+    n = X.shape[0]
+    ones = np.ones((1, n))
+    # C order, as a Batch holds it: a product rounds by the memory order
+    # of its operands, and vstack of X.T would be Fortran-ordered
+    acts = [np.ascontiguousarray(np.vstack([X.T, ones]))]
+    last = len(model.layers) - 1
+    for l, layer in enumerate(model.layers):
+        z = layer @ acts[-1]
+        acts.append(z if l == last else np.vstack([np.tanh(z), ones]))
+    diff = acts[-1] - Y.T
+    e_value = float((diff * diff).sum()) / n
+    delta = 2.0 * diff / n
+    grads = [None] * (last + 1)
+    for l in range(last, -1, -1):
+        grads[l] = delta @ acts[l].T
+        if l > 0:
+            a, w = acts[l][:-1], model.weights[l]
+            if delta.shape[0] == 1:  # an outer product, as a broadcast
+                delta = (1.0 - a * a) * w.T * delta
+            else:
+                delta = (w.T @ delta) * (1.0 - a * a)
+    return [g[:, :-1] for g in grads], [g[:, -1] for g in grads], e_value
+
+
+def _gradient_row_major(model, X, Y):
+    """gradient as first written: row-major activations, separate biases."""
     acts = [X]
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -335,9 +383,16 @@ def _gradient_per_call(model, X, Y):
     return grads_w, grads_b, e_value
 
 
+def _flat(grads_w, grads_b):
+    """Gradients in the order of the model's params: each layer's
+    (out, in + 1) matrix, bias last in every row."""
+    return np.concatenate([np.column_stack([w, b]).ravel()
+                           for w, b in zip(grads_w, grads_b)])
+
+
 def _grad_bits(result):
     grads_w, grads_b, e_value = result
-    return [g.tobytes() for g in grads_w + grads_b], e_value.hex()
+    return _flat(grads_w, grads_b).tobytes(), e_value.hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -346,6 +401,10 @@ def _grad_bits(result):
 # equal hidden widths: a hidden delta reuses a spent activation buffer
 @example([6, 40, 40, 1], 167, 0)
 @example([2, 5, 5, 5, 5, 3], 30, 1)
+# one-unit layers: the delta below them is a broadcast product
+@example([3, 4, 1, 5, 1], 20, 2)
+@example([2, 1, 1], 9, 3)
+@example([6, 40, 40, 1], 1, 4)
 def test_prepared_batch_gradient_equals_tuple_gradient_bit_for_bit(
         sizes, n, seed):
     rng = np.random.default_rng(seed)
@@ -359,7 +418,28 @@ def test_prepared_batch_gradient_equals_tuple_gradient_bit_for_bit(
         got = _grad_bits(gradient(model, batch))
         assert got == _grad_bits(gradient(model, (X, Y)))
         assert got == _grad_bits(_gradient_per_call(model, X, Y))
-        assert batch.grad.tobytes() == b"".join(got[0])  # the flat layout
+        assert batch.grad.tobytes() == got[0]  # the flat layout
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 48), min_size=2, max_size=4),
+       st.integers(1, 300), st.integers(0, 2**16))
+@example([6, 40, 40, 1], 835, 0)
+@example([3, 4, 1, 5, 1], 20, 2)
+def test_gradient_agrees_with_the_row_major_formula(sizes, n, seed):
+    # folding each bias into its layer's product reorders the sums, so
+    # the two layouts agree to rounding, not bit for bit
+    rng = np.random.default_rng(seed)
+    model = init_mlp(sizes, seed=seed)
+    for b in model.biases:
+        b += rng.normal(scale=0.5, size=b.shape)
+    X = rng.normal(size=(n, sizes[0]))
+    Y = rng.normal(size=(n, sizes[-1]))
+    grads_w, grads_b, e_value = gradient(model, (X, Y))
+    ref_w, ref_b, ref_e = _gradient_row_major(model, X, Y)
+    got, want = _flat(grads_w, grads_b), _flat(ref_w, ref_b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert e_value == pytest.approx(ref_e, rel=1e-12)
 
 
 def test_batch_prepared_for_other_layers_is_refused():
@@ -368,44 +448,52 @@ def test_batch_prepared_for_other_layers_is_refused():
         gradient(init_mlp((3, 5, 1), seed=0), batch)
 
 
-def _fixed_problem():
-    X, y = tiny_batch(seed=7, n=40, n_in=3)
-    return init_mlp((3, 8, 6, 1), seed=2), X, y
+# a hidden layer of one unit, and a batch of one row, take the broadcast
+# and the single-column paths
+_PROBLEMS = [((3, 8, 6, 1), 40), ((3, 4, 1, 5, 1), 40), ((3, 8, 6, 1), 1)]
+
+
+def _fixed_problem(sizes, n):
+    X, y = tiny_batch(seed=7, n=n, n_in=3)
+    return init_mlp(sizes, seed=2), X, y
 
 
 def test_bp_trace_equals_training_on_the_per_call_gradient():
     cfg = BpConfig(epsilon=0.05, alpha=0.8, epochs=60)
-    model, X, y = _fixed_problem()
-    trace = bp_train(model, (X, y), cfg)
+    for sizes, n in _PROBLEMS:
+        model, X, y = _fixed_problem(sizes, n)
+        trace = bp_train(model, (X, y), cfg)
 
-    ref, _, _ = _fixed_problem()
-    steps = [np.zeros_like(p) for p in ref.weights + ref.biases]
-    ref_trace = []
-    for _ in range(cfg.epochs):
-        grads_w, grads_b, e_value = _gradient_per_call(ref, X, y)
-        ref_trace.append(math.sqrt(e_value))
-        for param, g, step in zip(ref.weights + ref.biases,
-                                  grads_w + grads_b, steps):
-            step *= cfg.alpha
-            step -= cfg.epsilon * g
-            param += step
-    assert trace == ref_trace
-    assert mlp.flatten_params(model).tobytes() == \
-        mlp.flatten_params(ref).tobytes()
+        ref, _, _ = _fixed_problem(sizes, n)
+        steps = [np.zeros_like(p) for p in ref.weights + ref.biases]
+        ref_trace = []
+        for _ in range(cfg.epochs):
+            grads_w, grads_b, e_value = _gradient_per_call(ref, X, y)
+            ref_trace.append(math.sqrt(e_value))
+            for param, g, step in zip(ref.weights + ref.biases,
+                                      grads_w + grads_b, steps):
+                step *= cfg.alpha
+                step -= cfg.epsilon * g
+                param += step
+        assert trace == ref_trace
+        assert model.params.tobytes() == ref.params.tobytes()
 
 
 def test_scg_trace_equals_training_on_the_per_call_gradient():
-    model, X, y = _fixed_problem()
-    trace = scg_train(model, (X, y), epochs=60)
+    for sizes, n in _PROBLEMS:
+        model, X, y = _fixed_problem(sizes, n)
+        trace = scg_train(model, (X, y), epochs=60)
 
-    ref, _, _ = _fixed_problem()
+        ref, _, _ = _fixed_problem(sizes, n)
 
-    def fun_grad(vec):
-        mlp.set_params(ref, vec)
-        grads_w, grads_b, e_value = _gradient_per_call(ref, X, y)
-        return e_value, np.concatenate([g.ravel() for g in grads_w + grads_b])
+        def fun_grad(vec):
+            np.copyto(ref.params, vec)
+            grads_w, grads_b, e_value = _gradient_per_call(ref, X, y)
+            return e_value, _flat(grads_w, grads_b)
 
-    result = scg_minimize(fun_grad, mlp.flatten_params(ref), iterations=60)
-    assert result.iterations == 60
-    assert trace == [math.sqrt(e) for e in result.trace]
-    assert mlp.flatten_params(model).tobytes() == result.w.tobytes()
+        result = scg_minimize(fun_grad, ref.params.copy(), iterations=60)
+        if n > 1:  # the one-row problem converges early
+            assert result.iterations == 60
+        want = [math.sqrt(e) for e in result.trace]  # a converged run is padded
+        assert trace == want + want[-1:] * (60 - len(want))
+        assert model.params.tobytes() == result.w.tobytes()

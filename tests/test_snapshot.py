@@ -206,8 +206,10 @@ def mlp_models(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     model = mlp.init_mlp(sizes, draw(st.integers(0, 2**32 - 1)))
     scale = draw(_FINITE)
-    model.weights = [w * scale for w in model.weights]
-    model.biases = [draw(_arrays(b.size, b.size)) for b in model.biases]
+    for w in model.weights:  # views of the model's parameter vector
+        w *= scale
+    for b in model.biases:
+        b[...] = draw(_arrays(b.size, b.size))
     return model
 
 
