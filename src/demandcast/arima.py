@@ -25,6 +25,7 @@ import numpy as np
 
 from . import snapshot
 from .errors import ConfigError, ConvergenceError, DataError, DegenerateError
+from .flops import DISCARD
 
 _MAX_ITER = 200
 _MAX_HALVINGS = 20
@@ -199,7 +200,7 @@ def _lag_polys(spec: ArimaSpec, coeffs: np.ndarray):
 
 
 def _residuals(z: np.ndarray, spec: ArimaSpec, intercept: float,
-               coeffs: np.ndarray, counter=None) -> np.ndarray:
+               coeffs: np.ndarray, counter=DISCARD) -> np.ndarray:
     """Conditional innovations; pre-sample e pinned at zero."""
     a_poly, c_poly = _lag_polys(spec, coeffs)
     la = a_poly.size - 1
@@ -226,12 +227,11 @@ def _residuals(z: np.ndarray, spec: ArimaSpec, intercept: float,
                 acc -= cj * out[t - j]
             out.append(acc)
         e = np.array(out)
-    if counter is not None:
-        counter.add(2 * n * (np.count_nonzero(a_poly) + len(ma_lags) + 1))
+    counter.add(2 * n * (np.count_nonzero(a_poly) + len(ma_lags) + 1))
     return e
 
 
-def fit(series, spec: ArimaSpec, counter=None) -> ArimaFit:
+def fit(series, spec: ArimaSpec, counter=DISCARD) -> ArimaFit:
     """Estimate the model on a contiguous series by conditional least squares.
 
     Differencing (pre-lag, then regular, then seasonal) is applied as a
@@ -299,8 +299,7 @@ def fit(series, spec: ArimaSpec, counter=None) -> ArimaFit:
                 dn = params.copy()
                 dn[m] -= h
                 jac[:, m] = (resid(up) - resid(dn)) / (2.0 * h)
-            if counter is not None:
-                counter.add_gemm(params.size, params.size, e.size)
+            counter.add_gemm(params.size, params.size, e.size)
             # at the zero start the AR and MA residual derivatives are
             # collinear, so truncate near-null singular directions or the
             # step explodes along them and every damping halving stays

@@ -38,7 +38,7 @@ from . import dataset, mlp, snapshot
 from .dataset import FEATURE_NAMES, HALF_HOURS_PER_DAY, NormStats
 from .efunn import EfunnConfig, EfunnModel
 from .errors import ConfigError, DataError
-from .flops import FlopCounter
+from .flops import DISCARD, FlopCounter
 from .fuzzy import build_partition
 from .mlp import BpConfig
 
@@ -258,7 +258,7 @@ class TrainedModel:
 
 
 def train_model(name: str, config: ExperimentConfig, train_x, train_y,
-                seed: int, counter=None) -> TrainedModel:
+                seed: int, counter=DISCARD) -> TrainedModel:
     """Train efunn, mlp-bp or mlp-scg under ``config``; flops of learning
     (not of scoring) go to ``counter``. ``seed`` initializes an MLP.
 
@@ -268,11 +268,10 @@ def train_model(name: str, config: ExperimentConfig, train_x, train_y,
     t0 = time.perf_counter()
     if name == "efunn":
         inputs, output = make_partitions(config.mf_count)
-        model = EfunnModel(config.efunn, inputs, output, counter=counter)
+        model = EfunnModel(config.efunn, inputs, output)
         for x, y in zip(train_x, train_y):
-            model.learn_one(x, y)
+            model.learn_one(x, y, counter)
         wall = time.perf_counter() - t0
-        model.counter = None
         return TrainedModel(model, model.predict,
                             mlp.rmse(model.predict_batch(train_x), train_y),
                             wall)

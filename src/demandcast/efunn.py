@@ -19,11 +19,10 @@ toward temporally correlated prototypes; they are inert at the default
 The rule layer is held as the connection matrices of Kasabov (2001):
 row k of ``w1`` (nodes x input degrees) and ``w2`` (nodes x output
 degrees) are node k's centroids, beside per-node ``age``, ``a1av`` and
-``absorbed`` vectors, all grown together by capacity doubling.
-``nodes[k]`` is a live view of row k. One learning step adds at most
-one temporal link, so ``w3`` is held sparsely as ``{prev: {curr:
-weight}}``; activation with ``tc > 0`` builds the one dense row it
-needs.
+``absorbed`` vectors, all grown together by capacity doubling. One
+learning step adds at most one temporal link, so ``w3`` is held
+sparsely as ``{prev: {curr: weight}}``; activation with ``tc > 0``
+builds the one dense row it needs.
 
 ``w1`` is stored degree-major (Fortran order): the values of one input
 degree over all nodes are contiguous, so the fuzzy difference from an
@@ -56,6 +55,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
+from .flops import DISCARD
 from .fuzzy import (
     MembershipPartition,
     defuzzify,
@@ -130,41 +130,6 @@ _BATCH_BYTES = 2 * 1024 * 1024
 _SCRATCH = 16
 
 
-def _row_field(array: str, doc: str) -> property:
-    def get(node):
-        return getattr(node._model, array)[node._rows]
-
-    def put(node, value):
-        getattr(node._model, array)[node._rows] = value
-
-    return property(get, put, doc=doc)
-
-
-class RuleNode:
-    """Live view of one rule-layer row, or of several given an index array.
-
-    Reading an attribute reads the model's arrays and assigning writes
-    them, so ``node.w1 += d`` updates the model in place. ``w1`` reads
-    as a copy: only assigning it refreshes the node's degree sum.
-    """
-
-    __slots__ = ("_model", "_rows")
-
-    def __init__(self, model, rows):
-        self._model = model
-        self._rows = rows
-
-    w1 = property(lambda node: node._model._w1[node._rows].copy(),
-                  lambda node, value: node._model._put_w1(node._rows, value),
-                  doc="fuzzy input centroid")
-    w2 = _row_field("_w2", "fuzzy output centroid")
-    age = _row_field("_age", "examples seen since creation")
-    a1av = _row_field(
-        "_a1av", "running mean activation; creation counts as one 1.0")
-    examples_absorbed = _row_field(
-        "_absorbed", "examples that shaped the centroids")
-
-
 @dataclass
 class LearnOutcome:
     created_node: bool
@@ -196,22 +161,6 @@ class LinguisticRule:
         return f"IF {clauses} THEN {self.output_variable} is {self.consequent}"
 
 
-def update_node(node: RuleNode, ex, te, a1, lr1: float, lr2: float) -> RuleNode:
-    """Drift the centroids of the viewed node(s) toward an absorbed example.
-
-    The input centroid moves a fraction lr1 toward the example; the
-    output centroid moves against the node-local signed output error,
-    scaled by both lr2 and the node's activation (a column of
-    activations when the view covers several rows).
-    """
-    ex = np.asarray(ex, dtype=float)
-    te = np.asarray(te, dtype=float)
-    node.w1 += lr1 * (ex - node.w1)
-    node.w2 += lr2 * (te - satlin(node.w2)) * a1
-    node.examples_absorbed += 1
-    return node
-
-
 # node arrays in snapshot order: (field key, model array, parser)
 _NODE_FIELDS = (
     ("nodes.w1", "_w1", snapshot.parse_finite),
@@ -235,8 +184,7 @@ class EfunnModel:
     streams should be presented in time order.
     """
 
-    def __init__(self, config: EfunnConfig, input_partitions, output_partition,
-                 counter=None):
+    def __init__(self, config: EfunnConfig, input_partitions, output_partition):
         if not isinstance(config, EfunnConfig):
             raise ConfigError("config must be an EfunnConfig")
         if not input_partitions:
@@ -248,7 +196,6 @@ class EfunnModel:
         self.input_partitions = tuple(input_partitions)
         self.output_partition = output_partition
         self.examples_seen = 0
-        self.counter = counter
         self._last_winner: Optional[int] = None
         self._last_act = 0.0
         # the rule layer: rows [:_n] are live, later rows spare capacity;
@@ -257,8 +204,10 @@ class EfunnModel:
         self._w1 = np.zeros((0, self.input_width), order="F")
         self._w1sum = np.zeros(0)
         self._w2 = np.zeros((0, output_partition.size))
-        self._age = np.zeros(0, dtype=np.int64)
+        self._age = np.zeros(0, dtype=np.int64)  # examples since creation
+        # running mean activation; creation counts as one 1.0
         self._a1av = np.zeros(0)
+        # examples that shaped the centroids, creation included
         self._absorbed = np.zeros(0, dtype=np.int64)
         self._scratch = np.zeros(0)
         self._links = {}  # temporal links w3 as {prev: {curr: weight}}
@@ -271,13 +220,8 @@ class EfunnModel:
         return self._n
 
     @property
-    def nodes(self) -> list:
-        """Live views of the rule nodes in creation order (see RuleNode)."""
-        return [RuleNode(self, k) for k in range(self._n)]
-
-    @property
     def w1(self) -> np.ndarray:
-        """Input centroids, read-only: write them through ``nodes``."""
+        """Input centroids, read-only: ``_put_w1`` writes them."""
         w1 = self._w1[: self._n]
         w1.flags.writeable = False
         return w1
@@ -391,14 +335,14 @@ class EfunnModel:
         den = self._w1sum[:n] + np.ascontiguousarray(ex).sum(axis=1)[:, None]
         return np.minimum(np.divide(total, den, den), 1.0, out=den)
 
-    def _activations(self, ex: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    def _activations(self, ex: np.ndarray, scratch: np.ndarray,
+                     counter=DISCARD) -> np.ndarray:
         """A1 of every rule node (columns) for each row of ``ex``."""
         if not self._n:
             raise EmptyModelError("model has no rule nodes")
         dist = self._distances(ex, scratch)
         cfg = self.config
-        if self.counter is not None:
-            self.counter.add(4 * self.w1.size * len(ex))
+        counter.add(4 * len(ex) * self._n * self._w1.shape[1])
         temporal = 0.0
         if cfg.tc != 0.0 and self._last_winner is not None:
             temporal = cfg.tc * self._link_row(self._last_winner)
@@ -428,26 +372,27 @@ class EfunnModel:
             sel = np.array([int(np.argmax(a1))])
         return sel
 
-    def _propagate(self, a1: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    def _propagate(self, a1: np.ndarray, sel: np.ndarray,
+                   counter=DISCARD) -> np.ndarray:
         """Fuzzy output A2: activation-weighted blend of selected w2."""
         w2 = self._w2[sel]
         weights = a1[sel]
         total = weights.sum()
         if total <= 0.0:
             return satlin(w2.mean(axis=0))
-        if self.counter is not None:
-            self.counter.add(2 * w2.size)
+        counter.add(2 * w2.size)
         return satlin(weights @ w2 / total)
 
     # -- learning ---------------------------------------------------------
 
-    def learn_one(self, x, y: float) -> LearnOutcome:
+    def learn_one(self, x, y: float, counter=DISCARD) -> LearnOutcome:
         """Feed one (input, target) example through the evolving procedure.
 
         The example is fuzzified, node statistics are refreshed, and the
         example is either absorbed (all sufficiently activated nodes are
         updated) or memorized in a new node. At the node budget the
-        nearest node is updated instead of failing the stream.
+        nearest node is updated instead of failing the stream. The
+        step's flops go to ``counter``.
         """
         x = self._check_input(x)
         # NaN fails every comparison, so check what must hold
@@ -458,8 +403,7 @@ class EfunnModel:
         cfg = self.config
         ex = self.fuzzify_input(x)
         te = fuzzify(y, self.output_partition)
-        if self.counter is not None:
-            self.counter.add_transcendental(ex.size + te.size)
+        counter.add_transcendental(ex.size + te.size)
         self.examples_seen += 1
 
         if not self._n:
@@ -467,13 +411,12 @@ class EfunnModel:
             self._last_winner, self._last_act = idx, 1.0
             return LearnOutcome(True, idx, 0.0, 1)
 
-        a1 = self.rule_activation(ex)
+        a1 = self._activations(ex[None, :], self._scratch, counter)[0]
         n = self._n
         age = self._age[:n]
         self._a1av[:n] = (self._a1av[:n] * (age + 1) + a1) / (age + 2)
         age += 1
-        if self.counter is not None:
-            self.counter.add(4 * n)
+        counter.add(4 * n)
 
         prev_winner, prev_act = self._last_winner, self._last_act
         winner = int(np.argmax(a1))
@@ -482,15 +425,13 @@ class EfunnModel:
             winner, created = self._create_or_absorb(ex, te, a1)
         else:
             sel = self._select(a1)
-            a2 = self._propagate(a1, sel)
+            a2 = self._propagate(a1, sel, counter)
             err = fuzzy_difference(a2, te)
             if err > cfg.errthr:
                 winner, created = self._create_or_absorb(ex, te, a1)
             else:
-                update_node(RuleNode(self, sel), ex, te, a1[sel, None],
-                            cfg.lr1, cfg.lr2)
-                if self.counter is not None:
-                    self.counter.add_mac(2 * (ex.size + te.size) * sel.size)
+                self._absorb(sel, ex, te, a1[sel, None])
+                counter.add_mac(2 * (ex.size + te.size) * sel.size)
                 created = False
 
         winner_act = 1.0 if created else float(a1[winner])
@@ -504,9 +445,21 @@ class EfunnModel:
         if self._n < self.config.max_nodes:
             return self.create_rule_node(ex, te), True
         k = int(np.argmax(a1))
-        update_node(RuleNode(self, k), ex, te, float(a1[k]),
-                    self.config.lr1, self.config.lr2)
+        self._absorb(k, ex, te, float(a1[k]))
         return k, False
+
+    def _absorb(self, rows, ex, te, a1) -> None:
+        """Drift the centroids of ``rows`` toward an absorbed example.
+
+        The input centroid moves a fraction lr1 toward the example; the
+        output centroid moves against the node-local signed output error,
+        scaled by both lr2 and the activation ``a1`` (a column of
+        activations for an index array of rows).
+        """
+        w1, w2 = self._w1[rows], self._w2[rows]
+        self._put_w1(rows, w1 + self.config.lr1 * (ex - w1))
+        self._w2[rows] = w2 + self.config.lr2 * (te - satlin(w2)) * a1
+        self._absorbed[rows] += 1
 
     def update_temporal(self, prev: int, curr: int, prev_activation: float = 1.0,
                         curr_activation: float = 1.0) -> None:

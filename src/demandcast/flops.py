@@ -22,12 +22,21 @@ class FlopCounter:
 
     def add_mac(self, n):
         """Count ``n`` multiply-accumulate pairs."""
-        self.total += MAC_FLOPS * int(n)
+        self.add(MAC_FLOPS * int(n))
 
     def add_gemm(self, m, n, k):
         """Count an (m x k) @ (k x n) matrix product."""
-        self.total += MAC_FLOPS * int(m) * int(n) * int(k)
+        self.add(MAC_FLOPS * int(m) * int(n) * int(k))
 
     def add_transcendental(self, n):
         """Count ``n`` tanh/exp evaluations."""
-        self.total += TRANSCENDENTAL_FLOPS * int(n)
+        self.add(TRANSCENDENTAL_FLOPS * int(n))
+
+
+class _Discard(FlopCounter):
+    def add(self, n):
+        pass
+
+
+# the counter of a trainer that is given none: it keeps nothing
+DISCARD = _Discard()

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .flops import MAC_FLOPS, TRANSCENDENTAL_FLOPS
+from .flops import DISCARD, MAC_FLOPS, TRANSCENDENTAL_FLOPS
 
 _LAMBDA_FLOOR = 1e-20
 # SCG's curvature step length (sigma, divided by |p| each step) and its
@@ -54,6 +54,8 @@ class MlpModel:
 
     def __init__(self, layer_sizes, weights, biases):
         sizes = self.layer_sizes = tuple(layer_sizes)
+        if any(s < 1 for s in sizes):
+            raise ConfigError(f"layer sizes must be >= 1, got {sizes}")
         self._params = np.empty(
             sum(o * (i + 1) for i, o in zip(sizes, sizes[1:])))
         self._layers = _layer_views(self._params, sizes)
@@ -96,14 +98,13 @@ def init_mlp(layer_sizes, seed: int = 0) -> MlpModel:
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
         raise ConfigError(f"need input and output layers, got {sizes}")
-    if any(s < 1 for s in sizes):
-        raise ConfigError(f"layer sizes must be >= 1, got {sizes}")
+    zeros = [0.0] * (len(sizes) - 1)
+    model = MlpModel(sizes, zeros, zeros)
     rng = np.random.default_rng(seed)
-    weights = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-    return MlpModel(sizes, weights, [0.0] * len(weights))
+    for w in model.weights:
+        bound = 1.0 / math.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
 
 
 def _activations(sizes, X: np.ndarray) -> list:
@@ -230,7 +231,7 @@ class Batch:
                           + (TRANSCENDENTAL_FLOPS + 3) * sum(sizes[1:-1]))
 
 
-def gradient(model: MlpModel, data, counter=None):
+def gradient(model: MlpModel, data, counter=DISCARD):
     """Exact backpropagated gradient of the batch mean squared error.
 
     data is (X, Y) arrays, a sequence of (x, y) pairs, or a ``Batch``.
@@ -267,30 +268,8 @@ def gradient(model: MlpModel, data, counter=None):
             np.matmul(model.weights[l].T, delta, out=batch.deltas[l - 1])
             batch.deltas[l - 1] *= h
         delta = batch.deltas[l - 1]
-    if counter is not None:
-        counter.add(batch.flops)
+    counter.add(batch.flops)
     return batch.grads_w, batch.grads_b, e_value
-
-
-def flatten_params(model: MlpModel) -> np.ndarray:
-    """All weights then all biases as one vector, the order in which the
-    gradient's weight and bias parts concatenate (``params`` holds them
-    layer by layer instead)."""
-    parts = [w.ravel() for w in model.weights] + [b.ravel() for b in model.biases]
-    return np.concatenate(parts)
-
-
-def set_params(model: MlpModel, vec: np.ndarray) -> None:
-    """Write a flat parameter vector back into the layer arrays."""
-    if vec.size != model.n_params:
-        raise ShapeError(f"vector has {vec.size} entries, model has {model.n_params}")
-    pos = 0
-    for w in model.weights:
-        w[...] = vec[pos : pos + w.size].reshape(w.shape)
-        pos += w.size
-    for b in model.biases:
-        b[...] = vec[pos : pos + b.size]
-        pos += b.size
 
 
 def rmse(predictions, targets) -> float:
@@ -321,7 +300,7 @@ class BpConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def bp_train(model: MlpModel, data, cfg: BpConfig, counter=None) -> list:
+def bp_train(model: MlpModel, data, cfg: BpConfig, counter=DISCARD) -> list:
     """Full-batch gradient descent with momentum; one update per epoch.
 
     Returns the per-epoch RMSE trace, evaluated at the parameters each
@@ -342,8 +321,7 @@ def bp_train(model: MlpModel, data, cfg: BpConfig, counter=None) -> list:
             step *= cfg.alpha
             step -= cfg.epsilon * batch.grad
             params += step
-    if counter is not None:
-        counter.add(4 * model.n_params * cfg.epochs)
+    counter.add(4 * model.n_params * cfg.epochs)
     return trace
 
 
@@ -370,7 +348,7 @@ class ScgResult:
 
 
 def scg_minimize(fun_grad, w0, iterations: int,
-                 grad_tol: Optional[float] = None, counter=None) -> ScgResult:
+                 grad_tol: Optional[float] = None, counter=DISCARD) -> ScgResult:
     """Scaled conjugate gradient minimization of a smooth function.
 
     fun_grad(w) must return (value, gradient); each gradient is read
@@ -453,15 +431,14 @@ def scg_minimize(fun_grad, w0, iterations: int,
             success = False
         if not (math.isfinite(comparison) and comparison >= 0.25):
             lam = max(lam * 4.0, _LAMBDA_FLOOR)
-        if counter is not None:
-            counter.add(10 * w.size)
+        counter.add(10 * w.size)
     return ScgResult(
         w=w, trace=trace, iterations=performed,
         grad_norm=float(np.linalg.norm(r)), converged=converged,
     )
 
 
-def scg_train(model: MlpModel, data, epochs: int, counter=None) -> list:
+def scg_train(model: MlpModel, data, epochs: int, counter=DISCARD) -> list:
     """Train the network by scaled conjugate gradient for a fixed budget.
 
     Returns the per-epoch RMSE trace (same convention as bp_train).

@@ -33,19 +33,20 @@ def test_criterion_01_gradient_matches_finite_differences():
         model = mlp.init_mlp(layers, seed=k)
         X = rng.normal(size=(5, layers[0]))
         y = rng.normal(size=(5, 1))
-        gw, gb, _ = mlp.gradient(model, (X, y))
-        g = np.concatenate([a.ravel() for a in gw] + [a.ravel() for a in gb])
-        w0 = mlp.flatten_params(model)
+        batch = mlp.Batch(model, (X, y))
+        mlp.gradient(model, batch)
+        g = batch.grad  # in the order of model.params
+        w0 = model.params.copy()
         fd = np.empty_like(w0)
         h = 1e-6
         for i in range(w0.size):
             up = w0.copy()
             up[i] += h
-            mlp.set_params(model, up)
+            np.copyto(model.params, up)
             _, _, e_up = mlp.gradient(model, (X, y))
             dn = w0.copy()
             dn[i] -= h
-            mlp.set_params(model, dn)
+            np.copyto(model.params, dn)
             _, _, e_dn = mlp.gradient(model, (X, y))
             fd[i] = (e_up - e_dn) / (2.0 * h)
         rel = float(np.linalg.norm(g - fd) / max(np.linalg.norm(g), 1e-300))
@@ -75,15 +76,14 @@ def test_criterion_02_scg_quadratic_and_curvature_probe():
         data_rng = np.random.default_rng(100 + net_seed)
         X = data_rng.normal(size=(8, 4))
         y = data_rng.normal(size=(8, 1))
+        batch = mlp.Batch(model, (X, y))
 
         def fun_grad(vec):
-            mlp.set_params(model, vec)
-            gw, gb, e_value = mlp.gradient(model, (X, y))
-            return e_value, np.concatenate(
-                [a.ravel() for a in gw] + [a.ravel() for a in gb]
-            )
+            np.copyto(model.params, vec)
+            e_value = mlp.gradient(model, batch)[2]
+            return e_value, batch.grad.copy()
 
-        w0 = mlp.flatten_params(model)
+        w0 = model.params.copy()
         p = data_rng.normal(size=w0.size)
         p /= np.linalg.norm(p)
         eps = 1e-7
@@ -223,8 +223,8 @@ def test_criterion_07_efunn_structural_suite():
     before = merged_model.n_nodes
     merged_model.aggregate()
     agg_ok = (merged_model.n_nodes <= before
-              and np.array_equal(merged_model.nodes[0].w1, (w1a + w1b) / 2.0)
-              and np.array_equal(merged_model.nodes[0].w2, (w2a + w2b) / 2.0))
+              and np.array_equal(merged_model.w1[0], (w1a + w1b) / 2.0)
+              and np.array_equal(merged_model.w2[0], (w2a + w2b) / 2.0))
 
     trained = EfunnModel(EfunnConfig(errthr=0.05), inputs, output)
     for x, y in data[:60]:

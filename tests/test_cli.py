@@ -183,7 +183,7 @@ EXIT_1_CASES = (
     "arima on another csv", "arima on a longer csv", "corrupt efunn field",
     "corrupt efunn array", "binary snapshot", "unimplemented mlp activation",
     "nan mlp weight", "nan arima coefficient", "nan efunn weight",
-    "nan efunn format 1 link",
+    "nan efunn format 1 link", "zero-unit mlp layer",
 )
 
 
@@ -234,6 +234,11 @@ def bad_inputs(data_csv, tmp_path_factory):
     nan_v1 = write("nan-v1.snap", re.sub(
         r"\nw3\.0=\S+", "\nw3.0=nan",
         (Path(__file__).parent / "data" / "efunn_v1.snap").read_text()))
+    # init_mlp refuses a layer of no units; a snapshot of one would
+    # forecast bias.1 for every input
+    zero = write("zero.snap", "demandcast-snapshot v2 kind=mlp\nlayers=6 0 1\n"
+                 "hidden_activation=tanh_sigmoid\noutput_activation=linear\n"
+                 "weight.0=\nbias.0=\nweight.1=\nbias.1=0.5\n")
     assert main(["synth", "--days", "40", "--seed", "4", "--out", other]) == 0
     assert main(["synth", "--days", "41", "--seed", "3", "--out", longer]) == 0
 
@@ -291,6 +296,10 @@ def bad_inputs(data_csv, tmp_path_factory):
         "nan efunn format 1 link": (
             ["rules", "--snapshot", nan_v1],
             f"{nan_v1}: snapshot key 'w3.0': holds a non-finite value"),
+        "zero-unit mlp layer": (
+            ["forecast", "--snapshot", zero, "--data", str(data_csv),
+             "--out", out],
+            f"{zero}: layer sizes must be >= 1, got (6, 0, 1)"),
     }
 
 

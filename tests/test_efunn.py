@@ -6,8 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from demandcast.efunn import (AggregationConfig, EfunnConfig, EfunnModel,
-                              LinguisticRule, _degree_sum, _differences,
-                              update_node)
+                              LinguisticRule, _degree_sum, _differences)
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                DisabledError, EmptyModelError, ParseError,
                                ShapeError)
@@ -26,8 +25,8 @@ def test_first_example_creates_a_memorizing_node():
     m = make_model()
     out = m.learn_one(np.array([0.3]), 0.7)
     assert out.created_node and out.nodes_total == 1
-    assert np.allclose(m.nodes[0].w1, fuzzify(0.3, m.input_partitions[0]))
-    assert np.allclose(m.nodes[0].w2, fuzzify(0.7, m.output_partition))
+    assert np.allclose(m.w1[0], fuzzify(0.3, m.input_partitions[0]))
+    assert np.allclose(m.w2[0], fuzzify(0.7, m.output_partition))
 
 
 def test_repeated_example_is_absorbed_without_growth():
@@ -46,26 +45,24 @@ def test_distant_example_creates_a_second_node():
     assert out.created_node and m.n_nodes == 2
 
 
-def _one_node(w1, w2):
-    m = make_model(mfs=2)
+def _one_node(w1, w2, lr1, lr2):
+    m = make_model(mfs=2, lr1=lr1, lr2=lr2)
     m.create_rule_node(np.array(w1), np.array(w2))
-    return m.nodes[0]
+    return m
 
 
 def test_update_node_input_centroid_drift_oracle():
-    node = _one_node([0.4, 0.4], [0.5, 0.5])
-    update_node(node, np.array([0.8, 0.8]), np.array([0.6, 0.6]), a1=1.0,
-                lr1=0.05, lr2=0.0)
-    assert node.w1[0] == pytest.approx(0.42)
-    assert node.examples_absorbed == 2
+    m = _one_node([0.4, 0.4], [0.5, 0.5], lr1=0.05, lr2=0.0)
+    m._absorb(0, np.array([0.8, 0.8]), np.array([0.6, 0.6]), 1.0)
+    assert m.w1[0, 0] == pytest.approx(0.42)
+    assert m._absorbed[0] == 2
 
 
 def test_update_node_output_drift_scales_with_activation():
-    node = _one_node([0.5, 0.5], [0.2, 0.2])
-    update_node(node, np.array([0.5, 0.5]), np.array([1.0, 1.0]), a1=0.5,
-                lr1=0.0, lr2=0.1)
+    m = _one_node([0.5, 0.5], [0.2, 0.2], lr1=0.0, lr2=0.1)
+    m._absorb(0, np.array([0.5, 0.5]), np.array([1.0, 1.0]), 0.5)
     # w2 += lr2 * (te - satlin(w2)) * a1 = 0.1 * 0.8 * 0.5
-    assert node.w2[0] == pytest.approx(0.24)
+    assert m.w2[0, 0] == pytest.approx(0.24)
 
 
 def test_output_error_above_threshold_creates_despite_spatial_match():
@@ -80,13 +77,12 @@ def test_output_error_above_threshold_creates_despite_spatial_match():
 def test_node_statistics_run_as_mean_activation():
     m = make_model()
     m.learn_one(np.array([0.1]), 0.2)
-    node = m.nodes[0]
-    assert node.age == 0 and node.a1av == 1.0
+    assert m._age[0] == 0 and m._a1av[0] == 1.0
     ex = m.fuzzify_input(np.array([0.9]))
-    a = satlin(1.0 - fuzzy_difference(ex, node.w1))
+    a = satlin(1.0 - fuzzy_difference(ex, m.w1[0]))
     m.learn_one(np.array([0.9]), 0.8)
-    assert node.age == 1
-    assert node.a1av == pytest.approx((1.0 + a) / 2.0)
+    assert m._age[0] == 1
+    assert m._a1av[0] == pytest.approx((1.0 + a) / 2.0)
 
 
 def test_temporal_link_update_oracle():
@@ -151,16 +147,16 @@ def test_single_node_propagation_reproduces_its_centroid():
     m = make_model(mfs=4)
     m.learn_one(np.array([0.37]), 0.63)
     a2 = m._propagate(np.array([0.42]), np.array([0]))
-    assert np.allclose(a2, satlin(m.nodes[0].w2), atol=1e-15)
+    assert np.allclose(a2, satlin(m.w2[0]), atol=1e-15)
 
 
 def test_node_budget_updates_nearest_instead_of_raising():
     m = make_model(max_nodes=1)
     m.learn_one(np.array([0.2]), 0.2)
-    w1_before = m.nodes[0].w1.copy()
+    w1_before = m.w1[0].copy()
     out = m.learn_one(np.array([0.9]), 0.9)
     assert not out.created_node and m.n_nodes == 1
-    assert not np.allclose(m.nodes[0].w1, w1_before)
+    assert not np.allclose(m.w1[0], w1_before)
 
 
 def test_create_rule_node_raises_at_budget():
@@ -231,7 +227,7 @@ def test_aggregate_requires_configuration():
 def test_aggregate_remaps_last_winner():
     m = make_model(mfs=2, aggregation=AggregationConfig(thr1=0.05, thr2=0.05))
     m.learn_one(np.array([0.1]), 0.1)
-    m.create_rule_node(m.nodes[0].w1, m.nodes[0].w2)  # a twin of node 0
+    m.create_rule_node(m.w1[0], m.w2[0])  # a twin of node 0
     m.learn_one(np.array([0.9]), 0.9)
     assert m.last_winner == 2
     assert m.aggregate() == 1  # the twin merges into node 0
@@ -245,12 +241,12 @@ def test_aggregate_merges_close_pair_to_elementwise_average():
     m = make_model(mfs=2, aggregation=AggregationConfig(thr1=0.5, thr2=0.5))
     m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
     m.create_rule_node(np.array([0.4, 0.6]), np.array([0.5, 0.5]))
-    m.nodes[0].age, m.nodes[1].age = 3, 7
+    m._age[:2] = 3, 7
     assert m.aggregate() == 1
     assert m.n_nodes == 1
-    assert np.allclose(m.nodes[0].w1, [0.3, 0.7])
-    assert m.nodes[0].age == 7
-    assert m.nodes[0].examples_absorbed == 2
+    assert np.allclose(m.w1[0], [0.3, 0.7])
+    assert m._age[0] == 7
+    assert m._absorbed[0] == 2
 
 
 def test_aggregate_sums_temporal_links_of_merged_nodes():
@@ -328,9 +324,8 @@ def test_insert_rule_from_labels_builds_one_hot_centroids():
         consequent="MEDIUM-LOW",
     )
     m.insert_rule(rule)
-    node = m.nodes[0]
-    assert node.w1.tolist() == [1, 0, 0, 0, 0, 0, 0, 1]
-    assert node.w2.tolist() == [0, 1, 0, 0]
+    assert m.w1[0].tolist() == [1, 0, 0, 0, 0, 0, 0, 1]
+    assert m.w2[0].tolist() == [0, 1, 0, 0]
 
 
 def test_insert_rule_rejects_unknown_label():
@@ -449,16 +444,18 @@ def test_predict_batch_spans_several_chunks():
         m.predict_batch(xs[:, :5])
 
 
-def test_node_views_write_through_to_the_arrays():
+def test_rows_survive_capacity_growth():
     m = make_model(mfs=2)
-    m.learn_one(np.array([0.2]), 0.2)
-    node = m.nodes[0]
-    for x in np.linspace(0.0, 1.0, 9):  # grows capacity past 4 nodes
-        m.learn_one(np.array([x]), float(x))
-    node.w1 += 1.0
-    node.examples_absorbed = 7
-    assert m.w1[0].tolist() == node.w1.tolist()
-    assert m.nodes[0].examples_absorbed == 7
+    xs = np.linspace(0.0, 1.0, 9)
+    for k, x in enumerate(xs):  # grows capacity from 4 past 8 nodes
+        m.create_rule_node(np.array([x, 1.0 - x]), np.array([1.0 - x, x]))
+        m._age[k] = k
+    assert m._age.size > 8 and m.n_nodes == 9
+    assert m.w1.tolist() == [[x, 1.0 - x] for x in xs]
+    assert m.w2.tolist() == [[1.0 - x, x] for x in xs]
+    assert m._age[:9].tolist() == list(range(9))
+    m._put_w1(0, m.w1[0] + 1.0)
+    assert m.w1[0].tolist() == [1.0, 2.0] and m._w1sum[0] == 3.0
 
 
 def _dense_w3(m):
@@ -469,11 +466,18 @@ def _dense_w3(m):
     return w3
 
 
+def _rows(m):
+    """Each live rule node's row of every array, as plain values."""
+    n = m.n_nodes
+    return [dict(w1=w1.copy(), w2=w2.copy(), age=int(age), a1av=float(a1av),
+                 absorbed=int(absorbed))
+            for w1, w2, age, a1av, absorbed in zip(
+                m.w1, m.w2, m._age[:n], m._a1av[:n], m._absorbed[:n])]
+
+
 def _old_aggregate(m, cfg):
     """The pair loop aggregate used to run, on plain lists and a dense w3."""
-    nodes = [dict(w1=n.w1.copy(), w2=n.w2.copy(), age=int(n.age),
-                  a1av=float(n.a1av), absorbed=int(n.examples_absorbed))
-             for n in m.nodes]
+    nodes = _rows(m)
     w3 = _dense_w3(m)
     last = m.last_winner
     i = 0
@@ -510,10 +514,10 @@ def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
     assert m.aggregate() == before - len(nodes)
     assert m.last_winner == last
     assert np.array_equal(_dense_w3(m), w3)
-    for view, node in zip(m.nodes, nodes, strict=True):
-        assert view.w1.tolist() == node["w1"].tolist()
-        assert view.w2.tolist() == node["w2"].tolist()
-        assert (view.age, view.a1av, view.examples_absorbed) == (
+    for row, node in zip(_rows(m), nodes, strict=True):
+        assert row["w1"].tolist() == node["w1"].tolist()
+        assert row["w2"].tolist() == node["w2"].tolist()
+        assert (row["age"], row["a1av"], row["absorbed"]) == (
             node["age"], node["a1av"], node["absorbed"])
 
 
@@ -541,8 +545,8 @@ def test_aggregate_skips_nodes_already_merged():
         m.create_rule_node(np.array(w1), np.array([0.5, 0.5]))
     nodes, _, _ = _old_aggregate(m, cfg)
     assert m.aggregate() == 1
-    assert [v.w1.tolist() for v in m.nodes] == [n["w1"].tolist() for n in nodes]
-    assert m.nodes[1].examples_absorbed == 1
+    assert m.w1.tolist() == [n["w1"].tolist() for n in nodes]
+    assert m._absorbed[1] == 1
 
 
 def test_remove_nodes_moves_kept_rows_and_links():
@@ -550,14 +554,13 @@ def test_remove_nodes_moves_kept_rows_and_links():
     m = make_model(n_inputs=6, mfs=4, lr3=1.0)
     for _ in range(1000):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
-    for k, node in enumerate(m.nodes):  # the id rides in examples_absorbed
-        node.examples_absorbed = k
+    m._absorbed[:1000] = np.arange(1000)  # the id rides in absorbed
     for prev, curr in rng.integers(0, 1000, size=(20000, 2)):
         m.update_temporal(int(prev), int(curr), rng.uniform())
     w1, w3 = m.w1.copy(), _dense_w3(m)
     m._remove_nodes(rng.choice(1000, size=400, replace=False))
     assert m.n_nodes == 600
-    ids = np.array([node.examples_absorbed for node in m.nodes])
+    ids = m._absorbed[: m.n_nodes].copy()
     assert np.all(np.diff(ids) > 0)
     assert np.array_equal(m.w1, w1[ids])
     assert np.array_equal(_dense_w3(m), w3[np.ix_(ids, ids)])
@@ -729,21 +732,19 @@ def test_stored_degree_sums_stay_fresh(model_and_xs, ops, thr, seed):
             m.aggregate()
         elif op == "reload":
             m, _ = EfunnModel.from_text(m.to_text())
-        elif m.n_nodes:  # write a centroid through a node view
-            m.nodes[int(rng.integers(m.n_nodes))].w1 = rng.uniform(
-                size=m.input_width)
+        elif m.n_nodes:  # write a centroid
+            m._put_w1(int(rng.integers(m.n_nodes)),
+                      rng.uniform(size=m.input_width))
         _assert_sums_fresh(m)
 
 
-def test_w1_is_read_only_outside_the_node_views():
+def test_w1_is_read_only_outside_put_w1():
     m = make_model(mfs=2)
     m.learn_one(np.array([0.2]), 0.2)
     with pytest.raises(ValueError):
         m.w1[0, 0] = 0.5
-    node = m.nodes[0]
-    node.w1[0] = 0.5  # a copy: the model is unchanged
     assert m.w1[0, 0] != 0.5
-    node.w1 = [0.5, 0.25]
+    m._put_w1(0, [0.5, 0.25])
     assert m.w1[0].tolist() == [0.5, 0.25]
     assert m._w1sum[0] == 0.75
 

@@ -5,8 +5,13 @@ Importing ``scipy.stats`` costs most of a second and about 70 MB, more
 than the rest of a command's set-up; the tests use it only as a
 reference. The protocol's concurrent fits use ``threading``, which
 numpy loads anyway; ``concurrent.futures`` would add about 1 MB.
+
+And the package holds no code that only tests reach.
 """
 
+import ast
+import collections
+import importlib
 import os
 import subprocess
 import sys
@@ -51,3 +56,53 @@ def test_commands_and_protocol_never_import_scipy(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_REPO = Path(__file__).resolve().parents[1]
+# reached only by tests, each for a reason: the check of SCG's curvature
+# estimate, and rule-node aggregation, which learning does not call yet
+_TEST_ONLY = {"hessian_vector_estimate", "aggregate"}
+
+
+def _names(tree) -> collections.Counter:
+    """Every identifier a tree uses, as a name, an attribute or a string."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)))
+
+
+def _overrides(module, cls: str, name: str) -> bool:
+    """Whether method ``name`` of ``cls`` replaces one it inherits, which
+    the base class calls."""
+    bases = getattr(importlib.import_module(module), cls).__mro__[1:]
+    return any(name in vars(base) for base in bases)
+
+
+def test_every_definition_is_used_outside_the_tests():
+    files = [*(_REPO / "src").rglob("*.py"), *(_REPO / "demos").glob("*.py"),
+             *(_REPO / "perfbench").glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    used = sum((_names(tree) for tree in trees.values()), collections.Counter())
+    unused = []
+    for path in sorted((_REPO / "src" / "demandcast").glob("*.py")):
+        module = f"demandcast.{path.stem}"
+        for parent in ast.walk(trees[path]):
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                name = node.name
+                if (name.startswith("__") and name.endswith("__")
+                        or name in _TEST_ONLY):
+                    continue
+                # uses inside its own definition do not count
+                if used[name] > _names(node)[name]:
+                    continue
+                if (isinstance(parent, ast.ClassDef)
+                        and _overrides(module, parent.name, name)):
+                    continue
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

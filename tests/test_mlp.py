@@ -106,22 +106,26 @@ def test_gradient_identity_net_oracle():
 def test_gradient_matches_central_differences():
     m = init_mlp((3, 6, 4, 1), seed=2)
     X, y = tiny_batch(seed=7)
-    gw, gb, _ = gradient(m, (X, y))
-    g = np.concatenate([a.ravel() for a in gw] + [a.ravel() for a in gb])
-    w0 = mlp.flatten_params(m)
+    batch = mlp.Batch(m, (X, y))
+    gw, gb, _ = gradient(m, batch)
+    g = batch.grad
+    # the returned weight and bias gradients are the layers of grad
+    assert np.array_equal(np.concatenate(
+        [np.column_stack([w, b]).ravel() for w, b in zip(gw, gb)]), g)
+    w0 = m.params.copy()
     fd = np.empty_like(w0)
     h = 1e-6
     for i in range(w0.size):
         for sign, store in ((+1, 0), (-1, 1)):
             w = w0.copy()
             w[i] += sign * h
-            mlp.set_params(m, w)
+            np.copyto(m.params, w)
             _, _, e_val = gradient(m, (X, y))
             if sign > 0:
                 up = e_val
             else:
                 fd[i] = (up - e_val) / (2 * h)
-    mlp.set_params(m, w0)
+    np.copyto(m.params, w0)
     rel = np.linalg.norm(g - fd) / np.linalg.norm(g)
     assert rel < 1e-7
 
@@ -301,13 +305,18 @@ def test_hessian_vector_estimate_rejects_bad_sigma():
 
 
 def test_param_flatten_round_trip():
+    # params is every weight and bias: copying it copies the network, and
+    # the layer arrays rebuild the same vector
     m = init_mlp((4, 7, 2), seed=11)
-    vec = mlp.flatten_params(m)
+    m.params[:] = np.random.default_rng(0).normal(size=m.n_params)
     m2 = init_mlp((4, 7, 2), seed=99)
-    mlp.set_params(m2, vec)
-    assert np.array_equal(mlp.flatten_params(m2), vec)
+    np.copyto(m2.params, m.params)
+    for a, b in zip(m.weights + m.biases, m2.weights + m2.biases, strict=True):
+        assert np.array_equal(a, b)
+    assert np.array_equal(MlpModel(m.layer_sizes, m.weights, m.biases).params,
+                          m.params)
     with pytest.raises(ShapeError):
-        mlp.set_params(m2, vec[:-1])
+        MlpModel(m.layer_sizes, [w[:, :-1] for w in m.weights], m.biases)
 
 
 def test_snapshot_round_trip_byte_identical(tmp_path):

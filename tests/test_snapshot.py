@@ -436,12 +436,12 @@ def test_format_1_efunn_fixture_loads_to_the_same_model(tmp_path):
     body = snapshot.parse_body(text)
     n = int(body["nodes"])
     assert model.n_nodes == n == 30
-    for k, node in enumerate(model.nodes):
-        assert node.w1.tolist() == [float(v) for v in
-                                    body[f"node.{k}.w1"].split()]
-        assert node.w2.tolist() == [float(v) for v in
-                                    body[f"node.{k}.w2"].split()]
-        assert (node.age, node.a1av, node.examples_absorbed) == (
+    for k in range(model.n_nodes):
+        assert model.w1[k].tolist() == [float(v) for v in
+                                        body[f"node.{k}.w1"].split()]
+        assert model.w2[k].tolist() == [float(v) for v in
+                                        body[f"node.{k}.w2"].split()]
+        assert (model._age[k], model._a1av[k], model._absorbed[k]) == (
             int(body[f"node.{k}.age"]), float(body[f"node.{k}.a1av"]),
             int(body[f"node.{k}.absorbed"]))
     links = {(r, c): float(v) for r in range(n)
