@@ -14,10 +14,12 @@ curves (convergence.csv), and a small hand-rolled SVG chart. Report
 numbers contain no wall-clock values, so identical seeds reproduce the
 CSV files byte for byte.
 
-The MLP fits run at once, one per core, each with one OpenBLAS thread:
-a weight gradient summed over the batch rows splits that sum across
-BLAS threads, so its bits would depend on their number. With no
-OpenBLAS found, the fits run one after another and BLAS is left alone.
+Every fit runs in a child process forked for it, one per core, each
+with one OpenBLAS thread: a weight gradient summed over the batch rows
+splits that sum across BLAS threads, so its bits would depend on their
+number. Processes, unlike threads, do not share one interpreter lock.
+With no OpenBLAS found, the fits run one after another in the calling
+process.
 """
 
 import contextlib
@@ -25,16 +27,19 @@ import ctypes
 import functools
 import math
 import os
-import threading
+import pickle
+import select
+import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import arima as arima_mod
-from . import dataset, mlp, snapshot
+from . import dataset, fuzzy, mlp, snapshot
+from . import efunn as efunn_mod
 from .dataset import FEATURE_NAMES, HALF_HOURS_PER_DAY, NormStats
 from .efunn import EfunnConfig, EfunnModel
 from .errors import ConfigError, DataError
@@ -192,43 +197,26 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
     actual_norm = [dataset.norm_target(d, stats) for d in actual]
     timestamps = [records[i].timestamp for i in range(test_start, n)]
 
-    arima_outcome = None
-    if "arima" in config.models:
-        counter = FlopCounter()
-        t0 = time.perf_counter()
-        fit = arima_mod.fit(
-            np.array([r.demand for r in records[:test_start]]),
-            config.arima, counter,
-        )
-        preds = arima_mod.forecast(fit, config.test_periods)
-        wall = time.perf_counter() - t0
-        preds_norm = [dataset.norm_target(d, stats) for d in preds]
-        arima_outcome = dict(
-            epochs=fit.iterations,
-            test_rmse=mlp.rmse(preds_norm, actual_norm),
-            flops=counter.total,
-            wall_time=wall,
-            predictions=preds,
-        )
-
     def run(s, name):
         if name == "arima":
-            return SampleOutcome(model="arima", sample=s, train_rmse=None,
-                                 **arima_outcome)
+            return _run_arima(config, records, stats, test_start, actual_norm)
         idx = samples[s]
         return _run_model(config, records, stats, pool_x[idx], pool_y[idx],
                           test_start, s, actual_norm, name)
 
-    # EFuNN and ARIMA in turn, then every MLP fit at once; so an EFuNN
-    # error is raised before any MLP fit starts, and of the MLP fits the
-    # earliest one's, as a loop over them would
+    # ARIMA is fitted once, on the contiguous series; the MLP fits take
+    # longest, so they start first and EFuNN and ARIMA fill the tail.
+    # Every job before a failing one has started, so the failure raised
+    # is the earliest in this list
     order = [(s, name) for s in range(len(samples)) for name in config.models]
-    fits = [job for job in order if job[1].startswith("mlp")]
-    done = {job: run(*job) for job in order if job not in fits}
+    rank = {"mlp-bp": 0, "mlp-scg": 0, "efunn": 1, "arima": 2}
+    jobs = sorted((job for job in order if job[1] != "arima" or job[0] == 0),
+                  key=lambda job: rank[job[1]])
     with one_blas_thread():
-        done.update(zip(fits, _run_all([functools.partial(run, *job)
-                                        for job in fits])))
-    outcomes = [done[job] for job in order]
+        done = dict(zip(jobs, _run_all([functools.partial(run, *job)
+                                        for job in jobs])))
+    outcomes = [replace(done[0, name], sample=s) if name == "arima"
+                else done[s, name] for s, name in order]
 
     worst = {}
     for name in config.models:
@@ -308,7 +296,22 @@ def _run_model(config, records, stats, train_x, train_y, test_start, s,
     )
 
 
-# -- concurrent MLP fits ---------------------------------------------------
+def _run_arima(config, records, stats, test_start, actual_norm):
+    counter = FlopCounter()
+    t0 = time.perf_counter()
+    fit = arima_mod.fit(np.array([r.demand for r in records[:test_start]]),
+                        config.arima, counter)
+    preds = arima_mod.forecast(fit, config.test_periods)
+    wall = time.perf_counter() - t0
+    preds_norm = [dataset.norm_target(d, stats) for d in preds]
+    return SampleOutcome(
+        model="arima", sample=0, epochs=fit.iterations, train_rmse=None,
+        test_rmse=mlp.rmse(preds_norm, actual_norm), flops=counter.total,
+        wall_time=wall, predictions=preds,
+    )
+
+
+# -- fits in child processes -----------------------------------------------
 
 
 @functools.cache
@@ -352,69 +355,136 @@ def one_blas_thread():
         put(before)
 
 
-def _functions(*modules) -> dict:
-    return {(m.__name__, k): v for m in modules for k, v in vars(m).items()
+def _functions(*owners) -> dict:
+    return {(o.__name__, k): v for o in owners for k, v in vars(o).items()
             if callable(v)}
 
 
-# the functions an MLP fit calls, as defined; see _workers
-_DEFINED = _functions(dataset, mlp)
+# the functions a fit calls, as defined; see _workers
+_LAYERS = (dataset, fuzzy, efunn_mod, EfunnModel, mlp, arima_mod)
+_DEFINED = _functions(*_LAYERS)
 
 
 def _workers(jobs: int) -> int:
-    """One thread per core, each using one BLAS thread.
+    """One child process per core, each using one BLAS thread.
 
-    One thread when BLAS threads cannot be pinned, or when a caller has
-    replaced a function of ``dataset`` or ``mlp``: such a wrapper (a
-    profiler's call stack, a counter) was written for fits that run in
-    turn, so they keep that order.
+    One worker, the calling process itself, when BLAS threads cannot be
+    pinned, or when a caller has replaced a function that a fit calls:
+    such a wrapper (a profiler's call stack, a counter) would see the
+    calls of a child in the child alone, and lose them when it exits.
     """
-    if _openblas() is None or _functions(dataset, mlp) != _DEFINED:
+    if _openblas() is None or _functions(*_LAYERS) != _DEFINED:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), jobs))
 
 
 def _run_all(jobs) -> list:
-    """Results of the callables ``jobs``, in order, computed by
-    ``_workers(len(jobs))`` threads that take them in turn; the calling
-    thread is one of them.
+    """Results of the callables ``jobs``, in order.
 
-    After a failure no job starts. The failure of the earliest job is
-    raised: every job before it had started, so a loop running them in
-    order would have raised the same. An interrupt of the calling thread
-    propagates as itself once the jobs already running have ended.
+    With one worker (see _workers) the calling process runs them in
+    turn. Otherwise each job runs in a child forked for it, at most
+    ``_workers(len(jobs))`` at once, which sends its result or exception
+    back pickled through a pipe; a child that ends without one fails its
+    job with ChildProcessError.
+
+    Jobs start in list order, and after a failure no job starts. Once
+    the running ones have ended, the earliest failure is raised: every
+    job before it had started, so running the list in turn would have
+    raised the same. An interrupt of the calling thread kills and reaps
+    the running children and propagates as itself.
     """
+    workers = _workers(len(jobs))
+    if workers == 1:
+        return [job() for job in jobs]
     results = [None] * len(jobs)
     failures = {}
+    running = {}  # read end of a child's pipe -> (job index, pid, label)
     pending = iter(range(len(jobs)))
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def work():
-        while True:
-            with lock:
-                i = None if failures or stop.is_set() else next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = jobs[i]()
-            except Exception as exc:
-                with lock:
-                    failures[i] = exc
-
-    helpers = [threading.Thread(target=work)
-               for _ in range(_workers(len(jobs)) - 1)]
-    for t in helpers:
-        t.start()
     try:
-        work()
+        while True:
+            while len(running) < workers and not failures:
+                i = next(pending, None)
+                if i is None:
+                    break
+                label = f"job {i} ({jobs[i]!r})"
+                fd, pid = _fork(jobs[i], label)
+                running[fd] = (i, pid, label)
+            if not running:
+                break
+            for fd in select.select(list(running), [], [])[0]:
+                i, pid, label = running[fd]
+                ok, value = _receive(fd, pid, label)
+                del running[fd]
+                os.close(fd)
+                if ok:
+                    results[i] = value
+                else:
+                    failures[i] = value
     finally:
-        stop.set()
-        for t in helpers:
-            t.join()
+        for fd, (_, pid, _) in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
     if failures:
         raise failures[min(failures)]
     return results
+
+
+def _fork(job, label):
+    """(read end of a pipe, pid) of a child that runs ``job`` and writes
+    ``(True, result)`` or ``(False, exception)`` to the pipe, pickled."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return r, pid
+    status = 1  # an interrupt or exit in the job leaves no result
+    try:
+        os.close(r)
+        try:
+            out = (True, job())
+        except Exception as exc:
+            out = (False, exc)
+        with open(w, "wb") as fh:
+            fh.write(_pickled(out, label))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(out, label) -> bytes:
+    """``out`` pickled, or, when it does not survive the round trip, an
+    error that names what could not be sent."""
+    try:
+        data = pickle.dumps(out)
+        pickle.loads(data)
+        return data
+    except Exception as exc:
+        ok, value = out
+        what = (f"returned a {type(value).__qualname__}" if ok
+                else f"raised {type(value).__qualname__}: {value}")
+        return pickle.dumps((False, ChildProcessError(
+            f"{label} {what}, which cannot be sent back: "
+            f"{type(exc).__name__}: {exc}")))
+
+
+def _receive(fd, pid, label):
+    """(ok, value) that the child ``pid`` wrote to ``fd``, read to its
+    end; the child is reaped."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0 and chunks:
+        return pickle.loads(b"".join(chunks))
+    how = (f"exit status {code}" if code >= 0
+           else f"signal {signal.Signals(-code).name}")
+    return False, ChildProcessError(f"{label} ended without a result: {how}")
 
 
 # -- report files ----------------------------------------------------------

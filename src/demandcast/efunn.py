@@ -422,16 +422,15 @@ class EfunnModel:
         winner = int(np.argmax(a1))
         err = 0.0
         if a1[winner] < cfg.sthr:
-            winner, created = self._create_or_absorb(ex, te, a1)
+            winner, created = self._create_or_absorb(ex, te, a1, counter)
         else:
             sel = self._select(a1)
             a2 = self._propagate(a1, sel, counter)
             err = fuzzy_difference(a2, te)
             if err > cfg.errthr:
-                winner, created = self._create_or_absorb(ex, te, a1)
+                winner, created = self._create_or_absorb(ex, te, a1, counter)
             else:
-                self._absorb(sel, ex, te, a1[sel, None])
-                counter.add_mac(2 * (ex.size + te.size) * sel.size)
+                self._absorb(sel, ex, te, a1[sel, None], counter)
                 created = False
 
         winner_act = 1.0 if created else float(a1[winner])
@@ -440,26 +439,28 @@ class EfunnModel:
         self._last_winner, self._last_act = winner, winner_act
         return LearnOutcome(created, winner, float(err), self._n)
 
-    def _create_or_absorb(self, ex, te, a1):
+    def _create_or_absorb(self, ex, te, a1, counter):
         """Create a node, or at the budget update the nearest one."""
         if self._n < self.config.max_nodes:
             return self.create_rule_node(ex, te), True
         k = int(np.argmax(a1))
-        self._absorb(k, ex, te, float(a1[k]))
+        self._absorb(k, ex, te, float(a1[k]), counter)
         return k, False
 
-    def _absorb(self, rows, ex, te, a1) -> None:
+    def _absorb(self, rows, ex, te, a1, counter=DISCARD) -> None:
         """Drift the centroids of ``rows`` toward an absorbed example.
 
         The input centroid moves a fraction lr1 toward the example; the
         output centroid moves against the node-local signed output error,
         scaled by both lr2 and the activation ``a1`` (a column of
-        activations for an index array of rows).
+        activations for an index array of rows). The update's flops go
+        to ``counter``.
         """
         w1, w2 = self._w1[rows], self._w2[rows]
         self._put_w1(rows, w1 + self.config.lr1 * (ex - w1))
         self._w2[rows] = w2 + self.config.lr2 * (te - satlin(w2)) * a1
         self._absorbed[rows] += 1
+        counter.add_mac(2 * (ex.size + te.size) * np.size(rows))
 
     def update_temporal(self, prev: int, curr: int, prev_activation: float = 1.0,
                         curr_activation: float = 1.0) -> None:

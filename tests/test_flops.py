@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from demandcast import arima, bench, mlp
 from demandcast.efunn import EfunnConfig, EfunnModel
 from demandcast.errors import DemandcastError
-from demandcast.flops import DISCARD, FlopCounter
+from demandcast.flops import DISCARD, MAC_FLOPS, FlopCounter
 from demandcast.fuzzy import build_partition
 
 _PROPERTY = settings(max_examples=25, deadline=None,
@@ -80,6 +80,25 @@ def test_at_budget_stream_learns_fixed_snapshot_bytes():
     assert m.n_nodes == 20 and m._absorbed[:20].sum() == 400
     assert hashlib.sha256(m.to_text().encode()).hexdigest() == (
         "79db037dc20132d2967b9f0795dfb8c8b2911826b352f1f4f9a68dfff25e047b")
+
+
+def test_an_update_at_the_node_budget_counts_its_flops():
+    # the second example is far from the first node: a network at its
+    # budget updates that node where an unbounded one creates a node,
+    # which counts nothing, so only the update tells the counts apart
+    models, counts = {}, {}
+    for max_nodes in (1, 100000):
+        m = models[max_nodes] = EfunnModel(EfunnConfig(max_nodes=max_nodes),
+                                           *bench.make_partitions())
+        m.learn_one(np.zeros(6), 0.0)
+        counter = FlopCounter()
+        m.learn_one(np.ones(6), 1.0, counter)
+        counts[max_nodes] = counter.total
+    assert (models[1].n_nodes, models[1]._absorbed[0]) == (1, 2)
+    assert models[100000].n_nodes == 2
+    m = models[1]
+    width = m.fuzzify_input(np.ones(6)).size + m.output_partition.size
+    assert counts[1] - counts[100000] == MAC_FLOPS * 2 * width
 
 
 @st.composite

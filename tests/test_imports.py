@@ -1,10 +1,12 @@
 """numpy is the only dependency: no command, protocol run or ARIMA
-diagnostic loads scipy, and none loads ``concurrent.futures``.
+diagnostic loads scipy, and none loads ``concurrent`` or
+``multiprocessing``.
 
 Importing ``scipy.stats`` costs most of a second and about 70 MB, more
 than the rest of a command's set-up; the tests use it only as a
-reference. The protocol's concurrent fits use ``threading``, which
-numpy loads anyway; ``concurrent.futures`` would add about 1 MB.
+reference. The protocol's fits run in children made with ``os.fork``,
+which need neither ``concurrent.futures`` nor ``multiprocessing``: those
+add imports, and a pool starts threads in the calling process.
 
 And the package holds no code that only tests reach.
 """
@@ -20,11 +22,12 @@ from pathlib import Path
 import demandcast
 
 _SCRIPT = """
-import sys
+import os, sys
 from pathlib import Path
 
 import demandcast, demandcast.cli
-assert "concurrent.futures" not in sys.modules
+assert not [m for m in sys.modules
+            if m.split(".")[0] in ("concurrent", "multiprocessing")]
 from demandcast import arima, bench
 from demandcast.cli import main
 
@@ -39,12 +42,15 @@ for model in ("efunn", "mlp-bp", "mlp-scg", "arima"):
                  "--out", str(d / f"{model}.csv")]) == 0
 assert main(["rules", "--snapshot", str(d / "efunn.snap"),
              "--out", str(d / "rules.txt")]) == 0
-report = bench.run_experiment(bench.ExperimentConfig(
-    synth_days=40, seed=0, epochs=2, n_samples=1))
-bench.emit_report(report, d / "report")
+assert main(["bench", "--days", "40", "--epochs", "2",
+             "--out", str(d / "report")]) == 0
+# the fits ran in child processes, unless they cannot here
+assert bench._openblas() is None or bench._workers(2) == min(
+    len(os.sched_getaffinity(0)), 2)
 series = [float(t % 7 + t % 3) for t in range(300)]
 assert 0.0 <= arima.diagnostics(arima.fit(series, arima.ArimaSpec(p=1))).p_value
-print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing")))
 """
 
 
