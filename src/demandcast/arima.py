@@ -24,7 +24,8 @@ from typing import Optional
 import numpy as np
 
 from . import snapshot
-from .errors import ConfigError, ConvergenceError, DataError, DegenerateError
+from .errors import (ConfigError, ConvergenceError, DataError,
+                     DegenerateError, ParseError)
 from .flops import DISCARD
 
 _MAX_ITER = 200
@@ -62,6 +63,21 @@ class ArimaSpec:
     @property
     def n_coeffs(self) -> int:
         return self.p + self.q + self.sp + self.sq
+
+    @property
+    def ar_reach(self) -> int:
+        """Highest lag of the combined AR polynomial A(B)."""
+        return self.p + self.sp * self.season
+
+    @property
+    def ma_reach(self) -> int:
+        """Highest lag of the combined MA polynomial C(B)."""
+        return self.q + self.sq * self.season
+
+    def stage_lags(self) -> list:
+        """Lag of each differencing stage, in the order fit applies them."""
+        pre = [self.pre_diff_lag] if self.pre_diff_lag else []
+        return pre + [1] * self.d + [self.season] * self.sd
 
     @property
     def estimates_intercept(self) -> bool:
@@ -201,14 +217,11 @@ def _lag_polys(spec: ArimaSpec, coeffs: np.ndarray):
 
 def _residuals(z: np.ndarray, spec: ArimaSpec, intercept: float,
                coeffs: np.ndarray, counter=DISCARD) -> np.ndarray:
-    """Conditional innovations; pre-sample e pinned at zero."""
+    """Conditional innovations, one per value of ``z`` past the AR reach;
+    pre-sample e pinned at zero."""
     a_poly, c_poly = _lag_polys(spec, coeffs)
     la = a_poly.size - 1
     n = z.size
-    if n <= la:
-        raise DataError(
-            f"series of length {n} cannot support AR reach {la}"
-        )
     ma_lags = [(j, float(c_poly[j])) for j in range(1, c_poly.size)
                if c_poly[j] != 0.0]
     # trial coefficients outside the invertible region blow the recursion
@@ -245,30 +258,21 @@ def fit(series, spec: ArimaSpec, counter=DISCARD) -> ArimaFit:
     if not np.all(np.isfinite(y)):
         raise DataError("series contains non-finite values")
 
+    # one past the AR reach leaves one innovation; ten per free parameter
+    lags = spec.stage_lags()
+    n_free = spec.n_coeffs + (1 if spec.estimates_intercept else 0)
+    usable = max(10 * max(1, n_free), spec.ar_reach + 1)
+    if y.size < sum(lags) + usable:
+        raise DataError(
+            f"{spec.label()} needs at least {sum(lags) + usable} observations "
+            f"({sum(lags)} for differencing, then {usable}), got {y.size}"
+        )
+
     anchors = ForecastAnchors()
     z = y.copy()
-    plan = []
-    if spec.pre_diff_lag:
-        plan.append((spec.pre_diff_lag, 1))
-    if spec.d:
-        plan.append((1, spec.d))
-    if spec.sd:
-        plan.append((spec.season, spec.sd))
-    for lag, times in plan:
-        for _ in range(times):
-            if z.size <= lag:
-                raise DataError(
-                    f"series exhausted while differencing at lag {lag}"
-                )
-            anchors.stages.append((lag, z[-lag:].copy()))
-            z = difference(z, lag, 1)
-
-    n_free = spec.n_coeffs + (1 if spec.estimates_intercept else 0)
-    if z.size < 10 * max(1, n_free):
-        raise DataError(
-            f"only {z.size} usable observations after differencing; "
-            f"need at least {10 * max(1, n_free)}"
-        )
+    for lag in lags:
+        anchors.stages.append((lag, z[-lag:].copy()))
+        z = difference(z, lag, 1)
 
     est_b0 = spec.estimates_intercept
     coeffs = np.zeros(spec.n_coeffs)
@@ -437,21 +441,36 @@ def from_text(text: str):
     return _from_fields(*snapshot.load(text, "arima"))
 
 
+def _sized(key: str, value: np.ndarray, size: int) -> np.ndarray:
+    if value.size != size:
+        raise ParseError(f"snapshot key {key!r} holds {value.size} values, "
+                         f"expected {size}")
+    return value
+
+
 def _from_fields(body: dict, extra: dict):
+    """The fit a snapshot holds; arrays and stages that differ from what
+    its spec gives a fit are refused, since they would still forecast."""
     need, parse = snapshot.need, snapshot.parse_finite
+    spec = ArimaSpec(**snapshot.config_kwargs(ArimaSpec, body, "spec"))
+    fields = {key: need(body, key, parse) for key, parse in _FIT_FIELDS}
+    for key, size in (("ar", spec.p), ("ma", spec.q), ("seasonal_ar", spec.sp),
+                      ("seasonal_ma", spec.sq)):
+        _sized(key, fields[key], size)
+    lags = [need(body, f"stage.{k}.lag", int)
+            for k in range(need(body, "stages", int))]
+    if lags != spec.stage_lags():
+        raise ParseError(f"snapshot keys 'stage.*.lag' give lags {lags}, "
+                         f"expected {spec.stage_lags()} for {spec.label()}")
+    anchor_keys = [f"stage.{k}.anchor" for k in range(len(lags))]
     anchors = ForecastAnchors(
-        stages=[(need(body, f"stage.{k}.lag", int),
-                 need(body, f"stage.{k}.anchor", parse))
-                for k in range(need(body, "stages", int))],
-        z_tail=need(body, "z_tail", parse),
-        e_tail=need(body, "e_tail", parse),
+        stages=[(lag, _sized(key, need(body, key, parse), lag))
+                for lag, key in zip(lags, anchor_keys)],
+        z_tail=_sized("z_tail", need(body, "z_tail", parse), spec.ar_reach),
+        e_tail=_sized("e_tail", need(body, "e_tail", parse),
+                      min(spec.ma_reach, fields["residuals"].size)),
     )
-    fit_ = ArimaFit(
-        spec=ArimaSpec(**snapshot.config_kwargs(ArimaSpec, body, "spec")),
-        training_tail=anchors,
-        **{key: need(body, key, parse) for key, parse in _FIT_FIELDS},
-    )
-    return fit_, extra
+    return ArimaFit(spec=spec, training_tail=anchors, **fields), extra
 
 
 def save(fit_: ArimaFit, path, extra: Optional[dict] = None) -> None:

@@ -48,6 +48,7 @@ from .fuzzy import build_partition
 from .mlp import BpConfig
 
 MODEL_NAMES = ("efunn", "mlp-bp", "mlp-scg", "arima")
+HOLDOUT_PERIODS = 96  # two days of half-hours
 
 
 def default_arima_spec() -> arima_mod.ArimaSpec:
@@ -66,7 +67,7 @@ class ExperimentConfig:
     seed: int = 0
     training_fraction: float = 0.2
     n_samples: int = 3
-    test_periods: int = 96
+    test_periods: int = HOLDOUT_PERIODS
     epochs: int = 2500
     mlp_layers: tuple = (6, 40, 40, 1)
     bp_epsilon: float = 0.01
@@ -132,6 +133,20 @@ def make_partitions(mf_count: int = 4):
     return inputs, output
 
 
+def holdout(records, periods: int, lookback: int, source):
+    """(demand array, test_start) of ``records``, whose final ``periods``
+    are the test window. Training examples before it read ``lookback``
+    records back (a day for lag-48 inputs, none for ARIMA) and one must be
+    left; ``arima.fit`` checks what an ARIMA spec needs beyond that."""
+    minimum = lookback + periods + 1
+    if len(records) < minimum:
+        raise DataError(
+            f"{source}: need at least {minimum} records, got {len(records)}"
+        )
+    demand = np.array([r.demand for r in records])
+    return demand, demand.size - periods
+
+
 def training_pool(records, test_start: int):
     """Normalized inputs and targets of every record before the test window.
 
@@ -176,14 +191,9 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
     else:
         records = dataset.synthesize(config.synth_days, config.seed,
                                      config.synth_config)
-    n = len(records)
-    minimum = 336 + config.test_periods + HALF_HOURS_PER_DAY
-    if n < minimum:
-        raise DataError(
-            f"need at least {minimum} records (weekly lag + test window + "
-            f"lookback), got {n}"
-        )
-    test_start = n - config.test_periods
+    demand, test_start = holdout(
+        records, config.test_periods, HALF_HOURS_PER_DAY,
+        config.csv_path or f"{config.synth_days}-day synthetic series")
 
     pool_x, pool_y, stats = training_pool(records, test_start)
     samples = dataset.sample_training(
@@ -193,13 +203,13 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
         # test-window isolation: sampled vectors must end before the window
         assert int(idx.max()) + HALF_HOURS_PER_DAY < test_start
 
-    actual = np.array([records[i].demand for i in range(test_start, n)])
+    actual = demand[test_start:]
     actual_norm = [dataset.norm_target(d, stats) for d in actual]
-    timestamps = [records[i].timestamp for i in range(test_start, n)]
+    timestamps = [r.timestamp for r in records[test_start:]]
 
     def run(s, name):
         if name == "arima":
-            return _run_arima(config, records, stats, test_start, actual_norm)
+            return _run_arima(config, demand[:test_start], stats, actual_norm)
         idx = samples[s]
         return _run_model(config, records, stats, pool_x[idx], pool_y[idx],
                           test_start, s, actual_norm, name)
@@ -296,11 +306,10 @@ def _run_model(config, records, stats, train_x, train_y, test_start, s,
     )
 
 
-def _run_arima(config, records, stats, test_start, actual_norm):
+def _run_arima(config, series, stats, actual_norm):
     counter = FlopCounter()
     t0 = time.perf_counter()
-    fit = arima_mod.fit(np.array([r.demand for r in records[:test_start]]),
-                        config.arima, counter)
+    fit = arima_mod.fit(series, config.arima, counter)
     preds = arima_mod.forecast(fit, config.test_periods)
     wall = time.perf_counter() - t0
     preds_norm = [dataset.norm_target(d, stats) for d in preds]

@@ -12,7 +12,6 @@ data problems, 2 when an estimator fails to converge.
 """
 
 import argparse
-import contextlib
 import sys
 
 import numpy as np
@@ -20,13 +19,12 @@ import numpy as np
 from . import __version__
 from . import arima as arima_mod
 from . import bench, dataset, mlp, snapshot
+from .bench import HOLDOUT_PERIODS
 from .config import read_config, scalar_fields
 from .dataset import HALF_HOURS_PER_DAY, NormStats
 from .efunn import EfunnConfig, EfunnModel
 from .errors import (ConvergenceError, DataError, DemandcastError,
                      DivergenceError, ParseError)
-
-HOLDOUT_PERIODS = 96
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +74,8 @@ def _stats_from_extra(extra: dict, path) -> NormStats:
                      snapshot.parse_array(extra["norm.maxs"]))
 
 
-def _check_trained_on(fit, extra: dict, demand, path, data) -> None:
+def _check_trained_on(fit, extra: dict, demand, test_start, path,
+                      data) -> None:
     """Refuse an ARIMA fit on any CSV but its own: it forecasts its tail."""
     rows = extra.get("trained.rows")
     if rows is not None and rows != str(demand.size):
@@ -85,19 +84,9 @@ def _check_trained_on(fit, extra: dict, demand, path, data) -> None:
     stages = fit.training_tail.stages
     if stages:
         lag, anchor = stages[0]
-        end = demand.size - HOLDOUT_PERIODS
-        if not np.array_equal(anchor, demand[end - lag:end]):
+        if not np.array_equal(anchor, demand[test_start - lag:test_start]):
             raise DataError(f"snapshot {path} was not trained on {data}: "
                             "its last pre-holdout values differ")
-
-
-def _load_records(path, minimum: int):
-    records = dataset.parse_csv(path)
-    if len(records) < minimum:
-        raise DataError(
-            f"{path}: need at least {minimum} records, got {len(records)}"
-        )
-    return records
 
 
 # -- subcommands -----------------------------------------------------------
@@ -117,19 +106,18 @@ def _cmd_train(args) -> int:
           if args.config else {})
     if args.model == "arima":
         spec = arima_mod.ArimaSpec(**kv) if kv else bench.default_arima_spec()
-        records = _load_records(args.data, HOLDOUT_PERIODS + 1)
-        demand = np.array([r.demand for r in records])
-        fit = arima_mod.fit(demand[:-HOLDOUT_PERIODS], spec)
-        arima_mod.save(fit, args.out, extra={"trained.rows": str(len(records))})
+        demand, test_start = bench.holdout(dataset.parse_csv(args.data),
+                                           HOLDOUT_PERIODS, 0, args.data)
+        fit = arima_mod.fit(demand[:test_start], spec)
+        arima_mod.save(fit, args.out, extra={"trained.rows": str(demand.size)})
         print(f"fitted arima {spec.label()} in {fit.iterations} iterations "
               f"(sigma2 {fit.sigma2:.6g}); snapshot {args.out}")
         return 0
 
-    records = _load_records(
-        args.data, HALF_HOURS_PER_DAY + HOLDOUT_PERIODS + 1
-    )
-    train_x, train_y, stats = bench.training_pool(
-        records, len(records) - HOLDOUT_PERIODS)
+    records = dataset.parse_csv(args.data)
+    _, test_start = bench.holdout(records, HOLDOUT_PERIODS,
+                                  HALF_HOURS_PER_DAY, args.data)
+    train_x, train_y, stats = bench.training_pool(records, test_start)
     extra = _norm_extra(stats)
     extra["trained.examples"] = str(len(train_y))
 
@@ -140,8 +128,7 @@ def _cmd_train(args) -> int:
         settings = {_MLP_SETTINGS[k]: v for k, v in kv.items()}
         settings["epochs"] = args.epochs
     # one BLAS thread gives the MLP bits of the protocol on any machine
-    with (contextlib.nullcontext() if args.model == "efunn"
-          else bench.one_blas_thread()):
+    with bench.one_blas_thread():
         trained = bench.train_model(args.model,
                                     bench.ExperimentConfig(**settings),
                                     train_x, train_y, args.seed)
@@ -172,13 +159,14 @@ def _load(path):
 
 def _cmd_forecast(args) -> int:
     kind, model, extra = _load(args.snapshot)
+    records = dataset.parse_csv(args.data)
     lookback = 0 if kind == "arima" else HALF_HOURS_PER_DAY
-    records = _load_records(args.data, lookback + HOLDOUT_PERIODS + 1)
-    demand = np.array([r.demand for r in records])
-    test_start = demand.size - HOLDOUT_PERIODS
+    demand, test_start = bench.holdout(records, HOLDOUT_PERIODS, lookback,
+                                       args.data)
 
     if kind == "arima":
-        _check_trained_on(model, extra, demand, args.snapshot, args.data)
+        _check_trained_on(model, extra, demand, test_start, args.snapshot,
+                          args.data)
         preds = arima_mod.forecast(model, HOLDOUT_PERIODS)
     else:
         if kind == "efunn":
@@ -258,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "train",
         help="train one model, holding out the final 96 half-hours",
     )
-    p.add_argument("--model", required=True,
-                   choices=["efunn", "mlp-bp", "mlp-scg", "arima"])
+    p.add_argument("--model", required=True, choices=bench.MODEL_NAMES)
     p.add_argument("--data", required=True, help="demand CSV")
     p.add_argument("--out", required=True, help="snapshot path")
     p.add_argument("--seed", type=int, default=0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,22 @@ def test_fit_rejects_short_and_bad_series():
         fit(np.array([1.0, np.nan, 2.0] * 20), ArimaSpec(p=1))
     with pytest.raises(DataError):
         fit(np.ones((10, 2)), ArimaSpec())
+
+
+def test_fit_names_the_length_its_spec_needs():
+    # a seasonal AR reach of 48 needs 49 values to leave one innovation
+    y = np.random.default_rng(0).normal(size=49)
+    assert fit(y, ArimaSpec(sp=1, season=48)).residuals.size == 1
+    with pytest.raises(DataError, match=re.escape(
+            "(0,0,0)(1,0,0)[48] needs at least 49 observations "
+            "(0 for differencing, then 49), got 48")):
+        fit(y[:48], ArimaSpec(sp=1, season=48))
+    # the weekly pre-difference and d=1 take 337 values first
+    with pytest.raises(DataError, match=re.escape(
+            "needs at least 387 observations (337 for differencing, then "
+            "50), got 384")):
+        fit(np.arange(384.0), ArimaSpec(p=1, d=1, q=1, sp=1, sq=1, season=48,
+                                        pre_diff_lag=336))
 
 
 def test_seasonal_model_with_prediff_runs_end_to_end():

@@ -46,8 +46,10 @@ def test_experiment_config_validation():
 
 
 def test_run_experiment_needs_enough_records():
-    with pytest.raises(DataError):
-        run_experiment(ExperimentConfig(synth_days=5, seed=0))
+    # test window, one day of lookback and one training example: 145
+    with pytest.raises(DataError, match="^3-day synthetic series: need at "
+                                        "least 145 records, got 144$"):
+        run_experiment(ExperimentConfig(synth_days=3, seed=0))
 
 
 def test_outcome_matrix_and_sampling_scale(small_report):

@@ -183,7 +183,9 @@ EXIT_1_CASES = (
     "arima on another csv", "arima on a longer csv", "corrupt efunn field",
     "corrupt efunn array", "binary snapshot", "unimplemented mlp activation",
     "nan mlp weight", "nan arima coefficient", "nan efunn weight",
-    "nan efunn format 1 link", "zero-unit mlp layer",
+    "nan efunn format 1 link", "zero-unit mlp layer", "extra arima coefficient",
+    "short arima z_tail", "short arima e_tail", "arima stage lag",
+    "arima spec longer than the series",
 )
 
 
@@ -231,6 +233,15 @@ def bad_inputs(data_csv, tmp_path_factory):
         r"\nar=[^\n]*", "\nar=nan", (d / "arima.snap").read_text()))
     nan_efunn = write("nan-efunn.snap", re.sub(
         r"\nnodes\.w2=\S+", "\nnodes.w2=nan", text))
+    arima_text = (d / "arima.snap").read_text()
+    # each would forecast plausible, wrong values if it loaded
+    extra_ar = write("extra-ar.snap", re.sub(r"\nar=([^\n]*)", r"\nar=\1 0.5",
+                                             arima_text))
+    z_short, e_short = (write(f"{key}.snap", re.sub(
+        rf"\n{key}=(\S+)[^\n]*", rf"\n{key}=\1", arima_text))
+        for key in ("z_tail", "e_tail"))
+    lag = write("lag.snap", arima_text.replace("\nstage.1.lag=1\n",
+                                               "\nstage.1.lag=2\n"))
     nan_v1 = write("nan-v1.snap", re.sub(
         r"\nw3\.0=\S+", "\nw3.0=nan",
         (Path(__file__).parent / "data" / "efunn_v1.snap").read_text()))
@@ -241,13 +252,16 @@ def bad_inputs(data_csv, tmp_path_factory):
                  "weight.0=\nbias.0=\nweight.1=\nbias.1=0.5\n")
     assert main(["synth", "--days", "40", "--seed", "4", "--out", other]) == 0
     assert main(["synth", "--days", "41", "--seed", "3", "--out", longer]) == 0
+    # from late February every feature varies within ten days
+    ten = str(d / "ten.csv")
+    assert main(["synth", "--days", "10", "--out", ten, "--config",
+                 write("march.cfg", "start=1995-02-25\n")]) == 0
 
     def train(model, data, *more):
         return ["train", "--model", model, "--data", data, "--out", out, *more]
 
-    def forecast(data):
-        return ["forecast", "--snapshot", arima_snap, "--data", data,
-                "--out", out]
+    def forecast(data, snap=arima_snap):
+        return ["forecast", "--snapshot", snap, "--data", data, "--out", out]
 
     return {
         "bad csv header": (train("efunn", header), f"{header}: bad header"),
@@ -300,6 +314,24 @@ def bad_inputs(data_csv, tmp_path_factory):
             ["forecast", "--snapshot", zero, "--data", str(data_csv),
              "--out", out],
             f"{zero}: layer sizes must be >= 1, got (6, 0, 1)"),
+        "extra arima coefficient": (
+            forecast(str(data_csv), extra_ar),
+            f"{extra_ar}: snapshot key 'ar' holds 2 values, expected 1"),
+        "short arima z_tail": (
+            forecast(str(data_csv), z_short),
+            f"{z_short}: snapshot key 'z_tail' holds 1 values, expected 49"),
+        "short arima e_tail": (
+            forecast(str(data_csv), e_short),
+            f"{e_short}: snapshot key 'e_tail' holds 1 values, expected 49"),
+        "arima stage lag": (
+            forecast(str(data_csv), lag),
+            f"{lag}: snapshot keys 'stage.*.lag' give lags [336, 2], "
+            "expected [336, 1]"),
+        # 384 records before the test window of a 10-day series
+        "arima spec longer than the series": (
+            ["bench", "--data", ten, "--epochs", "2", "--out", out],
+            "error: (1,1,1)(1,0,1)[48]+prediff336 needs at least 387 "
+            "observations (337 for differencing, then 50), got 384"),
     }
 
 
@@ -321,3 +353,56 @@ def test_mlp_snapshot_still_forecasts_other_data(data_csv, tmp_path):
                  "--out", str(other)]) == 0
     assert main(["forecast", "--snapshot", str(snap), "--data", str(other),
                  "--out", str(tmp_path / "fc.csv")]) == 0
+
+
+@pytest.fixture(scope="module")
+def nine_days(tmp_path_factory):
+    """A 9-day CSV over which all six features vary, its first 144 and
+    145 records, an EFuNN snapshot of it and an EFuNN-only bench config."""
+    d = tmp_path_factory.mktemp("nine")
+    (d / "gen.cfg").write_text("start=1995-02-25\n")
+    (d / "bench.cfg").write_text("models=efunn\n")
+    data = str(d / "d9.csv")
+    assert main(["synth", "--days", "9", "--config", str(d / "gen.cfg"),
+                 "--out", data]) == 0
+    lines = (d / "d9.csv").read_text().splitlines(keepends=True)
+    for rows in (144, 145):
+        (d / f"{rows}.csv").write_text("".join(lines[:1 + rows]))
+    assert main(["train", "--model", "efunn", "--data", data,
+                 "--out", str(d / "efunn.snap")]) == 0
+    return d
+
+
+def _efunn_argv(command, d, data, out):
+    return {"train": ["train", "--model", "efunn", "--data", data,
+                      "--out", out],
+            "forecast": ["forecast", "--snapshot", str(d / "efunn.snap"),
+                         "--data", data, "--out", out],
+            "bench": ["bench", "--data", data, "--config",
+                      str(d / "bench.cfg"), "--out", out]}[command]
+
+
+def test_efunn_bench_accepts_the_csv_train_and_forecast_accept(nine_days,
+                                                               tmp_path):
+    data = str(nine_days / "d9.csv")
+    for command in ("forecast", "bench"):
+        assert main(_efunn_argv(command, nine_days, data,
+                                str(tmp_path / command))) == 0
+
+
+@pytest.mark.parametrize("rows", [144, 145])
+@pytest.mark.parametrize("command", ["train", "forecast", "bench"])
+def test_efunn_commands_share_one_length_rule(command, rows, nine_days,
+                                              tmp_path, capsys):
+    data = str(nine_days / f"{rows}.csv")
+    capsys.readouterr()
+    code = main(_efunn_argv(command, nine_days, data, str(tmp_path / "out")))
+    err = capsys.readouterr().err
+    if rows == 144:
+        assert code == 1
+        assert f"error: {data}: need at least 145 records, got 144" in err
+    elif command == "forecast":
+        assert code == 0
+    else:  # past the length rule, the one training example is constant
+        assert code == 1
+        assert "is constant in the training data" in err

@@ -14,6 +14,7 @@ And the package holds no code that only tests reach.
 import ast
 import collections
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -112,3 +113,16 @@ def test_every_definition_is_used_outside_the_tests():
                     continue
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_every_function_the_tracer_wraps_still_exists():
+    # perfbench/tracer.py replaces these attributes by name; a rename in
+    # src/ would otherwise fail only a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", _REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner.__name__}.{attr} ({span})"
+               for owner, attr, span, _ in tracer._targets()
+               if attr not in owner.__dict__]
+    assert missing == []

@@ -219,6 +219,12 @@ def test_mlp_snapshot_round_trips_byte_for_byte(model, extra):
     _assert_round_trip(mlp.to_text, mlp.from_text, model, extra)
 
 
+def _tiled(size):
+    """Arrays of ``size`` values: a drawn run of up to six, repeated, so
+    that a weekly anchor costs no more to draw than a short one."""
+    return _arrays(1).map(lambda a: np.resize(a, size))
+
+
 @st.composite
 def arima_fits(draw):
     orders = st.integers(0, 2)
@@ -226,16 +232,18 @@ def arima_fits(draw):
                            sp=draw(orders), sd=draw(orders), sq=draw(orders),
                            season=draw(st.integers(2, 48)),
                            pre_diff_lag=draw(st.integers(0, 336)))
-    stages = draw(st.lists(st.tuples(st.integers(1, 48), _arrays(1)),
-                           max_size=3))
+    # the sizes fit gives: from_text refuses a fit with other ones
+    residuals = draw(_arrays())
     return arima.ArimaFit(
         spec=spec, intercept=draw(_FINITE),
         ar=draw(_arrays(spec.p, spec.p)), ma=draw(_arrays(spec.q, spec.q)),
         seasonal_ar=draw(_arrays(spec.sp, spec.sp)),
         seasonal_ma=draw(_arrays(spec.sq, spec.sq)),
-        residuals=draw(_arrays()), sigma2=draw(_FINITE),
+        residuals=residuals, sigma2=draw(_FINITE),
         training_tail=arima.ForecastAnchors(
-            stages=stages, z_tail=draw(_arrays()), e_tail=draw(_arrays())),
+            stages=[(lag, draw(_tiled(lag))) for lag in spec.stage_lags()],
+            z_tail=draw(_tiled(spec.ar_reach)),
+            e_tail=draw(_tiled(min(spec.ma_reach, residuals.size)))),
         near_unit_root=draw(st.booleans()),
         iterations=draw(st.integers(0, 200)), sse=draw(_FINITE),
     )
