@@ -5,8 +5,6 @@ sample, so the error traces are directly comparable. The conjugate
 trainer needs no learning rate and its trace never goes up.
 """
 
-import numpy as np
-
 from demandcast import dataset, mlp
 from demandcast.flops import FlopCounter
 
@@ -15,15 +13,10 @@ def training_sample(days: int, seed: int, fraction: float):
     # short window, so start it where the season feature changes value
     records = dataset.synthesize(days, seed,
                                  dataset.SynthConfig(start="1995-02-15"))
-    test_start = len(records) - 96
-    raw = [dataset.encode_features(records, i)
-           for i in range(48, test_start)]
-    stats = dataset.fit_norm(raw)
-    pool = [dataset.apply_norm(v, stats) for v in raw]
-    idx = dataset.sample_training(pool, fraction, seed=seed, n_samples=1)[0]
-    X = np.stack([pool[i].x for i in idx])
-    y = np.array([pool[i].y for i in idx])
-    return X, y
+    raw = dataset.encode_features(records, 48, len(records) - 96)
+    x, y = dataset.apply_norm(raw, dataset.fit_norm(raw))
+    idx = dataset.sample_training(y, fraction, seed=seed, n_samples=1)[0]
+    return x[idx], y[idx]
 
 
 def main():
@@ -50,8 +43,8 @@ def main():
     for k in (0, 9, 49, 99, 199, 399):
         print(f"{k + 1:5d}    {bp_trace[k]:.5f}    {scg_trace[k]:.5f}")
 
-    bp_final = mlp.rmse(mlp.forward_batch(bp_model, X), y)
-    scg_final = mlp.rmse(mlp.forward_batch(scg_model, X), y)
+    bp_final = mlp.rmse(mlp.forward(bp_model, X), y)
+    scg_final = mlp.rmse(mlp.forward(scg_model, X), y)
     print(f"\nfinal training rmse: bp {bp_final:.5f}, scg {scg_final:.5f}")
     print(f"flops spent: bp {bp_counter.total:.3g}, "
           f"scg {scg_counter.total:.3g}")

@@ -8,6 +8,11 @@ scores every model on the held-out final two days (96 half-hours).
 Following the source protocol, the headline number per model is the
 worst test RMSE over the samples; per-sample detail is retained.
 
+The networks forecast the window recursively, a day at a time: each
+day's lag-48 inputs are the previous day's predictions (recorded
+demand for the first day), so one day's half-hours go to a model in
+one batch. ARIMA runs its own recursion.
+
 emit_report writes four files: a comparison table (report.csv), the
 per-period forecasts in demand units (forecast.csv), per-epoch training
 curves (convergence.csv), and a small hand-rolled SVG chart. Report
@@ -42,7 +47,7 @@ from . import dataset, fuzzy, mlp, snapshot
 from . import efunn as efunn_mod
 from .dataset import FEATURE_NAMES, HALF_HOURS_PER_DAY, NormStats
 from .efunn import EfunnConfig, EfunnModel
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DegenerateError
 from .flops import DISCARD, FlopCounter
 from .fuzzy import build_partition
 from .mlp import BpConfig
@@ -151,37 +156,42 @@ def training_pool(records, test_start: int):
     """Normalized inputs and targets of every record before the test window.
 
     The pool starts one day in, where the lag-48 input first exists;
-    returns (x, y, stats) with the stats fitted on the pool alone. Row i
-    equals ``apply_norm`` of the i-th encoded vector, bit for bit.
+    returns (x, y, stats) with the stats fitted on the pool alone. A
+    variable constant over the pool fails with the pool's span named.
     """
-    raw = dataset.encode_table(records, HALF_HOURS_PER_DAY, test_start)
-    stats = dataset.norm_stats(raw)
-    return (*dataset.normalize_table(raw, stats), stats)
+    raw = dataset.encode_features(records, HALF_HOURS_PER_DAY, test_start)
+    try:
+        stats = dataset.fit_norm(raw)
+    except DegenerateError as exc:
+        first, last = (records[i].timestamp.strftime("%Y-%m-%d %H:%M")
+                       for i in (HALF_HOURS_PER_DAY, test_start - 1))
+        raise DegenerateError(
+            f"{exc} (the training pool, {first} to {last}): the series is "
+            "too short, or the variable never changes") from None
+    return (*dataset.apply_norm(raw, stats), stats)
 
 
-def recursive_forecast(records, stats, predict_fn, test_start, periods):
+def recursive_forecast(records, stats, predict, test_start, periods):
     """Normalized and demand-unit predictions over the test window.
 
-    Lag-48 inputs falling inside the window use the model's own earlier
-    predictions; everything before the window uses recorded demand.
+    Inside the window the lag-48 input is the model's own prediction a
+    day earlier, the only input a prediction feeds back; before it,
+    recorded demand. So the window is forecast in blocks of one day, one
+    ``predict`` call each (normalized rows in, normalized outputs out):
+    block 0 reads recorded demand, block b block b - 1's predictions.
+    The last block is shorter when ``periods`` is not a multiple of 48.
     """
-    predicted = {}
-    norm_preds = []
-    demand_preds = []
-    for ri in range(test_start, test_start + periods):
-        prev_ri = ri - HALF_HOURS_PER_DAY
-        if prev_ri >= test_start:
-            prev = predicted[prev_ri]
-        else:
-            prev = records[prev_ri].demand
-        raw = dataset.encode_features(records, ri, prev_demand=prev)
-        nv = dataset.apply_norm(raw, stats)
-        yhat = float(predict_fn(nv.x))
-        demand = dataset.denorm_target(yhat, stats)
-        predicted[ri] = demand
-        norm_preds.append(yhat)
-        demand_preds.append(demand)
-    return norm_preds, np.asarray(demand_preds)
+    day = HALF_HOURS_PER_DAY
+    norm = np.empty(periods)
+    demand = np.empty(periods)
+    for lo in range(0, periods, day):
+        hi = min(lo + day, periods)
+        prev = demand[lo - day : hi - day] if lo else None
+        raw = dataset.encode_features(records, test_start + lo,
+                                      test_start + hi, prev)
+        norm[lo:hi] = predict(dataset.apply_norm(raw, stats)[0])
+        demand[lo:hi] = dataset.denorm_target(norm[lo:hi], stats)
+    return norm, demand
 
 
 def run_experiment(config: ExperimentConfig) -> BenchReport:
@@ -204,7 +214,7 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
         assert int(idx.max()) + HALF_HOURS_PER_DAY < test_start
 
     actual = demand[test_start:]
-    actual_norm = [dataset.norm_target(d, stats) for d in actual]
+    actual_norm = dataset.norm_target(actual, stats)
     timestamps = [r.timestamp for r in records[test_start:]]
 
     def run(s, name):
@@ -249,7 +259,7 @@ class TrainedModel:
     """One model fitted to a training set and scored on it."""
 
     model: object
-    predict: Callable  # normalized input vector -> normalized demand
+    predict: Callable  # normalized input rows -> normalized demand
     train_rmse: float
     wall_time: float  # seconds of learning, scoring excluded
     trace: Optional[list] = None
@@ -271,8 +281,7 @@ def train_model(name: str, config: ExperimentConfig, train_x, train_y,
             model.learn_one(x, y, counter)
         wall = time.perf_counter() - t0
         return TrainedModel(model, model.predict,
-                            mlp.rmse(model.predict_batch(train_x), train_y),
-                            wall)
+                            mlp.rmse(model.predict(train_x), train_y), wall)
     model = mlp.init_mlp(config.mlp_layers, seed)
     if name == "mlp-bp":
         cfg = BpConfig(epsilon=config.bp_epsilon, alpha=config.bp_alpha,
@@ -283,7 +292,7 @@ def train_model(name: str, config: ExperimentConfig, train_x, train_y,
                               counter=counter)
     wall = time.perf_counter() - t0
     return TrainedModel(model, lambda x: mlp.forward(model, x),
-                        mlp.rmse(mlp.forward_batch(model, train_x), train_y),
+                        mlp.rmse(mlp.forward(model, train_x), train_y),
                         wall, trace)
 
 
@@ -312,11 +321,10 @@ def _run_arima(config, series, stats, actual_norm):
     fit = arima_mod.fit(series, config.arima, counter)
     preds = arima_mod.forecast(fit, config.test_periods)
     wall = time.perf_counter() - t0
-    preds_norm = [dataset.norm_target(d, stats) for d in preds]
     return SampleOutcome(
         model="arima", sample=0, epochs=fit.iterations, train_rmse=None,
-        test_rmse=mlp.rmse(preds_norm, actual_norm), flops=counter.total,
-        wall_time=wall, predictions=preds,
+        test_rmse=mlp.rmse(dataset.norm_target(preds, stats), actual_norm),
+        flops=counter.total, wall_time=wall, predictions=preds,
     )
 
 

@@ -169,10 +169,8 @@ def _cmd_forecast(args) -> int:
                           args.data)
         preds = arima_mod.forecast(model, HOLDOUT_PERIODS)
     else:
-        if kind == "efunn":
-            predict = model.predict
-        else:
-            predict = lambda x: mlp.forward(model, x)
+        predict = (model.predict if kind == "efunn"
+                   else lambda x: mlp.forward(model, x))
         stats = _stats_from_extra(extra, args.snapshot)
         _, preds = bench.recursive_forecast(records, stats, predict,
                                             test_start, HOLDOUT_PERIODS)
@@ -182,7 +180,7 @@ def _cmd_forecast(args) -> int:
                                  actual, {"predicted_mwh": preds})
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    err = mlp.rmse(list(preds), list(actual))
+    err = mlp.rmse(preds, actual)
     print(f"forecast {HOLDOUT_PERIODS} periods from {kind} snapshot: "
           f"rmse {err:.1f} MWh; wrote {args.out}")
     return 0

@@ -8,6 +8,11 @@ the day, the season, and the day of week. All features and the demand
 target are min-max normalized from training data before they reach a
 model.
 
+Examples are tables, one row per record: ``encode_features`` gives the
+raw features and then the target, ``fit_norm`` the training minima and
+maxima, and ``apply_norm`` the normalized inputs and targets. Training
+and forecasting share these three; a forecast overrides the lag column.
+
 Season uses the Southern-Hemisphere mapping (December to February is
 summer = 0, then autumn, winter, spring) and weeks start at Monday = 0.
 
@@ -35,6 +40,7 @@ CSV_HEADER = ("timestamp", "demand_mwh", "tmin_c", "tmax_c")
 FEATURE_NAMES = ("tmin", "tmax", "prev_day_demand", "half_hour", "season",
                  "day_of_week")
 TARGET_NAME = "demand"
+_LAG = FEATURE_NAMES.index("prev_day_demand")
 HALF_HOURS_PER_DAY = 48
 STEP = timedelta(minutes=30)
 
@@ -55,19 +61,6 @@ class DemandRecord:
             raise DataError(
                 f"tmax {self.tmax} below tmin {self.tmin} at {self.timestamp}"
             )
-
-
-@dataclass
-class FeatureVector:
-    """Six model inputs and the demand target for one half-hour."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if self.x.shape != (len(FEATURE_NAMES),):
-            raise DataError(f"feature vector has shape {self.x.shape}")
 
 
 @dataclass
@@ -154,27 +147,26 @@ def season_of(month: int) -> int:
     return 3
 
 
-def encode_features(records, index: int, prev_demand: Optional[float] = None
-                    ) -> FeatureVector:
-    """Raw (unnormalized) feature vector for the record at ``index``.
+def encode_features(records, start: int, stop: int, prev_demand=None
+                    ) -> np.ndarray:
+    """Raw features and then the target, one row per record in
+    [start, stop).
 
-    prev_demand overrides the lag-48 lookup, which lets a forecaster
-    substitute its own prediction when the previous day lies inside the
-    forecast window.
+    prev_demand (stop - start values) replaces the lag-48 column, which
+    lets a forecaster substitute its own predictions when the previous
+    day lies inside the forecast window.
     """
-    _check_lookback(index)
-    r = records[index]
-    if prev_demand is None:
-        prev_demand = records[index - HALF_HOURS_PER_DAY].demand
-    return FeatureVector(np.array(_features(r, prev_demand)), r.demand)
-
-
-def _check_lookback(index: int) -> None:
-    if index < HALF_HOURS_PER_DAY:
+    if start < HALF_HOURS_PER_DAY:
         raise DataError(
-            f"index {index} has no previous-day lookback (need >= "
+            f"index {start} has no previous-day lookback (need >= "
             f"{HALF_HOURS_PER_DAY})"
         )
+    rows = [(*_features(records[i], records[i - HALF_HOURS_PER_DAY].demand),
+             records[i].demand) for i in range(start, stop)]
+    table = np.array(rows, dtype=float).reshape(-1, len(FEATURE_NAMES) + 1)
+    if prev_demand is not None:
+        table[:, _LAG] = prev_demand
+    return table
 
 
 def _features(r: DemandRecord, prev_demand) -> tuple:
@@ -184,22 +176,7 @@ def _features(r: DemandRecord, prev_demand) -> tuple:
             float(ts.weekday()))
 
 
-def encode_table(records, start: int, stop: int) -> np.ndarray:
-    """Raw features and then the target, one row per record in
-    [start, stop); row i equals ``encode_features(records, start + i)``."""
-    _check_lookback(start)
-    rows = [(*_features(records[i], records[i - HALF_HOURS_PER_DAY].demand),
-             records[i].demand) for i in range(start, stop)]
-    return np.array(rows, dtype=float).reshape(-1, len(FEATURE_NAMES) + 1)
-
-
-def fit_norm(train_vectors) -> NormStats:
-    """Training minima/maxima for the six features and the target."""
-    return norm_stats(np.array([np.append(v.x, v.y) for v in train_vectors])
-                      .reshape(-1, len(FEATURE_NAMES) + 1))
-
-
-def norm_stats(table: np.ndarray) -> NormStats:
+def fit_norm(table: np.ndarray) -> NormStats:
     """Column minima/maxima of raw rows (six features, then the target)."""
     if not len(table):
         raise DataError("cannot fit normalization on an empty training set")
@@ -214,39 +191,36 @@ def norm_stats(table: np.ndarray) -> NormStats:
     return NormStats(mins=mins, maxs=maxs)
 
 
-def normalize_table(table: np.ndarray, stats: NormStats) -> tuple:
+def apply_norm(table: np.ndarray, stats: NormStats) -> tuple:
     """Raw rows (six features, then the target) mapped to [0,1] and
     clamped; returns (x, y), the features C-contiguous."""
     norm = np.clip((table - stats.mins) / (stats.maxs - stats.mins), 0.0, 1.0)
     return np.ascontiguousarray(norm[..., :-1]), norm[..., -1].copy()
 
 
-def apply_norm(v: FeatureVector, stats: NormStats) -> FeatureVector:
-    """Map a raw vector to [0,1] coordinates, clamping out-of-range values."""
-    x, y = normalize_table(np.append(v.x, v.y), stats)
-    return FeatureVector(x, float(y))
-
-
-def norm_target(y: float, stats: NormStats) -> float:
+def norm_target(y, stats: NormStats) -> np.ndarray:
     """Affine target map to the normalized scale, without clamping."""
-    return (float(y) - stats.mins[-1]) / (stats.maxs[-1] - stats.mins[-1])
+    return (np.asarray(y, dtype=float) - stats.mins[-1]) / (
+        stats.maxs[-1] - stats.mins[-1])
 
 
-def denorm_target(y: float, stats: NormStats) -> float:
+def denorm_target(y, stats: NormStats) -> np.ndarray:
     """Inverse of the target normalization, back to MWh."""
-    return stats.mins[-1] + float(y) * (stats.maxs[-1] - stats.mins[-1])
+    return stats.mins[-1] + np.asarray(y, dtype=float) * (
+        stats.maxs[-1] - stats.mins[-1])
 
 
-def sample_training(vectors, fraction: float, seed: int, n_samples: int = 3
+def sample_training(pool, fraction: float, seed: int, n_samples: int = 3
                     ) -> list:
-    """Independent without-replacement index samples, sorted in time order."""
+    """Independent without-replacement index samples into ``pool`` (any
+    sized sequence of examples), each sorted in time order."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    n = len(vectors)
+    n = len(pool)
     if n == 0:
-        raise DataError("cannot sample from an empty vector pool")
+        raise DataError("cannot sample from an empty pool")
     k = max(1, round(fraction * n))
     rng = np.random.default_rng(seed)
     return [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(n_samples)]

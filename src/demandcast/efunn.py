@@ -178,10 +178,10 @@ class EfunnModel:
     """Five-layer evolving fuzzy network over fixed membership partitions.
 
     learn_one mutates the model and must be externally serialized;
-    predict leaves the learned state unchanged but works in the model's
-    scratch, so it is serialized with every other call on the model. The
-    temporal layer makes learning order-dependent by design, so training
-    streams should be presented in time order.
+    predict leaves the learned state unchanged and works in scratch of
+    its own, but must not run while learn_one does. The temporal layer
+    makes learning order-dependent by design, so training streams should
+    be presented in time order.
     """
 
     def __init__(self, config: EfunnConfig, input_partitions, output_partition):
@@ -358,11 +358,6 @@ class EfunnModel:
             row[list(links)] = list(links.values())
         return row
 
-    def rule_activation(self, ex) -> np.ndarray:
-        """A1 activation of every rule node for a fuzzified input."""
-        ex = np.asarray(ex, dtype=float)
-        return self._activations(ex[None, :], self._scratch)[0]
-
     def _select(self, a1: np.ndarray) -> np.ndarray:
         """Indices of the m nodes that propagate, per m_mode."""
         if self.config.m_mode == "winner_take_all":
@@ -484,24 +479,18 @@ class EfunnModel:
             )
         return x
 
-    def _output(self, a1: np.ndarray) -> float:
-        a2 = self._propagate(a1, self._select(a1))
-        return defuzzify(a2, self.output_partition)
+    def predict(self, xs) -> np.ndarray:
+        """Crisp demand estimates for the normalized input rows ``xs``;
+        changes no learned state. Each row's estimate is independent of
+        the others, so a batch equals its rows predicted one at a time,
+        bit for bit.
 
-    def predict(self, x) -> float:
-        """Crisp demand estimate for a normalized input; changes no
-        learned state (see the class docstring on its scratch)."""
-        if not self._n:
-            raise EmptyModelError("cannot predict with no rule nodes")
-        x = self._check_input(x)
-        return self._output(self.rule_activation(self.fuzzify_input(x)))
-
-    def predict_batch(self, xs) -> np.ndarray:
-        """``predict`` of every row of ``xs``, equal to it bit for bit.
-
-        Activations are computed for a chunk of rows at a time in
-        scratch allocated once, so the temporaries stay within a fixed
-        memory budget at any node count.
+        Activations are computed for a chunk of rows at a time in scratch
+        allocated once: as many rows as fit in ``_BATCH_BYTES`` (2 MiB),
+        and at least one, whose scratch takes 128 bytes per node. Besides
+        the output, memory thus stays within max(2 MiB, 128 bytes per
+        node) of scratch and half as much again for a chunk's other
+        temporaries, at any number of rows.
         """
         if not self._n:
             raise EmptyModelError("cannot predict with no rule nodes")
@@ -514,8 +503,9 @@ class EfunnModel:
         scratch = np.empty(_SCRATCH * min(step, len(xs)) * self._n)
         for start in range(0, len(xs), step):
             ex = fuzzify_rows(xs[start : start + step], self.input_partitions)
-            for k, row in enumerate(self._activations(ex, scratch), start):
-                out[k] = self._output(row)
+            for k, a1 in enumerate(self._activations(ex, scratch), start):
+                a2 = self._propagate(a1, self._select(a1))
+                out[k] = defuzzify(a2, self.output_partition)
         return out
 
     # -- structure maintenance --------------------------------------------

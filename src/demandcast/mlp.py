@@ -135,19 +135,9 @@ def _forward_layers(model: MlpModel, acts: list) -> np.ndarray:
     return acts[-1]
 
 
-def forward(model: MlpModel, x) -> float:
-    """Network output for a single input vector; pure."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != model.layer_sizes[0]:
-        raise ShapeError(
-            f"input has shape {x.shape}, network expects {model.layer_sizes[0]}"
-        )
-    out = _forward_layers(model, _activations(model.layer_sizes, x[None, :]))[:, 0]
-    return float(out[0]) if out.size == 1 else out
-
-
-def forward_batch(model: MlpModel, X) -> np.ndarray:
-    """Outputs for a batch; (N,) when the network has a single output."""
+def forward(model: MlpModel, X) -> np.ndarray:
+    """Outputs for the (N, in) batch X, (N,) when the network has a
+    single output; pure."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.layer_sizes[0]:
         raise ShapeError(

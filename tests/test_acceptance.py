@@ -121,12 +121,10 @@ def test_criterion_03_one_pass_desk_run():
 def test_criterion_04_scg_converges_faster_than_bp():
     records = dataset.synthesize(90, 0)
     test_start = len(records) - 96
-    raw = [dataset.encode_features(records, i) for i in range(48, test_start)]
-    stats = dataset.fit_norm(raw)
-    pool = [dataset.apply_norm(v, stats) for v in raw]
-    idx = dataset.sample_training(pool, 0.2, seed=0, n_samples=1)[0]
-    X = np.stack([pool[i].x for i in idx])
-    y = np.array([pool[i].y for i in idx])
+    raw = dataset.encode_features(records, 48, test_start)
+    x, y = dataset.apply_norm(raw, dataset.fit_norm(raw))
+    idx = dataset.sample_training(y, 0.2, seed=0, n_samples=1)[0]
+    X, y = x[idx], y[idx]
     wins = 0
     finals = []
     for seed in range(3):
@@ -134,8 +132,8 @@ def test_criterion_04_scg_converges_faster_than_bp():
         scg_model = mlp.init_mlp((6, 10, 10, 1), seed)
         mlp.bp_train(bp_model, (X, y), mlp.BpConfig(epochs=500))
         mlp.scg_train(scg_model, (X, y), 500)
-        bp_rmse = mlp.rmse(mlp.forward_batch(bp_model, X), y)
-        scg_rmse = mlp.rmse(mlp.forward_batch(scg_model, X), y)
+        bp_rmse = mlp.rmse(mlp.forward(bp_model, X), y)
+        scg_rmse = mlp.rmse(mlp.forward(scg_model, X), y)
         finals.append((round(bp_rmse, 4), round(scg_rmse, 4)))
         wins += scg_rmse <= bp_rmse
     verdict(4, "scg vs bp convergence ordering", wins >= 2,
@@ -232,13 +230,9 @@ def test_criterion_07_efunn_structural_suite():
     rebuilt = EfunnModel(EfunnConfig(errthr=0.05), inputs, output)
     for rule in trained.extract_rules():
         rebuilt.insert_rule(rule)
-    worst_gap = 0.0
-    for rule in trained.extract_rules():
-        x = np.array([
-            defuzzify(rule.w1[4 * i: 4 * i + 4], inputs[i]) for i in range(3)
-        ])
-        worst_gap = max(worst_gap,
-                        abs(trained.predict(x) - rebuilt.predict(x)))
+    xs = np.array([[defuzzify(rule.w1[4 * i: 4 * i + 4], inputs[i])
+                    for i in range(3)] for rule in trained.extract_rules()])
+    worst_gap = float(np.abs(trained.predict(xs) - rebuilt.predict(xs)).max())
     round_trip_ok = worst_gap <= 1e-12
 
     verdict(7, "efunn structural suite",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from demandcast import dataset
-from demandcast.bench import (ExperimentConfig, emit_report, run_experiment,
+from demandcast.bench import (ExperimentConfig, emit_report,
+                              recursive_forecast, run_experiment, train_model,
                               training_pool)
 from demandcast.errors import ConfigError, DataError
 from demandcast.flops import FlopCounter
@@ -172,14 +173,50 @@ def test_csv_input_matches_synthetic_route(tmp_path):
     assert direct.worst["efunn"].test_rmse == via_csv.worst["efunn"].test_rmse
 
 
-def test_training_pool_equals_the_per_record_encoding():
-    records = dataset.synthesize(40, seed=3)
-    test_start = len(records) - 96
-    x, y, stats = training_pool(records, test_start)
-    raw = [dataset.encode_features(records, i) for i in range(48, test_start)]
-    want = dataset.fit_norm(raw)
-    pool = [dataset.apply_norm(v, want) for v in raw]
-    assert stats.mins.tobytes() == want.mins.tobytes()
-    assert stats.maxs.tobytes() == want.maxs.tobytes()
-    assert x.tobytes() == np.stack([v.x for v in pool]).tobytes()
-    assert y.tobytes() == np.array([v.y for v in pool]).tobytes()
+def _a_half_hour_at_a_time(records, stats, predict, test_start, periods):
+    """The test-window recursion one row per ``predict`` call."""
+    norm, demand = [], []
+    for k in range(periods):
+        prev = [demand[k - 48]] if k >= 48 else None
+        raw = dataset.encode_features(records, test_start + k,
+                                      test_start + k + 1, prev)
+        norm.append(predict(dataset.apply_norm(raw, stats)[0])[0])
+        demand.append(float(dataset.denorm_target(norm[-1], stats)))
+    return np.array(norm), np.array(demand)
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """Records, pool stats and an EFuNN and an MLP fitted on the pool
+    before the last 100 half-hours."""
+    records = dataset.synthesize(40, seed=1)
+    x, y, stats = training_pool(records, len(records) - 100)
+    config = small_config(epochs=50)
+    return records, stats, {
+        name: train_model(name, config, x[::4], y[::4], seed=2).predict
+        for name in ("efunn", "mlp-scg")}
+
+
+@pytest.mark.parametrize("periods", [1, 47, 48, 49, 96, 100])
+@pytest.mark.parametrize("name", ["efunn", "mlp-scg"])
+def test_day_blocks_forecast_as_a_half_hour_at_a_time(fitted, name, periods):
+    records, stats, models = fitted
+    test_start = len(records) - periods
+    calls = []
+
+    def predict(x):
+        calls.append(len(x))
+        return models[name](x)
+
+    norm, demand = recursive_forecast(records, stats, predict, test_start,
+                                      periods)
+    # one call per day block, the last one shorter
+    assert calls == [min(48, periods - lo) for lo in range(0, periods, 48)]
+    want_norm, want_demand = _a_half_hour_at_a_time(
+        records, stats, models[name], test_start, periods)
+    if name == "efunn":
+        assert norm.tobytes() == want_norm.tobytes()
+        assert demand.tobytes() == want_demand.tobytes()
+    else:  # a gemm over 48 rows rounds unlike one-row products
+        assert np.abs(norm - want_norm).max() <= 1e-15
+    assert demand.tobytes() == dataset.denorm_target(norm, stats).tobytes()

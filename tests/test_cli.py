@@ -185,7 +185,8 @@ EXIT_1_CASES = (
     "nan mlp weight", "nan arima coefficient", "nan efunn weight",
     "nan efunn format 1 link", "zero-unit mlp layer", "extra arima coefficient",
     "short arima z_tail", "short arima e_tail", "arima stage lag",
-    "arima spec longer than the series",
+    "arima spec longer than the series", "bench on 10 january days",
+    "efunn bench on 10 january days", "efunn train on 10 january days",
 )
 
 
@@ -256,6 +257,14 @@ def bad_inputs(data_csv, tmp_path_factory):
     ten = str(d / "ten.csv")
     assert main(["synth", "--days", "10", "--out", ten, "--config",
                  write("march.cfg", "start=1995-02-25\n")]) == 0
+
+    # from the default late-January start, season is constant in the pool
+    january = str(d / "january.csv")
+    assert main(["synth", "--days", "10", "--out", january]) == 0
+    efunn_bench = write("efunn-bench.cfg", "models=efunn\n")
+    short_pool = ("error: variable 'season' is constant in the training data "
+                  "(the training pool, 1995-01-28 00:00 to 1995-02-03 23:30): "
+                  "the series is too short")
 
     def train(model, data, *more):
         return ["train", "--model", model, "--data", data, "--out", out, *more]
@@ -332,6 +341,13 @@ def bad_inputs(data_csv, tmp_path_factory):
             ["bench", "--data", ten, "--epochs", "2", "--out", out],
             "error: (1,1,1)(1,0,1)[48]+prediff336 needs at least 387 "
             "observations (337 for differencing, then 50), got 384"),
+        "bench on 10 january days": (
+            ["bench", "--days", "10", "--out", out], short_pool),
+        "efunn bench on 10 january days": (
+            ["bench", "--days", "10", "--config", efunn_bench, "--out", out],
+            short_pool),
+        "efunn train on 10 january days": (train("efunn", january),
+                                           short_pool),
     }
 
 

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from demandcast import dataset
-from demandcast.dataset import (DemandRecord, FeatureVector, SynthConfig,
-                                apply_norm, denorm_target, encode_features,
-                                fit_norm, norm_target, parse_csv,
-                                sample_training, season_of, synthesize,
-                                write_csv)
+from demandcast.dataset import (DemandRecord, SynthConfig, apply_norm,
+                                denorm_target, encode_features, fit_norm,
+                                norm_target, parse_csv, sample_training,
+                                season_of, synthesize, write_csv)
 from demandcast.errors import (ConfigError, DataError, DegenerateError,
                                GapError, ParseError)
 
@@ -84,63 +83,66 @@ def test_encode_features_oracles():
     # 09:00 on the first full-lookback day
     idx = next(i for i, r in enumerate(records)
                if i >= 48 and r.timestamp.hour == 9 and r.timestamp.minute == 0)
-    v = encode_features(records, idx)
-    assert v.x[3] == 18.0
-    assert v.x[2] == records[idx - 48].demand
-    assert v.x[4] == 0.0  # late January
-    assert v.x[5] == float(records[idx].timestamp.weekday())
-    assert v.y == records[idx].demand
+    table = encode_features(records, 48, len(records))
+    assert table.shape == (len(records) - 48, 7)
+    row = table[idx - 48]
+    assert row[3] == 18.0
+    assert row[2] == records[idx - 48].demand
+    assert row[4] == 0.0  # late January
+    assert row[5] == float(records[idx].timestamp.weekday())
+    assert row[6] == records[idx].demand
+    # each row depends on its own record alone
+    assert encode_features(records, idx, idx + 1).tolist() == [row.tolist()]
 
 
 def test_encode_features_respects_prev_demand_override():
     records = synthesize(3, seed=0)
-    v = encode_features(records, 50, prev_demand=1234.5)
-    assert v.x[2] == 1234.5
+    table = encode_features(records, 50, 53, prev_demand=[1234.5, 1.0, 2.0])
+    assert table[:, 2].tolist() == [1234.5, 1.0, 2.0]
+    plain = encode_features(records, 50, 53)
+    assert np.array_equal(np.delete(table, 2, axis=1),
+                          np.delete(plain, 2, axis=1))
 
 
 def test_encode_features_needs_lookback():
     records = synthesize(3, seed=0)
     with pytest.raises(DataError):
-        encode_features(records, 47)
+        encode_features(records, 47, 48)
     with pytest.raises(DataError):
-        dataset.encode_table(records, 47, 60)
+        encode_features(records, 47, 60)
 
 
 def test_fit_norm_and_apply_norm_clamp():
-    vecs = [FeatureVector(np.array([0, 10, 5, 1, 0, 3]), 100.0),
-            FeatureVector(np.array([2, 20, 9, 5, 2, 6]), 300.0)]
-    stats = fit_norm(vecs)
-    out = apply_norm(FeatureVector(np.array([1, 15, 7, 3, 1, 4.5]), 200.0),
-                     stats)
-    assert np.allclose(out.x, 0.5)
-    assert out.y == 0.5
-    # out-of-range values clamp instead of leaving [0, 1]
-    wild = apply_norm(FeatureVector(np.array([-5, 40, 9, 5, 2, 6]), 999.0),
-                      stats)
-    assert wild.x[0] == 0.0 and wild.x[1] == 1.0 and wild.y == 1.0
+    stats = fit_norm(np.array([[0, 10, 5, 1, 0, 3, 100.0],
+                               [2, 20, 9, 5, 2, 6, 300.0]]))
+    x, y = apply_norm(np.array([[1, 15, 7, 3, 1, 4.5, 200.0],
+                                # out-of-range values clamp instead of
+                                # leaving [0, 1]
+                                [-5, 40, 9, 5, 2, 6, 999.0]]), stats)
+    assert np.allclose(x[0], 0.5)
+    assert y[0] == 0.5
+    assert x[1, 0] == 0.0 and x[1, 1] == 1.0 and y[1] == 1.0
+    assert x.flags.c_contiguous and x.shape == (2, 6)
 
 
 def test_norm_target_is_unclamped_affine():
-    vecs = [FeatureVector(np.array([0, 1, 2, 3, 0, 1]), 100.0),
-            FeatureVector(np.array([1, 2, 3, 4, 1, 2]), 300.0)]
-    stats = fit_norm(vecs)
-    assert norm_target(400.0, stats) == pytest.approx(1.5)
-    assert norm_target(0.0, stats) == pytest.approx(-0.5)
+    stats = fit_norm(np.array([[0, 1, 2, 3, 0, 1, 100.0],
+                               [1, 2, 3, 4, 1, 2, 300.0]]))
+    assert norm_target([400.0, 0.0], stats).tolist() == [1.5, -0.5]
     assert denorm_target(norm_target(123.4, stats), stats) == pytest.approx(123.4)
 
 
 def test_fit_norm_names_constant_variable():
-    vecs = [FeatureVector(np.array([0, 1, 2, 3, 1, 1]), 100.0),
-            FeatureVector(np.array([1, 2, 3, 4, 1, 2]), 300.0)]
     with pytest.raises(DegenerateError, match="season"):
-        fit_norm(vecs)
+        fit_norm(np.array([[0, 1, 2, 3, 1, 1, 100.0],
+                           [1, 2, 3, 4, 1, 2, 300.0]]))
     with pytest.raises(DataError):
-        fit_norm([])
+        fit_norm(np.empty((0, 7)))
 
 
 def test_sample_training_size_and_order():
-    vecs = [FeatureVector(np.zeros(6), float(i)) for i in range(200)]
-    samples = sample_training(vecs, 0.2, seed=0, n_samples=3)
+    pool = np.arange(200.0)
+    samples = sample_training(pool, 0.2, seed=0, n_samples=3)
     assert len(samples) == 3
     for idx in samples:
         assert idx.size == 40
@@ -148,23 +150,22 @@ def test_sample_training_size_and_order():
         assert idx.min() >= 0 and idx.max() < 200
     # samples differ from each other but reproduce across calls
     assert not np.array_equal(samples[0], samples[1])
-    again = sample_training(vecs, 0.2, seed=0, n_samples=3)
+    again = sample_training(pool, 0.2, seed=0, n_samples=3)
     for a, b in zip(samples, again):
         assert np.array_equal(a, b)
 
 
 def test_sample_training_paper_scale_count():
-    vecs = [FeatureVector(np.zeros(6), 0.0)] * 14685
-    idx = sample_training(vecs, 0.2, seed=1, n_samples=1)[0]
+    idx = sample_training(np.zeros(14685), 0.2, seed=1, n_samples=1)[0]
     assert idx.size == 2937
 
 
 def test_sample_training_validation():
-    vecs = [FeatureVector(np.zeros(6), 0.0)] * 10
+    pool = np.zeros(10)
     with pytest.raises(ConfigError):
-        sample_training(vecs, 0.0, seed=0)
+        sample_training(pool, 0.0, seed=0)
     with pytest.raises(ConfigError):
-        sample_training(vecs, 0.5, seed=0, n_samples=0)
+        sample_training(pool, 0.5, seed=0, n_samples=0)
     with pytest.raises(DataError):
         sample_training([], 0.5, seed=0)
 

@@ -21,6 +21,11 @@ def make_model(n_inputs=1, mfs=3, **cfg_kwargs):
     return EfunnModel(EfunnConfig(**cfg_kwargs), inputs, output)
 
 
+def _a1(m, ex):
+    """A1 activation of every rule node for one fuzzified input."""
+    return m._activations(np.asarray(ex, dtype=float)[None, :], None)[0]
+
+
 def test_first_example_creates_a_memorizing_node():
     m = make_model()
     out = m.learn_one(np.array([0.3]), 0.7)
@@ -115,12 +120,12 @@ def test_temporal_term_biases_activation():
     plain = make_model()
     plain.learn_one(np.array([0.1]), 0.2)
     plain.learn_one(np.array([0.9]), 0.8)
-    boosted = m.rule_activation(ex)
-    base = plain.rule_activation(ex)
+    boosted = _a1(m, ex)
+    base = _a1(plain, ex)
     # last winner was node 1 and w3[1, :] is zero, so nothing changes yet;
     # force the link direction that was learned
     m._last_winner = 0
-    linked = m.rule_activation(ex)
+    linked = _a1(m, ex)
     assert np.all(boosted >= base - 1e-15)
     assert linked[1] >= boosted[1]
 
@@ -129,7 +134,7 @@ def test_winner_take_all_propagates_one_node():
     m = make_model(m_mode="winner_take_all", sthr=0.5, errthr=0.5)
     m.learn_one(np.array([0.2]), 0.1)
     m.learn_one(np.array([0.8]), 0.9)
-    a1 = m.rule_activation(m.fuzzify_input(np.array([0.21])))
+    a1 = _a1(m, m.fuzzify_input(np.array([0.21])))
     sel = m._select(a1)
     assert sel.tolist() == [int(np.argmax(a1))]
 
@@ -137,7 +142,7 @@ def test_winner_take_all_propagates_one_node():
 def test_all_above_threshold_falls_back_to_argmax():
     m = make_model(sthr=0.999999)
     m.learn_one(np.array([0.2]), 0.1)
-    a1 = m.rule_activation(m.fuzzify_input(np.array([0.8])))
+    a1 = _a1(m, m.fuzzify_input(np.array([0.8])))
     assert m._select(a1).size == 1
 
 
@@ -199,23 +204,23 @@ def test_learn_one_refuses_nan_and_inf_before_changing_the_model(bad):
             m.learn_one(np.array(x), y)
         assert m.w1.tobytes() == w1.tobytes()
         assert (m.n_nodes, m.examples_seen) == (n, seen)
-    assert m.predict(np.full(6, 0.5)) == pytest.approx(0.5, abs=0.05)
+    assert m.predict(np.full((1, 6), 0.5))[0] == pytest.approx(0.5, abs=0.05)
 
 
 def test_predict_requires_a_trained_model():
     m = make_model()
     with pytest.raises(EmptyModelError):
-        m.predict(np.array([0.5]))
+        m.predict(np.array([[0.5]]))
     with pytest.raises(EmptyModelError):
-        m.rule_activation(np.zeros(3))
+        _a1(m, np.zeros(3))
 
 
 def test_predict_recovers_memorized_targets():
     m = make_model(mfs=4)
     for x, y in [(0.1, 0.8), (0.5, 0.3), (0.9, 0.6)]:
         m.learn_one(np.array([x]), y)
-    for x, y in [(0.1, 0.8), (0.5, 0.3), (0.9, 0.6)]:
-        assert m.predict(np.array([x])) == pytest.approx(y, abs=0.05)
+    assert m.predict(np.array([[0.1], [0.5], [0.9]])) == pytest.approx(
+        [0.8, 0.3, 0.6], abs=0.05)
 
 
 def test_aggregate_requires_configuration():
@@ -287,7 +292,7 @@ def test_node_count_non_decreasing_as_sthr_tightens():
 def test_radbas_activation_mode_runs():
     m = make_model(activation="radbas", sthr=0.9)
     m.learn_one(np.array([0.4]), 0.6)
-    a1 = m.rule_activation(m.fuzzify_input(np.array([0.4])))
+    a1 = _a1(m, m.fuzzify_input(np.array([0.4])))
     assert a1[0] == pytest.approx(1.0)
 
 
@@ -310,9 +315,8 @@ def test_rule_round_trip_rebuilds_identical_predictions():
     for rule in rules:
         rebuilt.insert_rule(rule)
     assert rebuilt.n_nodes == m.n_nodes
-    for _ in range(20):
-        x = rng.uniform(size=3)
-        assert rebuilt.predict(x) == pytest.approx(m.predict(x), abs=1e-12)
+    xs = rng.uniform(size=(20, 3))
+    assert rebuilt.predict(xs) == pytest.approx(m.predict(xs), abs=1e-12)
 
 
 def test_insert_rule_from_labels_builds_one_hot_centroids():
@@ -346,9 +350,8 @@ def test_snapshot_round_trip_is_byte_identical():
     assert m2.to_text(extra=extra) == text
     assert m2.examples_seen == m.examples_seen
     assert m2.last_winner == m.last_winner
-    for _ in range(10):
-        x = rng.uniform(size=2)
-        assert m2.predict(x) == m.predict(x)
+    xs = rng.uniform(size=(10, 2))
+    assert m2.predict(xs).tolist() == m.predict(xs).tolist()
 
 
 def test_snapshot_save_load_file(tmp_path):
@@ -427,8 +430,8 @@ def trained_models(draw):
 @given(trained_models())
 def test_predict_batch_equals_predict_bit_for_bit(model_and_xs):
     m, xs = model_and_xs
-    batch = m.predict_batch(np.array(xs))
-    assert batch.tolist() == [m.predict(x) for x in xs]
+    batch = m.predict(np.array(xs))
+    assert batch.tolist() == [m.predict(np.array([x]))[0] for x in xs]
 
 
 def test_predict_batch_spans_several_chunks():
@@ -438,10 +441,30 @@ def test_predict_batch_spans_several_chunks():
     for _ in range(1500):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
     xs = rng.uniform(size=(40, 6))
-    assert m.predict_batch(xs).tolist() == [m.predict(x) for x in xs]
-    assert m.predict_batch(np.empty((0, 6))).size == 0
+    assert m.predict(xs).tolist() == [m.predict(xs[k : k + 1])[0]
+                                      for k in range(len(xs))]
+    assert m.predict(np.empty((0, 6))).size == 0
     with pytest.raises(ShapeError):
-        m.predict_batch(xs[:, :5])
+        m.predict(xs[:, :5])
+    with pytest.raises(ShapeError):
+        m.predict(xs[0])
+
+
+@pytest.mark.parametrize("n_nodes", [3000, 17000])
+def test_predict_stays_within_the_memory_its_docstring_states(n_nodes):
+    # above 16384 nodes the scratch of one row alone exceeds 2 MiB
+    rng = np.random.default_rng(7)
+    m = make_model(n_inputs=6, mfs=4)
+    for _ in range(n_nodes):
+        m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
+    xs = rng.uniform(size=(500, 6))
+    tracemalloc.start()
+    try:
+        m.predict(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * len(xs) <= 1.5 * max(2 * 2**20, 128 * n_nodes)
 
 
 def test_rows_survive_capacity_growth():
@@ -763,7 +786,7 @@ def test_temporal_activation_equals_the_dense_formula(model_and_xs):
         want = (satlin(1.0 - cfg.ss * dist + temporal)
                 if cfg.activation == "satlin"
                 else radbas(cfg.ss * dist - temporal))
-        assert np.array_equal(_bits(m.rule_activation(ex)), _bits(want))
+        assert np.array_equal(_bits(_a1(m, ex)), _bits(want))
 
 
 def test_links_at_4000_nodes_need_no_square():

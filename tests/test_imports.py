@@ -115,14 +115,51 @@ def test_every_definition_is_used_outside_the_tests():
     assert unused == []
 
 
-def test_every_function_the_tracer_wraps_still_exists():
-    # perfbench/tracer.py replaces these attributes by name; a rename in
-    # src/ would otherwise fail only a traced benchmark run
+def _tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", _REPO / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_function_the_tracer_wraps_still_exists():
+    # perfbench/tracer.py replaces these attributes by name; a rename in
+    # src/ would otherwise fail only a traced benchmark run
+    tracer = _tracer()
     missing = [f"{owner.__name__}.{attr} ({span})"
                for owner, attr, span, _ in tracer._targets()
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_the_benchmark_workloads_call_every_function_the_tracer_wraps(
+        tmp_path):
+    # a wrapped function that no workload calls any more leaves its span
+    # empty, which fails the traced benchmark run
+    from demandcast import bench, cli
+
+    tracer = _tracer()
+    t = tracer.Tracer().install()
+    try:
+        report = bench.run_experiment(bench.ExperimentConfig(
+            synth_days=40, epochs=3, n_samples=1))
+        bench.emit_report(report, tmp_path / "report")
+        data = str(tmp_path / "demand.csv")
+        assert cli.main(["synth", "--days", "40", "--out", data]) == 0
+        for model in ("efunn", "arima", "mlp-scg", "mlp-bp"):
+            assert cli.main(["train", "--model", model, "--data", data,
+                             "--out", str(tmp_path / f"{model}.snap"),
+                             "--epochs", "3"]) == 0
+        for model in ("efunn", "mlp-scg", "arima"):
+            assert cli.main(["forecast", "--snapshot",
+                             str(tmp_path / f"{model}.snap"), "--data", data,
+                             "--out", str(tmp_path / f"{model}.csv")]) == 0
+        assert cli.main(["rules", "--snapshot", str(tmp_path / "efunn.snap"),
+                         "--out", str(tmp_path / "rules.txt")]) == 0
+    finally:
+        t.uninstall()
+    metrics = tracer.layer_metrics(t.spans)
+    unseen = sorted(name for _, _, name, _ in tracer._targets()
+                    if metrics.get(name, {}).get("self_s", 0.0) <= 0.0)
+    assert unseen == []

@@ -10,7 +10,7 @@ from demandcast.errors import (ConfigError, DataError, DivergenceError,
                                ParseError, ShapeError)
 from demandcast.flops import FlopCounter
 from demandcast.mlp import (BpConfig, MlpModel, bp_train, forward,
-                            forward_batch, gradient, hessian_vector_estimate,
+                            gradient, hessian_vector_estimate,
                             init_mlp, rmse, scg_minimize, scg_train)
 
 
@@ -70,28 +70,32 @@ def test_init_rejects_degenerate_layer_lists():
         init_mlp((5, 0, 1))
 
 
-def test_forward_returns_scalar_for_single_output():
+def test_forward_returns_a_vector_for_single_output():
     m = init_mlp((3, 4, 1), seed=0)
-    out = forward(m, np.zeros(3))
-    assert isinstance(out, float)
-    assert out == pytest.approx(0.0)  # zero biases, zero input
+    out = forward(m, np.zeros((1, 3)))
+    assert out.shape == (1,)
+    assert out[0] == 0.0  # zero biases, zero input
+    two = init_mlp((3, 4, 2), seed=0)
+    assert forward(two, np.zeros((5, 3))).shape == (5, 2)
 
 
 def test_forward_batch_matches_single_forward():
+    # a gemm over the rows rounds unlike one-row products
     m = init_mlp((3, 5, 1), seed=1)
     X, _ = tiny_batch()
-    batch = forward_batch(m, X)
+    batch = forward(m, X)
     assert batch.shape == (12,)
     for i in range(len(X)):
-        assert batch[i] == pytest.approx(forward(m, X[i]), abs=1e-14)
+        row = forward(m, X[i : i + 1])
+        assert batch[i] == pytest.approx(row[0], abs=1e-14)
 
 
 def test_forward_shape_errors():
     m = init_mlp((3, 4, 1), seed=0)
     with pytest.raises(ShapeError):
-        forward(m, np.zeros(4))
+        forward(m, np.zeros(3))
     with pytest.raises(ShapeError):
-        forward_batch(m, np.zeros((2, 5)))
+        forward(m, np.zeros((2, 5)))
 
 
 def test_gradient_identity_net_oracle():
@@ -194,7 +198,7 @@ def test_bp_reduces_error_on_small_regression():
     trace = bp_train(m, (X, y), BpConfig(epsilon=0.05, alpha=0.9, epochs=300))
     assert len(trace) == 300
     assert trace[-1] < trace[0]
-    assert rmse(forward_batch(m, X), y) < trace[0]
+    assert rmse(forward(m, X), y) < trace[0]
 
 
 def test_bp_divergence_raises_with_epoch():
@@ -269,7 +273,7 @@ def test_scg_solves_xor_exactly_enough():
     y = np.array([[0], [1], [1], [0]], dtype=float)
     m = init_mlp((2, 4, 1), seed=0)
     scg_train(m, (X, y), 200)
-    assert rmse(forward_batch(m, X), y) < 0.05
+    assert rmse(forward(m, X), y) < 0.05
 
 
 def test_scg_beats_bp_on_matched_budget():
@@ -278,7 +282,7 @@ def test_scg_beats_bp_on_matched_budget():
     ms = init_mlp((3, 8, 1), seed=1)
     bp_train(mb, (X, y), BpConfig(epochs=200))
     scg_train(ms, (X, y), 200)
-    assert rmse(forward_batch(ms, X), y) <= rmse(forward_batch(mb, X), y)
+    assert rmse(forward(ms, X), y) <= rmse(forward(mb, X), y)
 
 
 def test_hessian_vector_estimate_exact_for_quadratic():
@@ -326,11 +330,11 @@ def test_snapshot_round_trip_byte_identical(tmp_path):
     assert extra == {"norm.mins": "0 0 0"}
     assert mlp.to_text(m2, extra=extra) == text
     X, _ = tiny_batch()
-    assert np.array_equal(forward_batch(m, X), forward_batch(m2, X))
+    assert np.array_equal(forward(m, X), forward(m2, X))
     path = tmp_path / "net.snap"
     mlp.save(m, path)
     m3, _ = mlp.load(path)
-    assert np.array_equal(forward_batch(m, X), forward_batch(m3, X))
+    assert np.array_equal(forward(m, X), forward(m3, X))
 
 
 def test_snapshot_parse_errors():

@@ -459,7 +459,7 @@ def test_format_1_efunn_fixture_loads_to_the_same_model(tmp_path):
     assert _fixture_stream().to_text() == model.to_text()
     # the format 1 code's predictions, through the last winner's links
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
-    assert model.predict_batch(grid).tolist() == snapshot.parse_array(
+    assert model.predict(grid).tolist() == snapshot.parse_array(
         extra["predict.values"]).tolist()
     # rewritten as format 2, and format 1 is what that format wrote
     model.save(tmp_path / "v2.snap", extra)
@@ -492,7 +492,7 @@ def test_efunn_snapshot_with_a_pruning_block_loads_as_without(version,
     assert model.to_text(extra) == want.to_text(want_extra)
     assert "pruning" not in model.to_text(extra)
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
-    assert model.predict_batch(grid).tolist() == snapshot.parse_array(
+    assert model.predict(grid).tolist() == snapshot.parse_array(
         extra["predict.values"]).tolist()
 
 
