@@ -66,12 +66,29 @@ def _norm_extra(stats: NormStats) -> dict:
 
 
 def _stats_from_extra(extra: dict, path) -> NormStats:
+    """The training bounds a snapshot carries: a finite min and max for
+    each feature and the target, each max above its min."""
     if "norm.mins" not in extra or "norm.maxs" not in extra:
         raise DataError(
             f"snapshot {path} lacks normalization stats; retrain to forecast"
         )
-    return NormStats(snapshot.parse_array(extra["norm.mins"]),
-                     snapshot.parse_array(extra["norm.maxs"]))
+    width = len(dataset.FEATURE_NAMES) + 1
+    bounds = []
+    for key in ("norm.mins", "norm.maxs"):
+        where = f"{path}: snapshot key 'extra.{key}'"
+        try:
+            values = snapshot.parse_finite(extra[key])
+        except ParseError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        if values.size != width:
+            raise DataError(f"{where} holds {values.size} values, "
+                            f"expected {width}")
+        bounds.append(values)
+    mins, maxs = bounds
+    if not (maxs > mins).all():
+        raise DataError(f"{path}: snapshot key 'extra.norm.maxs' is not "
+                        "above 'extra.norm.mins' in every column")
+    return NormStats(mins, maxs)
 
 
 def _check_trained_on(fit, extra: dict, demand, test_start, path,

@@ -646,7 +646,7 @@ class EfunnModel:
     @classmethod
     def from_text(cls, text: str):
         """Rebuild (model, extra) from snapshot text."""
-        return cls._from_fields(*snapshot.load(text, "efunn", _v1_fields))
+        return cls._from_fields(*snapshot.load(text, "efunn"))
 
     @classmethod
     def _from_fields(cls, body: dict, extra: dict):
@@ -690,7 +690,7 @@ class EfunnModel:
 
     @classmethod
     def load(cls, path):
-        return snapshot.read(path, "efunn", cls._from_fields, _v1_fields)
+        return snapshot.read(path, "efunn", cls._from_fields)
 
 
 def _parse_links(text: str, n: int) -> dict:
@@ -709,35 +709,6 @@ def _parse_links(text: str, n: int) -> dict:
             raise ParseError(f"link {prev}:{curr} given twice")
         links[prev][curr] = weight
     return links
-
-
-def _v1_fields(body: dict) -> dict:
-    """Format 1 fields as format 2: the five ``node.<k>.<key>`` lines of
-    every node joined into one line per array, and the dense ``w3.<r>``
-    rows as the triples of their nonzero links."""
-    need = snapshot.need
-    n = need(body, "nodes", int)
-    fields = {key: value for key, value in body.items()
-              if not key.startswith(("node.", "w3."))}
-    for key, _, _ in _NODE_FIELDS:
-        texts = [need(body, f"node.{k}.{key[6:]}") for k in range(n)]
-        if len({len(text.split()) for text in texts}) > 1:
-            raise ParseError(f"snapshot nodes differ in {key[6:]} length")
-        fields[key] = " ".join(texts)
-    rows = {}  # the rows of an unused w3 share one text: parse it once
-    triples = []
-    for r in range(n):
-        text = need(body, f"w3.{r}")
-        if text not in rows:
-            rows[text] = need(body, f"w3.{r}", snapshot.parse_finite)
-        row = rows[text]
-        if row.size != n:
-            raise ParseError(f"snapshot key 'w3.{r}' holds {row.size} values, "
-                             f"expected {n}")
-        triples += [f"{r}:{c}:{snapshot.format_float(row[c])}"
-                    for c in np.flatnonzero(row)]
-    fields["w3"] = " ".join(triples)
-    return fields
 
 
 def _degree_sum(a: np.ndarray) -> np.ndarray:

@@ -148,16 +148,11 @@ def forward(model: MlpModel, X) -> np.ndarray:
 
 
 def _as_batch(model: MlpModel, data):
-    """Normalize (X, y) arrays or a sequence of (x, y) pairs to arrays."""
-    if isinstance(data, tuple) and len(data) == 2:
-        X = np.asarray(data[0], dtype=float)
-        Y = np.asarray(data[1], dtype=float)
-    else:
-        pairs = list(data)
-        if not pairs:
-            raise DataError("empty training batch")
-        X = np.stack([np.asarray(x, dtype=float) for x, _ in pairs])
-        Y = np.asarray([y for _, y in pairs], dtype=float)
+    """The float (X, Y) arrays of ``(X, y)`` training data."""
+    if not (isinstance(data, tuple) and len(data) == 2):
+        raise DataError("training data must be an (X, y) tuple of arrays, "
+                        f"got {type(data).__name__}")
+    X, Y = (np.asarray(a, dtype=float) for a in data)
     if X.ndim == 1:
         X = X[:, None]
     if X.shape[0] == 0:
@@ -224,7 +219,7 @@ class Batch:
 def gradient(model: MlpModel, data, counter=DISCARD):
     """Exact backpropagated gradient of the batch mean squared error.
 
-    data is (X, Y) arrays, a sequence of (x, y) pairs, or a ``Batch``.
+    data is (X, Y) arrays or a ``Batch``.
     Returns (weight gradients, bias gradients, E); the gradients are
     views into ``data.grad`` for a Batch, which the next call on the
     same Batch overwrites.

@@ -17,11 +17,8 @@ Format 2 holds a whole array on one line: an EFuNN snapshot writes
 ``nodes.w1`` (nodes x input degrees values), ``nodes.w2``,
 ``nodes.age``, ``nodes.a1av`` and ``nodes.absorbed``, then one ``w3``
 line of ``prev:curr:weight`` triples, one per nonzero temporal link.
-MLP and ARIMA fields are the same in both formats. Format 1 is read,
-never written: ``load`` and ``read`` hand a format 1 body to the
-caller's ``upgrade``, which rewrites it as format 2 fields (format 1
-EFuNN snapshots held five lines per node and a dense ``w3.<row>`` line
-per node), so each model has a single decoder.
+Format 1, which held an EFuNN's arrays a node per line, is refused: a
+model saved in it is retrained with ``demandcast train``.
 
 A key may hold neither ``=`` nor a line break and a value no line
 break, since either would read back as something else; ``dump`` and
@@ -29,9 +26,10 @@ break, since either would read back as something else; ``dump`` and
 
 ``write`` streams the text, an array a chunk of values at a time, into
 a temp file in the same directory and then ``os.replace``s the snapshot
-file, so an interrupted write leaves the previous file intact. ``read``
-parses a file a line at a time, so the file's text is never held whole,
-and prefixes every error raised while decoding with the file's path.
+file, so an interrupted write leaves the previous file intact. ``load``
+and ``read`` share one reader over lines; ``read`` feeds it a file a line
+at a time, so the file's text is never held whole, and prefixes every
+error raised while decoding with the file's path.
 """
 
 import contextlib
@@ -50,7 +48,7 @@ FORMAT_VERSION = 2
 _CHUNK = 16384
 _PREFIX = "demandcast-snapshot"
 _EXTRA = "extra."
-# every character str.splitlines, and so parse_body, splits a line at
+# every character str.splitlines, and so the reader, splits a line at
 _LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
@@ -137,39 +135,17 @@ def header_line(kind: str) -> str:
 
 
 def parse_header(line: str) -> str:
-    """Validate the header line (format 1 or 2) and return the kind."""
+    """Validate the header line and return the kind."""
     parts = line.strip().split()
     if len(parts) != 3 or parts[0] != _PREFIX:
         raise ParseError(f"not a model snapshot: {line.strip()!r}")
-    if parts[1] not in ("v1", "v2"):
-        raise ParseError(f"unsupported snapshot version {parts[1]!r}")
+    if parts[1] != f"v{FORMAT_VERSION}":
+        raise ParseError(f"snapshot format {parts[1]!r} is not read, only "
+                         f"'v{FORMAT_VERSION}': retrain the model with "
+                         "'demandcast train'")
     if not parts[2].startswith("kind="):
         raise ParseError(f"snapshot header missing kind: {line.strip()!r}")
     return parts[2][len("kind=") :]
-
-
-def _body(lines) -> dict:
-    """Parse key=value lines (the ones after the header) into an ordered
-    dict. Equal values share one string, so the identical rows of an
-    unused format 1 ``w3`` are held once."""
-    out = {}
-    values = {}
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ParseError(f"snapshot line {lineno} has no '=': {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in out:
-            raise ParseError(f"duplicate snapshot key {key!r}")
-        out[key] = values.setdefault(value, value)
-    return out
-
-
-def parse_body(text: str) -> dict:
-    """Parse the key=value lines after the header into an ordered dict."""
-    return _body(text.splitlines()[1:])
 
 
 def need(body: dict, key: str, convert=None):
@@ -232,31 +208,31 @@ def dump(kind: str, fields: dict, extra: Optional[dict] = None) -> str:
     return "".join(_pieces(kind, fields, extra))
 
 
-def _check_kind(header: str, kind: str) -> int:
-    """Format version of a header that names ``kind``."""
-    got = parse_header(header)
+def _decoded(lines, kind: str):
+    """(fields, extra) raw dicts, in order, of the lines of a snapshot
+    whose header names ``kind``; blank lines are skipped."""
+    lines = iter(lines)
+    got = parse_header(next(lines, ""))
     if got != kind:
         raise ParseError(f"expected an {kind} snapshot, got kind={got!r}")
-    return int(header.split()[1][1:])
-
-
-def _decoded(version: int, body: dict, upgrade):
-    """(fields, extra) of a body, a format 1 one passed through upgrade."""
+    body = {}
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        if "=" not in line:
+            raise ParseError(f"snapshot line {lineno} has no '=': {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in body:
+            raise ParseError(f"duplicate snapshot key {key!r}")
+        body[key] = value
     extras = [key for key in body if key.startswith(_EXTRA)]
-    extra = {key[len(_EXTRA) :]: body.pop(key) for key in extras}
-    if version < FORMAT_VERSION and upgrade is not None:
-        body = upgrade(body)
-    return body, extra
+    return body, {key[len(_EXTRA) :]: body.pop(key) for key in extras}
 
 
-def load(text: str, kind: str, upgrade=None):
-    """Check the header names ``kind``; return (fields, extra) raw dicts.
-
-    ``upgrade(fields)`` turns the fields of a format 1 snapshot into
-    format 2 fields; kinds whose fields did not change pass none.
-    """
-    version = _check_kind(text.partition("\n")[0], kind)
-    return _decoded(version, parse_body(text), upgrade)
+def load(text: str, kind: str):
+    """Check the header names ``kind``; return (fields, extra) raw dicts."""
+    return _decoded(text.splitlines(), kind)
 
 
 def write(path, kind: str, fields: dict, extra: Optional[dict] = None) -> None:
@@ -302,9 +278,8 @@ def read_kind(path) -> str:
         return parse_header(fh.readline())
 
 
-def read(path, kind: str, decode, upgrade=None):
+def read(path, kind: str, decode):
     """``decode(fields, extra)`` of the ``kind`` snapshot file at ``path``
     (see ``load``), parsed a line at a time."""
     with _open(path) as fh:
-        version = _check_kind(fh.readline(), kind)
-        return decode(*_decoded(version, _body(_file_lines(fh)), upgrade))
+        return decode(*_decoded(_file_lines(fh), kind))

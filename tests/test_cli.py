@@ -183,7 +183,10 @@ EXIT_1_CASES = (
     "arima on another csv", "arima on a longer csv", "corrupt efunn field",
     "corrupt efunn array", "binary snapshot", "unimplemented mlp activation",
     "nan mlp weight", "nan arima coefficient", "nan efunn weight",
-    "nan efunn format 1 link", "zero-unit mlp layer", "extra arima coefficient",
+    "format 1 efunn forecast", "format 1 mlp forecast",
+    "format 1 arima forecast", "format 1 efunn rules",
+    "one-value norm bounds", "nan norm min", "norm max at its min",
+    "zero-unit mlp layer", "extra arima coefficient",
     "short arima z_tail", "short arima e_tail", "arima stage lag",
     "arima spec longer than the series", "bench on 10 january days",
     "efunn bench on 10 january days", "efunn train on 10 january days",
@@ -243,9 +246,36 @@ def bad_inputs(data_csv, tmp_path_factory):
         for key in ("z_tail", "e_tail"))
     lag = write("lag.snap", arima_text.replace("\nstage.1.lag=1\n",
                                                "\nstage.1.lag=2\n"))
-    nan_v1 = write("nan-v1.snap", re.sub(
-        r"\nw3\.0=\S+", "\nw3.0=nan",
-        (Path(__file__).parent / "data" / "efunn_v1.snap").read_text()))
+    # a trained snapshot of each network, with normalization bounds
+    trained = {"efunn": str(d / "trained-efunn.snap"),
+               "mlp": str(d / "trained-mlp.snap")}
+    assert main(["train", "--model", "efunn", "--data", str(data_csv),
+                 "--out", trained["efunn"]]) == 0
+    assert main(["train", "--model", "mlp-scg", "--data", str(data_csv),
+                 "--out", trained["mlp"], "--epochs", "2"]) == 0
+
+    def norm(name, kind, edit):
+        # the trained snapshot with its bounds' value texts rewritten by
+        # edit(mins, maxs): they parse, but would forecast wrong values
+        text = Path(trained[kind]).read_text()
+        bounds = dict(re.findall(r"\nextra\.norm\.(\w+)=([^\n]*)", text))
+        edited = edit(bounds["mins"].split(), bounds["maxs"].split())
+        for key, values in zip(("mins", "maxs"), edited):
+            text = re.sub(rf"\nextra\.norm\.{key}=[^\n]*",
+                          f"\nextra.norm.{key}={' '.join(values)}", text)
+        return write(name, text)
+
+    one_value = norm("one.snap", "efunn", lambda lo, hi: (lo[:1], hi[:1]))
+    nan_min = norm("nan-min.snap", "efunn",
+                   lambda lo, hi: (["nan"] + lo[1:], hi))
+    flat_max = norm("flat-max.snap", "mlp",
+                    lambda lo, hi: (lo, lo[:1] + hi[1:]))
+    # a fresh snapshot of each kind with a format 1 header
+    v1 = {kind: write(f"{kind}-v1.snap", Path(snap).read_text()
+                      .replace(" v2 ", " v1 ", 1))
+          for kind, snap in (*trained.items(), ("arima", arima_snap))}
+    retrain = ("snapshot format 'v1' is not read, only 'v2': retrain the "
+               "model with 'demandcast train'")
     # init_mlp refuses a layer of no units; a snapshot of one would
     # forecast bias.1 for every input
     zero = write("zero.snap", "demandcast-snapshot v2 kind=mlp\nlayers=6 0 1\n"
@@ -316,9 +346,26 @@ def bad_inputs(data_csv, tmp_path_factory):
         "nan efunn weight": (
             ["rules", "--snapshot", nan_efunn],
             f"{nan_efunn}: snapshot key 'nodes.w2': holds a non-finite value"),
-        "nan efunn format 1 link": (
-            ["rules", "--snapshot", nan_v1],
-            f"{nan_v1}: snapshot key 'w3.0': holds a non-finite value"),
+        "format 1 efunn forecast": (forecast(str(data_csv), v1["efunn"]),
+                                    f"error: {v1['efunn']}: {retrain}"),
+        "format 1 mlp forecast": (forecast(str(data_csv), v1["mlp"]),
+                                  f"error: {v1['mlp']}: {retrain}"),
+        "format 1 arima forecast": (forecast(str(data_csv), v1["arima"]),
+                                    f"error: {v1['arima']}: {retrain}"),
+        "format 1 efunn rules": (["rules", "--snapshot", v1["efunn"]],
+                                 f"error: {v1['efunn']}: {retrain}"),
+        "one-value norm bounds": (
+            forecast(str(data_csv), one_value),
+            f"error: {one_value}: snapshot key 'extra.norm.mins' holds 1 "
+            "values, expected 7"),
+        "nan norm min": (
+            forecast(str(data_csv), nan_min),
+            f"error: {nan_min}: snapshot key 'extra.norm.mins': holds a "
+            "non-finite value"),
+        "norm max at its min": (
+            forecast(str(data_csv), flat_max),
+            f"error: {flat_max}: snapshot key 'extra.norm.maxs' is not above "
+            "'extra.norm.mins' in every column"),
         "zero-unit mlp layer": (
             ["forecast", "--snapshot", zero, "--data", str(data_csv),
              "--out", out],

@@ -101,7 +101,7 @@ def test_forward_shape_errors():
 def test_gradient_identity_net_oracle():
     # one linear weight w=1, example (1, 0): E = 1, dE/dw = 2
     m = MlpModel((1, 1), [np.array([[1.0]])], [np.array([0.0])])
-    gw, gb, e_value = gradient(m, ([np.array([1.0])], [np.array([0.0])]))
+    gw, gb, e_value = gradient(m, (np.array([[1.0]]), np.array([0.0])))
     assert e_value == 1.0
     assert gw[0][0, 0] == 2.0
     assert gb[0][0] == 2.0
@@ -134,15 +134,17 @@ def test_gradient_matches_central_differences():
     assert rel < 1e-7
 
 
-def test_gradient_accepts_pair_sequences():
-    m = init_mlp((2, 3, 1), seed=0)
-    pairs = [(np.array([0.1, 0.2]), 0.5), (np.array([0.3, 0.4]), 0.1)]
-    gw1, _, e1 = gradient(m, pairs)
-    X = np.array([[0.1, 0.2], [0.3, 0.4]])
-    y = np.array([[0.5], [0.1]])
-    gw2, _, e2 = gradient(m, (X, y))
-    assert e1 == e2
-    assert np.allclose(gw1[0], gw2[0])
+def test_gradient_refuses_a_list_of_pairs():
+    # two (x, y) pairs look like an (X, y) tuple: on the 1-1 identity net
+    # the pairs (1, 5) and (2, 7) give E = 20.5, but X = (1, 5), y = (2, 7)
+    # give 2.5, so only (X, y) arrays are taken
+    m = MlpModel((1, 1), [np.array([[1.0]])], [np.array([0.0])])
+    assert gradient(m, (np.array([[1.0], [2.0]]),
+                        np.array([5.0, 7.0])))[2] == 20.5
+    with pytest.raises(DataError, match="an .X, y. tuple of arrays"):
+        gradient(m, [(1.0, 5.0), (2.0, 7.0)])
+    with pytest.raises(DataError):
+        mlp.Batch(m, [(np.array([1.0]), 5.0), (np.array([2.0]), 7.0)])
 
 
 @pytest.mark.parametrize("sizes, per_example", [
@@ -165,7 +167,7 @@ def test_gradient_flops_follow_the_layer_shapes(sizes, per_example):
 def test_gradient_batch_errors():
     m = init_mlp((2, 3, 1), seed=0)
     with pytest.raises(DataError):
-        gradient(m, [])
+        gradient(m, (np.zeros((0, 2)), np.zeros(0)))
     with pytest.raises(ShapeError):
         gradient(m, (np.zeros((3, 5)), np.zeros((3, 1))))
 
@@ -173,7 +175,7 @@ def test_gradient_batch_errors():
 def test_bp_one_step_quadratic_oracle():
     # E(w) = w^2 via the identity net: one step at epsilon=0.1 gives 0.8
     m = MlpModel((1, 1), [np.array([[1.0]])], [np.array([0.0])])
-    data = ([np.array([1.0])], [np.array([0.0])])
+    data = (np.array([[1.0]]), np.array([0.0]))
     trace = bp_train(m, data, BpConfig(epsilon=0.1, alpha=0.0, epochs=1))
     assert m.weights[0][0, 0] == pytest.approx(0.8)
     assert m.biases[0][0] == pytest.approx(-0.2)
@@ -186,7 +188,7 @@ def test_bp_momentum_accumulates_previous_update():
     # w0=1, b0=0: out=1, g_w=2, g_b=2
     # step1: d=-0.2 -> w=0.8, b=-0.2
     # out2=0.6: g=1.2; step2: d=0.5*(-0.2)-0.1*1.2=-0.22 -> w=0.58
-    bp_train(m, ([np.array([1.0])], [np.array([0.0])]),
+    bp_train(m, (np.array([[1.0]]), np.array([0.0])),
              BpConfig(epsilon=0.1, alpha=0.5, epochs=2))
     assert m.weights[0][0, 0] == pytest.approx(0.58)
     assert m.biases[0][0] == pytest.approx(-0.42)

@@ -72,16 +72,20 @@ def test_parse_header_rejects_other_files():
     with pytest.raises(ParseError):
         snapshot.parse_header("demandcast-snapshot v9 kind=mlp")
     with pytest.raises(ParseError):
-        snapshot.parse_header("demandcast-snapshot v1 sort=mlp")
+        snapshot.parse_header("demandcast-snapshot v2 sort=mlp")
+    with pytest.raises(ParseError, match="format 'v1' is not read, only "
+                       "'v2': retrain the model with 'demandcast train'"):
+        snapshot.parse_header("demandcast-snapshot v1 kind=mlp")
 
 
-def test_parse_body_skips_blanks_and_requires_equals():
-    body = snapshot.parse_body("header\nalpha=1\n\nbeta= 2 \n")
-    assert body == {"alpha": "1", "beta": " 2 "}
+def test_load_skips_blanks_and_requires_equals():
+    head = snapshot.header_line("mlp") + "\n"
+    body, extra = snapshot.load(head + "alpha=1\n\nbeta= 2 \n", "mlp")
+    assert (body, extra) == ({"alpha": "1", "beta": " 2 "}, {})
     with pytest.raises(ParseError, match="no '='"):
-        snapshot.parse_body("header\nnope\n")
+        snapshot.load(head + "nope\n", "mlp")
     with pytest.raises(ParseError, match="duplicate"):
-        snapshot.parse_body("header\na=1\na=2\n")
+        snapshot.load(head + "a=1\na=2\n", "mlp")
 
 
 def test_need_reports_missing_keys():
@@ -286,11 +290,6 @@ def test_failed_write_keeps_previous_snapshot(tmp_path, monkeypatch):
 # -- streamed reads ----------------------------------------------------------
 
 
-def test_parse_body_holds_equal_values_once():
-    body = snapshot.parse_body("header\nw3.0=0 0 0\nw3.1=0 0 0\nx=1\n")
-    assert body["w3.0"] is body["w3.1"]
-
-
 def _small_efunn(examples=4):
     model = EfunnModel(EfunnConfig(lr3=0.2, tc=0.1),
                        [build_partition(0.0, 1.0, 3, "gaussian", "x0")],
@@ -354,19 +353,6 @@ def _load_growth(path):
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                     reason="reads the peak resident set from /proc")
-def test_load_does_not_hold_the_file_text(tmp_path):
-    # a 3000-node format 1 EFuNN snapshot is mostly the text of its
-    # all-zero w3 (about 18 MB); loading it must not hold that text,
-    # whole or as lines
-    path = tmp_path / "big.snap"
-    with open(path, "w") as fh:
-        fh.writelines(line + "\n"
-                      for line in _format_1_lines(_big_efunn().to_text()))
-    assert _load_growth(path) < path.stat().st_size / 2
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").is_file(),
-                    reason="reads the peak resident set from /proc")
 def test_format_2_load_holds_about_the_file_text_once(tmp_path):
     # format 2 writes an array on one line (nodes.w1 is 85 % of this
     # file): the body, that line's passing copies and the model's own
@@ -376,49 +362,24 @@ def test_format_2_load_holds_about_the_file_text_once(tmp_path):
     assert _load_growth(path) < 3 * path.stat().st_size
 
 
-# -- format 1 snapshots still load ----------------------------------------
+# -- committed snapshots --------------------------------------------------
 
 _DATA = Path(__file__).parent / "data"
-_NODE_KEYS = ("age", "a1av", "absorbed", "w1", "w2")
+_CODECS = {"efunn": (EfunnModel.load, EfunnModel.save),
+           "mlp": (mlp.load, mlp.save), "arima": (arima.load, arima.save)}
 
 
-def _format_1_lines(text):
-    """The lines format 1 wrote for the model of a format 2 EFuNN
-    snapshot: five lines per node and a dense w3 row per node."""
-    header, *lines = text.splitlines()
-    body = snapshot.parse_body(text)
-    n = int(body["nodes"])
-    values = {key: body[f"nodes.{key}"].split() for key in _NODE_KEYS}
-    links = {}
-    for triple in body["w3"].split():
-        prev, curr, weight = triple.split(":")
-        links.setdefault(int(prev), []).append((int(curr), weight))
-    yield header.replace(" v2 ", " v1 ")
-    for line in lines:
-        key = line.partition("=")[0]
-        if key.startswith("nodes.") or key == "w3":
-            continue
-        yield line
-        if key != "nodes":
-            continue
-        for k in range(n):
-            for key in _NODE_KEYS:
-                width = len(values[key]) // n
-                yield (f"node.{k}.{key}="
-                       + " ".join(values[key][k * width : (k + 1) * width]))
-        for r in range(n):
-            row = ["0"] * n
-            for curr, weight in links.get(r, ()):
-                row[curr] = weight
-            yield f"w3.{r}=" + " ".join(row)
-
-
-def _format_1(text):
-    return "".join(line + "\n" for line in _format_1_lines(text))
+@pytest.mark.parametrize("path", sorted(_DATA.glob("*.snap")),
+                         ids=lambda path: path.name)
+def test_committed_snapshot_loads_and_saves_byte_for_byte(path, tmp_path):
+    load, save = _CODECS[snapshot.read_kind(path)]
+    model, extra = load(path)
+    save(model, tmp_path / "again.snap", extra)
+    assert (tmp_path / "again.snap").read_bytes() == path.read_bytes()
 
 
 def _fixture_stream():
-    """The examples efunn_v1.snap learned, in order: a 30-step pattern
+    """The examples efunn.snap learned, in order: a 30-step pattern
     three times over. Triangular partitions keep every step exact
     arithmetic, with no exp whose last bit could vary by platform."""
     inputs = [build_partition(0.0, 1.0, 3, "triangular", "x0"),
@@ -435,25 +396,22 @@ def _fixture_stream():
     return model
 
 
-def test_format_1_efunn_fixture_loads_to_the_same_model(tmp_path):
-    # written by format 1 code from _fixture_stream: 30 nodes, 30 links
-    # of weight 0.6 or 0.9 (each transition seen two or three times)
-    path = _DATA / "efunn_v1.snap"
-    text = path.read_text()
+def test_efunn_fixture_loads_to_the_same_model():
+    # written by format 1 code from _fixture_stream, then saved again as
+    # format 2: 30 nodes, 30 links of weight 0.6 or 0.9 (each transition
+    # seen two or three times)
+    path = _DATA / "efunn.snap"
     model, extra = EfunnModel.load(path)
-    body = snapshot.parse_body(text)
+    body, _ = snapshot.load(path.read_text(), "efunn")
     n = int(body["nodes"])
     assert model.n_nodes == n == 30
-    for k in range(model.n_nodes):
-        assert model.w1[k].tolist() == [float(v) for v in
-                                        body[f"node.{k}.w1"].split()]
-        assert model.w2[k].tolist() == [float(v) for v in
-                                        body[f"node.{k}.w2"].split()]
-        assert (model._age[k], model._a1av[k], model._absorbed[k]) == (
-            int(body[f"node.{k}.age"]), float(body[f"node.{k}.a1av"]),
-            int(body[f"node.{k}.absorbed"]))
-    links = {(r, c): float(v) for r in range(n)
-             for c, v in enumerate(body[f"w3.{r}"].split()) if float(v)}
+    for key, name in (("nodes.w1", "w1"), ("nodes.w2", "w2"),
+                      ("nodes.age", "_age"), ("nodes.a1av", "_a1av"),
+                      ("nodes.absorbed", "_absorbed")):
+        assert getattr(model, name)[:n].ravel().tolist() == [
+            float(v) for v in body[key].split()]
+    links = {(int(r), int(c)): float(v) for r, c, v in
+             (triple.split(":") for triple in body["w3"].split())}
     assert len(links) == 30 and model.links == links
     # today's learning of the same stream gives the same model
     assert _fixture_stream().to_text() == model.to_text()
@@ -461,13 +419,6 @@ def test_format_1_efunn_fixture_loads_to_the_same_model(tmp_path):
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
     assert model.predict(grid).tolist() == snapshot.parse_array(
         extra["predict.values"]).tolist()
-    # rewritten as format 2, and format 1 is what that format wrote
-    model.save(tmp_path / "v2.snap", extra)
-    v2 = (tmp_path / "v2.snap").read_text()
-    assert v2.startswith("demandcast-snapshot v2 kind=efunn\n")
-    assert len(v2) < len(text)
-    assert EfunnModel.from_text(v2)[0].to_text(extra) == v2
-    assert _format_1(v2) == text
 
 
 _PRUNING_LINES = ("config.pruning.old_age=1000\n"
@@ -475,15 +426,10 @@ _PRUNING_LINES = ("config.pruning.old_age=1000\n"
                   "config.pruning.density_radius=0.10000000000000001\n")
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_efunn_snapshot_with_a_pruning_block_loads_as_without(version,
-                                                             tmp_path):
+def test_efunn_snapshot_with_a_pruning_block_loads_as_without(tmp_path):
     # snapshots once held pruning settings where the config block ends;
     # no decoder reads them, and saving again leaves them out
-    text = (_DATA / "efunn_v1.snap").read_text()
-    if version == 2:
-        model, extra = EfunnModel.from_text(text)
-        text = model.to_text(extra)
+    text = (_DATA / "efunn.snap").read_text()
     at = text.index("config.aggregation.")
     path = tmp_path / "pruned.snap"
     path.write_text(text[:at] + _PRUNING_LINES + text[at:])
@@ -494,40 +440,6 @@ def test_efunn_snapshot_with_a_pruning_block_loads_as_without(version,
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
     assert model.predict(grid).tolist() == snapshot.parse_array(
         extra["predict.values"]).tolist()
-
-
-@pytest.mark.parametrize("kind", ["mlp", "arima"])
-def test_format_1_mlp_and_arima_fixtures_load(kind):
-    # their fields did not change: only the header line is rewritten
-    module = mlp if kind == "mlp" else arima
-    path = _DATA / f"{kind}_v1.snap"
-    text = path.read_text()
-    back, extra = module.load(path)
-    want = text.replace(" v1 ", " v2 ", 1)
-    assert module.to_text(back, extra) == want
-    assert module.to_text(*module.from_text(text)) == want
-
-
-@_ROUND_TRIP
-@given(efunn_models(), _EXTRAS)
-def test_efunn_format_1_text_loads_as_its_format_2_text(model, extra):
-    text = model.to_text(extra)
-    back, extra_back = EfunnModel.from_text(_format_1(text))
-    assert back.to_text(extra_back) == text
-    assert back.links == model.links
-
-
-@pytest.mark.parametrize("key, value, message", [
-    ("node.1.w1", "0.5 0.5", "nodes differ in w1 length"),
-    ("w3.1", "0", "'w3.1' holds 1 values, expected 2"),
-    ("w3.0", "0 zero", "'w3.0': bad number"),
-])
-def test_format_1_fields_that_do_not_fit_are_refused(key, value, message):
-    text = _format_1(_small_efunn(2).to_text())
-    lines = [f"{key}={value}" if line.startswith(key + "=") else line
-             for line in text.splitlines()]
-    with pytest.raises(ParseError, match=message):
-        EfunnModel.from_text("\n".join(lines))
 
 
 @pytest.mark.parametrize("value, message", [
