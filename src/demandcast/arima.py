@@ -136,21 +136,16 @@ class DiagnosticsReport:
     max_lag: int
 
 
-def difference(series, lag: int, times: int = 1) -> np.ndarray:
-    """Apply z_t = y_t - y_{t-lag}, ``times`` times over."""
+def difference(series, lag: int) -> np.ndarray:
+    """Apply z_t = y_t - y_{t-lag}."""
     y = np.asarray(series, dtype=float)
     if lag < 1:
         raise ConfigError(f"difference lag must be >= 1, got {lag}")
-    if times < 0:
-        raise ConfigError(f"difference times must be >= 0, got {times}")
-    if y.size <= lag * times:
+    if y.size <= lag:
         raise DataError(
-            f"series of length {y.size} is too short to difference "
-            f"{times}x at lag {lag}"
+            f"series of length {y.size} is too short to difference at lag {lag}"
         )
-    for _ in range(times):
-        y = y[lag:] - y[:-lag]
-    return y
+    return y[lag:] - y[:-lag]
 
 
 def undifference(forecasts, anchors, lag: int) -> np.ndarray:
@@ -272,7 +267,7 @@ def fit(series, spec: ArimaSpec, counter=DISCARD) -> ArimaFit:
     z = y.copy()
     for lag in lags:
         anchors.stages.append((lag, z[-lag:].copy()))
-        z = difference(z, lag, 1)
+        z = difference(z, lag)
 
     est_b0 = spec.estimates_intercept
     coeffs = np.zeros(spec.n_coeffs)
@@ -441,34 +436,26 @@ def from_text(text: str):
     return _from_fields(*snapshot.load(text, "arima"))
 
 
-def _sized(key: str, value: np.ndarray, size: int) -> np.ndarray:
-    if value.size != size:
-        raise ParseError(f"snapshot key {key!r} holds {value.size} values, "
-                         f"expected {size}")
-    return value
-
-
 def _from_fields(body: dict, extra: dict):
     """The fit a snapshot holds; arrays and stages that differ from what
     its spec gives a fit are refused, since they would still forecast."""
     need, parse = snapshot.need, snapshot.parse_finite
     spec = ArimaSpec(**snapshot.config_kwargs(ArimaSpec, body, "spec"))
-    fields = {key: need(body, key, parse) for key, parse in _FIT_FIELDS}
-    for key, size in (("ar", spec.p), ("ma", spec.q), ("seasonal_ar", spec.sp),
-                      ("seasonal_ma", spec.sq)):
-        _sized(key, fields[key], size)
+    sizes = dict(ar=spec.p, ma=spec.q, seasonal_ar=spec.sp,
+                 seasonal_ma=spec.sq)
+    fields = {key: need(body, key, parse, sizes.get(key))
+              for key, parse in _FIT_FIELDS}
     lags = [need(body, f"stage.{k}.lag", int)
             for k in range(need(body, "stages", int))]
     if lags != spec.stage_lags():
         raise ParseError(f"snapshot keys 'stage.*.lag' give lags {lags}, "
                          f"expected {spec.stage_lags()} for {spec.label()}")
-    anchor_keys = [f"stage.{k}.anchor" for k in range(len(lags))]
     anchors = ForecastAnchors(
-        stages=[(lag, _sized(key, need(body, key, parse), lag))
-                for lag, key in zip(lags, anchor_keys)],
-        z_tail=_sized("z_tail", need(body, "z_tail", parse), spec.ar_reach),
-        e_tail=_sized("e_tail", need(body, "e_tail", parse),
-                      min(spec.ma_reach, fields["residuals"].size)),
+        stages=[(lag, need(body, f"stage.{k}.anchor", parse, lag))
+                for k, lag in enumerate(lags)],
+        z_tail=need(body, "z_tail", parse, spec.ar_reach),
+        e_tail=need(body, "e_tail", parse,
+                    min(spec.ma_reach, fields["residuals"].size)),
     )
     return ArimaFit(spec=spec, training_tail=anchors, **fields), extra
 

@@ -68,7 +68,6 @@ class ExperimentConfig:
 
     csv_path: Optional[str] = None
     synth_days: int = 90
-    synth_config: Optional[dataset.SynthConfig] = None
     seed: int = 0
     training_fraction: float = 0.2
     n_samples: int = 3
@@ -79,7 +78,6 @@ class ExperimentConfig:
     bp_alpha: float = 0.9
     mf_count: int = 4
     efunn: EfunnConfig = field(default_factory=EfunnConfig)
-    arima: arima_mod.ArimaSpec = field(default_factory=default_arima_spec)
     models: tuple = MODEL_NAMES
 
     def __post_init__(self):
@@ -96,6 +94,10 @@ class ExperimentConfig:
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise ConfigError(f"unknown model names {unknown}; pick from {MODEL_NAMES}")
+        repeated = sorted({m for m in self.models if self.models.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"models lists {', '.join(repeated)} more "
+                              "than once")
         if not self.models:
             raise ConfigError("at least one model must be enabled")
 
@@ -199,8 +201,7 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
     if config.csv_path is not None:
         records = dataset.parse_csv(config.csv_path)
     else:
-        records = dataset.synthesize(config.synth_days, config.seed,
-                                     config.synth_config)
+        records = dataset.synthesize(config.synth_days, config.seed)
     demand, test_start = holdout(
         records, config.test_periods, HALF_HOURS_PER_DAY,
         config.csv_path or f"{config.synth_days}-day synthetic series")
@@ -318,7 +319,7 @@ def _run_model(config, records, stats, train_x, train_y, test_start, s,
 def _run_arima(config, series, stats, actual_norm):
     counter = FlopCounter()
     t0 = time.perf_counter()
-    fit = arima_mod.fit(series, config.arima, counter)
+    fit = arima_mod.fit(series, default_arima_spec(), counter)
     preds = arima_mod.forecast(fit, config.test_periods)
     wall = time.perf_counter() - t0
     return SampleOutcome(

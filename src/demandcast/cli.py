@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: numpy's generators take non-negative integers only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_names(text: str) -> tuple:
     return tuple(text.replace(",", " ").split())
 
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic demand CSV")
     p.add_argument("--days", type=int, default=90)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--config", help="generator settings, key=value lines")
     p.set_defaults(func=_cmd_synth)
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=bench.MODEL_NAMES)
     p.add_argument("--data", required=True, help="demand CSV")
     p.add_argument("--out", required=True, help="snapshot path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epochs", type=int, default=2500)
     p.add_argument("--config", help="model settings, key=value lines")
     p.set_defaults(func=_cmd_train)
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--data", help="demand CSV; default is synthetic data")
     src.add_argument("--days", type=int, default=90,
                      help="synthetic series length")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--epochs", type=int, default=2500)
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--config", help="protocol settings, key=value lines")

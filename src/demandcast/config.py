@@ -1,11 +1,11 @@
 """The one reader for ``key=value`` settings files.
 
 Every ``--config`` file and ``SynthConfig.from_file`` goes through
-``read_config``: one ``key=value`` per line, blank lines and ``#``
-comments skipped, whitespace around keys and values dropped. Each key
-must be one the caller allows and may appear once; its value is
-converted by the caller's converter for that key. Every error names
-``file:line``.
+``read_config``: UTF-8 text, one ``key=value`` per line, blank lines
+and ``#`` comments skipped, whitespace around keys and values dropped.
+Each key must be one the caller allows and may appear once; its value
+is converted by the caller's converter for that key. Every error names
+the file, and an error in a line names ``file:line``.
 """
 
 from dataclasses import fields
@@ -23,9 +23,11 @@ def read_config(path, schema: dict, context: str) -> dict:
     """Typed settings from ``path``; ``schema`` maps each allowed key to a
     converter that raises ValueError on text that does not fit."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -24,7 +24,6 @@ temperatures to whole degrees, as a metered feed would be.
 """
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -71,12 +70,13 @@ class NormStats:
     maxs: np.ndarray
 
 
-def parse_csv(source) -> list:
-    """Read and validate records from a path or an open text stream."""
-    if hasattr(source, "read"):
-        return _parse_stream(source, name=getattr(source, "name", "<stream>"))
-    with open(source, newline="") as handle:
-        return _parse_stream(handle, name=str(source))
+def parse_csv(path) -> list:
+    """Read and validate the records of the UTF-8 CSV file at ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            return _parse_stream(handle, name=str(path))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_stream(handle, name: str) -> list:
@@ -120,20 +120,15 @@ def _parse_stream(handle, name: str) -> list:
     return records
 
 
-def write_csv(records, target) -> None:
-    """Serialize records so a parse round-trip reproduces them exactly."""
-    def emit(handle):
+def write_csv(records, path) -> None:
+    """Write records as UTF-8 CSV to ``path``, so a parse round-trip
+    reproduces them exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in records:
             writer.writerow([r.timestamp.isoformat()] + [
                 format_float(v) for v in (r.demand, r.tmin, r.tmax)])
-
-    if hasattr(target, "write"):
-        emit(target)
-    else:
-        with open(target, "w", newline="") as handle:
-            emit(handle)
 
 
 def season_of(month: int) -> int:

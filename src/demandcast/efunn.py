@@ -151,8 +151,8 @@ class LinguisticRule:
     antecedents: tuple
     output_variable: str
     consequent: str
-    w1: Optional[np.ndarray] = None
-    w2: Optional[np.ndarray] = None
+    w1: np.ndarray
+    w2: np.ndarray
 
     def text(self) -> str:
         clauses = " AND ".join(
@@ -237,10 +237,6 @@ class EfunnModel:
                 for curr, weight in row.items() if weight != 0.0}
 
     @property
-    def last_winner(self) -> Optional[int]:
-        return self._last_winner
-
-    @property
     def input_width(self) -> int:
         return sum(p.size for p in self.input_partitions)
 
@@ -303,7 +299,7 @@ class EfunnModel:
         self._n = k + 1
         return k
 
-    def _distances(self, ex: np.ndarray, scratch=None) -> np.ndarray:
+    def _distances(self, ex: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Normalized fuzzy difference from each row of ``ex`` (one
         fuzzified input per row) to every node's input centroid.
 
@@ -311,13 +307,10 @@ class EfunnModel:
         (w1.sum(axis=1) + ex.sum(axis=1))`` of C-ordered operands, for
         ``ex`` in any memory layout, capped at 1 as ``fuzzy_difference``
         is. ``scratch`` holds at least
-        ``_SCRATCH * len(ex) * n_nodes`` floats; without it they are
-        allocated.
+        ``_SCRATCH * len(ex) * n_nodes`` floats.
         """
         n, rows = self._n, len(ex)
         size = 8 * rows * n
-        if scratch is None:
-            scratch = np.empty(2 * size)
         acc = scratch[:size].reshape(8, rows, n)
         buf = scratch[size : 2 * size].reshape(8, rows, n)
         w1t = self._w1[:n].T[:, None, :]  # degrees x 1 x nodes, rows contiguous
@@ -602,19 +595,8 @@ class EfunnModel:
                                                 np.argmax(w2, axis=1), w1, w2)]
 
     def insert_rule(self, rule: LinguisticRule) -> int:
-        """Add a node from a rule; label-only rules become one-hot centroids."""
-        if rule.w1 is not None and rule.w2 is not None:
-            return self.create_rule_node(rule.w1, rule.w2)
-        if len(rule.antecedents) != len(self.input_partitions):
-            raise ShapeError(
-                f"rule has {len(rule.antecedents)} antecedents for "
-                f"{len(self.input_partitions)} input variables"
-            )
-        segments = []
-        for label, p in zip(rule.antecedents, self.input_partitions):
-            segments.append(_one_hot(label, p))
-        w2 = _one_hot(rule.consequent, self.output_partition)
-        return self.create_rule_node(np.concatenate(segments), w2)
+        """Add a node with the centroids of an extracted rule."""
+        return self.create_rule_node(rule.w1, rule.w2)
 
     # -- serialization -----------------------------------------------------
 
@@ -665,14 +647,7 @@ class EfunnModel:
         model._reserve(n)
         for key, name, parse in _NODE_FIELDS:
             array = getattr(model, name)[:n]
-            try:
-                value = np.asarray(need(body, key, parse), dtype=array.dtype)
-            except OverflowError:
-                raise ParseError(f"snapshot key {key!r} is out of range") from None
-            if value.size != array.size:
-                raise ParseError(f"snapshot key {key!r} holds {value.size} "
-                                 f"values, expected {array.size}")
-            array[:] = value.reshape(array.shape)
+            array[:] = need(body, key, parse, array.size).reshape(array.shape)
         model._n = n
         model._w1sum[:n] = _degree_sum(model._w1[:n].T)
         model._links = need(body, "w3", lambda text: _parse_links(text, n))
@@ -767,18 +742,6 @@ def _differences(v: np.ndarray, rows: np.ndarray):
         d = _degree_sum(np.abs(v - rows).T) / den
         np.minimum(d, 1.0, out=d)
     return d, den <= 0.0
-
-
-def _one_hot(label: str, partition: MembershipPartition) -> np.ndarray:
-    labels = mf_labels(partition.size)
-    if label not in labels:
-        raise ConfigError(
-            f"unknown label {label!r} for {partition.variable_name!r}; "
-            f"expected one of {labels}"
-        )
-    out = np.zeros(partition.size)
-    out[labels.index(label)] = 1.0
-    return out
 
 
 def _partition_fields(prefix: str, p: MembershipPartition) -> dict:

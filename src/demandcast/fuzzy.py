@@ -30,8 +30,7 @@ def satlin(x):
 def radbas(x):
     """Radial basis activation exp(-x^2)."""
     x = np.asarray(x, dtype=float)
-    out = np.exp(-x * x)
-    return float(out) if out.ndim == 0 else out
+    return np.exp(-x * x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -153,15 +153,13 @@ def _as_batch(model: MlpModel, data):
         raise DataError("training data must be an (X, y) tuple of arrays, "
                         f"got {type(data).__name__}")
     X, Y = (np.asarray(a, dtype=float) for a in data)
-    if X.ndim == 1:
-        X = X[:, None]
+    if X.shape[1:] != model.layer_sizes[:1]:
+        raise ShapeError(
+            f"batch inputs have shape {X.shape}, network expects "
+            f"(N, {model.layer_sizes[0]})"
+        )
     if X.shape[0] == 0:
         raise DataError("empty training batch")
-    if X.shape[1] != model.layer_sizes[0]:
-        raise ShapeError(
-            f"batch inputs have width {X.shape[1]}, network expects "
-            f"{model.layer_sizes[0]}"
-        )
     if Y.ndim == 1:
         Y = Y[:, None]
     if Y.shape != (X.shape[0], model.layer_sizes[-1]):
@@ -439,7 +437,7 @@ def scg_train(model: MlpModel, data, epochs: int, counter=DISCARD) -> list:
     np.copyto(model.params, result.w)
     trace = [math.sqrt(e) for e in result.trace]
     while len(trace) < epochs:
-        trace.append(trace[-1] if trace else 0.0)
+        trace.append(trace[-1])
     return trace
 
 
@@ -473,15 +471,9 @@ def _from_fields(body: dict, extra: dict):
     weights = []
     biases = []
     for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = need(body, f"weight.{l}", snapshot.parse_finite)
-        if w.size != fan_in * fan_out:
-            raise ParseError(f"weight.{l} has {w.size} entries, expected "
-                             f"{fan_in * fan_out}")
+        w = need(body, f"weight.{l}", snapshot.parse_finite, fan_in * fan_out)
         weights.append(w.reshape(fan_out, fan_in))
-        b = need(body, f"bias.{l}", snapshot.parse_finite)
-        if b.size != fan_out:
-            raise ParseError(f"bias.{l} has {b.size} entries, expected {fan_out}")
-        biases.append(b)
+        biases.append(need(body, f"bias.{l}", snapshot.parse_finite, fan_out))
     # _forward_layers implements exactly these two
     for key, implemented in (("hidden_activation", "tanh_sigmoid"),
                              ("output_activation", "linear")):

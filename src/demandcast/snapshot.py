@@ -111,23 +111,20 @@ def _require_finite(values):
     return values
 
 
-def parse_ints(text: str) -> list:
-    """The integers of space-separated text, as Python ints."""
+def parse_ints(text: str) -> np.ndarray:
+    """The integers of space-separated text, as an int64 array; an
+    integer past int64 raises OverflowError, which ``need`` reports."""
     try:
-        return [int(t) for t in text.split()]
+        return np.array([int(t) for t in text.split()], dtype=np.int64)
     except ValueError as exc:
         raise ParseError(f"bad integer in snapshot array: {exc}") from None
 
 
 def format_value(value) -> str:
-    """Field text: str as is, ints exactly, floats to 17 digits, arrays."""
-    if isinstance(value, str):
-        return value
+    """Text of a number: ints exactly, floats to 17 digits."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    return format_array(value)
+    return format_float(value)
 
 
 def header_line(kind: str) -> str:
@@ -148,19 +145,26 @@ def parse_header(line: str) -> str:
     return parts[2][len("kind=") :]
 
 
-def need(body: dict, key: str, convert=None):
-    """Raw value of ``key``, or ``convert(value)`` when given a converter."""
+def need(body: dict, key: str, convert=None, size: Optional[int] = None):
+    """Raw value of ``key``, or ``convert(value)`` when given a converter;
+    an array ``convert`` gives must hold ``size`` values when given."""
     if key not in body:
         raise ParseError(f"snapshot missing key {key!r}")
     if convert is None:
         return body[key]
     try:
-        return convert(body[key])
+        value = convert(body[key])
     except ParseError as exc:
         raise ParseError(f"snapshot key {key!r}: {exc}") from None
+    except OverflowError:
+        raise ParseError(f"snapshot key {key!r} is out of range") from None
     except ValueError:
         raise ParseError(f"bad value for snapshot key {key!r}: "
                          f"{body[key]!r}") from None
+    if size is not None and value.size != size:
+        raise ParseError(f"snapshot key {key!r} holds {value.size} values, "
+                         f"expected {size}")
+    return value
 
 
 def config_fields(prefix: str, cfg) -> dict:
@@ -197,14 +201,15 @@ def _pieces(kind: str, fields: dict, extra: Optional[dict] = None):
                     yield " "
                 yield format_array(flat[start : start + _CHUNK])
             yield "\n"
-        else:  # numbers and arrays format to neither '=' nor line breaks
+        else:  # numbers format to neither '=' nor line breaks
             yield f"{key}={format_value(value)}\n"
     for key, value in (extra or {}).items():
         yield _line(f"{_EXTRA}{key}", str(value)) + "\n"
 
 
 def dump(kind: str, fields: dict, extra: Optional[dict] = None) -> str:
-    """Header, then the ordered fields (see format_value), then extras."""
+    """Header, then the ordered fields (strings as they are, arrays as
+    ``format_array``, numbers as ``format_value``), then extras."""
     return "".join(_pieces(kind, fields, extra))
 
 

@@ -42,7 +42,7 @@ def test_spec_validation():
 
 def test_difference_oracle():
     assert difference([5, 7, 4, 9], 2).tolist() == [-1.0, 2.0]
-    assert difference([5, 7, 4, 9], 1, times=2).tolist() == [-5.0, 8.0]
+    assert difference(difference([5, 7, 4, 9], 1), 1).tolist() == [-5.0, 8.0]
 
 
 def test_difference_errors():

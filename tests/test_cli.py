@@ -190,6 +190,8 @@ EXIT_1_CASES = (
     "short arima z_tail", "short arima e_tail", "arima stage lag",
     "arima spec longer than the series", "bench on 10 january days",
     "efunn bench on 10 january days", "efunn train on 10 january days",
+    "non-utf-8 csv", "non-utf-8 config", "repeated bench model",
+    "short mlp weight",
 )
 
 
@@ -209,6 +211,14 @@ def bad_inputs(data_csv, tmp_path_factory):
     gap = write("gap.csv", "".join(lines[:100] + lines[101:]))
     nan = write("nan.csv", "".join(lines[:10] + [nan_row] + lines[11:]))
     efunn_cfg = write("efunn.cfg", "# tuned\nsthr=high\n")
+    # a 0xff byte, which no UTF-8 text holds, in a demand and a config value
+    latin = str(d / "latin.csv")
+    (d / "latin.csv").write_bytes("".join(
+        lines[:10] + [",".join([fields[0], "1\xff"] + fields[2:])]
+        + lines[11:]).encode("latin-1"))
+    latin_cfg = str(d / "latin.cfg")
+    (d / "latin.cfg").write_bytes(b"sthr=0.9\xff\n")
+    repeat_cfg = write("repeat.cfg", "models=efunn arima efunn\n")
     arima_cfg = write("arima.cfg", "p=one\n")
     bench_cfg = write("bench.cfg", "n_samples=two\n")
     mlp_snap, arima_snap = str(d / "mlp.snap"), str(d / "arima.snap")
@@ -224,6 +234,9 @@ def bad_inputs(data_csv, tmp_path_factory):
     binary = str(d / "binary.snap")  # shaped like the head of an executable
     (d / "binary.snap").write_bytes(b"\x7fELF\x02\x01\x01"
                                     + bytes(range(256)) * 8)
+    short_weight = write("short-weight.snap", re.sub(
+        r"\nweight\.0=(\S+)[^\n]*", r"\nweight.0=\1",
+        (d / "mlp.snap").read_text()))
     unknown = mlp.init_mlp((6, 4, 1), seed=0)
     unknown.hidden_activation = "xx"
     mlp.save(unknown, act_snap)
@@ -395,6 +408,19 @@ def bad_inputs(data_csv, tmp_path_factory):
             short_pool),
         "efunn train on 10 january days": (train("efunn", january),
                                            short_pool),
+        "non-utf-8 csv": (train("efunn", latin),
+                          f"error: {latin}: not UTF-8 text"),
+        "non-utf-8 config": (
+            train("efunn", str(data_csv), "--config", latin_cfg),
+            f"error: {latin_cfg}: not UTF-8 text"),
+        "repeated bench model": (
+            ["bench", "--days", "40", "--out", out, "--config", repeat_cfg],
+            "error: models lists efunn more than once"),
+        "short mlp weight": (
+            ["forecast", "--snapshot", short_weight, "--data", str(data_csv),
+             "--out", out],
+            f"{short_weight}: snapshot key 'weight.0' holds 1 values, "
+            "expected 24"),
     }
 
 
@@ -406,6 +432,22 @@ def test_bad_input_exits_1_naming_the_source(case, bad_inputs, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert expected in err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "bench"])
+def test_negative_seed_is_a_usage_error(command, data_csv, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    argv = {"synth": ["synth", "--out", out],
+            "train": ["train", "--model", "mlp-bp", "--data", str(data_csv),
+                      "--out", out, "--epochs", "2"],
+            "bench": ["bench", "--days", "40", "--epochs", "2",
+                      "--out", out]}[command]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert (f"demandcast {command}: error: argument --seed: expected a "
+            "non-negative integer, got '-1'") in err
+    assert "Traceback" not in err
 
 
 def test_mlp_snapshot_still_forecasts_other_data(data_csv, tmp_path):

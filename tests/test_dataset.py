@@ -1,5 +1,4 @@
 import dataclasses
-import io
 from datetime import datetime
 
 import numpy as np
@@ -29,45 +28,50 @@ def test_csv_write_parse_round_trip(tmp_path):
     back = parse_csv(path)
     assert back == records
     # serialization is reproducible byte for byte
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_csv(records, buf1)
-    write_csv(back, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
+    again = tmp_path / "again.csv"
+    write_csv(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
-def test_parse_rejects_empty_and_bad_header():
-    with pytest.raises(ParseError, match="empty"):
-        parse_csv(io.StringIO(""))
-    with pytest.raises(ParseError, match="header"):
-        parse_csv(io.StringIO("a,b,c,d\n"))
+def _csv(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    return path
 
 
-def test_parse_reports_line_numbers():
+def test_parse_rejects_empty_and_bad_header(tmp_path):
+    with pytest.raises(ParseError, match=r"in\.csv: empty file"):
+        parse_csv(_csv(tmp_path, ""))
+    with pytest.raises(ParseError, match=r"in\.csv: bad header"):
+        parse_csv(_csv(tmp_path, "a,b,c,d\n"))
+
+
+def test_parse_reports_line_numbers(tmp_path):
     text = ("timestamp,demand_mwh,tmin_c,tmax_c\n"
             "1995-01-27T00:00:00,100,10,20\n"
             "1995-01-27T00:30:00,oops,10,20\n")
-    with pytest.raises(ParseError, match=":3"):
-        parse_csv(io.StringIO(text))
+    with pytest.raises(ParseError, match=r"in\.csv:3: "):
+        parse_csv(_csv(tmp_path, text))
     text = ("timestamp,demand_mwh,tmin_c,tmax_c\n"
             "not-a-time,100,10,20\n")
-    with pytest.raises(ParseError, match="timestamp"):
-        parse_csv(io.StringIO(text))
+    with pytest.raises(ParseError, match=r"in\.csv:2: bad timestamp"):
+        parse_csv(_csv(tmp_path, text))
 
 
-def test_parse_detects_cadence_gaps():
+def test_parse_detects_cadence_gaps(tmp_path):
     text = ("timestamp,demand_mwh,tmin_c,tmax_c\n"
             "1995-01-27T00:00:00,100,10,20\n"
             "1995-01-27T01:30:00,110,10,20\n")
     with pytest.raises(GapError) as err:
-        parse_csv(io.StringIO(text))
+        parse_csv(_csv(tmp_path, text))
     assert "00:00:00" in str(err.value) and "01:30:00" in str(err.value)
 
 
-def test_parse_wraps_record_validation_with_position():
+def test_parse_wraps_record_validation_with_position(tmp_path):
     text = ("timestamp,demand_mwh,tmin_c,tmax_c\n"
             "1995-01-27T00:00:00,-5,10,20\n")
-    with pytest.raises(DataError, match=":2"):
-        parse_csv(io.StringIO(text))
+    with pytest.raises(DataError, match=r"in\.csv:2: "):
+        parse_csv(_csv(tmp_path, text))
 
 
 def test_season_mapping_is_southern_hemisphere():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from demandcast.efunn import (AggregationConfig, EfunnConfig, EfunnModel,
-                              LinguisticRule, _degree_sum, _differences)
+from demandcast.efunn import (_SCRATCH, AggregationConfig, EfunnConfig,
+                              EfunnModel, _degree_sum, _differences)
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                DisabledError, EmptyModelError, ParseError,
                                ShapeError)
@@ -23,7 +23,12 @@ def make_model(n_inputs=1, mfs=3, **cfg_kwargs):
 
 def _a1(m, ex):
     """A1 activation of every rule node for one fuzzified input."""
-    return m._activations(np.asarray(ex, dtype=float)[None, :], None)[0]
+    return m._activations(np.asarray(ex, dtype=float)[None, :], m._scratch)[0]
+
+
+def _distances(m, ex):
+    """``m._distances`` of the rows ``ex``, in scratch of their own."""
+    return m._distances(ex, np.empty(_SCRATCH * len(ex) * m.n_nodes))
 
 
 def test_first_example_creates_a_memorizing_node():
@@ -95,7 +100,7 @@ def test_temporal_link_update_oracle():
     m.learn_one(np.array([0.1]), 0.2)
     m.learn_one(np.array([0.9]), 0.8)
     assert m.links == {(0, 1): pytest.approx(0.5)}
-    assert m.last_winner == 1
+    assert m._last_winner == 1
 
 
 def test_temporal_links_stay_zero_at_default_rate():
@@ -234,12 +239,12 @@ def test_aggregate_remaps_last_winner():
     m.learn_one(np.array([0.1]), 0.1)
     m.create_rule_node(m.w1[0], m.w2[0])  # a twin of node 0
     m.learn_one(np.array([0.9]), 0.9)
-    assert m.last_winner == 2
+    assert m._last_winner == 2
     assert m.aggregate() == 1  # the twin merges into node 0
-    assert m.last_winner == 1  # node 2 shifted down
+    assert m._last_winner == 1  # node 2 shifted down
     m.config.aggregation = AggregationConfig(thr1=1.0, thr2=1.0)
     assert m.aggregate() == 1  # the winner itself merges into node 0
-    assert m.n_nodes == 1 and m.last_winner is None
+    assert m.n_nodes == 1 and m._last_winner is None
 
 
 def test_aggregate_merges_close_pair_to_elementwise_average():
@@ -319,26 +324,6 @@ def test_rule_round_trip_rebuilds_identical_predictions():
     assert rebuilt.predict(xs) == pytest.approx(m.predict(xs), abs=1e-12)
 
 
-def test_insert_rule_from_labels_builds_one_hot_centroids():
-    m = make_model(n_inputs=2, mfs=4)
-    rule = LinguisticRule(
-        input_variables=("x0", "x1"),
-        antecedents=("LOW", "HIGH"),
-        output_variable="y",
-        consequent="MEDIUM-LOW",
-    )
-    m.insert_rule(rule)
-    assert m.w1[0].tolist() == [1, 0, 0, 0, 0, 0, 0, 1]
-    assert m.w2[0].tolist() == [0, 1, 0, 0]
-
-
-def test_insert_rule_rejects_unknown_label():
-    m = make_model(n_inputs=1, mfs=4)
-    rule = LinguisticRule(("x0",), ("BLUE",), "y", "LOW")
-    with pytest.raises(ConfigError):
-        m.insert_rule(rule)
-
-
 def test_snapshot_round_trip_is_byte_identical():
     rng = np.random.default_rng(8)
     m = make_model(n_inputs=2, mfs=4, lr3=0.1, errthr=0.01)
@@ -349,7 +334,7 @@ def test_snapshot_round_trip_is_byte_identical():
     assert extra == {"note": "hello"}
     assert m2.to_text(extra=extra) == text
     assert m2.examples_seen == m.examples_seen
-    assert m2.last_winner == m.last_winner
+    assert m2._last_winner == m._last_winner
     xs = rng.uniform(size=(10, 2))
     assert m2.predict(xs).tolist() == m.predict(xs).tolist()
 
@@ -502,7 +487,7 @@ def _old_aggregate(m, cfg):
     """The pair loop aggregate used to run, on plain lists and a dense w3."""
     nodes = _rows(m)
     w3 = _dense_w3(m)
-    last = m.last_winner
+    last = m._last_winner
     i = 0
     while i < len(nodes):
         j = i + 1
@@ -535,7 +520,7 @@ def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
     nodes, w3, last = _old_aggregate(m, cfg)
     before = m.n_nodes
     assert m.aggregate() == before - len(nodes)
-    assert m.last_winner == last
+    assert m._last_winner == last
     assert np.array_equal(_dense_w3(m), w3)
     for row, node in zip(_rows(m), nodes, strict=True):
         assert row["w1"].tolist() == node["w1"].tolist()
@@ -668,7 +653,7 @@ def test_distances_equal_the_row_major_formula_in_any_layout(
     strided[:] = ex
     for layout in (np.ascontiguousarray(ex), np.asfortranarray(ex), strided,
                    ex[::-1][::-1]):
-        assert np.array_equal(_bits(m._distances(layout)), want)
+        assert np.array_equal(_bits(_distances(m, layout)), want)
     w1 = np.ascontiguousarray(m.w1)
     d, bad = _differences(m.w1[0], m.w1[1:])
     # two all-zero rows give 0 / 0 here as in _differences, which flags it
@@ -687,7 +672,7 @@ def test_disjoint_supports_lie_at_distance_one():
     m = make_model(aggregation=AggregationConfig(thr1=1.0, thr2=1.0))
     m.create_rule_node(v, np.array([0.0, 1.0, 0.0]))
     m.create_rule_node(rows[0], np.array([0.0, 1.0, 0.0]))
-    assert m._distances(v[None, :]).tolist() == [[0.0, 1.0]]
+    assert _distances(m, v[None, :]).tolist() == [[0.0, 1.0]]
     assert m.aggregate() == 1  # every pair lies within thr1 = thr2 = 1
 
 
@@ -730,7 +715,7 @@ def test_distances_equal_the_row_major_formula_at_thousands_of_nodes(nodes):
     for rows in (1, 2, 7, 16):
         ex = rng.uniform(size=(rows, 24))
         want = _bits(_old_distances(m.w1, ex))
-        assert np.array_equal(_bits(m._distances(ex)), want)
+        assert np.array_equal(_bits(_distances(m, ex)), want)
     # one row in the model's own scratch, as learning scores it
     assert np.array_equal(_bits(m._distances(ex[:1], m._scratch)), want[:1])
 
@@ -783,8 +768,8 @@ def test_temporal_activation_equals_the_dense_formula(model_and_xs):
     for x in xs:
         ex = m.fuzzify_input(x)
         dist = _old_distances(m.w1, ex[None, :])[0]
-        temporal = (cfg.tc * w3[m.last_winner]
-                    if cfg.tc != 0.0 and m.last_winner is not None else 0.0)
+        temporal = (cfg.tc * w3[m._last_winner]
+                    if cfg.tc != 0.0 and m._last_winner is not None else 0.0)
         want = (satlin(1.0 - cfg.ss * dist + temporal)
                 if cfg.activation == "satlin"
                 else radbas(cfg.ss * dist - temporal))

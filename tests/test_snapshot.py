@@ -97,6 +97,12 @@ def test_need_converts_and_names_bad_values():
     assert snapshot.need({"nodes": "3"}, "nodes", int) == 3
     with pytest.raises(ParseError, match="nodes"):
         snapshot.need({"nodes": "three"}, "nodes", int)
+    body = {"age": "1 2", "big": "9" * 20}
+    assert snapshot.need(body, "age", snapshot.parse_ints, 2).tolist() == [1, 2]
+    with pytest.raises(ParseError, match="'age' holds 2 values, expected 3"):
+        snapshot.need(body, "age", snapshot.parse_ints, 3)
+    with pytest.raises(ParseError, match="'big' is out of range"):
+        snapshot.need(body, "big", snapshot.parse_ints)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1 / 3])
