@@ -254,18 +254,19 @@ def fit(series, spec: ArimaSpec, counter=DISCARD) -> ArimaFit:
         raise DataError("series contains non-finite values")
 
     # one past the AR reach leaves one innovation; ten per free parameter
-    lags = spec.stage_lags()
     n_free = spec.n_coeffs + (1 if spec.estimates_intercept else 0)
     usable = max(10 * max(1, n_free), spec.ar_reach + 1)
-    if y.size < sum(lags) + usable:
+    # the sum of stage_lags(), whose list waits until the series covers it
+    span = spec.pre_diff_lag + spec.d + spec.sd * spec.season
+    if y.size < span + usable:
         raise DataError(
-            f"{spec.label()} needs at least {sum(lags) + usable} observations "
-            f"({sum(lags)} for differencing, then {usable}), got {y.size}"
+            f"{spec.label()} needs at least {span + usable} observations "
+            f"({span} for differencing, then {usable}), got {y.size}"
         )
 
     anchors = ForecastAnchors()
     z = y.copy()
-    for lag in lags:
+    for lag in spec.stage_lags():
         anchors.stages.append((lag, z[-lag:].copy()))
         z = difference(z, lag)
 
@@ -447,6 +448,11 @@ def _from_fields(body: dict, extra: dict):
               for key, parse in _FIT_FIELDS}
     lags = [need(body, f"stage.{k}.lag", int)
             for k in range(need(body, "stages", int))]
+    # the count first, so that a huge d or sd lists no lags
+    stages = bool(spec.pre_diff_lag) + spec.d + spec.sd
+    if len(lags) != stages:
+        raise ParseError(f"snapshot keys 'stage.*.lag' give {len(lags)} "
+                         f"lags, expected {stages} for {spec.label()}")
     if lags != spec.stage_lags():
         raise ParseError(f"snapshot keys 'stage.*.lag' give lags {lags}, "
                          f"expected {spec.stage_lags()} for {spec.label()}")

@@ -12,17 +12,16 @@ Learning is strictly one pass. For each example the input is fuzzified,
 rule activations are computed from the normalized fuzzy difference, and
 the example is either absorbed by the activated nodes (their centroids
 drift toward it) or a fresh node is created that memorizes it exactly.
-Temporal links ``w3`` between consecutive winners can bias activation
-toward temporally correlated prototypes; they are inert at the default
-``lr3 = 0``.
+A node's activation is ``satlin(1 - dist)`` or ``radbas(dist)`` of the
+normalized fuzzy difference ``dist`` alone. Kasabov's optional third
+layer of temporal links between consecutive winners is left out: a
+forecast here scores rows independently, in day blocks, so no row has a
+previous winner to link from.
 
 The rule layer is held as the connection matrices of Kasabov (2001):
 row k of ``w1`` (nodes x input degrees) and ``w2`` (nodes x output
 degrees) are node k's centroids, beside per-node ``age``, ``a1av`` and
-``absorbed`` vectors, all grown together by capacity doubling. One
-learning step adds at most one temporal link, so ``w3`` is held
-sparsely as ``{prev: {curr: weight}}``; activation with ``tc > 0``
-builds the one dense row it needs.
+``absorbed`` vectors, all grown together by capacity doubling.
 
 ``w1`` is stored degree-major (Fortran order): the values of one input
 degree over all nodes are contiguous, so the fuzzy difference from an
@@ -90,19 +89,15 @@ class EfunnConfig:
 
     sthr is the sensitivity threshold (minimum activation for a node to
     absorb an example), errthr the maximum fuzzy output error before a
-    new node is created, lr1/lr2/lr3 the learning rates of the input
-    centroids, output centroids, and temporal links. ss and tc weight
-    the spatial and temporal terms of the activation. Aggregation stays
-    off unless its config block is supplied.
+    new node is created, lr1/lr2 the learning rates of the input and
+    output centroids. Aggregation stays off unless its config block is
+    supplied.
     """
 
     sthr: float = 0.99
     errthr: float = 0.001
     lr1: float = 0.05
     lr2: float = 0.05
-    lr3: float = 0.0
-    ss: float = 1.0
-    tc: float = 0.0
     max_nodes: int = 100000
     m_mode: str = "all_above_threshold"
     activation: str = "satlin"
@@ -113,7 +108,7 @@ class EfunnConfig:
             raise ConfigError(f"sthr must be in (0, 1), got {self.sthr}")
         if self.errthr <= 0.0:
             raise ConfigError(f"errthr must be positive, got {self.errthr}")
-        for name in ("lr1", "lr2", "lr3", "ss", "tc"):
+        for name in ("lr1", "lr2"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.max_nodes < 1:
@@ -179,9 +174,9 @@ class EfunnModel:
 
     learn_one mutates the model and must be externally serialized;
     predict leaves the learned state unchanged and works in scratch of
-    its own, but must not run while learn_one does. The temporal layer
-    makes learning order-dependent by design, so training streams should
-    be presented in time order.
+    its own, but must not run while learn_one does. One-pass learning
+    depends on the order of the examples, so training streams should be
+    presented in time order.
     """
 
     def __init__(self, config: EfunnConfig, input_partitions, output_partition):
@@ -196,8 +191,6 @@ class EfunnModel:
         self.input_partitions = tuple(input_partitions)
         self.output_partition = output_partition
         self.examples_seen = 0
-        self._last_winner: Optional[int] = None
-        self._last_act = 0.0
         # the rule layer: rows [:_n] are live, later rows spare capacity;
         # the distance kernel's scratch for one input row grows with it
         self._n = 0
@@ -210,7 +203,6 @@ class EfunnModel:
         # examples that shaped the centroids, creation included
         self._absorbed = np.zeros(0, dtype=np.int64)
         self._scratch = np.zeros(0)
-        self._links = {}  # temporal links w3 as {prev: {curr: weight}}
         self._reserve(4)
 
     # -- basic accessors -------------------------------------------------
@@ -229,12 +221,6 @@ class EfunnModel:
     @property
     def w2(self) -> np.ndarray:
         return self._w2[: self._n]
-
-    @property
-    def links(self) -> dict:
-        """The nonzero temporal links, as a new {(prev, curr): weight}."""
-        return {(prev, curr): weight for prev, row in self._links.items()
-                for curr, weight in row.items() if weight != 0.0}
 
     @property
     def input_width(self) -> int:
@@ -334,22 +320,10 @@ class EfunnModel:
         if not self._n:
             raise EmptyModelError("model has no rule nodes")
         dist = self._distances(ex, scratch)
-        cfg = self.config
         counter.add(4 * len(ex) * self._n * self._w1.shape[1])
-        temporal = 0.0
-        if cfg.tc != 0.0 and self._last_winner is not None:
-            temporal = cfg.tc * self._link_row(self._last_winner)
-        if cfg.activation == "satlin":
-            return satlin(1.0 - cfg.ss * dist + temporal)
-        return radbas(cfg.ss * dist - temporal)
-
-    def _link_row(self, prev: int) -> np.ndarray:
-        """Dense row ``prev`` of w3 over the live nodes."""
-        row = np.zeros(self._n)
-        links = self._links.get(prev)
-        if links:
-            row[list(links)] = list(links.values())
-        return row
+        if self.config.activation == "satlin":
+            return satlin(1.0 - dist)
+        return radbas(dist)
 
     def _select(self, a1: np.ndarray) -> np.ndarray:
         """Indices of the m nodes that propagate, per m_mode."""
@@ -395,9 +369,7 @@ class EfunnModel:
         self.examples_seen += 1
 
         if not self._n:
-            idx = self.create_rule_node(ex, te)
-            self._last_winner, self._last_act = idx, 1.0
-            return LearnOutcome(True, idx, 0.0, 1)
+            return LearnOutcome(True, self.create_rule_node(ex, te), 0.0, 1)
 
         a1 = self._activations(ex[None, :], self._scratch, counter)[0]
         n = self._n
@@ -406,7 +378,6 @@ class EfunnModel:
         age += 1
         counter.add(4 * n)
 
-        prev_winner, prev_act = self._last_winner, self._last_act
         winner = int(np.argmax(a1))
         err = 0.0
         if a1[winner] < cfg.sthr:
@@ -420,11 +391,6 @@ class EfunnModel:
             else:
                 self._absorb(sel, ex, te, a1[sel, None], counter)
                 created = False
-
-        winner_act = 1.0 if created else float(a1[winner])
-        if cfg.lr3 > 0.0 and prev_winner is not None:
-            self.update_temporal(prev_winner, winner, prev_act, winner_act)
-        self._last_winner, self._last_act = winner, winner_act
         return LearnOutcome(created, winner, float(err), self._n)
 
     def _create_or_absorb(self, ex, te, a1, counter):
@@ -449,18 +415,6 @@ class EfunnModel:
         self._w2[rows] = w2 + self.config.lr2 * (te - satlin(w2)) * a1
         self._absorbed[rows] += 1
         counter.add_mac(2 * (ex.size + te.size) * np.size(rows))
-
-    def update_temporal(self, prev: int, curr: int, prev_activation: float = 1.0,
-                        curr_activation: float = 1.0) -> None:
-        """Strengthen the link from the previous winner to the current one."""
-        n = self._n
-        if not (0 <= prev < n and 0 <= curr < n):
-            raise IndexError(
-                f"temporal link ({prev}, {curr}) outside live nodes 0..{n - 1}"
-            )
-        row = self._links.setdefault(prev, {})
-        row[curr] = (row.get(curr, 0.0)
-                     + self.config.lr3 * prev_activation * curr_activation)
 
     # -- inference --------------------------------------------------------
 
@@ -515,7 +469,7 @@ class EfunnModel:
         if cfg is None:
             raise DisabledError("aggregation is not configured on this model")
         n = self._n
-        w1, w2, links = self._w1, self.w2, self._links
+        w1, w2 = self._w1, self.w2
         age, a1av, absorbed = self._age, self._a1av, self._absorbed
         live = np.ones(n, dtype=bool)
         for i in range(n):
@@ -537,13 +491,6 @@ class EfunnModel:
                 age[i] = max(age[i], age[j])
                 a1av[i] = (a1av[i] + a1av[j]) / 2.0
                 absorbed[i] += absorbed[j]
-                # w3[i, :] += w3[j, :], then w3[:, i] += w3[:, j]
-                row_i = links.setdefault(i, {})
-                for c, v in links.get(j, {}).items():
-                    row_i[c] = row_i.get(c, 0.0) + v
-                for row in links.values():
-                    if j in row:
-                        row[i] = row.get(i, 0.0) + row[j]
                 live[j] = False
                 start = j + 1
         merged = np.flatnonzero(~live)
@@ -552,27 +499,13 @@ class EfunnModel:
         return int(merged.size)
 
     def _remove_nodes(self, indices) -> None:
-        """Drop nodes and their temporal links; remap the last winner."""
-        n = self._n
-        doomed = np.unique(indices)
-        keep = np.setdiff1d(np.arange(n), doomed)
+        """Drop nodes, moving the kept rows down in order."""
+        keep = np.setdiff1d(np.arange(self._n), indices)
         k = keep.size
         for name in _ARRAYS:
             array = getattr(self, name)
             array[:k] = array[keep]
-        new = np.full(n, -1)
-        new[keep] = np.arange(k)
-        new = new.tolist()
-        self._links = {new[r]: {new[c]: v for c, v in row.items() if new[c] >= 0}
-                       for r, row in self._links.items() if new[r] >= 0}
         self._n = k
-        if self._last_winner is not None:
-            shift = int(np.searchsorted(doomed, self._last_winner))
-            if shift < doomed.size and doomed[shift] == self._last_winner:
-                self._last_winner = None
-                self._last_act = 0.0
-            else:
-                self._last_winner -= shift
 
     # -- linguistic rules --------------------------------------------------
 
@@ -614,12 +547,7 @@ class EfunnModel:
         n = fields["nodes"] = self._n
         for key, name, _ in _NODE_FIELDS:
             fields[key] = getattr(self, name)[:n]
-        fields["w3"] = " ".join(f"{prev}:{curr}:{snapshot.format_float(v)}"
-                                for (prev, curr), v in sorted(self.links.items()))
         fields["examples_seen"] = self.examples_seen
-        lw = self._last_winner
-        fields["last_winner"] = "none" if lw is None else lw
-        fields["last_winner_activation"] = self._last_act
         return fields
 
     def to_text(self, extra: Optional[dict] = None) -> str:
@@ -644,20 +572,16 @@ class EfunnModel:
         n = need(body, "nodes", int)
         if n < 0:
             raise ParseError(f"snapshot holds {n} nodes")
+        # every array is read and its size checked before n sizes any
+        arrays = [need(body, key, parse, n * getattr(model, name)[:1].size)
+                  for key, name, parse in _NODE_FIELDS]
         model._reserve(n)
-        for key, name, parse in _NODE_FIELDS:
+        for (_, name, _), values in zip(_NODE_FIELDS, arrays):
             array = getattr(model, name)[:n]
-            array[:] = need(body, key, parse, array.size).reshape(array.shape)
+            array[:] = values.reshape(array.shape)
         model._n = n
         model._w1sum[:n] = _degree_sum(model._w1[:n].T)
-        model._links = need(body, "w3", lambda text: _parse_links(text, n))
         model.examples_seen = need(body, "examples_seen", int)
-        model._last_winner = lw = need(
-            body, "last_winner", lambda v: None if v == "none" else int(v))
-        if lw is not None and not 0 <= lw < n:
-            raise ParseError(f"snapshot last_winner {lw} outside nodes 0..{n - 1}")
-        model._last_act = need(body, "last_winner_activation",
-                               snapshot.finite_float)
         return model, extra
 
     def save(self, path, extra: Optional[dict] = None) -> None:
@@ -666,24 +590,6 @@ class EfunnModel:
     @classmethod
     def load(cls, path):
         return snapshot.read(path, "efunn", cls._from_fields)
-
-
-def _parse_links(text: str, n: int) -> dict:
-    """{prev: {curr: weight}} of ``prev:curr:weight`` triples on n nodes."""
-    links = {}
-    for triple in text.split():
-        try:
-            prev, curr, weight = triple.split(":")
-            prev, curr = int(prev), int(curr)
-            weight = snapshot.finite_float(weight)
-        except ValueError:
-            raise ParseError(f"bad link {triple!r}") from None
-        if not (0 <= prev < n and 0 <= curr < n):
-            raise ParseError(f"link {prev}:{curr} outside nodes 0..{n - 1}")
-        if curr in links.setdefault(prev, {}):
-            raise ParseError(f"link {prev}:{curr} given twice")
-        links[prev][curr] = weight
-    return links
 
 
 def _degree_sum(a: np.ndarray) -> np.ndarray:

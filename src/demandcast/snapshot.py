@@ -3,7 +3,7 @@
 Snapshots are line-oriented ``key=value`` text with a versioned first
 line, for example::
 
-    demandcast-snapshot v2 kind=mlp
+    demandcast-snapshot v3 kind=mlp
 
 Each model lists its fields in order and hands them to ``dump``; extra
 caller metadata follows as ``extra.<key>=<value>`` lines in insertion
@@ -13,12 +13,12 @@ reconstruct an IEEE double exactly, so parse followed by serialize is
 byte-identical. Arrays are space-separated in row-major order, integer
 arrays as exact integers.
 
-Format 2 holds a whole array on one line: an EFuNN snapshot writes
+Format 3 holds a whole array on one line: an EFuNN snapshot writes
 ``nodes.w1`` (nodes x input degrees values), ``nodes.w2``,
-``nodes.age``, ``nodes.a1av`` and ``nodes.absorbed``, then one ``w3``
-line of ``prev:curr:weight`` triples, one per nonzero temporal link.
-Format 1, which held an EFuNN's arrays a node per line, is refused: a
-model saved in it is retrained with ``demandcast train``.
+``nodes.age``, ``nodes.a1av`` and ``nodes.absorbed``. Older formats are
+refused, and a model saved in one is retrained with ``demandcast
+train``: format 1 held an EFuNN's arrays a node per line, and format 2
+also held its temporal links, which EFuNN no longer has.
 
 A key may hold neither ``=`` nor a line break and a value no line
 break, since either would read back as something else; ``dump`` and
@@ -43,7 +43,7 @@ import numpy as np
 from .config import scalar_fields
 from .errors import DataError, DemandcastError, ParseError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # values of an array formatted at a time when writing
 _CHUNK = 16384
 _PREFIX = "demandcast-snapshot"

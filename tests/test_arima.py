@@ -193,6 +193,10 @@ def test_fit_names_the_length_its_spec_needs():
             "50), got 384")):
         fit(np.arange(384.0), ArimaSpec(p=1, d=1, q=1, sp=1, sq=1, season=48,
                                         pre_diff_lag=336))
+    # an order no series covers is refused before its lags are listed
+    with pytest.raises(DataError, match=re.escape(
+            "(0,1000000000000,0) needs at least 1000000000010 observations")):
+        fit(y, ArimaSpec(d=10**12))
 
 
 def test_seasonal_model_with_prediff_runs_end_to_end():

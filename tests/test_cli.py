@@ -37,7 +37,7 @@ def test_train_and_forecast_efunn(data_csv, tmp_path, capsys):
     snap = tmp_path / "efunn.snap"
     assert main(["train", "--model", "efunn", "--data", str(data_csv),
                  "--out", str(snap)]) == 0
-    assert snap.read_text().startswith("demandcast-snapshot v2 kind=efunn")
+    assert snap.read_text().startswith("demandcast-snapshot v3 kind=efunn")
     out = capsys.readouterr().out
     assert "1 pass" in out
 
@@ -53,7 +53,7 @@ def test_train_and_forecast_mlp(data_csv, tmp_path):
     snap = tmp_path / "mlp.snap"
     assert main(["train", "--model", "mlp-scg", "--data", str(data_csv),
                  "--out", str(snap), "--epochs", "3", "--seed", "1"]) == 0
-    assert snap.read_text().startswith("demandcast-snapshot v2 kind=mlp")
+    assert snap.read_text().startswith("demandcast-snapshot v3 kind=mlp")
     fc = tmp_path / "fc.csv"
     assert main(["forecast", "--snapshot", str(snap), "--data", str(data_csv),
                  "--out", str(fc)]) == 0
@@ -64,7 +64,7 @@ def test_train_and_forecast_arima(data_csv, tmp_path):
     snap = tmp_path / "arima.snap"
     assert main(["train", "--model", "arima", "--data", str(data_csv),
                  "--out", str(snap)]) == 0
-    assert snap.read_text().startswith("demandcast-snapshot v2 kind=arima")
+    assert snap.read_text().startswith("demandcast-snapshot v3 kind=arima")
     fc = tmp_path / "fc.csv"
     assert main(["forecast", "--snapshot", str(snap), "--data", str(data_csv),
                  "--out", str(fc)]) == 0
@@ -183,8 +183,11 @@ EXIT_1_CASES = (
     "arima on another csv", "arima on a longer csv", "corrupt efunn field",
     "corrupt efunn array", "binary snapshot", "unimplemented mlp activation",
     "nan mlp weight", "nan arima coefficient", "nan efunn weight",
-    "format 1 efunn forecast", "format 1 mlp forecast",
-    "format 1 arima forecast", "format 1 efunn rules",
+    *(f"format {version} {case}" for version in (1, 2)
+      for case in ("efunn forecast", "mlp forecast", "arima forecast",
+                   "efunn rules")),
+    "huge efunn node count", "huge arima differencing order",
+    *(f"removed efunn key {key}" for key in ("lr3", "tc", "ss")),
     "one-value norm bounds", "nan norm min", "norm max at its min",
     "zero-unit mlp layer", "extra arima coefficient",
     "short arima z_tail", "short arima e_tail", "arima stage lag",
@@ -259,6 +262,8 @@ def bad_inputs(data_csv, tmp_path_factory):
         for key in ("z_tail", "e_tail"))
     lag = write("lag.snap", arima_text.replace("\nstage.1.lag=1\n",
                                                "\nstage.1.lag=2\n"))
+    huge_d = write("huge-d.snap", arima_text.replace("\nspec.d=1\n",
+                                                     "\nspec.d=1000000000000\n"))
     # a trained snapshot of each network, with normalization bounds
     trained = {"efunn": str(d / "trained-efunn.snap"),
                "mlp": str(d / "trained-mlp.snap")}
@@ -283,15 +288,27 @@ def bad_inputs(data_csv, tmp_path_factory):
                    lambda lo, hi: (["nan"] + lo[1:], hi))
     flat_max = norm("flat-max.snap", "mlp",
                     lambda lo, hi: (lo, lo[:1] + hi[1:]))
-    # a fresh snapshot of each kind with a format 1 header
-    v1 = {kind: write(f"{kind}-v1.snap", Path(snap).read_text()
-                      .replace(" v2 ", " v1 ", 1))
-          for kind, snap in (*trained.items(), ("arima", arima_snap))}
-    retrain = ("snapshot format 'v1' is not read, only 'v2': retrain the "
-               "model with 'demandcast train'")
+    # a fresh snapshot of each kind with a format 1 or 2 header
+    old = {(version, kind): write(f"{kind}-v{version}.snap",
+                                  Path(snap).read_text()
+                                  .replace(" v3 ", f" v{version} ", 1))
+           for version in (1, 2)
+           for kind, snap in (*trained.items(), ("arima", arima_snap))}
+
+    def retrain(version):
+        return (f"snapshot format 'v{version}' is not read, only 'v3': "
+                "retrain the model with 'demandcast train'")
+
+    # a node count no array fits, which must not size an allocation
+    text = Path(trained["efunn"]).read_text()
+    nodes = int(re.search(r"\nnodes=(\d+)\n", text)[1])
+    huge = write("huge.snap", text.replace(f"\nnodes={nodes}\n",
+                                           "\nnodes=1000000000000\n"))
+    removed = {key: write(f"{key}.cfg", f"sthr=0.9\n{key}={value}\n")
+               for key, value in (("lr3", 0.3), ("tc", 0.2), ("ss", 2))}
     # init_mlp refuses a layer of no units; a snapshot of one would
     # forecast bias.1 for every input
-    zero = write("zero.snap", "demandcast-snapshot v2 kind=mlp\nlayers=6 0 1\n"
+    zero = write("zero.snap", "demandcast-snapshot v3 kind=mlp\nlayers=6 0 1\n"
                  "hidden_activation=tanh_sigmoid\noutput_activation=linear\n"
                  "weight.0=\nbias.0=\nweight.1=\nbias.1=0.5\n")
     assert main(["synth", "--days", "40", "--seed", "4", "--out", other]) == 0
@@ -315,7 +332,7 @@ def bad_inputs(data_csv, tmp_path_factory):
     def forecast(data, snap=arima_snap):
         return ["forecast", "--snapshot", snap, "--data", data, "--out", out]
 
-    return {
+    cases = {
         "bad csv header": (train("efunn", header), f"{header}: bad header"),
         "timestamp gap": (train("arima", gap), f"{gap}:101:"),
         "nan demand, mlp": (train("mlp-scg", nan), f"{nan}:11: non-finite"),
@@ -359,14 +376,14 @@ def bad_inputs(data_csv, tmp_path_factory):
         "nan efunn weight": (
             ["rules", "--snapshot", nan_efunn],
             f"{nan_efunn}: snapshot key 'nodes.w2': holds a non-finite value"),
-        "format 1 efunn forecast": (forecast(str(data_csv), v1["efunn"]),
-                                    f"error: {v1['efunn']}: {retrain}"),
-        "format 1 mlp forecast": (forecast(str(data_csv), v1["mlp"]),
-                                  f"error: {v1['mlp']}: {retrain}"),
-        "format 1 arima forecast": (forecast(str(data_csv), v1["arima"]),
-                                    f"error: {v1['arima']}: {retrain}"),
-        "format 1 efunn rules": (["rules", "--snapshot", v1["efunn"]],
-                                 f"error: {v1['efunn']}: {retrain}"),
+        "huge arima differencing order": (
+            forecast(str(data_csv), huge_d),
+            f"{huge_d}: snapshot keys 'stage.*.lag' give 2 lags, expected "
+            "1000000000001 for (1,1000000000000,1)"),
+        "huge efunn node count": (
+            ["rules", "--snapshot", huge],
+            f"error: {huge}: snapshot key 'nodes.w1' holds {24 * nodes} "
+            f"values, expected {24 * 10**12}"),
         "one-value norm bounds": (
             forecast(str(data_csv), one_value),
             f"error: {one_value}: snapshot key 'extra.norm.mins' holds 1 "
@@ -422,6 +439,18 @@ def bad_inputs(data_csv, tmp_path_factory):
             f"{short_weight}: snapshot key 'weight.0' holds 1 values, "
             "expected 24"),
     }
+    for (version, kind), snap in old.items():
+        cases[f"format {version} {kind} forecast"] = (
+            forecast(str(data_csv), snap), f"error: {snap}: {retrain(version)}")
+        if kind == "efunn":
+            cases[f"format {version} efunn rules"] = (
+                ["rules", "--snapshot", snap],
+                f"error: {snap}: {retrain(version)}")
+    for key, cfg in removed.items():
+        cases[f"removed efunn key {key}"] = (
+            train("efunn", str(data_csv), "--config", cfg),
+            f"error: {cfg}:2: unknown efunn key {key!r}")
+    return cases
 
 
 @pytest.mark.parametrize("case", EXIT_1_CASES)

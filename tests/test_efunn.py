@@ -95,46 +95,6 @@ def test_node_statistics_run_as_mean_activation():
     assert m._a1av[0] == pytest.approx((1.0 + a) / 2.0)
 
 
-def test_temporal_link_update_oracle():
-    m = make_model(lr3=0.5)
-    m.learn_one(np.array([0.1]), 0.2)
-    m.learn_one(np.array([0.9]), 0.8)
-    assert m.links == {(0, 1): pytest.approx(0.5)}
-    assert m._last_winner == 1
-
-
-def test_temporal_links_stay_zero_at_default_rate():
-    m = make_model()  # lr3 = 0
-    for x in (0.1, 0.5, 0.9):
-        m.learn_one(np.array([x]), x)
-    assert m.links == {}
-
-
-def test_update_temporal_rejects_stale_indices():
-    m = make_model(lr3=0.1)
-    m.learn_one(np.array([0.1]), 0.2)
-    with pytest.raises(IndexError):
-        m.update_temporal(0, 5)
-
-
-def test_temporal_term_biases_activation():
-    m = make_model(lr3=0.5, tc=1.0)
-    m.learn_one(np.array([0.1]), 0.2)
-    m.learn_one(np.array([0.9]), 0.8)
-    ex = m.fuzzify_input(np.array([0.5]))
-    plain = make_model()
-    plain.learn_one(np.array([0.1]), 0.2)
-    plain.learn_one(np.array([0.9]), 0.8)
-    boosted = _a1(m, ex)
-    base = _a1(plain, ex)
-    # last winner was node 1 and w3[1, :] is zero, so nothing changes yet;
-    # force the link direction that was learned
-    m._last_winner = 0
-    linked = _a1(m, ex)
-    assert np.all(boosted >= base - 1e-15)
-    assert linked[1] >= boosted[1]
-
-
 def test_winner_take_all_propagates_one_node():
     m = make_model(m_mode="winner_take_all", sthr=0.5, errthr=0.5)
     m.learn_one(np.array([0.2]), 0.1)
@@ -177,16 +137,12 @@ def test_create_rule_node_raises_at_budget():
                            fuzzify(0.9, m.output_partition))
 
 
-def test_w3_buffer_grows_past_initial_capacity():
-    m = make_model(lr3=0.5)
+def test_learning_grows_past_initial_capacity():
+    m = make_model()
     xs = np.linspace(0.0, 1.0, 9)
     for x in xs:
         m.learn_one(np.array([x]), float(x))
     assert m.n_nodes == 9
-    # consecutive creations chain temporal links along the diagonal
-    assert sorted(m.links) == [(k, k + 1) for k in range(8)]
-    for k in range(8):
-        assert m.links[(k, k + 1)] == pytest.approx(0.5)
 
 
 def test_learn_one_validates_shape_and_range():
@@ -234,19 +190,6 @@ def test_aggregate_requires_configuration():
         m.aggregate()
 
 
-def test_aggregate_remaps_last_winner():
-    m = make_model(mfs=2, aggregation=AggregationConfig(thr1=0.05, thr2=0.05))
-    m.learn_one(np.array([0.1]), 0.1)
-    m.create_rule_node(m.w1[0], m.w2[0])  # a twin of node 0
-    m.learn_one(np.array([0.9]), 0.9)
-    assert m._last_winner == 2
-    assert m.aggregate() == 1  # the twin merges into node 0
-    assert m._last_winner == 1  # node 2 shifted down
-    m.config.aggregation = AggregationConfig(thr1=1.0, thr2=1.0)
-    assert m.aggregate() == 1  # the winner itself merges into node 0
-    assert m.n_nodes == 1 and m._last_winner is None
-
-
 def test_aggregate_merges_close_pair_to_elementwise_average():
     m = make_model(mfs=2, aggregation=AggregationConfig(thr1=0.5, thr2=0.5))
     m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
@@ -257,19 +200,6 @@ def test_aggregate_merges_close_pair_to_elementwise_average():
     assert np.allclose(m.w1[0], [0.3, 0.7])
     assert m._age[0] == 7
     assert m._absorbed[0] == 2
-
-
-def test_aggregate_sums_temporal_links_of_merged_nodes():
-    m = make_model(mfs=2, lr3=1.0,
-                   aggregation=AggregationConfig(thr1=0.5, thr2=0.5))
-    m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
-    m.create_rule_node(np.array([0.3, 0.7]), np.array([0.5, 0.5]))
-    m.create_rule_node(np.array([0.9, 0.1]), np.array([0.1, 0.9]))
-    m.update_temporal(0, 2, 0.25)  # lr3 = 1: links of 0.25 and 0.5
-    m.update_temporal(1, 2, 0.5)
-    merged = m.aggregate()
-    assert merged == 1 and m.n_nodes == 2
-    assert m.links[(0, 1)] == pytest.approx(0.75)
 
 
 def test_aggregate_never_increases_node_count():
@@ -326,7 +256,7 @@ def test_rule_round_trip_rebuilds_identical_predictions():
 
 def test_snapshot_round_trip_is_byte_identical():
     rng = np.random.default_rng(8)
-    m = make_model(n_inputs=2, mfs=4, lr3=0.1, errthr=0.01)
+    m = make_model(n_inputs=2, mfs=4, errthr=0.01)
     for _ in range(25):
         m.learn_one(rng.uniform(size=2), float(rng.uniform()))
     text = m.to_text(extra={"note": "hello"})
@@ -334,7 +264,6 @@ def test_snapshot_round_trip_is_byte_identical():
     assert extra == {"note": "hello"}
     assert m2.to_text(extra=extra) == text
     assert m2.examples_seen == m.examples_seen
-    assert m2._last_winner == m._last_winner
     xs = rng.uniform(size=(10, 2))
     assert m2.predict(xs).tolist() == m.predict(xs).tolist()
 
@@ -353,9 +282,7 @@ def test_snapshot_save_load_file(tmp_path):
     ("nodes.w1", "0.5", "'nodes.w1' holds 1 values, expected 3"),
     ("nodes.age", "9" * 20, "'nodes.age' is out of range"),
     ("nodes.absorbed", "9" * 400, "'nodes.absorbed' is out of range"),
-    # w3 row 0 of a one-node model with a second entry
-    ("w3", "0:0:1 0:1:1", "link 0:1 outside nodes 0..0"),
-], ids=["short w1", "age past int64", "absorbed past float", "long w3 row"])
+], ids=["short w1", "age past int64", "absorbed past float"])
 def test_snapshot_rejects_node_fields_that_do_not_fit(key, value, message):
     m = make_model()
     m.learn_one(np.array([0.5]), 0.5)
@@ -392,16 +319,13 @@ _UNIT = st.floats(0.0, 1.0)
 
 @st.composite
 def trained_models(draw):
-    """Random small models, and inputs to score, over both activations,
-    both m_modes and (when drawn) temporal links that bias activation."""
-    temporal = draw(st.booleans())
+    """Random small models, and inputs to score, over both activations
+    and both m_modes."""
     n_in = draw(st.integers(1, 3))
     m = make_model(
         n_inputs=n_in, mfs=draw(st.integers(2, 4)),
         sthr=draw(st.floats(0.5, 0.99)), errthr=draw(st.floats(1e-4, 0.5)),
         lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
-        lr3=draw(st.floats(0.01, 0.5)) if temporal else 0.0,
-        tc=draw(st.floats(0.01, 1.0)) if temporal else 0.0,
         m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
         activation=draw(st.sampled_from(("satlin", "radbas"))),
     )
@@ -466,14 +390,6 @@ def test_rows_survive_capacity_growth():
     assert m.w1[0].tolist() == [1.0, 2.0] and m._w1sum[0] == 3.0
 
 
-def _dense_w3(m):
-    """The temporal links as the dense nodes x nodes square."""
-    w3 = np.zeros((m.n_nodes, m.n_nodes))
-    for (prev, curr), weight in m.links.items():
-        w3[prev, curr] = weight
-    return w3
-
-
 def _rows(m):
     """Each live rule node's row of every array, as plain values."""
     n = m.n_nodes
@@ -484,10 +400,8 @@ def _rows(m):
 
 
 def _old_aggregate(m, cfg):
-    """The pair loop aggregate used to run, on plain lists and a dense w3."""
+    """The pair loop aggregate used to run, on plain lists."""
     nodes = _rows(m)
-    w3 = _dense_w3(m)
-    last = m._last_winner
     i = 0
     while i < len(nodes):
         j = i + 1
@@ -500,16 +414,11 @@ def _old_aggregate(m, cfg):
                 a["age"] = max(a["age"], b["age"])
                 a["a1av"] = (a["a1av"] + b["a1av"]) / 2.0
                 a["absorbed"] += b["absorbed"]
-                w3[i, :] += w3[j, :]
-                w3[:, i] += w3[:, j]
-                w3 = np.delete(np.delete(w3, j, axis=0), j, axis=1)
                 del nodes[j]
-                if last is not None:
-                    last = None if last == j else last - (j < last)
             else:
                 j += 1
         i += 1
-    return nodes, w3, last
+    return nodes
 
 
 @_PROPERTY
@@ -517,31 +426,14 @@ def _old_aggregate(m, cfg):
 def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
     m, _ = model_and_xs
     m.config.aggregation = cfg = AggregationConfig(thr1=thr1, thr2=thr2)
-    nodes, w3, last = _old_aggregate(m, cfg)
+    nodes = _old_aggregate(m, cfg)
     before = m.n_nodes
     assert m.aggregate() == before - len(nodes)
-    assert m._last_winner == last
-    assert np.array_equal(_dense_w3(m), w3)
     for row, node in zip(_rows(m), nodes, strict=True):
         assert row["w1"].tolist() == node["w1"].tolist()
         assert row["w2"].tolist() == node["w2"].tolist()
         assert (row["age"], row["a1av"], row["absorbed"]) == (
             node["age"], node["a1av"], node["absorbed"])
-
-
-def test_aggregate_adds_links_in_the_dense_order():
-    # w3[i, :] += w3[j, :] before w3[:, i] += w3[:, j]: the other order
-    # gives w3[0, 0] = (1 + 0) + (e + e), one ulp above 1
-    m = make_model(mfs=2, lr3=1.0,
-                   aggregation=AggregationConfig(thr1=0.5, thr2=0.5))
-    m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
-    m.create_rule_node(np.array([0.3, 0.7]), np.array([0.5, 0.5]))
-    e = 2.0 ** -53
-    for prev, curr, weight in ((0, 0, 1.0), (1, 0, e), (1, 1, e)):
-        m.update_temporal(prev, curr, weight)
-    _, w3, _ = _old_aggregate(m, m.config.aggregation)
-    assert m.aggregate() == 1
-    assert m.links == {(0, 0): 1.0} and np.array_equal(_dense_w3(m), w3)
 
 
 def test_aggregate_skips_nodes_already_merged():
@@ -551,30 +443,24 @@ def test_aggregate_skips_nodes_already_merged():
     m = make_model(mfs=2, aggregation=cfg)
     for w1 in ([0.9, 0.1], [0.5, 0.5], [0.8, 0.2]):
         m.create_rule_node(np.array(w1), np.array([0.5, 0.5]))
-    nodes, _, _ = _old_aggregate(m, cfg)
+    nodes = _old_aggregate(m, cfg)
     assert m.aggregate() == 1
     assert m.w1.tolist() == [n["w1"].tolist() for n in nodes]
     assert m._absorbed[1] == 1
 
 
-def test_remove_nodes_moves_kept_rows_and_links():
+def test_remove_nodes_moves_kept_rows():
     rng = np.random.default_rng(12)
-    m = make_model(n_inputs=6, mfs=4, lr3=1.0)
+    m = make_model(n_inputs=6, mfs=4)
     for _ in range(1000):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
     m._absorbed[:1000] = np.arange(1000)  # the id rides in absorbed
-    for prev, curr in rng.integers(0, 1000, size=(20000, 2)):
-        m.update_temporal(int(prev), int(curr), rng.uniform())
-    w1, w3 = m.w1.copy(), _dense_w3(m)
+    w1 = m.w1.copy()
     m._remove_nodes(rng.choice(1000, size=400, replace=False))
     assert m.n_nodes == 600
     ids = m._absorbed[: m.n_nodes].copy()
     assert np.all(np.diff(ids) > 0)
     assert np.array_equal(m.w1, w1[ids])
-    assert np.array_equal(_dense_w3(m), w3[np.ix_(ids, ids)])
-    m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
-    w3 = _dense_w3(m)
-    assert not w3[-1].any() and not w3[:, -1].any()  # no stale links
 
 
 def test_aggregate_stays_bounded_at_4000_nodes():
@@ -684,8 +570,8 @@ def test_w1_is_degree_major_across_growth():
     assert m.w1.strides[0] == m.w1.itemsize  # one degree's nodes adjoin
 
 
-def test_w3_storage_appears_only_when_used():
-    # 2000 nodes at lr3 = tc = 0: a dense w3 would take 32 MB
+def test_2000_nodes_take_no_square_storage_or_line_per_node():
+    # a dense 2000 x 2000 array of node pairs would take 32 MB
     rng = np.random.default_rng(4)
     m = make_model(n_inputs=6, mfs=4)
     tracemalloc.start()
@@ -697,13 +583,14 @@ def test_w3_storage_appears_only_when_used():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     text = m.to_text()
-    assert "\nw3=\n" in text  # no links, and no line per node
+    lines = text.splitlines()
+    assert len(lines) < 100  # no line per node
+    assert not any(line.startswith("w3=") for line in lines)
     m2, _ = EfunnModel.from_text(text)
     assert m2.to_text() == text
-    assert m2.links == {}
 
 
-# -- sparse temporal links, stored degree sums, the fused kernel -----------
+# -- stored degree sums, the fused kernel -----------------------------------
 
 @pytest.mark.parametrize("nodes", [1, 100, 800, 3600])
 def test_distances_equal_the_row_major_formula_at_thousands_of_nodes(nodes):
@@ -761,34 +648,14 @@ def test_w1_is_read_only_outside_put_w1():
 
 @_PROPERTY
 @given(trained_models())
-def test_temporal_activation_equals_the_dense_formula(model_and_xs):
+def test_activation_equals_the_dense_formula(model_and_xs):
     m, xs = model_and_xs
-    cfg = m.config
-    w3 = _dense_w3(m)
     for x in xs:
         ex = m.fuzzify_input(x)
         dist = _old_distances(m.w1, ex[None, :])[0]
-        temporal = (cfg.tc * w3[m._last_winner]
-                    if cfg.tc != 0.0 and m._last_winner is not None else 0.0)
-        want = (satlin(1.0 - cfg.ss * dist + temporal)
-                if cfg.activation == "satlin"
-                else radbas(cfg.ss * dist - temporal))
+        want = (satlin(1.0 - dist) if m.config.activation == "satlin"
+                else radbas(dist))
         assert np.array_equal(_bits(_a1(m, ex)), _bits(want))
-
-
-def test_links_at_4000_nodes_need_no_square():
-    # a dense 4000 x 4000 w3 alone would take 128 MB
-    rng = np.random.default_rng(6)
-    m = make_model(n_inputs=6, mfs=4, lr3=0.5, tc=0.1, max_nodes=4000)
-    tracemalloc.start()
-    try:
-        while m.n_nodes < 4000:
-            m.learn_one(rng.uniform(size=6), float(rng.uniform()))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
-    assert len(m.links) > 3000  # about one link per learning step
 
 
 def _old_rules(m):

@@ -36,14 +36,11 @@ def test_discard_keeps_nothing():
 def efunn_streams(draw):
     """A small network's config and partitions, a stream, and inputs to
     score. Small budgets send the stream down the at-budget branch."""
-    temporal = draw(st.booleans())
     n_in = draw(st.integers(1, 3))
     mfs = draw(st.integers(2, 4))
     cfg = EfunnConfig(
         sthr=draw(st.floats(0.5, 0.99)), errthr=draw(st.floats(1e-4, 0.5)),
         lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
-        lr3=draw(st.floats(0.01, 0.5)) if temporal else 0.0,
-        tc=draw(st.floats(0.01, 1.0)) if temporal else 0.0,
         max_nodes=draw(st.sampled_from((1, 3, 100000))),
         m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
         activation=draw(st.sampled_from(("satlin", "radbas"))),
@@ -79,7 +76,7 @@ def test_at_budget_stream_learns_fixed_snapshot_bytes():
         m.learn_one(x[:6], float(x[6]))
     assert m.n_nodes == 20 and m._absorbed[:20].sum() == 400
     assert hashlib.sha256(m.to_text().encode()).hexdigest() == (
-        "79db037dc20132d2967b9f0795dfb8c8b2911826b352f1f4f9a68dfff25e047b")
+        "ad1351155990237eb7f567ff8fcee5fc00cc0479480b5943a46160910687cbc7")
 
 
 def test_an_update_at_the_node_budget_counts_its_flops():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from demandcast import arima, mlp, snapshot
 from demandcast.efunn import AggregationConfig, EfunnConfig, EfunnModel
 from demandcast.errors import DataError, ParseError
-from demandcast.fuzzy import build_partition
+from demandcast.fuzzy import build_partition, defuzzify, fuzzify, satlin
 
 
 def test_float_formatting_survives_round_trip():
@@ -62,7 +62,7 @@ def test_parse_array_accepts_what_float_accepts(tokens, sep):
 
 def test_header_line_round_trip():
     line = snapshot.header_line("efunn")
-    assert line == "demandcast-snapshot v2 kind=efunn"
+    assert line == "demandcast-snapshot v3 kind=efunn"
     assert snapshot.parse_header(line) == "efunn"
 
 
@@ -72,10 +72,15 @@ def test_parse_header_rejects_other_files():
     with pytest.raises(ParseError):
         snapshot.parse_header("demandcast-snapshot v9 kind=mlp")
     with pytest.raises(ParseError):
-        snapshot.parse_header("demandcast-snapshot v2 sort=mlp")
-    with pytest.raises(ParseError, match="format 'v1' is not read, only "
-                       "'v2': retrain the model with 'demandcast train'"):
-        snapshot.parse_header("demandcast-snapshot v1 kind=mlp")
+        snapshot.parse_header("demandcast-snapshot v3 sort=mlp")
+
+
+@pytest.mark.parametrize("kind", ["efunn", "mlp", "arima"])
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_parse_header_refuses_older_formats(version, kind):
+    with pytest.raises(ParseError, match=f"format '{version}' is not read, "
+                       "only 'v3': retrain the model with 'demandcast train'"):
+        snapshot.parse_header(f"demandcast-snapshot {version} kind={kind}")
 
 
 def test_load_skips_blanks_and_requires_equals():
@@ -114,7 +119,7 @@ _VALUE = st.one_of(_SPECIAL, st.floats())
 @given(st.one_of(
     # every value repeats
     st.lists(_VALUE, max_size=30).map(lambda v: v + v[::-1]),
-    # one value throughout, as in a row of an unused w3
+    # one value throughout, as in nodes.absorbed of unmerged nodes
     st.builds(lambda v, n: [v] * (2 * n), _VALUE, st.integers(1, 40)),
 ))
 @example([0.0] * 8)
@@ -180,8 +185,6 @@ def efunn_models(draw):
         errthr=draw(st.floats(1e-4, 0.5)),
         lr1=draw(st.floats(0.0, 0.5)),
         lr2=draw(st.floats(0.0, 0.5)),
-        lr3=draw(st.floats(0.0, 0.5)),
-        tc=draw(st.floats(0.0, 0.5)),
         max_nodes=draw(st.integers(1, 12)),
         m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
         activation=draw(st.sampled_from(("satlin", "radbas"))),
@@ -296,11 +299,11 @@ def test_failed_write_keeps_previous_snapshot(tmp_path, monkeypatch):
 # -- streamed reads ----------------------------------------------------------
 
 
-def _small_efunn(examples=4):
-    model = EfunnModel(EfunnConfig(lr3=0.2, tc=0.1),
+def _small_efunn():
+    model = EfunnModel(EfunnConfig(),
                        [build_partition(0.0, 1.0, 3, "gaussian", "x0")],
                        build_partition(0.0, 1.0, 3, "gaussian", "y"))
-    for x, y in ((0.1, 0.2), (0.9, 0.7), (0.5, 0.5), (0.12, 0.21))[:examples]:
+    for x, y in ((0.1, 0.2), (0.9, 0.7), (0.5, 0.5), (0.12, 0.21)):
         model.learn_one(np.array([x]), y)
     return model
 
@@ -359,8 +362,8 @@ def _load_growth(path):
 
 @pytest.mark.skipif(not Path("/proc/self/status").is_file(),
                     reason="reads the peak resident set from /proc")
-def test_format_2_load_holds_about_the_file_text_once(tmp_path):
-    # format 2 writes an array on one line (nodes.w1 is 85 % of this
+def test_load_holds_about_the_file_text_once(tmp_path):
+    # a snapshot holds an array on one line (nodes.w1 is 85 % of this
     # file): the body, that line's passing copies and the model's own
     # arrays stay within three times the file
     path = tmp_path / "big.snap"
@@ -391,7 +394,7 @@ def _fixture_stream():
     inputs = [build_partition(0.0, 1.0, 3, "triangular", "x0"),
               build_partition(0.0, 1.0, 4, "triangular", "x1")]
     output = build_partition(0.0, 1.0, 3, "triangular", "y")
-    model = EfunnModel(EfunnConfig(sthr=0.9, errthr=0.1, lr3=0.3, tc=0.2,
+    model = EfunnModel(EfunnConfig(sthr=0.9, errthr=0.1,
                                    aggregation=AggregationConfig(thr1=0.05,
                                                                  thr2=0.05)),
                        inputs, output)
@@ -402,10 +405,33 @@ def _fixture_stream():
     return model
 
 
+def _row_major_predict(model, grid):
+    """The crisp outputs of ``grid`` computed a row at a time from the
+    model's centroids by the row-major formulas: satlin of one minus the
+    normalized fuzzy difference, then the activation-weighted blend of
+    the nodes above sthr (or the winner), defuzzified."""
+    w1 = np.ascontiguousarray(model.w1)
+    w2 = model.w2
+    out = []
+    for x in grid:
+        ex = np.concatenate([fuzzify(v, p)
+                             for v, p in zip(x, model.input_partitions)])
+        dist = np.minimum(np.abs(w1 - ex).sum(axis=1)
+                          / (w1.sum(axis=1) + ex.sum()), 1.0)
+        a1 = satlin(1.0 - dist)
+        sel = np.flatnonzero(a1 > model.config.sthr)
+        if sel.size == 0:
+            sel = np.array([int(np.argmax(a1))])
+        total = a1[sel].sum()
+        a2 = satlin(a1[sel] @ w2[sel] / total if total > 0.0
+                    else w2[sel].mean(axis=0))
+        out.append(defuzzify(a2, model.output_partition))
+    return out
+
+
 def test_efunn_fixture_loads_to_the_same_model():
-    # written by format 1 code from _fixture_stream, then saved again as
-    # format 2: 30 nodes, 30 links of weight 0.6 or 0.9 (each transition
-    # seen two or three times)
+    # 30 nodes learned from _fixture_stream, which passes over each of
+    # its 30 examples three times
     path = _DATA / "efunn.snap"
     model, extra = EfunnModel.load(path)
     body, _ = snapshot.load(path.read_text(), "efunn")
@@ -416,15 +442,12 @@ def test_efunn_fixture_loads_to_the_same_model():
                       ("nodes.absorbed", "_absorbed")):
         assert getattr(model, name)[:n].ravel().tolist() == [
             float(v) for v in body[key].split()]
-    links = {(int(r), int(c)): float(v) for r, c, v in
-             (triple.split(":") for triple in body["w3"].split())}
-    assert len(links) == 30 and model.links == links
     # today's learning of the same stream gives the same model
     assert _fixture_stream().to_text() == model.to_text()
-    # the format 1 code's predictions, through the last winner's links
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
-    assert model.predict(grid).tolist() == snapshot.parse_array(
-        extra["predict.values"]).tolist()
+    values = snapshot.parse_array(extra["predict.values"]).tolist()
+    assert _row_major_predict(model, grid) == values
+    assert model.predict(grid).tolist() == values
 
 
 _PRUNING_LINES = ("config.pruning.old_age=1000\n"
@@ -446,21 +469,3 @@ def test_efunn_snapshot_with_a_pruning_block_loads_as_without(tmp_path):
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
     assert model.predict(grid).tolist() == snapshot.parse_array(
         extra["predict.values"]).tolist()
-
-
-@pytest.mark.parametrize("value, message", [
-    ("0:1", "bad link '0:1'"), ("0:1:x", "bad link '0:1:x'"),
-    ("0:1:1 0:1:2", "link 0:1 given twice"),
-    ("-1:0:1", "link -1:0 outside nodes 0..1"),
-])
-def test_bad_links_are_refused(value, message):
-    text = _small_efunn(2).to_text()
-    with pytest.raises(ParseError, match=message):
-        EfunnModel.from_text(re.sub(r"\nw3=[^\n]*", f"\nw3={value}", text))
-
-
-def test_only_nonzero_links_are_written():
-    model = _small_efunn(2)
-    model.update_temporal(1, 0, 0.0)  # an activation of 0 adds nothing
-    assert (1, 0) not in model.links
-    assert "\nw3=0:1:" in model.to_text()
