@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import snapshot
+from .config import finite_float
 from .errors import (ConfigError, ConvergenceError, DataError,
                      DegenerateError, ParseError)
 from .flops import DISCARD
@@ -253,9 +254,10 @@ def fit(series, spec: ArimaSpec, counter=DISCARD) -> ArimaFit:
     if not np.all(np.isfinite(y)):
         raise DataError("series contains non-finite values")
 
-    # one past the AR reach leaves one innovation; ten per free parameter
+    # one past the AR reach leaves one innovation, one past the MA reach
+    # lets every MA lag reach the data; ten per free parameter
     n_free = spec.n_coeffs + (1 if spec.estimates_intercept else 0)
-    usable = max(10 * max(1, n_free), spec.ar_reach + 1)
+    usable = max(10 * max(1, n_free), spec.ar_reach + 1, spec.ma_reach + 1)
     # the sum of stage_lags(), whose list waits until the series covers it
     span = spec.pre_diff_lag + spec.d + spec.sd * spec.season
     if y.size < span + usable:
@@ -405,10 +407,10 @@ def forecast(fit_: ArimaFit, horizon: int) -> np.ndarray:
 
 # ArimaFit fields stored as they are, in file order, with their parsers
 _FIT_FIELDS = (
-    ("intercept", snapshot.finite_float), ("ar", snapshot.parse_finite),
+    ("intercept", finite_float), ("ar", snapshot.parse_finite),
     ("ma", snapshot.parse_finite), ("seasonal_ar", snapshot.parse_finite),
-    ("seasonal_ma", snapshot.parse_finite), ("sigma2", snapshot.finite_float),
-    ("sse", snapshot.finite_float), ("iterations", int),
+    ("seasonal_ma", snapshot.parse_finite), ("sigma2", finite_float),
+    ("sse", finite_float), ("iterations", int),
     ("near_unit_root", lambda v: v.strip() == "1"),
     ("residuals", snapshot.parse_finite),
 )
@@ -446,6 +448,14 @@ def _from_fields(body: dict, extra: dict):
                  seasonal_ma=spec.sq)
     fields = {key: need(body, key, parse, sizes.get(key))
               for key, parse in _FIT_FIELDS}
+    # fit refuses an MA reach that is not below the differenced series,
+    # ar_reach + residuals values; checked before season sizes any array
+    seen = spec.ar_reach + fields["residuals"].size
+    if spec.ma_reach >= seen:
+        raise ParseError(f"snapshot key 'residuals' holds "
+                         f"{fields['residuals'].size} values: {spec.label()} "
+                         f"reaches {spec.ma_reach} lags back, past the "
+                         f"{seen} values its fit saw")
     lags = [need(body, f"stage.{k}.lag", int)
             for k in range(need(body, "stages", int))]
     # the count first, so that a huge d or sd lists no lags

@@ -133,10 +133,10 @@ class BenchReport:
 def make_partitions(mf_count: int = 4):
     """Input and output membership partitions over the normalized range."""
     inputs = [
-        build_partition(0.0, 1.0, mf_count, "gaussian", name)
+        build_partition(0.0, 1.0, mf_count, name)
         for name in FEATURE_NAMES
     ]
-    output = build_partition(0.0, 1.0, mf_count, "gaussian", dataset.TARGET_NAME)
+    output = build_partition(0.0, 1.0, mf_count, dataset.TARGET_NAME)
     return inputs, output
 
 

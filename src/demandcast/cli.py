@@ -20,7 +20,7 @@ from . import __version__
 from . import arima as arima_mod
 from . import bench, dataset, mlp, snapshot
 from .bench import HOLDOUT_PERIODS
-from .config import read_config, scalar_fields
+from .config import finite_float, read_config, scalar_fields
 from .dataset import HALF_HOURS_PER_DAY, NormStats
 from .efunn import EfunnConfig, EfunnModel
 from .errors import (ConvergenceError, DataError, DemandcastError,
@@ -55,15 +55,17 @@ def _parse_layers(text: str) -> tuple:
     return sizes
 
 
-_MLP_KEYS = dict(layers=_parse_layers, epsilon=float, alpha=float)
 # the ExperimentConfig field each mlp config key sets
 _MLP_SETTINGS = dict(layers="mlp_layers", epsilon="bp_epsilon", alpha="bp_alpha")
 _TRAIN_KEYS = {"efunn": dict(scalar_fields(EfunnConfig), mf_count=int),
-               "mlp-bp": _MLP_KEYS, "mlp-scg": _MLP_KEYS,
+               "mlp-bp": dict(layers=_parse_layers, epsilon=finite_float,
+                              alpha=finite_float),
+               "mlp-scg": dict(layers=_parse_layers),
                "arima": scalar_fields(arima_mod.ArimaSpec)}
-_BENCH_KEYS = dict(training_fraction=float, n_samples=int, test_periods=int,
-                   mf_count=int, bp_epsilon=float, bp_alpha=float,
-                   mlp_layers=_parse_layers, models=_parse_names)
+_BENCH_KEYS = dict(training_fraction=finite_float, n_samples=int,
+                   test_periods=int, mf_count=int, bp_epsilon=finite_float,
+                   bp_alpha=finite_float, mlp_layers=_parse_layers,
+                   models=_parse_names)
 
 
 def _norm_extra(stats: NormStats) -> dict:
@@ -171,15 +173,25 @@ def _cmd_train(args) -> int:
 
 
 def _load(path):
-    """(kind, model or fit, extra) of a snapshot forecast can replay."""
+    """(kind, model or fit, extra) of a snapshot forecast can replay: an
+    ARIMA fit, or a network from the features to demand."""
     kind = snapshot.read_kind(path)
     if kind == "arima":
         return (kind, *arima_mod.load(path))
     if kind == "efunn":
-        return (kind, *EfunnModel.load(path))
-    if kind == "mlp":
-        return (kind, *mlp.load(path))
-    raise ParseError(f"{path}: cannot forecast from snapshot kind {kind!r}")
+        model, extra = EfunnModel.load(path)
+        n_in, n_out = len(model.input_partitions), 1
+    elif kind == "mlp":
+        model, extra = mlp.load(path)
+        n_in, n_out = model.layer_sizes[0], model.layer_sizes[-1]
+    else:
+        raise ParseError(f"{path}: cannot forecast from snapshot kind {kind!r}")
+    want = len(dataset.FEATURE_NAMES)
+    if (n_in, n_out) != (want, 1):
+        raise DataError(f"{path}: the {kind} model maps {n_in} inputs to "
+                        f"{n_out} output(s); forecast needs {want} inputs "
+                        "and one output")
+    return kind, model, extra
 
 
 def _cmd_forecast(args) -> int:

@@ -8,15 +8,26 @@ is converted by the caller's converter for that key. Every error names
 the file, and an error in a line names ``file:line``.
 """
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
 
 
+def finite_float(text: str) -> float:
+    """``float`` of a setting or model parameter, which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def scalar_fields(cls) -> dict:
-    """Converter per int/float/str field of a settings dataclass."""
-    return {f.name: f.type for f in fields(cls) if f.type in (int, float, str)}
+    """Converter per int/float/str field of a settings dataclass; floats
+    must be finite."""
+    return {f.name: finite_float if f.type is float else f.type
+            for f in fields(cls) if f.type in (int, float, str)}
 
 
 def read_config(path, schema: dict, context: str) -> dict:

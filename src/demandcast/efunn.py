@@ -49,7 +49,6 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateError,
-    DisabledError,
     EmptyModelError,
     ParseError,
     ShapeError,
@@ -72,26 +71,13 @@ ACTIVATIONS = ("satlin", "radbas")
 
 
 @dataclass
-class AggregationConfig:
-    """Distance thresholds under which two rule nodes merge into one."""
-
-    thr1: float = 0.1
-    thr2: float = 0.1
-
-    def __post_init__(self):
-        if self.thr1 < 0.0 or self.thr2 < 0.0:
-            raise ConfigError("aggregation thresholds must be >= 0")
-
-
-@dataclass
 class EfunnConfig:
     """Learning parameters of the evolving network.
 
     sthr is the sensitivity threshold (minimum activation for a node to
     absorb an example), errthr the maximum fuzzy output error before a
     new node is created, lr1/lr2 the learning rates of the input and
-    output centroids. Aggregation stays off unless its config block is
-    supplied.
+    output centroids.
     """
 
     sthr: float = 0.99
@@ -101,7 +87,6 @@ class EfunnConfig:
     max_nodes: int = 100000
     m_mode: str = "all_above_threshold"
     activation: str = "satlin"
-    aggregation: Optional[AggregationConfig] = None
 
     def __post_init__(self):
         if not 0.0 < self.sthr < 1.0:
@@ -457,7 +442,7 @@ class EfunnModel:
 
     # -- structure maintenance --------------------------------------------
 
-    def aggregate(self) -> int:
+    def aggregate(self, thr1: float, thr2: float) -> int:
         """Greedily merge node pairs whose centroids sit within thresholds.
 
         In index order, each surviving node absorbs every later node
@@ -465,9 +450,8 @@ class EfunnModel:
         current centroids, scanning all later nodes at once; merged
         nodes are removed together at the end.
         """
-        cfg = self.config.aggregation
-        if cfg is None:
-            raise DisabledError("aggregation is not configured on this model")
+        if not (thr1 >= 0.0 and thr2 >= 0.0):  # refuses nan too
+            raise ConfigError("aggregation thresholds must be >= 0")
         n = self._n
         w1, w2 = self._w1, self.w2
         age, a1av, absorbed = self._age, self._a1av, self._absorbed
@@ -478,8 +462,8 @@ class EfunnModel:
                 d1, bad1 = _differences(w1[i], w1[start:n])
                 d2, bad2 = _differences(w2[i], w2[start:])
                 # an undefined difference stops the scan where it is reached
-                hit = live[start:] & (bad1 | ((d1 <= cfg.thr1)
-                                              & (bad2 | (d2 <= cfg.thr2))))
+                hit = live[start:] & (bad1 | ((d1 <= thr1)
+                                              & (bad2 | (d2 <= thr2))))
                 if not hit.any():
                     break
                 j = start + int(np.argmax(hit))
@@ -535,11 +519,7 @@ class EfunnModel:
 
     def _fields(self) -> dict:
         """Snapshot fields in file order."""
-        cfg = self.config
-        fields = snapshot.config_fields("config", cfg)
-        if cfg.aggregation is not None:
-            fields.update(snapshot.config_fields("config.aggregation",
-                                                 cfg.aggregation))
+        fields = snapshot.config_fields("config", self.config)
         fields["inputs"] = len(self.input_partitions)
         for i, p in enumerate(self.input_partitions):
             fields.update(_partition_fields(f"partition.in.{i}", p))
@@ -562,9 +542,6 @@ class EfunnModel:
     def _from_fields(cls, body: dict, extra: dict):
         need = snapshot.need
         kwargs = snapshot.config_kwargs(EfunnConfig, body, "config")
-        if any(key.startswith("config.aggregation.") for key in body):
-            kwargs["aggregation"] = AggregationConfig(**snapshot.config_kwargs(
-                AggregationConfig, body, "config.aggregation"))
         n_in = need(body, "inputs", int)
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")
@@ -651,15 +628,19 @@ def _differences(v: np.ndarray, rows: np.ndarray):
 
 
 def _partition_fields(prefix: str, p: MembershipPartition) -> dict:
-    return {f"{prefix}.name": p.variable_name, f"{prefix}.kind": p.kind,
+    return {f"{prefix}.name": p.variable_name, f"{prefix}.kind": "gaussian",
             f"{prefix}.centers": p.centers, f"{prefix}.widths": p.widths}
 
 
 def _partition_from(body: dict, prefix: str) -> MembershipPartition:
     need = snapshot.need
+    # fuzzify_rows implements Gaussian MFs only
+    kind = need(body, f"{prefix}.kind")
+    if kind != "gaussian":
+        raise ParseError(f"snapshot {prefix}.kind {kind!r} is not "
+                         "implemented; expected 'gaussian'")
     return MembershipPartition(
         variable_name=need(body, f"{prefix}.name"),
-        kind=need(body, f"{prefix}.kind"),
         centers=need(body, f"{prefix}.centers", snapshot.parse_finite),
         widths=need(body, f"{prefix}.widths", snapshot.parse_finite),
     )

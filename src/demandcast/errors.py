@@ -39,10 +39,6 @@ class CapacityError(DemandcastError):
     """A structural budget (rule node limit) would be exceeded."""
 
 
-class DisabledError(ConfigError):
-    """An optional feature was invoked without its configuration present."""
-
-
 class EmptyModelError(DemandcastError):
     """An operation needs a trained or non-empty model."""
 

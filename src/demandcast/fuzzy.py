@@ -1,9 +1,9 @@
 """Membership partitions and fuzzy arithmetic for the rule layer.
 
-A membership partition attaches a small set of membership functions (MFs)
-to one variable. Fuzzification turns a real value into per-MF membership
-degrees; defuzzification reduces degrees back to a real value by a
-center-of-gravity over the MF centers. The normalized fuzzy difference
+A membership partition attaches a few Gaussian membership functions
+(MFs) to one variable. Fuzzification turns a real value into per-MF
+membership degrees; defuzzification reduces degrees back to a real value
+by a center-of-gravity over the MF centers. The normalized fuzzy difference
 
     D(a, b) = sum(|a - b|) / sum(a + b)
 
@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateError, ShapeError
 
-MF_KINDS = ("gaussian", "triangular")
-
 
 def satlin(x):
     """Saturated linear activation: clamp to [0, 1]."""
@@ -35,22 +33,16 @@ def radbas(x):
 
 @dataclass(frozen=True, eq=False)
 class MembershipPartition:
-    """MF set for one variable: ascending centers with per-MF widths.
-
-    For gaussian MFs the width is the standard deviation; for triangular
-    MFs it is the half-base (membership reaches zero one width away from
-    the center). A partition is immutable, its arrays read-only copies,
-    and it compares and hashes by identity.
+    """Gaussian MF set for one variable: ascending centers, each MF's
+    width its standard deviation. A partition is immutable, its arrays
+    read-only copies, and it compares and hashes by identity.
     """
 
     variable_name: str
-    kind: str
     centers: np.ndarray
     widths: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in MF_KINDS:
-            raise ConfigError(f"unknown MF kind {self.kind!r}")
         centers = np.array(self.centers, dtype=float)
         widths = np.array(self.widths, dtype=float)
         centers.flags.writeable = widths.flags.writeable = False
@@ -80,22 +72,20 @@ class MembershipPartition:
         return float(self.centers[-1])
 
 
-def build_partition(lo, hi, n, kind="gaussian", name="x") -> MembershipPartition:
+def build_partition(lo, hi, n, name="x") -> MembershipPartition:
     """Evenly spaced partition of [lo, hi] with ``n`` membership functions.
 
-    Gaussian widths are half the center spacing, so adjacent MFs overlap
+    Widths are half the center spacing, so adjacent MFs overlap
     substantially and every in-range value keeps a strictly positive
-    degree. Triangular widths equal the spacing (adjacent MFs cross at
-    one half).
+    degree.
     """
     if n < 2:
         raise ConfigError(f"partition needs n >= 2 MFs, got {n}")
     if not hi > lo:
         raise ConfigError(f"partition range is empty: [{lo}, {hi}]")
     centers = np.linspace(lo, hi, n)
-    spacing = (hi - lo) / (n - 1)
-    width = spacing / 2.0 if kind == "gaussian" else spacing
-    return MembershipPartition(name, kind, centers, np.full(n, width))
+    width = (hi - lo) / (n - 1) / 2.0
+    return MembershipPartition(name, centers, np.full(n, width))
 
 
 def mf_labels(n: int) -> tuple:
@@ -126,33 +116,28 @@ def fuzzify_rows(xs, partitions) -> np.ndarray:
 
     Row i is the concatenation of ``fuzzify(xs[i, j], partitions[j])``
     over j, bit for bit: every degree of every row is one element of the
-    same array expression, whatever mix of gaussian and triangular
-    partitions is given.
+    same array expression.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != len(partitions):
         raise ShapeError(
             f"expected rows of {len(partitions)} values, got shape {xs.shape}"
         )
-    var, lo, hi, c, w, w2, gaussian = _mf_layout(tuple(partitions))
+    var, lo, hi, c, w2 = _mf_layout(tuple(partitions))
     d = np.minimum(np.maximum(xs[:, var], lo), hi) - c
-    return np.where(gaussian, np.exp(-(d ** 2) / w2),
-                    np.maximum(0.0, 1.0 - np.abs(d) / w))
+    return np.exp(-(d ** 2) / w2)
 
 
 @lru_cache(maxsize=32)
 def _mf_layout(partitions: tuple) -> tuple:
     """Per-MF read-only arrays of ``fuzzify_rows``: the input column, the
-    clamp bounds, center, width, gaussian denominator 2 w^2, and whether
-    the MF is gaussian."""
+    clamp bounds, center, and denominator 2 w^2 of width w."""
     sizes = [p.size for p in partitions]
     w = np.concatenate([p.widths for p in partitions])
     layout = (np.repeat(np.arange(len(partitions)), sizes),
               np.repeat([p.lo for p in partitions], sizes),
               np.repeat([p.hi for p in partitions], sizes),
-              np.concatenate([p.centers for p in partitions]), w,
-              2.0 * w * w,
-              np.repeat([p.kind == "gaussian" for p in partitions], sizes))
+              np.concatenate([p.centers for p in partitions]), 2.0 * w * w)
     for a in layout:
         a.flags.writeable = False
     return layout

@@ -97,15 +97,7 @@ def parse_array(text: str) -> np.ndarray:
 def parse_finite(text: str) -> np.ndarray:
     """``parse_array`` of a model parameter, which must be finite: a nan
     or inf parameter loads, but every answer computed from it is wrong."""
-    return _require_finite(parse_array(text))
-
-
-def finite_float(text: str) -> float:
-    """``float`` of a model parameter, which must be finite."""
-    return _require_finite(float(text))
-
-
-def _require_finite(values):
+    values = parse_array(text)
     if not np.isfinite(values).all():
         raise ParseError("holds a non-finite value")
     return values

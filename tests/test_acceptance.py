@@ -13,7 +13,7 @@ import numpy as np
 from demandcast import arima, bench, dataset, mlp
 from demandcast.arima import ArimaSpec
 from demandcast.bench import ExperimentConfig, emit_report, run_experiment
-from demandcast.efunn import AggregationConfig, EfunnConfig, EfunnModel
+from demandcast.efunn import EfunnConfig, EfunnModel
 from demandcast.fuzzy import build_partition, defuzzify, fuzzify, fuzzy_difference
 
 
@@ -208,10 +208,7 @@ def test_criterion_07_efunn_structural_suite():
         counts.append(model.n_nodes)
     monotone = counts == sorted(counts)
 
-    merged_model = EfunnModel(
-        EfunnConfig(aggregation=AggregationConfig(thr1=0.3, thr2=0.3)),
-        inputs[:1], output,
-    )
+    merged_model = EfunnModel(EfunnConfig(), inputs[:1], output)
     w1a = fuzzify(0.30, inputs[0])
     w1b = fuzzify(0.34, inputs[0])
     w2a = fuzzify(0.50, output)
@@ -219,7 +216,7 @@ def test_criterion_07_efunn_structural_suite():
     merged_model.create_rule_node(w1a, w2a)
     merged_model.create_rule_node(w1b, w2b)
     before = merged_model.n_nodes
-    merged_model.aggregate()
+    merged_model.aggregate(0.3, 0.3)
     agg_ok = (merged_model.n_nodes <= before
               and np.array_equal(merged_model.w1[0], (w1a + w1b) / 2.0)
               and np.array_equal(merged_model.w2[0], (w2a + w2b) / 2.0))

@@ -194,7 +194,11 @@ EXIT_1_CASES = (
     "arima spec longer than the series", "bench on 10 january days",
     "efunn bench on 10 january days", "efunn train on 10 january days",
     "non-utf-8 csv", "non-utf-8 config", "repeated bench model",
-    "short mlp weight",
+    "short mlp weight", "triangular efunn forecast", "triangular efunn rules",
+    "huge arima season config", "huge arima season snapshot",
+    "nan synth config", "inf train config", "nan bench config",
+    "backprop key for mlp-scg", "two-output mlp forecast",
+    "two-input efunn forecast",
 )
 
 
@@ -306,6 +310,37 @@ def bad_inputs(data_csv, tmp_path_factory):
                                            "\nnodes=1000000000000\n"))
     removed = {key: write(f"{key}.cfg", f"sthr=0.9\n{key}={value}\n")
                for key, value in (("lr3", 0.3), ("tc", 0.2), ("ss", 2))}
+    # fuzzify_rows implements Gaussian MFs only
+    triangular = write("triangular.snap", text.replace(
+        "\npartition.in.0.kind=gaussian\n",
+        "\npartition.in.0.kind=triangular\n"))
+    # a seasonal MA reach no series or snapshot array covers
+    season_cfg = write("season.cfg", "p=1\nd=1\nq=0\nsp=0\nsd=0\nsq=1\n"
+                       "season=1000000000000\n")
+    assert main(["train", "--model", "arima", "--data", str(data_csv),
+                 "--out", str(d / "sma.snap"), "--config",
+                 write("sma.cfg", "p=1\nd=1\nq=0\nsp=0\nsd=0\nsq=1\n"
+                       "season=48\n")]) == 0
+    season_snap = write("season.snap", re.sub(
+        r"\nresiduals=[^\n]*", "\nresiduals=0.5", re.sub(
+            r"\ne_tail=[^\n]*", "\ne_tail=0.5",
+            (d / "sma.snap").read_text().replace(
+                "\nspec.season=48\n", "\nspec.season=1000000000000\n"))))
+    # a non-finite number in each command's config file
+    nan_synth = write("nan-synth.cfg", "temp_noise=nan\n")
+    inf_train = write("inf-train.cfg", "sthr=0.9\nlr1=inf\n")
+    nan_bench = write("nan-bench.cfg", "training_fraction=nan\n")
+    scg_cfg = write("scg.cfg", "layers=6 4 1\nepsilon=0.5\nalpha=0.1\n")
+    # networks that do not map the six features to one output, with the
+    # normalization bounds of a trained snapshot
+    norm_extra = mlp.load(trained["mlp"])[1]
+    wide_mlp = str(d / "wide-mlp.snap")
+    mlp.save(mlp.init_mlp((6, 4, 2), seed=0), wide_mlp, norm_extra)
+    inputs, output = bench.make_partitions()
+    two_in = EfunnModel(EfunnConfig(), inputs[:2], output)
+    two_in.learn_one(np.full(2, 0.5), 0.5)
+    two_efunn = str(d / "two-efunn.snap")
+    two_in.save(two_efunn, norm_extra)
     # init_mlp refuses a layer of no units; a snapshot of one would
     # forecast bias.1 for every input
     zero = write("zero.snap", "demandcast-snapshot v3 kind=mlp\nlayers=6 0 1\n"
@@ -438,6 +473,46 @@ def bad_inputs(data_csv, tmp_path_factory):
              "--out", out],
             f"{short_weight}: snapshot key 'weight.0' holds 1 values, "
             "expected 24"),
+        "triangular efunn forecast": (
+            forecast(str(data_csv), triangular),
+            f"error: {triangular}: snapshot partition.in.0.kind 'triangular' "
+            "is not implemented; expected 'gaussian'"),
+        "triangular efunn rules": (
+            ["rules", "--snapshot", triangular],
+            f"error: {triangular}: snapshot partition.in.0.kind 'triangular' "
+            "is not implemented; expected 'gaussian'"),
+        "huge arima season config": (
+            train("arima", str(data_csv), "--config", season_cfg),
+            "error: (1,1,0)(0,0,1)[1000000000000] needs at least "
+            "1000000000002 observations (1 for differencing, then "
+            "1000000000001), got 1824"),
+        "huge arima season snapshot": (
+            forecast(str(data_csv), season_snap),
+            f"error: {season_snap}: snapshot key 'residuals' holds 1 values: "
+            "(1,1,0)(0,0,1)[1000000000000] reaches 1000000000000 lags back"),
+        "nan synth config": (
+            ["synth", "--out", out, "--config", nan_synth],
+            f"error: {nan_synth}:1: bad value 'nan' for 'temp_noise': "
+            "not a finite number"),
+        "inf train config": (
+            train("efunn", str(data_csv), "--config", inf_train),
+            f"error: {inf_train}:2: bad value 'inf' for 'lr1': "
+            "not a finite number"),
+        "nan bench config": (
+            ["bench", "--days", "40", "--out", out, "--config", nan_bench],
+            f"error: {nan_bench}:1: bad value 'nan' for 'training_fraction': "
+            "not a finite number"),
+        "backprop key for mlp-scg": (
+            train("mlp-scg", str(data_csv), "--config", scg_cfg),
+            f"error: {scg_cfg}:2: unknown mlp-scg key 'epsilon'"),
+        "two-output mlp forecast": (
+            forecast(str(data_csv), wide_mlp),
+            f"error: {wide_mlp}: the mlp model maps 6 inputs to 2 output(s); "
+            "forecast needs 6 inputs and one output"),
+        "two-input efunn forecast": (
+            forecast(str(data_csv), two_efunn),
+            f"error: {two_efunn}: the efunn model maps 2 inputs to 1 "
+            "output(s); forecast needs 6 inputs and one output"),
     }
     for (version, kind), snap in old.items():
         cases[f"format {version} {kind} forecast"] = (

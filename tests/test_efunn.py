@@ -5,11 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from demandcast.efunn import (_SCRATCH, AggregationConfig, EfunnConfig,
-                              EfunnModel, _degree_sum, _differences)
+from demandcast.efunn import (_SCRATCH, EfunnConfig, EfunnModel, _degree_sum,
+                              _differences)
 from demandcast.errors import (CapacityError, ConfigError, DataError,
-                               DisabledError, EmptyModelError, ParseError,
-                               ShapeError)
+                               EmptyModelError, ParseError, ShapeError)
 from demandcast.fuzzy import (build_partition, fuzzify,
                               fuzzy_difference, mf_labels, radbas, satlin)
 
@@ -184,18 +183,12 @@ def test_predict_recovers_memorized_targets():
         [0.8, 0.3, 0.6], abs=0.05)
 
 
-def test_aggregate_requires_configuration():
-    m = make_model()
-    with pytest.raises(DisabledError):
-        m.aggregate()
-
-
 def test_aggregate_merges_close_pair_to_elementwise_average():
-    m = make_model(mfs=2, aggregation=AggregationConfig(thr1=0.5, thr2=0.5))
+    m = make_model(mfs=2)
     m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
     m.create_rule_node(np.array([0.4, 0.6]), np.array([0.5, 0.5]))
     m._age[:2] = 3, 7
-    assert m.aggregate() == 1
+    assert m.aggregate(0.5, 0.5) == 1
     assert m.n_nodes == 1
     assert np.allclose(m.w1[0], [0.3, 0.7])
     assert m._age[0] == 7
@@ -204,11 +197,11 @@ def test_aggregate_merges_close_pair_to_elementwise_average():
 
 def test_aggregate_never_increases_node_count():
     rng = np.random.default_rng(3)
-    m = make_model(mfs=3, aggregation=AggregationConfig(thr1=0.2, thr2=0.2))
+    m = make_model(mfs=3)
     for _ in range(30):
         m.learn_one(rng.uniform(size=1), float(rng.uniform()))
     before = m.n_nodes
-    m.aggregate()
+    m.aggregate(0.2, 0.2)
     assert m.n_nodes <= before
 
 
@@ -307,7 +300,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EfunnConfig(max_nodes=0)
     with pytest.raises(ConfigError):
-        AggregationConfig(thr1=-0.1)
+        make_model().aggregate(-0.1, 0.0)
+    with pytest.raises(ConfigError):
+        make_model().aggregate(0.0, float("nan"))
 
 
 # -- the rule layer as arrays --------------------------------------------
@@ -399,7 +394,7 @@ def _rows(m):
                 m.w1, m.w2, m._age[:n], m._a1av[:n], m._absorbed[:n])]
 
 
-def _old_aggregate(m, cfg):
+def _old_aggregate(m, thr1, thr2):
     """The pair loop aggregate used to run, on plain lists."""
     nodes = _rows(m)
     i = 0
@@ -407,8 +402,8 @@ def _old_aggregate(m, cfg):
         j = i + 1
         while j < len(nodes):
             a, b = nodes[i], nodes[j]
-            if (fuzzy_difference(a["w1"], b["w1"]) <= cfg.thr1
-                    and fuzzy_difference(a["w2"], b["w2"]) <= cfg.thr2):
+            if (fuzzy_difference(a["w1"], b["w1"]) <= thr1
+                    and fuzzy_difference(a["w2"], b["w2"]) <= thr2):
                 a["w1"] = (a["w1"] + b["w1"]) / 2.0
                 a["w2"] = (a["w2"] + b["w2"]) / 2.0
                 a["age"] = max(a["age"], b["age"])
@@ -425,10 +420,9 @@ def _old_aggregate(m, cfg):
 @given(trained_models(), st.floats(0.0, 0.6), st.floats(0.0, 0.6))
 def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
     m, _ = model_and_xs
-    m.config.aggregation = cfg = AggregationConfig(thr1=thr1, thr2=thr2)
-    nodes = _old_aggregate(m, cfg)
+    nodes = _old_aggregate(m, thr1, thr2)
     before = m.n_nodes
-    assert m.aggregate() == before - len(nodes)
+    assert m.aggregate(thr1, thr2) == before - len(nodes)
     for row, node in zip(_rows(m), nodes, strict=True):
         assert row["w1"].tolist() == node["w1"].tolist()
         assert row["w2"].tolist() == node["w2"].tolist()
@@ -439,12 +433,11 @@ def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
 def test_aggregate_skips_nodes_already_merged():
     # node 0 absorbs node 2 first; node 1, within reach of node 2 but not
     # of node 0, must not absorb it again
-    cfg = AggregationConfig(thr1=0.3, thr2=0.3)
-    m = make_model(mfs=2, aggregation=cfg)
+    m = make_model(mfs=2)
     for w1 in ([0.9, 0.1], [0.5, 0.5], [0.8, 0.2]):
         m.create_rule_node(np.array(w1), np.array([0.5, 0.5]))
-    nodes = _old_aggregate(m, cfg)
-    assert m.aggregate() == 1
+    nodes = _old_aggregate(m, 0.3, 0.3)
+    assert m.aggregate(0.3, 0.3) == 1
     assert m.w1.tolist() == [n["w1"].tolist() for n in nodes]
     assert m._absorbed[1] == 1
 
@@ -465,13 +458,12 @@ def test_remove_nodes_moves_kept_rows():
 
 def test_aggregate_stays_bounded_at_4000_nodes():
     rng = np.random.default_rng(11)
-    m = make_model(n_inputs=6, mfs=4,
-                   aggregation=AggregationConfig(thr1=0.2, thr2=0.2))
+    m = make_model(n_inputs=6, mfs=4)
     for _ in range(4000):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
     tracemalloc.start()
     try:
-        merged = m.aggregate()
+        merged = m.aggregate(0.2, 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -555,11 +547,11 @@ def test_disjoint_supports_lie_at_distance_one():
     v = np.array([0.5884578316577732, 0.0, 0.5884578316577732])
     rows = np.array([[0.0, 0.5, 0.0]])
     assert _differences(v, rows)[0].tolist() == [1.0]
-    m = make_model(aggregation=AggregationConfig(thr1=1.0, thr2=1.0))
+    m = make_model()
     m.create_rule_node(v, np.array([0.0, 1.0, 0.0]))
     m.create_rule_node(rows[0], np.array([0.0, 1.0, 0.0]))
     assert _distances(m, v[None, :]).tolist() == [[0.0, 1.0]]
-    assert m.aggregate() == 1  # every pair lies within thr1 = thr2 = 1
+    assert m.aggregate(1.0, 1.0) == 1  # every pair lies within thr1 = thr2 = 1
 
 
 def test_w1_is_degree_major_across_growth():
@@ -618,7 +610,6 @@ def _assert_sums_fresh(m):
     st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
 def test_stored_degree_sums_stay_fresh(model_and_xs, ops, thr, seed):
     m, xs = model_and_xs
-    m.config.aggregation = AggregationConfig(thr1=thr, thr2=thr)
     rng = np.random.default_rng(seed)
     _assert_sums_fresh(m)
     for op in ops:
@@ -626,7 +617,7 @@ def test_stored_degree_sums_stay_fresh(model_and_xs, ops, thr, seed):
             for x in xs:
                 m.learn_one(x, float(rng.uniform()))
         elif op == "aggregate":
-            m.aggregate()
+            m.aggregate(thr, thr)
         elif op == "reload":
             m, _ = EfunnModel.from_text(m.to_text())
         elif m.n_nodes:  # write a centroid

@@ -35,11 +35,6 @@ def test_build_partition_even_centers_and_half_spacing_widths():
     assert np.allclose(p.widths, [1 / 6] * 4)
 
 
-def test_build_partition_triangular_uses_full_spacing():
-    p = build_partition(0.0, 1.0, 3, kind="triangular")
-    assert np.allclose(p.widths, [0.5, 0.5, 0.5])
-
-
 def test_build_partition_rejects_bad_counts_and_ranges():
     with pytest.raises(ConfigError):
         build_partition(0.0, 1.0, 1)
@@ -49,20 +44,15 @@ def test_build_partition_rejects_bad_counts_and_ranges():
 
 def test_partition_validates_ordering_and_positivity():
     with pytest.raises(ConfigError):
-        MembershipPartition("x", "gaussian", np.array([0.5, 0.2]),
-                            np.array([0.1, 0.1]))
+        MembershipPartition("x", np.array([0.5, 0.2]), np.array([0.1, 0.1]))
     with pytest.raises(ConfigError):
-        MembershipPartition("x", "gaussian", np.array([0.2, 0.5]),
-                            np.array([0.1, -0.1]))
-    with pytest.raises(ConfigError):
-        MembershipPartition("x", "unknown", np.array([0.2, 0.5]),
-                            np.array([0.1, 0.1]))
+        MembershipPartition("x", np.array([0.2, 0.5]), np.array([0.1, -0.1]))
 
 
 def test_partition_holds_read_only_copies():
     # fuzzify_rows caches per-MF arrays by partition, so they cannot change
     centers = np.array([0.2, 0.5])
-    p = MembershipPartition("x", "gaussian", centers, np.array([0.1, 0.1]))
+    p = MembershipPartition("x", centers, np.array([0.1, 0.1]))
     centers[0] = 0.0
     assert p.centers.tolist() == [0.2, 0.5]
     with pytest.raises(ValueError):
@@ -91,8 +81,7 @@ def test_fuzzify_peaks_at_centers():
 
 
 def test_defuzzify_center_of_gravity():
-    p = MembershipPartition("y", "gaussian", np.array([0.0, 1.0]),
-                            np.array([0.25, 0.25]))
+    p = MembershipPartition("y", np.array([0.0, 1.0]), np.array([0.25, 0.25]))
     assert defuzzify(np.array([0.2, 0.8]), p) == pytest.approx(0.8)
 
 
@@ -171,22 +160,18 @@ def test_mf_labels_level_names():
 def _scalar_fuzzify(x, p):
     """Per-variable fuzzification as a scalar formula."""
     x = min(max(float(x), p.lo), p.hi)
-    if p.kind == "gaussian":
-        return np.exp(-((x - p.centers) ** 2) / (2.0 * p.widths * p.widths))
-    return np.maximum(0.0, 1.0 - np.abs(x - p.centers) / p.widths)
+    return np.exp(-((x - p.centers) ** 2) / (2.0 * p.widths * p.widths))
 
 
 @st.composite
 def partitions_and_rows(draw):
-    """Random partitions of mixed kinds, and rows that reach past both
-    ends of every range."""
+    """Random partitions, and rows that reach past both ends of every
+    range."""
     parts = []
     for i in range(draw(st.integers(1, 6))):
         lo = draw(st.floats(-100.0, 100.0))
         span = draw(st.floats(1e-3, 100.0))
         parts.append(build_partition(lo, lo + span, draw(st.integers(2, 6)),
-                                     kind=draw(st.sampled_from(
-                                         ("gaussian", "triangular"))),
                                      name=f"x{i}"))
     values = [st.one_of(st.floats(p.lo - 10.0, p.hi + 10.0),
                         st.sampled_from([p.lo, p.hi, -np.inf, np.inf]))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from demandcast import arima, mlp, snapshot
-from demandcast.efunn import AggregationConfig, EfunnConfig, EfunnModel
+from demandcast.efunn import EfunnConfig, EfunnModel
 from demandcast.errors import DataError, ParseError
 from demandcast.fuzzy import build_partition, defuzzify, fuzzify, satlin
 
@@ -188,22 +188,19 @@ def efunn_models(draw):
         max_nodes=draw(st.integers(1, 12)),
         m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
         activation=draw(st.sampled_from(("satlin", "radbas"))),
-        aggregation=draw(st.none() | st.builds(
-            AggregationConfig, thr1=st.floats(0.0, 0.5),
-            thr2=st.floats(0.0, 0.5))),
     )
+    thr = draw(st.none() | st.floats(0.0, 0.5))
     n_in = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(("gaussian", "triangular")))
-    inputs = [build_partition(0.0, 1.0, draw(st.integers(2, 4)), kind, f"x{i}")
+    inputs = [build_partition(0.0, 1.0, draw(st.integers(2, 4)), f"x{i}")
               for i in range(n_in)]
-    output = build_partition(0.0, 1.0, draw(st.integers(2, 4)), kind, "y")
+    output = build_partition(0.0, 1.0, draw(st.integers(2, 4)), "y")
     model = EfunnModel(cfg, inputs, output)
     unit = st.floats(0.0, 1.0)
     for _ in range(draw(st.integers(0, 15))):
         model.learn_one(np.array(draw(st.lists(unit, min_size=n_in,
                                                max_size=n_in))), draw(unit))
-    if cfg.aggregation is not None:
-        model.aggregate()
+    if thr is not None:
+        model.aggregate(thr, thr)
     return model
 
 
@@ -245,8 +242,10 @@ def arima_fits(draw):
                            sp=draw(orders), sd=draw(orders), sq=draw(orders),
                            season=draw(st.integers(2, 48)),
                            pre_diff_lag=draw(st.integers(0, 336)))
-    # the sizes fit gives: from_text refuses a fit with other ones
-    residuals = draw(_arrays())
+    # the sizes fit gives: from_text refuses a fit with other ones, or
+    # with residuals too few for the MA reach
+    residuals = draw(_tiled(max(1, spec.ma_reach - spec.ar_reach + 1)
+                            + draw(st.integers(0, 6))))
     return arima.ArimaFit(
         spec=spec, intercept=draw(_FINITE),
         ar=draw(_arrays(spec.p, spec.p)), ma=draw(_arrays(spec.q, spec.q)),
@@ -301,8 +300,8 @@ def test_failed_write_keeps_previous_snapshot(tmp_path, monkeypatch):
 
 def _small_efunn():
     model = EfunnModel(EfunnConfig(),
-                       [build_partition(0.0, 1.0, 3, "gaussian", "x0")],
-                       build_partition(0.0, 1.0, 3, "gaussian", "y"))
+                       [build_partition(0.0, 1.0, 3, "x0")],
+                       build_partition(0.0, 1.0, 3, "y"))
     for x, y in ((0.1, 0.2), (0.9, 0.7), (0.5, 0.5), (0.12, 0.21)):
         model.learn_one(np.array([x]), y)
     return model
@@ -330,10 +329,9 @@ def test_load_reads_a_file_as_from_text_reads_its_text(kind, newline,
 
 def _big_efunn():
     rng = np.random.default_rng(0)
-    model = EfunnModel(EfunnConfig(), [build_partition(0.0, 1.0, 4, "gaussian",
-                                                       f"x{i}")
+    model = EfunnModel(EfunnConfig(), [build_partition(0.0, 1.0, 4, f"x{i}")
                                        for i in range(6)],
-                       build_partition(0.0, 1.0, 4, "gaussian", "y"))
+                       build_partition(0.0, 1.0, 4, "y"))
     for _ in range(3000):
         model.create_rule_node(rng.random(24), rng.random(4))
     return model
@@ -389,15 +387,11 @@ def test_committed_snapshot_loads_and_saves_byte_for_byte(path, tmp_path):
 
 def _fixture_stream():
     """The examples efunn.snap learned, in order: a 30-step pattern
-    three times over. Triangular partitions keep every step exact
-    arithmetic, with no exp whose last bit could vary by platform."""
-    inputs = [build_partition(0.0, 1.0, 3, "triangular", "x0"),
-              build_partition(0.0, 1.0, 4, "triangular", "x1")]
-    output = build_partition(0.0, 1.0, 3, "triangular", "y")
-    model = EfunnModel(EfunnConfig(sthr=0.9, errthr=0.1,
-                                   aggregation=AggregationConfig(thr1=0.05,
-                                                                 thr2=0.05)),
-                       inputs, output)
+    three times over."""
+    inputs = [build_partition(0.0, 1.0, 3, "x0"),
+              build_partition(0.0, 1.0, 4, "x1")]
+    output = build_partition(0.0, 1.0, 3, "y")
+    model = EfunnModel(EfunnConfig(sthr=0.9, errthr=0.1), inputs, output)
     for k in range(90):
         p = k % 30
         model.learn_one(np.array([(7 * p % 16) / 15, (p % 11) / 10]),
@@ -430,13 +424,13 @@ def _row_major_predict(model, grid):
 
 
 def test_efunn_fixture_loads_to_the_same_model():
-    # 30 nodes learned from _fixture_stream, which passes over each of
+    # 34 nodes learned from _fixture_stream, which passes over each of
     # its 30 examples three times
     path = _DATA / "efunn.snap"
     model, extra = EfunnModel.load(path)
     body, _ = snapshot.load(path.read_text(), "efunn")
     n = int(body["nodes"])
-    assert model.n_nodes == n == 30
+    assert model.n_nodes == n == 34
     for key, name in (("nodes.w1", "w1"), ("nodes.w2", "w2"),
                       ("nodes.age", "_age"), ("nodes.a1av", "_a1av"),
                       ("nodes.absorbed", "_absorbed")):
@@ -452,20 +446,24 @@ def test_efunn_fixture_loads_to_the_same_model():
 
 _PRUNING_LINES = ("config.pruning.old_age=1000\n"
                   "config.pruning.low_activation=0.050000000000000003\n"
-                  "config.pruning.density_radius=0.10000000000000001\n")
+                  "config.pruning.density_radius=0.10000000000000001\n"
+                  "config.aggregation.thr1=0.050000000000000003\n"
+                  "config.aggregation.thr2=0.050000000000000003\n")
 
 
 def test_efunn_snapshot_with_a_pruning_block_loads_as_without(tmp_path):
-    # snapshots once held pruning settings where the config block ends;
-    # no decoder reads them, and saving again leaves them out
+    # snapshots once held pruning and aggregation settings where the
+    # config block ends; no decoder reads them, and saving again leaves
+    # them out
     text = (_DATA / "efunn.snap").read_text()
-    at = text.index("config.aggregation.")
+    at = text.index("\ninputs=") + 1
     path = tmp_path / "pruned.snap"
     path.write_text(text[:at] + _PRUNING_LINES + text[at:])
     model, extra = EfunnModel.load(path)
     want, want_extra = EfunnModel.from_text(text)
     assert model.to_text(extra) == want.to_text(want_extra)
     assert "pruning" not in model.to_text(extra)
+    assert "aggregation" not in model.to_text(extra)
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
     assert model.predict(grid).tolist() == snapshot.parse_array(
         extra["predict.values"]).tolist()
