@@ -45,7 +45,8 @@ import numpy as np
 from . import arima as arima_mod
 from . import dataset, fuzzy, mlp, snapshot
 from . import efunn as efunn_mod
-from .dataset import FEATURE_NAMES, HALF_HOURS_PER_DAY, NormStats
+from .config import check_finite
+from .dataset import FEATURE_NAMES, HALF_HOURS_PER_DAY
 from .efunn import EfunnConfig, EfunnModel
 from .errors import ConfigError, DataError, DegenerateError
 from .flops import DISCARD, FlopCounter
@@ -81,6 +82,7 @@ class ExperimentConfig:
     models: tuple = MODEL_NAMES
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.training_fraction <= 1.0:
             raise ConfigError(
                 f"training fraction must be in (0, 1], got {self.training_fraction}"
@@ -126,7 +128,6 @@ class BenchReport:
     actuals: np.ndarray
     timestamps: list
     test_start: int
-    norm: NormStats
     training_examples: int
 
 
@@ -250,7 +251,6 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
         actuals=actual,
         timestamps=timestamps,
         test_start=test_start,
-        norm=stats,
         training_examples=len(samples[0]),
     )
 

@@ -23,6 +23,15 @@ def finite_float(text: str) -> float:
     return value
 
 
+def check_finite(cfg) -> None:
+    """Raise ConfigError if a float field of the settings dataclass
+    ``cfg`` holds nan or an infinity, which every range check passes."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 def scalar_fields(cls) -> dict:
     """Converter per int/float/str field of a settings dataclass; floats
     must be finite."""

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import read_config, scalar_fields
+from .config import check_finite, read_config, scalar_fields
 from .errors import ConfigError, DataError, DegenerateError, GapError, ParseError
 from .snapshot import format_float
 
@@ -253,6 +253,9 @@ class SynthConfig:
     spread_noise: float = 1.0
     demand_quantum: float = 1.0
     temp_quantum: float = 1.0
+
+    def __post_init__(self):
+        check_finite(self)
 
     @classmethod
     def from_file(cls, path) -> "SynthConfig":

@@ -12,10 +12,12 @@ Learning is strictly one pass. For each example the input is fuzzified,
 rule activations are computed from the normalized fuzzy difference, and
 the example is either absorbed by the activated nodes (their centroids
 drift toward it) or a fresh node is created that memorizes it exactly.
-A node's activation is ``satlin(1 - dist)`` or ``radbas(dist)`` of the
-normalized fuzzy difference ``dist`` alone. Kasabov's optional third
-layer of temporal links between consecutive winners is left out: a
-forecast here scores rows independently, in day blocks, so no row has a
+A node's activation is ``satlin(1 - dist)`` of the normalized fuzzy
+difference ``dist``, and the nodes above ``sthr`` (or else the most
+activated one) propagate; Kasabov's other modes and activations are
+left out, as the paper compares one configuration. So is his optional
+third layer of temporal links between consecutive winners: a forecast
+here scores rows independently, in day blocks, so no row has a
 previous winner to link from.
 
 The rule layer is held as the connection matrices of Kasabov (2001):
@@ -44,6 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import snapshot
+from .config import check_finite
 from .errors import (
     CapacityError,
     ConfigError,
@@ -62,12 +65,8 @@ from .fuzzy import (
     fuzzify_vector,
     fuzzy_difference,
     mf_labels,
-    radbas,
     satlin,
 )
-
-M_MODES = ("winner_take_all", "all_above_threshold")
-ACTIVATIONS = ("satlin", "radbas")
 
 
 @dataclass
@@ -85,10 +84,9 @@ class EfunnConfig:
     lr1: float = 0.05
     lr2: float = 0.05
     max_nodes: int = 100000
-    m_mode: str = "all_above_threshold"
-    activation: str = "satlin"
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.sthr < 1.0:
             raise ConfigError(f"sthr must be in (0, 1), got {self.sthr}")
         if self.errthr <= 0.0:
@@ -98,10 +96,6 @@ class EfunnConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.max_nodes < 1:
             raise ConfigError(f"max_nodes must be >= 1, got {self.max_nodes}")
-        if self.m_mode not in M_MODES:
-            raise ConfigError(f"unknown m_mode {self.m_mode!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 # distance scratch of batched scoring stays within this
@@ -113,7 +107,6 @@ _SCRATCH = 16
 @dataclass
 class LearnOutcome:
     created_node: bool
-    winner_index: int
     output_error: float
     nodes_total: int
 
@@ -306,14 +299,10 @@ class EfunnModel:
             raise EmptyModelError("model has no rule nodes")
         dist = self._distances(ex, scratch)
         counter.add(4 * len(ex) * self._n * self._w1.shape[1])
-        if self.config.activation == "satlin":
-            return satlin(1.0 - dist)
-        return radbas(dist)
+        return satlin(1.0 - dist)
 
     def _select(self, a1: np.ndarray) -> np.ndarray:
-        """Indices of the m nodes that propagate, per m_mode."""
-        if self.config.m_mode == "winner_take_all":
-            return np.array([int(np.argmax(a1))])
+        """Nodes that propagate: those above sthr, else the most activated."""
         sel = np.flatnonzero(a1 > self.config.sthr)
         if sel.size == 0:
             sel = np.array([int(np.argmax(a1))])
@@ -354,7 +343,8 @@ class EfunnModel:
         self.examples_seen += 1
 
         if not self._n:
-            return LearnOutcome(True, self.create_rule_node(ex, te), 0.0, 1)
+            self.create_rule_node(ex, te)
+            return LearnOutcome(True, 0.0, 1)
 
         a1 = self._activations(ex[None, :], self._scratch, counter)[0]
         n = self._n
@@ -363,28 +353,28 @@ class EfunnModel:
         age += 1
         counter.add(4 * n)
 
-        winner = int(np.argmax(a1))
         err = 0.0
-        if a1[winner] < cfg.sthr:
-            winner, created = self._create_or_absorb(ex, te, a1, counter)
+        if a1.max() < cfg.sthr:
+            created = self._create_or_absorb(ex, te, a1, counter)
         else:
             sel = self._select(a1)
             a2 = self._propagate(a1, sel, counter)
             err = fuzzy_difference(a2, te)
             if err > cfg.errthr:
-                winner, created = self._create_or_absorb(ex, te, a1, counter)
+                created = self._create_or_absorb(ex, te, a1, counter)
             else:
                 self._absorb(sel, ex, te, a1[sel, None], counter)
                 created = False
-        return LearnOutcome(created, winner, float(err), self._n)
+        return LearnOutcome(created, float(err), self._n)
 
-    def _create_or_absorb(self, ex, te, a1, counter):
-        """Create a node, or at the budget update the nearest one."""
+    def _create_or_absorb(self, ex, te, a1, counter) -> bool:
+        """Create a node (True), or at the budget update the nearest one."""
         if self._n < self.config.max_nodes:
-            return self.create_rule_node(ex, te), True
+            self.create_rule_node(ex, te)
+            return True
         k = int(np.argmax(a1))
         self._absorb(k, ex, te, float(a1[k]), counter)
-        return k, False
+        return False
 
     def _absorb(self, rows, ex, te, a1, counter=DISCARD) -> None:
         """Drift the centroids of ``rows`` toward an absorbed example.
@@ -542,6 +532,12 @@ class EfunnModel:
     def _from_fields(cls, body: dict, extra: dict):
         need = snapshot.need
         kwargs = snapshot.config_kwargs(EfunnConfig, body, "config")
+        # older v3 files name the one rule learn_one and predict implement
+        for key, implemented in (("config.m_mode", "all_above_threshold"),
+                                 ("config.activation", "satlin")):
+            if body.get(key, implemented) != implemented:
+                raise ParseError(f"snapshot {key} {body[key]!r} is not "
+                                 f"implemented; expected {implemented!r}")
         n_in = need(body, "inputs", int)
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")

@@ -8,8 +8,7 @@ by a center-of-gravity over the MF centers. The normalized fuzzy difference
     D(a, b) = sum(|a - b|) / sum(a + b)
 
 is the distance used between fuzzy vectors throughout the evolving
-network, together with the two scalar activations ``satlin`` and
-``radbas``.
+network, together with the saturated linear activation ``satlin``.
 """
 
 from dataclasses import dataclass
@@ -23,12 +22,6 @@ from .errors import ConfigError, DegenerateError, ShapeError
 def satlin(x):
     """Saturated linear activation: clamp to [0, 1]."""
     return np.clip(x, 0.0, 1.0)
-
-
-def radbas(x):
-    """Radial basis activation exp(-x^2)."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-x * x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import snapshot
+from .config import check_finite
 from .errors import (
     ConfigError,
     DataError,
@@ -190,18 +191,11 @@ class Batch:
         # the backward step of layers[l + 1] once its weight gradient is
         # taken: over the tanh outputs in acts[l + 1] when layers[l + 1]
         # has one output (a broadcast product needs no other buffer),
-        # else into the spent rows of acts[l + 2] when they fit and hold
-        # no delta; the output error overwrites the output
-        last = len(sizes) - 2
-        self.deltas = [None] * last + [self.acts[-1]]
-        for l in range(last - 1, -1, -1):
-            if sizes[l + 2] == 1:
-                self.deltas[l] = self.acts[l + 1][:-1]
-            elif (l + 2 <= last and sizes[l + 3] != 1
-                  and sizes[l + 2] == sizes[l + 1]):
-                self.deltas[l] = self.acts[l + 2][:-1]
-            else:
-                self.deltas[l] = np.empty((sizes[l + 1], n))
+        # else into a buffer of its own; the output error overwrites the
+        # output
+        self.deltas = [self.acts[l + 1][:-1] if sizes[l + 2] == 1
+                       else np.empty((sizes[l + 1], n))
+                       for l in range(len(sizes) - 2)] + [self.acts[-1]]
         self.grad = np.empty(model.n_params)
         self.grads = _layer_views(self.grad, sizes)
         self.grads_w = [g[:, :-1] for g in self.grads]
@@ -275,6 +269,7 @@ class BpConfig:
     epochs: int = 2500
 
     def __post_init__(self):
+        check_finite(self)
         if self.epsilon <= 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 <= self.alpha < 1.0:

@@ -44,6 +44,8 @@ def test_experiment_config_validation():
         ExperimentConfig(models=("efunn", "svm"))
     with pytest.raises(ConfigError):
         ExperimentConfig(models=())
+    with pytest.raises(ConfigError, match="bp_epsilon must be finite"):
+        ExperimentConfig(bp_epsilon=float("nan"))
 
 
 def test_run_experiment_needs_enough_records():

@@ -187,7 +187,9 @@ EXIT_1_CASES = (
       for case in ("efunn forecast", "mlp forecast", "arima forecast",
                    "efunn rules")),
     "huge efunn node count", "huge arima differencing order",
-    *(f"removed efunn key {key}" for key in ("lr3", "tc", "ss")),
+    *(f"removed efunn key {key}"
+      for key in ("lr3", "tc", "ss", "activation")),
+    "unimplemented efunn activation", "unimplemented efunn m_mode",
     "one-value norm bounds", "nan norm min", "norm max at its min",
     "zero-unit mlp layer", "extra arima coefficient",
     "short arima z_tail", "short arima e_tail", "arima stage lag",
@@ -309,7 +311,14 @@ def bad_inputs(data_csv, tmp_path_factory):
     huge = write("huge.snap", text.replace(f"\nnodes={nodes}\n",
                                            "\nnodes=1000000000000\n"))
     removed = {key: write(f"{key}.cfg", f"sthr=0.9\n{key}={value}\n")
-               for key, value in (("lr3", 0.3), ("tc", 0.2), ("ss", 2))}
+               for key, value in (("lr3", 0.3), ("tc", 0.2), ("ss", 2),
+                                  ("activation", "radbas"))}
+    # learn_one and predict implement one activation and one propagation
+    # rule, which older snapshots name in the config block
+    rule = {key: write(f"{key}.snap", text.replace(
+                "\ninputs=", f"\nconfig.{key}={value}\ninputs=", 1))
+            for key, value in (("activation", "radbas"),
+                               ("m_mode", "winner_take_all"))}
     # fuzzify_rows implements Gaussian MFs only
     triangular = write("triangular.snap", text.replace(
         "\npartition.in.0.kind=gaussian\n",
@@ -481,6 +490,15 @@ def bad_inputs(data_csv, tmp_path_factory):
             ["rules", "--snapshot", triangular],
             f"error: {triangular}: snapshot partition.in.0.kind 'triangular' "
             "is not implemented; expected 'gaussian'"),
+        "unimplemented efunn activation": (
+            forecast(str(data_csv), rule["activation"]),
+            f"error: {rule['activation']}: snapshot config.activation "
+            "'radbas' is not implemented; expected 'satlin'"),
+        "unimplemented efunn m_mode": (
+            ["rules", "--snapshot", rule["m_mode"]],
+            f"error: {rule['m_mode']}: snapshot config.m_mode "
+            "'winner_take_all' is not implemented; expected "
+            "'all_above_threshold'"),
         "huge arima season config": (
             train("arima", str(data_csv), "--config", season_cfg),
             "error: (1,1,0)(0,0,1)[1000000000000] needs at least "

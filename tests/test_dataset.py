@@ -231,6 +231,8 @@ def test_synthesize_validation():
         synthesize(1, seed=0)
     with pytest.raises(ConfigError):
         synthesize(10, seed=0, config=SynthConfig(start="someday"))
+    with pytest.raises(ConfigError, match="temp_noise must be finite"):
+        SynthConfig(temp_noise=float("nan"))
 
 
 def test_synth_config_file_round_trip(tmp_path):

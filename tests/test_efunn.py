@@ -10,7 +10,7 @@ from demandcast.efunn import (_SCRATCH, EfunnConfig, EfunnModel, _degree_sum,
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                EmptyModelError, ParseError, ShapeError)
 from demandcast.fuzzy import (build_partition, fuzzify,
-                              fuzzy_difference, mf_labels, radbas, satlin)
+                              fuzzy_difference, mf_labels, satlin)
 
 
 def make_model(n_inputs=1, mfs=3, **cfg_kwargs):
@@ -92,15 +92,6 @@ def test_node_statistics_run_as_mean_activation():
     m.learn_one(np.array([0.9]), 0.8)
     assert m._age[0] == 1
     assert m._a1av[0] == pytest.approx((1.0 + a) / 2.0)
-
-
-def test_winner_take_all_propagates_one_node():
-    m = make_model(m_mode="winner_take_all", sthr=0.5, errthr=0.5)
-    m.learn_one(np.array([0.2]), 0.1)
-    m.learn_one(np.array([0.8]), 0.9)
-    a1 = _a1(m, m.fuzzify_input(np.array([0.21])))
-    sel = m._select(a1)
-    assert sel.tolist() == [int(np.argmax(a1))]
 
 
 def test_all_above_threshold_falls_back_to_argmax():
@@ -217,13 +208,6 @@ def test_node_count_non_decreasing_as_sthr_tightens():
     assert counts == sorted(counts)
 
 
-def test_radbas_activation_mode_runs():
-    m = make_model(activation="radbas", sthr=0.9)
-    m.learn_one(np.array([0.4]), 0.6)
-    a1 = _a1(m, m.fuzzify_input(np.array([0.4])))
-    assert a1[0] == pytest.approx(1.0)
-
-
 def test_rule_text_reads_as_if_then():
     m = make_model(n_inputs=2, mfs=4)
     m.learn_one(np.array([0.05, 0.95]), 0.5)
@@ -296,9 +280,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EfunnConfig(errthr=0.0)
     with pytest.raises(ConfigError):
-        EfunnConfig(m_mode="most")
-    with pytest.raises(ConfigError):
         EfunnConfig(max_nodes=0)
+    # nan passes every range check
+    for bad in ({"errthr": np.nan}, {"lr1": np.nan}, {"lr2": np.inf}):
+        with pytest.raises(ConfigError, match="must be finite"):
+            EfunnConfig(**bad)
     with pytest.raises(ConfigError):
         make_model().aggregate(-0.1, 0.0)
     with pytest.raises(ConfigError):
@@ -314,15 +300,12 @@ _UNIT = st.floats(0.0, 1.0)
 
 @st.composite
 def trained_models(draw):
-    """Random small models, and inputs to score, over both activations
-    and both m_modes."""
+    """Random small models, and inputs to score."""
     n_in = draw(st.integers(1, 3))
     m = make_model(
         n_inputs=n_in, mfs=draw(st.integers(2, 4)),
         sthr=draw(st.floats(0.5, 0.99)), errthr=draw(st.floats(1e-4, 0.5)),
         lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
-        m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
-        activation=draw(st.sampled_from(("satlin", "radbas"))),
     )
     inputs = st.lists(_UNIT, min_size=n_in, max_size=n_in).map(np.array)
     for _ in range(draw(st.integers(1, 30))):
@@ -644,8 +627,7 @@ def test_activation_equals_the_dense_formula(model_and_xs):
     for x in xs:
         ex = m.fuzzify_input(x)
         dist = _old_distances(m.w1, ex[None, :])[0]
-        want = (satlin(1.0 - dist) if m.config.activation == "satlin"
-                else radbas(dist))
+        want = satlin(1.0 - dist)
         assert np.array_equal(_bits(_a1(m, ex)), _bits(want))
 
 

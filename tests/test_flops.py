@@ -42,8 +42,6 @@ def efunn_streams(draw):
         sthr=draw(st.floats(0.5, 0.99)), errthr=draw(st.floats(1e-4, 0.5)),
         lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
         max_nodes=draw(st.sampled_from((1, 3, 100000))),
-        m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
-        activation=draw(st.sampled_from(("satlin", "radbas"))),
     )
     partitions = ([build_partition(0.0, 1.0, mfs, name=f"x{i}")
                    for i in range(n_in)], build_partition(0.0, 1.0, mfs, name="y"))
@@ -76,7 +74,7 @@ def test_at_budget_stream_learns_fixed_snapshot_bytes():
         m.learn_one(x[:6], float(x[6]))
     assert m.n_nodes == 20 and m._absorbed[:20].sum() == 400
     assert hashlib.sha256(m.to_text().encode()).hexdigest() == (
-        "ad1351155990237eb7f567ff8fcee5fc00cc0479480b5943a46160910687cbc7")
+        "feb243df5bae8f6f8222ca1a9b351f75adeaccdc2129464d28760de03a757264")
 
 
 def test_an_update_at_the_node_budget_counts_its_flops():

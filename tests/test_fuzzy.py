@@ -9,7 +9,7 @@ from demandcast.errors import ConfigError, DegenerateError, ShapeError
 from demandcast.fuzzy import (MembershipPartition,
                               build_partition, defuzzify,
                               fuzzify, fuzzify_rows, fuzzify_vector,
-                              fuzzy_difference, mf_labels, radbas, satlin)
+                              fuzzy_difference, mf_labels, satlin)
 
 
 def test_satlin_clamps_to_unit_interval():
@@ -21,11 +21,6 @@ def test_satlin_clamps_to_unit_interval():
 def test_satlin_vectorized():
     out = satlin(np.array([-3.0, 0.25, 9.0]))
     assert np.array_equal(out, [0.0, 0.25, 1.0])
-
-
-def test_radbas_known_values():
-    assert radbas(0.0) == 1.0
-    assert math.isclose(radbas(1.0), 0.36787944117144233, rel_tol=1e-15)
 
 
 def test_build_partition_even_centers_and_half_spacing_widths():

@@ -217,6 +217,8 @@ def test_bp_config_validation():
         BpConfig(alpha=-0.1)
     with pytest.raises(ConfigError):
         BpConfig(epochs=0)
+    with pytest.raises(ConfigError, match="epsilon must be finite"):
+        BpConfig(epsilon=float("nan"))
 
 
 def test_rmse_oracle_and_errors():
@@ -413,7 +415,8 @@ def _grad_bits(result):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 48), min_size=2, max_size=4),
        st.integers(1, 300), st.integers(0, 2**16))
-# equal hidden widths: a hidden delta reuses a spent activation buffer
+# equal hidden widths: each hidden delta has a buffer of its own, apart
+# from the activation buffers of the same shape
 @example([6, 40, 40, 1], 167, 0)
 @example([2, 5, 5, 5, 5, 3], 30, 1)
 # one-unit layers: the delta below them is a broadcast product

@@ -186,8 +186,6 @@ def efunn_models(draw):
         lr1=draw(st.floats(0.0, 0.5)),
         lr2=draw(st.floats(0.0, 0.5)),
         max_nodes=draw(st.integers(1, 12)),
-        m_mode=draw(st.sampled_from(("winner_take_all", "all_above_threshold"))),
-        activation=draw(st.sampled_from(("satlin", "radbas"))),
     )
     thr = draw(st.none() | st.floats(0.0, 0.5))
     n_in = draw(st.integers(1, 3))
@@ -442,6 +440,24 @@ def test_efunn_fixture_loads_to_the_same_model():
     values = snapshot.parse_array(extra["predict.values"]).tolist()
     assert _row_major_predict(model, grid) == values
     assert model.predict(grid).tolist() == values
+
+
+def test_efunn_snapshot_naming_the_implemented_rule_loads_as_without(
+        tmp_path):
+    # snapshots once named the activation and propagation rule at the end
+    # of the config block; lines naming the one rule implemented load to
+    # the same model, and saving again leaves them out
+    text = (_DATA / "efunn.snap").read_text()
+    at = text.index("\ninputs=") + 1
+    path = tmp_path / "named.snap"
+    path.write_text(text[:at] + "config.m_mode=all_above_threshold\n"
+                    "config.activation=satlin\n" + text[at:])
+    model, extra = EfunnModel.load(path)
+    want, want_extra = EfunnModel.from_text(text)
+    assert model.to_text(extra) == want.to_text(want_extra) == text
+    grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
+    assert model.predict(grid).tolist() == snapshot.parse_array(
+        extra["predict.values"]).tolist()
 
 
 _PRUNING_LINES = ("config.pruning.old_age=1000\n"
