@@ -22,8 +22,8 @@ previous winner to link from.
 
 The rule layer is held as the connection matrices of Kasabov (2001):
 row k of ``w1`` (nodes x input degrees) and ``w2`` (nodes x output
-degrees) are node k's centroids, beside per-node ``age``, ``a1av`` and
-``absorbed`` vectors, all grown together by capacity doubling.
+degrees) are node k's centroids, beside per-node ``age`` and ``absorbed``
+vectors, all grown together by capacity doubling.
 
 ``w1`` is stored degree-major (Fortran order): the values of one input
 degree over all nodes are contiguous, so the fuzzy difference from an
@@ -35,6 +35,15 @@ per-node degree sums kept beside ``w1``. Every write to ``w1`` refreshes
 them, so every activation is bit-identical to the row-major
 ``|w1 - ex|.sum(axis=1) / (w1.sum(axis=1) + ex.sum())`` form, whatever
 the memory layout of its operands.
+
+Most nodes lie far outside an input's radius, and ``_candidates``
+shows it cheaply: ``|w1 - ex|`` over the first block of 8 degrees is
+at most the distance's numerator, so a node whose block alone exceeds
+``1 - sthr`` of the denominator cannot fire. Only the others get exact
+distances, bit for bit the full kernel's. The full kernel still scores
+rows that no node fires for (the most activated node of all then
+propagates), learning at the node budget (which updates the nearest
+node), and chunks where the bound leaves too many nodes to pay off.
 
 Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
@@ -102,6 +111,13 @@ class EfunnConfig:
 _BATCH_BYTES = 2 * 1024 * 1024
 # scratch values per (input row, node) pair: two blocks of 8 degrees
 _SCRATCH = 16
+# the candidate bound reads the kernel's first block of degrees
+_HEAD = 8
+# widening of the bound's radius, relative and absolute
+_SLACK = 1e-9
+# degrees the candidates may gather per (input row, node) pair; beyond
+# that the full kernel costs less
+_GATHER = 3
 
 
 @dataclass
@@ -139,7 +155,6 @@ _NODE_FIELDS = (
     ("nodes.w1", "_w1", snapshot.parse_finite),
     ("nodes.w2", "_w2", snapshot.parse_finite),
     ("nodes.age", "_age", snapshot.parse_ints),
-    ("nodes.a1av", "_a1av", snapshot.parse_finite),
     ("nodes.absorbed", "_absorbed", snapshot.parse_ints),
 )
 # every array of the rule layer: the snapshot's, and _degree_sum of each
@@ -176,8 +191,6 @@ class EfunnModel:
         self._w1sum = np.zeros(0)
         self._w2 = np.zeros((0, output_partition.size))
         self._age = np.zeros(0, dtype=np.int64)  # examples since creation
-        # running mean activation; creation counts as one 1.0
-        self._a1av = np.zeros(0)
         # examples that shaped the centroids, creation included
         self._absorbed = np.zeros(0, dtype=np.int64)
         self._scratch = np.zeros(0)
@@ -231,9 +244,10 @@ class EfunnModel:
         return max(1, _BATCH_BYTES // (8 * _SCRATCH * max(1, self._n)))
 
     def _put_w1(self, rows, value) -> None:
-        """Write input centroids and refresh their degree sums."""
+        """Write input centroids and refresh their degree sums, summing
+        each centroid as a C-ordered row."""
         self._w1[rows] = value
-        self._w1sum[rows] = _degree_sum(self._w1[rows].T)
+        self._w1sum[rows] = np.ascontiguousarray(self._w1[rows]).sum(axis=-1)
 
     def create_rule_node(self, ex, te) -> int:
         """Append a node memorizing (ex, te) exactly."""
@@ -258,10 +272,23 @@ class EfunnModel:
         self._put_w1(k, ex)
         self._w2[k] = te
         self._age[k] = 0
-        self._a1av[k] = 1.0
         self._absorbed[k] = 1
         self._n = k + 1
         return k
+
+    def _gaps(self, ex: np.ndarray, i: int, j: int, out: np.ndarray):
+        """|w1 - ex| of input degrees i..j-1, in ``out`` (degrees x rows of
+        ``ex`` x nodes)."""
+        n = self._n
+        out = out[: j - i]
+        np.subtract(self._w1[:n, i:j].T[:, None, :], ex.T[i:j, :, None], out)
+        return np.abs(out, out)
+
+    def _denominators(self, ex: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """w1.sum(axis=1) + ex.sum(axis=1) for each row of ``ex`` and node,
+        in ``out``."""
+        return np.add(self._w1sum[: self._n],
+                      np.ascontiguousarray(ex).sum(axis=1)[:, None], out)
 
     def _distances(self, ex: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Normalized fuzzy difference from each row of ``ex`` (one
@@ -270,36 +297,66 @@ class EfunnModel:
         Equal bit for bit to the row-major ``|w1 - ex|.sum(axis=2) /
         (w1.sum(axis=1) + ex.sum(axis=1))`` of C-ordered operands, for
         ``ex`` in any memory layout, capped at 1 as ``fuzzy_difference``
-        is. ``scratch`` holds at least
-        ``_SCRATCH * len(ex) * n_nodes`` floats.
+        is. ``scratch`` holds at least ``_SCRATCH * len(ex) * n_nodes``
+        floats, and the distances are returned in it.
         """
-        n, rows = self._n, len(ex)
-        size = 8 * rows * n
-        acc = scratch[:size].reshape(8, rows, n)
-        buf = scratch[size : 2 * size].reshape(8, rows, n)
-        w1t = self._w1[:n].T[:, None, :]  # degrees x 1 x nodes, rows contiguous
-        ext = ex.T[:, :, None]  # degrees x inputs x 1
-
-        def term(i, j, out):  # |w1 - ex| of degrees i..j-1
-            if j - i < 8:
-                out = out[: j - i]
-            np.subtract(w1t[i:j], ext[i:j], out)
-            return np.abs(out, out)
-
+        size = 8 * len(ex) * self._n
+        acc = scratch[:size].reshape(8, len(ex), self._n)
+        buf = scratch[size : 2 * size].reshape(acc.shape)
         # sums of |w1 - ex| hold no -0.0, so adding the reduction's start
         # value +0.0 would change no bit
-        total = _pairwise(term, 0, len(w1t), acc, buf)
-        den = self._w1sum[:n] + np.ascontiguousarray(ex).sum(axis=1)[:, None]
-        return np.minimum(np.divide(total, den, den), 1.0, out=den)
+        total = _pairwise(lambda i, j, out: self._gaps(ex, i, j, out),
+                          0, self._w1.shape[1], acc, buf)
+        dist = np.divide(total, self._denominators(ex, acc[0]), acc[0])
+        return np.minimum(dist, 1.0, out=dist)
 
     def _activations(self, ex: np.ndarray, scratch: np.ndarray,
                      counter=DISCARD) -> np.ndarray:
-        """A1 of every rule node (columns) for each row of ``ex``."""
+        """A1 of every rule node (columns) for each row of ``ex``, in
+        ``scratch``."""
         if not self._n:
             raise EmptyModelError("model has no rule nodes")
         dist = self._distances(ex, scratch)
         counter.add(4 * len(ex) * self._n * self._w1.shape[1])
-        return satlin(1.0 - dist)
+        return satlin(np.subtract(1.0, dist, dist), dist)
+
+    def _candidates(self, ex: np.ndarray, scratch: np.ndarray,
+                    counter=DISCARD):
+        """(rows, nodes, a1): each pair of a row of ``ex`` and a node whose
+        activation can reach sthr, in row-major order, with that exact
+        activation; None when so many pairs are left that the full
+        kernel costs less.
+
+        |w1 - ex| summed over the first _HEAD degrees is at most the whole
+        sum, so a node whose partial sum exceeds (1 - sthr) of its
+        denominator lies outside its radius, and its activation below
+        sthr. The radius is widened by _SLACK, relative and absolute, far
+        more than the few ulp by which rounding the sums, the quotient
+        and ``1 - dist`` can move a node. The activations kept equal those
+        of ``_activations`` bit for bit: each pair's ``|w1 - ex|`` is
+        summed as a C-ordered row, the form ``_distances`` matches.
+        ``scratch`` is as ``_distances`` takes it.
+        """
+        rows, n, width = len(ex), self._n, self._w1.shape[1]
+        head = min(_HEAD, width)
+        counter.add(4 * rows * n * head)
+        pairs = rows * n
+        gaps = scratch[: head * pairs].reshape(head, rows, n)
+        bound, den, limit = scratch[8 * pairs : 11 * pairs].reshape(3, rows, n)
+        np.add.reduce(self._gaps(ex, 0, head, gaps), axis=0, out=bound)
+        radius = (1.0 - self.config.sthr + _SLACK) * (1.0 + _SLACK)
+        np.multiply(self._denominators(ex, den), radius, limit)
+        far = np.greater(bound, limit)  # nan decides nothing, so is kept
+        kept = np.flatnonzero(np.logical_not(far, far))
+        if kept.size * width > _GATHER * pairs:
+            return None
+        counter.add(4 * kept.size * width)
+        row, node = np.divmod(kept, n)
+        diff = self._w1[node]  # C-ordered: a node's degrees adjoin
+        diff -= ex[row]
+        total = np.abs(diff, diff).sum(axis=1)
+        dist = np.minimum(total / den.ravel()[kept], 1.0)
+        return row, node, satlin(1.0 - dist)
 
     def _select(self, a1: np.ndarray) -> np.ndarray:
         """Nodes that propagate: those above sthr, else the most activated."""
@@ -308,11 +365,11 @@ class EfunnModel:
             sel = np.array([int(np.argmax(a1))])
         return sel
 
-    def _propagate(self, a1: np.ndarray, sel: np.ndarray,
+    def _propagate(self, weights: np.ndarray, sel: np.ndarray,
                    counter=DISCARD) -> np.ndarray:
-        """Fuzzy output A2: activation-weighted blend of selected w2."""
+        """Fuzzy output A2: blend of the selected nodes' w2, weighted by
+        their activations ``weights``."""
         w2 = self._w2[sel]
-        weights = a1[sel]
         total = weights.sum()
         if total <= 0.0:
             return satlin(w2.mean(axis=0))
@@ -324,11 +381,11 @@ class EfunnModel:
     def learn_one(self, x, y: float, counter=DISCARD) -> LearnOutcome:
         """Feed one (input, target) example through the evolving procedure.
 
-        The example is fuzzified, node statistics are refreshed, and the
-        example is either absorbed (all sufficiently activated nodes are
-        updated) or memorized in a new node. At the node budget the
-        nearest node is updated instead of failing the stream. The
-        step's flops go to ``counter``.
+        The example is fuzzified, every node ages by one, and the example
+        is either absorbed (all sufficiently activated nodes are updated)
+        or memorized in a new node. At the node budget the nearest node is
+        updated instead of failing the stream. The step's flops go to
+        ``counter``.
         """
         x = self._check_input(x)
         # NaN fails every comparison, so check what must hold
@@ -342,33 +399,38 @@ class EfunnModel:
         counter.add_transcendental(ex.size + te.size)
         self.examples_seen += 1
 
-        if not self._n:
+        n = self._n
+        if not n:
             self.create_rule_node(ex, te)
             return LearnOutcome(True, 0.0, 1)
-
-        a1 = self._activations(ex[None, :], self._scratch, counter)[0]
-        n = self._n
-        age = self._age[:n]
-        self._a1av[:n] = (self._a1av[:n] * (age + 1) + a1) / (age + 2)
-        age += 1
-        counter.add(4 * n)
+        self._age[:n] += 1
+        # at the budget the nearest node may be needed, so all are scored
+        found = (self._candidates(ex[None, :], self._scratch, counter)
+                 if n < cfg.max_nodes else None)
+        if found is None:
+            nodes = np.arange(n)
+            a1 = self._activations(ex[None, :], self._scratch, counter)[0]
+        else:
+            _, nodes, a1 = found
 
         err = 0.0
-        if a1.max() < cfg.sthr:
+        if not a1.size or a1.max() < cfg.sthr:
             created = self._create_or_absorb(ex, te, a1, counter)
         else:
-            sel = self._select(a1)
-            a2 = self._propagate(a1, sel, counter)
+            # no other node reaches sthr, so the most activated is here
+            s = self._select(a1)
+            a2 = self._propagate(a1[s], nodes[s], counter)
             err = fuzzy_difference(a2, te)
             if err > cfg.errthr:
                 created = self._create_or_absorb(ex, te, a1, counter)
             else:
-                self._absorb(sel, ex, te, a1[sel, None], counter)
+                self._absorb(nodes[s], ex, te, a1[s, None], counter)
                 created = False
         return LearnOutcome(created, float(err), self._n)
 
     def _create_or_absorb(self, ex, te, a1, counter) -> bool:
-        """Create a node (True), or at the budget update the nearest one."""
+        """Create a node (True), or at the budget update the nearest one;
+        ``a1`` then holds every node's activation."""
         if self._n < self.config.max_nodes:
             self.create_rule_node(ex, te)
             return True
@@ -412,7 +474,10 @@ class EfunnModel:
         and at least one, whose scratch takes 128 bytes per node. Besides
         the output, memory thus stays within max(2 MiB, 128 bytes per
         node) of scratch and half as much again for a chunk's other
-        temporaries, at any number of rows.
+        temporaries, at any number of rows: the candidates' exact
+        distances gather at most _GATHER degrees a (row, node) pair.
+        A row that no candidate fires for is scored by the full kernel,
+        which finds its most activated node.
         """
         if not self._n:
             raise EmptyModelError("cannot predict with no rule nodes")
@@ -423,11 +488,25 @@ class EfunnModel:
         out = np.empty(len(xs))
         step = self._chunk_rows()
         scratch = np.empty(_SCRATCH * min(step, len(xs)) * self._n)
+        sthr, part = self.config.sthr, self.output_partition
         for start in range(0, len(xs), step):
             ex = fuzzify_rows(xs[start : start + step], self.input_partitions)
-            for k, a1 in enumerate(self._activations(ex, scratch), start):
-                a2 = self._propagate(a1, self._select(a1))
-                out[k] = defuzzify(a2, self.output_partition)
+            fired = np.zeros(len(ex), dtype=bool)
+            found = self._candidates(ex, scratch)
+            if found is not None:
+                row, node, a1 = found
+                cuts = np.searchsorted(row, np.arange(len(ex) + 1))
+                for r, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+                    s = np.flatnonzero(a1[lo:hi] > sthr)
+                    if s.size:
+                        out[start + r] = defuzzify(self._propagate(
+                            a1[lo:hi][s], node[lo:hi][s]), part)
+                        fired[r] = True
+            rest = np.flatnonzero(~fired)
+            if rest.size:
+                for r, a1 in zip(rest, self._activations(ex[rest], scratch)):
+                    s = self._select(a1)
+                    out[start + r] = defuzzify(self._propagate(a1[s], s), part)
         return out
 
     # -- structure maintenance --------------------------------------------
@@ -444,7 +523,7 @@ class EfunnModel:
             raise ConfigError("aggregation thresholds must be >= 0")
         n = self._n
         w1, w2 = self._w1, self.w2
-        age, a1av, absorbed = self._age, self._a1av, self._absorbed
+        age, absorbed = self._age, self._absorbed
         live = np.ones(n, dtype=bool)
         for i in range(n):
             start = i + 1
@@ -463,7 +542,6 @@ class EfunnModel:
                 self._put_w1(i, (w1[i] + w1[j]) / 2.0)
                 w2[i] = (w2[i] + w2[j]) / 2.0
                 age[i] = max(age[i], age[j])
-                a1av[i] = (a1av[i] + a1av[j]) / 2.0
                 absorbed[i] += absorbed[j]
                 live[j] = False
                 start = j + 1
@@ -538,6 +616,7 @@ class EfunnModel:
             if body.get(key, implemented) != implemented:
                 raise ParseError(f"snapshot {key} {body[key]!r} is not "
                                  f"implemented; expected {implemented!r}")
+        # nor is their nodes.a1av line read, a mean activation no rule uses
         n_in = need(body, "inputs", int)
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")

@@ -19,9 +19,9 @@ import numpy as np
 from .errors import ConfigError, DegenerateError, ShapeError
 
 
-def satlin(x):
+def satlin(x, out=None):
     """Saturated linear activation: clamp to [0, 1]."""
-    return np.clip(x, 0.0, 1.0)
+    return np.clip(x, 0.0, 1.0, out=out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,12 @@ arrays as exact integers.
 
 Format 3 holds a whole array on one line: an EFuNN snapshot writes
 ``nodes.w1`` (nodes x input degrees values), ``nodes.w2``,
-``nodes.age``, ``nodes.a1av`` and ``nodes.absorbed``. Older formats are
-refused, and a model saved in one is retrained with ``demandcast
-train``: format 1 held an EFuNN's arrays a node per line, and format 2
-also held its temporal links, which EFuNN no longer has.
+``nodes.age`` and ``nodes.absorbed``; an older format 3 file may also
+hold ``nodes.a1av``, a per-node mean activation nothing reads, which
+loading skips. Older formats are refused, and a model saved in one is
+retrained with ``demandcast train``: format 1 held an EFuNN's arrays a
+node per line, and format 2 also held its temporal links, which EFuNN
+no longer has.
 
 A key may hold neither ``=`` nor a line break and a value no line
 break, since either would read back as something else; ``dump`` and

@@ -1,15 +1,17 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from demandcast.efunn import (_SCRATCH, EfunnConfig, EfunnModel, _degree_sum,
-                              _differences)
+from demandcast import efunn
+from demandcast.efunn import (_SCRATCH, EfunnConfig, EfunnModel, LearnOutcome,
+                              _degree_sum, _differences)
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                EmptyModelError, ParseError, ShapeError)
-from demandcast.fuzzy import (build_partition, fuzzify,
+from demandcast.fuzzy import (build_partition, defuzzify, fuzzify,
                               fuzzy_difference, mf_labels, satlin)
 
 
@@ -83,15 +85,14 @@ def test_output_error_above_threshold_creates_despite_spatial_match():
     assert out.created_node and m.n_nodes == 2
 
 
-def test_node_statistics_run_as_mean_activation():
+def test_node_age_counts_the_examples_since_its_creation():
     m = make_model()
     m.learn_one(np.array([0.1]), 0.2)
-    assert m._age[0] == 0 and m._a1av[0] == 1.0
-    ex = m.fuzzify_input(np.array([0.9]))
-    a = satlin(1.0 - fuzzy_difference(ex, m.w1[0]))
-    m.learn_one(np.array([0.9]), 0.8)
-    assert m._age[0] == 1
-    assert m._a1av[0] == pytest.approx((1.0 + a) / 2.0)
+    assert m._age[0] == 0
+    m.learn_one(np.array([0.9]), 0.8)  # far away: a second node
+    m.learn_one(np.array([0.9]), 0.8)  # absorbed by it
+    assert m.n_nodes == 2
+    assert m._age[:2].tolist() == [2, 1]
 
 
 def test_all_above_threshold_falls_back_to_argmax():
@@ -339,19 +340,22 @@ def test_predict_batch_spans_several_chunks():
 
 @pytest.mark.parametrize("n_nodes", [3000, 17000])
 def test_predict_stays_within_the_memory_its_docstring_states(n_nodes):
-    # above 16384 nodes the scratch of one row alone exceeds 2 MiB
+    # above 16384 nodes the scratch of one row alone exceeds 2 MiB; at
+    # sthr 0.05 the candidate bound drops next to no node
     rng = np.random.default_rng(7)
     m = make_model(n_inputs=6, mfs=4)
     for _ in range(n_nodes):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
     xs = rng.uniform(size=(500, 6))
-    tracemalloc.start()
-    try:
-        m.predict(xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - 8 * len(xs) <= 1.5 * max(2 * 2**20, 128 * n_nodes)
+    for sthr in (0.99, 0.05):
+        m.config.sthr = sthr
+        tracemalloc.start()
+        try:
+            m.predict(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * len(xs) <= 1.5 * max(2 * 2**20, 128 * n_nodes)
 
 
 def test_rows_survive_capacity_growth():
@@ -371,10 +375,10 @@ def test_rows_survive_capacity_growth():
 def _rows(m):
     """Each live rule node's row of every array, as plain values."""
     n = m.n_nodes
-    return [dict(w1=w1.copy(), w2=w2.copy(), age=int(age), a1av=float(a1av),
+    return [dict(w1=w1.copy(), w2=w2.copy(), age=int(age),
                  absorbed=int(absorbed))
-            for w1, w2, age, a1av, absorbed in zip(
-                m.w1, m.w2, m._age[:n], m._a1av[:n], m._absorbed[:n])]
+            for w1, w2, age, absorbed in zip(
+                m.w1, m.w2, m._age[:n], m._absorbed[:n])]
 
 
 def _old_aggregate(m, thr1, thr2):
@@ -390,7 +394,6 @@ def _old_aggregate(m, thr1, thr2):
                 a["w1"] = (a["w1"] + b["w1"]) / 2.0
                 a["w2"] = (a["w2"] + b["w2"]) / 2.0
                 a["age"] = max(a["age"], b["age"])
-                a["a1av"] = (a["a1av"] + b["a1av"]) / 2.0
                 a["absorbed"] += b["absorbed"]
                 del nodes[j]
             else:
@@ -409,8 +412,7 @@ def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
     for row, node in zip(_rows(m), nodes, strict=True):
         assert row["w1"].tolist() == node["w1"].tolist()
         assert row["w2"].tolist() == node["w2"].tolist()
-        assert (row["age"], row["a1av"], row["absorbed"]) == (
-            node["age"], node["a1av"], node["absorbed"])
+        assert (row["age"], row["absorbed"]) == (node["age"], node["absorbed"])
 
 
 def test_aggregate_skips_nodes_already_merged():
@@ -652,3 +654,123 @@ def test_extract_rules_labels_each_node_by_its_argmax(model_and_xs):
     for rule, w1, w2 in zip(rules, m.w1, m.w2, strict=True):
         assert rule.w1.tolist() == w1.tolist()
         assert rule.w2.tolist() == w2.tolist()
+
+
+# -- the candidate filter ---------------------------------------------------
+
+def _dense_a1(m, ex):
+    """Every node's activation for one fuzzified input, by the dense
+    row-major formula."""
+    return satlin(1.0 - _old_distances(m.w1, ex[None, :])[0])
+
+
+def _dense_output(m, a1):
+    """The crisp output of the nodes above sthr, else the first most
+    activated node."""
+    sel = np.flatnonzero(a1 > m.config.sthr)
+    if sel.size == 0:
+        sel = np.array([int(np.argmax(a1))])
+    total = a1[sel].sum()
+    return satlin(a1[sel] @ m.w2[sel] / total if total > 0.0
+                  else m.w2[sel].mean(axis=0))
+
+
+def _dense_learn_one(m, x, y):
+    """One learning step scored by every node's activation, as learning
+    ran before the candidate filter."""
+    cfg = m.config
+    ex, te = m.fuzzify_input(x), fuzzify(y, m.output_partition)
+    m.examples_seen += 1
+    n = m.n_nodes
+    if not n:
+        m.create_rule_node(ex, te)
+        return LearnOutcome(True, 0.0, 1)
+    m._age[:n] += 1
+    a1 = _dense_a1(m, ex)
+    err = 0.0
+    if a1.max() >= cfg.sthr:
+        err = float(fuzzy_difference(_dense_output(m, a1), te))
+        if err <= cfg.errthr:
+            sel = np.flatnonzero(a1 > cfg.sthr)
+            if sel.size == 0:
+                sel = np.array([int(np.argmax(a1))])
+            m._absorb(sel, ex, te, a1[sel, None])
+            return LearnOutcome(False, err, n)
+    if n < cfg.max_nodes:
+        m.create_rule_node(ex, te)
+        return LearnOutcome(True, err, n + 1)
+    k = int(np.argmax(a1))
+    m._absorb(k, ex, te, float(a1[k]))
+    return LearnOutcome(False, err, n)
+
+
+@st.composite
+def filter_cases(draw):
+    """A config, nodes to insert twice each (so that the most activated
+    node ties), a stream that repeats inputs and comes near them, and
+    inputs to score."""
+    n_in, mfs = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    cfg = EfunnConfig(
+        sthr=draw(st.floats(0.05, 0.995)), errthr=draw(st.floats(1e-4, 0.3)),
+        lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
+        max_nodes=draw(st.sampled_from((1, 2, 5, 100000))))
+    inputs = st.lists(_UNIT, min_size=n_in, max_size=n_in).map(np.array)
+    seen = draw(st.lists(inputs, min_size=1, max_size=4))
+    near = st.tuples(st.sampled_from(seen), st.floats(-0.1, 0.1)).map(
+        lambda xd: np.clip(xd[0] + xd[1], 0.0, 1.0))
+    either = st.one_of(st.sampled_from(seen), near, inputs)
+    twice = draw(st.lists(st.tuples(st.sampled_from(seen), _UNIT),
+                          max_size=3))
+    stream = draw(st.lists(st.tuples(either, _UNIT), min_size=1, max_size=40))
+    xs = draw(st.lists(either, min_size=1, max_size=12))
+    return cfg, n_in, mfs, twice, stream, xs
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(filter_cases(), st.booleans())
+def test_candidate_filter_matches_the_full_kernel_bit_for_bit(case, gather):
+    # gather=True lifts the cap on candidates, so that small models,
+    # whose candidates are many for their size, take the filter too
+    cfg, n_in, mfs, twice, stream, xs = case
+    inputs = [build_partition(0.0, 1.0, mfs, name=f"x{i}")
+              for i in range(n_in)]
+    output = build_partition(0.0, 1.0, mfs, name="y")
+    filtered, dense = (EfunnModel(cfg, inputs, output) for _ in range(2))
+    for m in (filtered, dense):
+        for x, y in twice[: cfg.max_nodes // 2]:
+            for _ in range(2):
+                m.create_rule_node(m.fuzzify_input(x),
+                                   fuzzify(y, m.output_partition))
+    cap = float("inf") if gather else efunn._GATHER
+    with mock.patch.object(efunn, "_GATHER", cap):
+        for x, y in stream:
+            assert filtered.learn_one(x, y) == _dense_learn_one(dense, x, y)
+        n = dense.n_nodes
+        for name in ("_w1", "_w2", "_absorbed", "_age"):
+            assert (getattr(filtered, name)[:n].tobytes()
+                    == getattr(dense, name)[:n].tobytes()), name
+        got = filtered.predict(np.array(xs))
+    want = [defuzzify(_dense_output(dense, _dense_a1(dense,
+                                                     dense.fuzzify_input(x))),
+                      dense.output_partition) for x in xs]
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_a_row_no_node_fires_for_takes_the_nearest_of_all_nodes():
+    # node 0 shares the first block of degrees with the input and passes
+    # the bound, node 1 is cut by it; neither fires, and node 1, the
+    # nearer over all degrees, alone propagates its w2
+    m = make_model(n_inputs=3, mfs=4, sthr=0.99)
+    for w1, k in (([0.5, 0.5, 1.0], 0), ([0.4, 0.4, 0.5], 1)):
+        m.create_rule_node(m.fuzzify_input(np.array(w1)), np.eye(4)[k])
+    x = np.array([0.5, 0.5, 0.5])
+    ex = m.fuzzify_input(x)
+    dense = _dense_a1(m, ex)
+    assert np.argmax(dense) == 1 and dense.max() < 0.99
+    # two nodes are too few for the cap on candidates to let one through
+    with mock.patch.object(efunn, "_GATHER", float("inf")):
+        _, nodes, a1 = m._candidates(ex[None, :], m._scratch)
+        assert nodes.tolist() == [0] and a1.max() < 0.99
+        assert m.predict(x[None, :]).tolist() == [
+            defuzzify(satlin(np.eye(4)[1]), m.output_partition)]

@@ -74,13 +74,16 @@ def test_at_budget_stream_learns_fixed_snapshot_bytes():
         m.learn_one(x[:6], float(x[6]))
     assert m.n_nodes == 20 and m._absorbed[:20].sum() == 400
     assert hashlib.sha256(m.to_text().encode()).hexdigest() == (
-        "feb243df5bae8f6f8222ca1a9b351f75adeaccdc2129464d28760de03a757264")
+        "5bb7b5d5158dddd1b3f292ea74e4f37192390b3131a3e124a81fc95296325a2b")
 
 
 def test_an_update_at_the_node_budget_counts_its_flops():
     # the second example is far from the first node: a network at its
     # budget updates that node where an unbounded one creates a node,
-    # which counts nothing, so only the update tells the counts apart
+    # which counts nothing. The network at its budget reads every input
+    # degree of the node (4 flops a degree), the unbounded one only the
+    # 8 its bound reads before it drops the node; beyond that only the
+    # update tells the counts apart
     models, counts = {}, {}
     for max_nodes in (1, 100000):
         m = models[max_nodes] = EfunnModel(EfunnConfig(max_nodes=max_nodes),
@@ -92,8 +95,10 @@ def test_an_update_at_the_node_budget_counts_its_flops():
     assert (models[1].n_nodes, models[1]._absorbed[0]) == (1, 2)
     assert models[100000].n_nodes == 2
     m = models[1]
-    width = m.fuzzify_input(np.ones(6)).size + m.output_partition.size
-    assert counts[1] - counts[100000] == MAC_FLOPS * 2 * width
+    degrees = m.fuzzify_input(np.ones(6)).size
+    width = degrees + m.output_partition.size
+    assert counts[1] - counts[100000] == (4 * (degrees - 8)
+                                          + MAC_FLOPS * 2 * width)
 
 
 @st.composite

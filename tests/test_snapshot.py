@@ -430,8 +430,7 @@ def test_efunn_fixture_loads_to_the_same_model():
     n = int(body["nodes"])
     assert model.n_nodes == n == 34
     for key, name in (("nodes.w1", "w1"), ("nodes.w2", "w2"),
-                      ("nodes.age", "_age"), ("nodes.a1av", "_a1av"),
-                      ("nodes.absorbed", "_absorbed")):
+                      ("nodes.age", "_age"), ("nodes.absorbed", "_absorbed")):
         assert getattr(model, name)[:n].ravel().tolist() == [
             float(v) for v in body[key].split()]
     # today's learning of the same stream gives the same model
@@ -452,6 +451,23 @@ def test_efunn_snapshot_naming_the_implemented_rule_loads_as_without(
     path = tmp_path / "named.snap"
     path.write_text(text[:at] + "config.m_mode=all_above_threshold\n"
                     "config.activation=satlin\n" + text[at:])
+    model, extra = EfunnModel.load(path)
+    want, want_extra = EfunnModel.from_text(text)
+    assert model.to_text(extra) == want.to_text(want_extra) == text
+    grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
+    assert model.predict(grid).tolist() == snapshot.parse_array(
+        extra["predict.values"]).tolist()
+
+
+def test_efunn_snapshot_holding_mean_activations_loads_as_without(tmp_path):
+    # snapshots once held each node's running mean activation between
+    # its age and absorbed counts; no rule reads it, so the line loads to
+    # the same model and saving again leaves it out
+    text = (_DATA / "efunn.snap").read_text()
+    at = text.index("\nnodes.absorbed=") + 1
+    path = tmp_path / "a1av.snap"
+    path.write_text(text[:at] + "nodes.a1av=" + " ".join(["0.5"] * 34)
+                    + "\n" + text[at:])
     model, extra = EfunnModel.load(path)
     want, want_extra = EfunnModel.from_text(text)
     assert model.to_text(extra) == want.to_text(want_extra) == text
