@@ -9,7 +9,8 @@ on every draw.
 import tempfile
 from pathlib import Path
 
-from demandcast.bench import ExperimentConfig, emit_report, run_experiment
+from demandcast.bench import (HOLDOUT_PERIODS, ExperimentConfig, emit_report,
+                              run_experiment)
 
 
 def main():
@@ -27,7 +28,7 @@ def main():
     report = run_experiment(config)
 
     print(f"training examples per sample: {report.training_examples}")
-    print(f"holdout: {config.test_periods} half hours starting at row "
+    print(f"holdout: {HOLDOUT_PERIODS} half hours starting at row "
           f"{report.test_start}\n")
 
     print("worst-of-samples scores (normalized rmse):")

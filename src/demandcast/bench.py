@@ -55,6 +55,7 @@ from .mlp import BpConfig
 
 MODEL_NAMES = ("efunn", "mlp-bp", "mlp-scg", "arima")
 HOLDOUT_PERIODS = 96  # two days of half-hours
+MF_COUNT = 4  # Gaussian membership functions per variable
 
 
 def default_arima_spec() -> arima_mod.ArimaSpec:
@@ -72,12 +73,10 @@ class ExperimentConfig:
     seed: int = 0
     training_fraction: float = 0.2
     n_samples: int = 3
-    test_periods: int = HOLDOUT_PERIODS
     epochs: int = 2500
     mlp_layers: tuple = (6, 40, 40, 1)
     bp_epsilon: float = 0.01
     bp_alpha: float = 0.9
-    mf_count: int = 4
     efunn: EfunnConfig = field(default_factory=EfunnConfig)
     models: tuple = MODEL_NAMES
 
@@ -89,8 +88,6 @@ class ExperimentConfig:
             )
         if self.n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.test_periods < 1:
-            raise ConfigError(f"test_periods must be >= 1, got {self.test_periods}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
@@ -131,28 +128,29 @@ class BenchReport:
     training_examples: int
 
 
-def make_partitions(mf_count: int = 4):
+def make_partitions():
     """Input and output membership partitions over the normalized range."""
     inputs = [
-        build_partition(0.0, 1.0, mf_count, name)
+        build_partition(0.0, 1.0, MF_COUNT, name)
         for name in FEATURE_NAMES
     ]
-    output = build_partition(0.0, 1.0, mf_count, dataset.TARGET_NAME)
+    output = build_partition(0.0, 1.0, MF_COUNT, dataset.TARGET_NAME)
     return inputs, output
 
 
-def holdout(records, periods: int, lookback: int, source):
-    """(demand array, test_start) of ``records``, whose final ``periods``
-    are the test window. Training examples before it read ``lookback``
-    records back (a day for lag-48 inputs, none for ARIMA) and one must be
-    left; ``arima.fit`` checks what an ARIMA spec needs beyond that."""
-    minimum = lookback + periods + 1
+def holdout(records, lookback: int, source):
+    """(demand array, test_start) of ``records``, whose final
+    ``HOLDOUT_PERIODS`` are the test window. Training examples before it
+    read ``lookback`` records back (a day for lag-48 inputs, none for
+    ARIMA) and one must be left; ``arima.fit`` checks what an ARIMA spec
+    needs beyond that."""
+    minimum = lookback + HOLDOUT_PERIODS + 1
     if len(records) < minimum:
         raise DataError(
             f"{source}: need at least {minimum} records, got {len(records)}"
         )
     demand = np.array([r.demand for r in records])
-    return demand, demand.size - periods
+    return demand, demand.size - HOLDOUT_PERIODS
 
 
 def training_pool(records, test_start: int):
@@ -174,7 +172,7 @@ def training_pool(records, test_start: int):
     return (*dataset.apply_norm(raw, stats), stats)
 
 
-def recursive_forecast(records, stats, predict, test_start, periods):
+def recursive_forecast(records, stats, predict, test_start):
     """Normalized and demand-unit predictions over the test window.
 
     Inside the window the lag-48 input is the model's own prediction a
@@ -182,13 +180,12 @@ def recursive_forecast(records, stats, predict, test_start, periods):
     recorded demand. So the window is forecast in blocks of one day, one
     ``predict`` call each (normalized rows in, normalized outputs out):
     block 0 reads recorded demand, block b block b - 1's predictions.
-    The last block is shorter when ``periods`` is not a multiple of 48.
     """
     day = HALF_HOURS_PER_DAY
-    norm = np.empty(periods)
-    demand = np.empty(periods)
-    for lo in range(0, periods, day):
-        hi = min(lo + day, periods)
+    norm = np.empty(HOLDOUT_PERIODS)
+    demand = np.empty(HOLDOUT_PERIODS)
+    for lo in range(0, HOLDOUT_PERIODS, day):
+        hi = lo + day
         prev = demand[lo - day : hi - day] if lo else None
         raw = dataset.encode_features(records, test_start + lo,
                                       test_start + hi, prev)
@@ -204,7 +201,7 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
     else:
         records = dataset.synthesize(config.synth_days, config.seed)
     demand, test_start = holdout(
-        records, config.test_periods, HALF_HOURS_PER_DAY,
+        records, HALF_HOURS_PER_DAY,
         config.csv_path or f"{config.synth_days}-day synthetic series")
 
     pool_x, pool_y, stats = training_pool(records, test_start)
@@ -276,7 +273,7 @@ def train_model(name: str, config: ExperimentConfig, train_x, train_y,
     """
     t0 = time.perf_counter()
     if name == "efunn":
-        inputs, output = make_partitions(config.mf_count)
+        inputs, output = make_partitions()
         model = EfunnModel(config.efunn, inputs, output)
         for x, y in zip(train_x, train_y):
             model.learn_one(x, y, counter)
@@ -303,8 +300,7 @@ def _run_model(config, records, stats, train_x, train_y, test_start, s,
     trained = train_model(name, config, train_x, train_y,
                           config.seed * 1000 + 101 + s, counter)
     norm_preds, demand_preds = recursive_forecast(
-        records, stats, trained.predict, test_start, config.test_periods
-    )
+        records, stats, trained.predict, test_start)
     efunn = name == "efunn"
     return SampleOutcome(
         model=name, sample=s, epochs=1 if efunn else config.epochs,
@@ -320,7 +316,7 @@ def _run_arima(config, series, stats, actual_norm):
     counter = FlopCounter()
     t0 = time.perf_counter()
     fit = arima_mod.fit(series, default_arima_spec(), counter)
-    preds = arima_mod.forecast(fit, config.test_periods)
+    preds = arima_mod.forecast(fit, HOLDOUT_PERIODS)
     wall = time.perf_counter() - t0
     return SampleOutcome(
         model="arima", sample=0, epochs=fit.iterations, train_rmse=None,
@@ -535,7 +531,7 @@ def _report_csv(report: BenchReport) -> list:
         "# demand forecasting benchmark",
         f"# protocol: worst of {cfg.n_samples} training samples of "
         f"{report.training_examples} examples; test window = final "
-        f"{cfg.test_periods} half-hours; RMSE on the normalized [0,1] "
+        f"{HOLDOUT_PERIODS} half-hours; RMSE on the normalized [0,1] "
         "demand scale",
         "# mlp test forecasts reuse their own predictions for lag-48 inputs "
         "inside the test window",
@@ -605,10 +601,9 @@ def _forecast_svg(report: BenchReport) -> list:
     hi = max(float(np.max(v)) for _, v in series)
     if hi <= lo:
         hi = lo + 1.0
-    npts = report.config.test_periods
 
     def sx(i):
-        return left + plot_w * i / max(1, npts - 1)
+        return left + plot_w * i / (HOLDOUT_PERIODS - 1)
 
     def sy(v):
         return top + plot_h * (1.0 - (v - lo) / (hi - lo))
@@ -633,7 +628,7 @@ def _forecast_svg(report: BenchReport) -> list:
             f'<line x1="{left}" y1="{y:.1f}" x2="{left + plot_w}" '
             f'y2="{y:.1f}" stroke="#eee"/>'
         )
-    for k in range(0, npts, 12):
+    for k in range(0, HOLDOUT_PERIODS, 12):
         x = sx(k)
         parts.append(
             f'<text x="{x:.1f}" y="{top + plot_h + 16}" text-anchor="middle" '

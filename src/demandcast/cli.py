@@ -57,15 +57,14 @@ def _parse_layers(text: str) -> tuple:
 
 # the ExperimentConfig field each mlp config key sets
 _MLP_SETTINGS = dict(layers="mlp_layers", epsilon="bp_epsilon", alpha="bp_alpha")
-_TRAIN_KEYS = {"efunn": dict(scalar_fields(EfunnConfig), mf_count=int),
+_TRAIN_KEYS = {"efunn": scalar_fields(EfunnConfig),
                "mlp-bp": dict(layers=_parse_layers, epsilon=finite_float,
                               alpha=finite_float),
                "mlp-scg": dict(layers=_parse_layers),
                "arima": scalar_fields(arima_mod.ArimaSpec)}
 _BENCH_KEYS = dict(training_fraction=finite_float, n_samples=int,
-                   test_periods=int, mf_count=int, bp_epsilon=finite_float,
-                   bp_alpha=finite_float, mlp_layers=_parse_layers,
-                   models=_parse_names)
+                   bp_epsilon=finite_float, bp_alpha=finite_float,
+                   mlp_layers=_parse_layers, models=_parse_names)
 
 
 def _norm_extra(stats: NormStats) -> dict:
@@ -133,8 +132,8 @@ def _cmd_train(args) -> int:
           if args.config else {})
     if args.model == "arima":
         spec = arima_mod.ArimaSpec(**kv) if kv else bench.default_arima_spec()
-        demand, test_start = bench.holdout(dataset.parse_csv(args.data),
-                                           HOLDOUT_PERIODS, 0, args.data)
+        demand, test_start = bench.holdout(dataset.parse_csv(args.data), 0,
+                                           args.data)
         fit = arima_mod.fit(demand[:test_start], spec)
         arima_mod.save(fit, args.out, extra={"trained.rows": str(demand.size)})
         print(f"fitted arima {spec.label()} in {fit.iterations} iterations "
@@ -142,15 +141,13 @@ def _cmd_train(args) -> int:
         return 0
 
     records = dataset.parse_csv(args.data)
-    _, test_start = bench.holdout(records, HOLDOUT_PERIODS,
-                                  HALF_HOURS_PER_DAY, args.data)
+    _, test_start = bench.holdout(records, HALF_HOURS_PER_DAY, args.data)
     train_x, train_y, stats = bench.training_pool(records, test_start)
     extra = _norm_extra(stats)
     extra["trained.examples"] = str(len(train_y))
 
     if args.model == "efunn":
-        settings = {"mf_count": kv.pop("mf_count")} if "mf_count" in kv else {}
-        settings["efunn"] = EfunnConfig(**kv)
+        settings = {"efunn": EfunnConfig(**kv)}
     else:  # scg has no settings beyond the layers
         settings = {_MLP_SETTINGS[k]: v for k, v in kv.items()}
         settings["epochs"] = args.epochs
@@ -198,8 +195,7 @@ def _cmd_forecast(args) -> int:
     kind, model, extra = _load(args.snapshot)
     records = dataset.parse_csv(args.data)
     lookback = 0 if kind == "arima" else HALF_HOURS_PER_DAY
-    demand, test_start = bench.holdout(records, HOLDOUT_PERIODS, lookback,
-                                       args.data)
+    demand, test_start = bench.holdout(records, lookback, args.data)
 
     if kind == "arima":
         _check_trained_on(model, extra, demand, test_start, args.snapshot,
@@ -210,7 +206,7 @@ def _cmd_forecast(args) -> int:
                    else lambda x: mlp.forward(model, x))
         stats = _stats_from_extra(extra, args.snapshot)
         _, preds = bench.recursive_forecast(records, stats, predict,
-                                            test_start, HOLDOUT_PERIODS)
+                                            test_start)
 
     actual = demand[test_start:]
     lines = bench.forecast_lines([r.timestamp for r in records[test_start:]],
@@ -234,7 +230,7 @@ def _cmd_bench(args) -> int:
     config = bench.ExperimentConfig(**cfg_kwargs)
     report = bench.run_experiment(config)
     paths = bench.emit_report(report, args.out)
-    print(f"benchmark on {report.test_start + config.test_periods} records "
+    print(f"benchmark on {report.test_start + HOLDOUT_PERIODS} records "
           f"({report.training_examples} training examples per sample, "
           f"worst of {config.n_samples}):")
     for name in config.models:

@@ -157,8 +157,8 @@ _NODE_FIELDS = (
     ("nodes.age", "_age", snapshot.parse_ints),
     ("nodes.absorbed", "_absorbed", snapshot.parse_ints),
 )
-# every array of the rule layer: the snapshot's, and _degree_sum of each
-# w1 row, kept beside w1 for the distance kernel
+# every array of the rule layer: the snapshot's, and the sum of each w1
+# row, kept beside w1 for the distance kernel
 _ARRAYS = tuple(name for _, name, _ in _NODE_FIELDS) + ("_w1sum",)
 
 
@@ -632,7 +632,7 @@ class EfunnModel:
             array = getattr(model, name)[:n]
             array[:] = values.reshape(array.shape)
         model._n = n
-        model._w1sum[:n] = _degree_sum(model._w1[:n].T)
+        model._put_w1(slice(0, n), model._w1[:n])
         model.examples_seen = need(body, "examples_seen", int)
         return model, extra
 
@@ -642,14 +642,6 @@ class EfunnModel:
     @classmethod
     def load(cls, path):
         return snapshot.read(path, "efunn", cls._from_fields)
-
-
-def _degree_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order numpy's pairwise sum adds a contiguous
-    row, so ``_degree_sum(a.T)`` equals a C-ordered ``a.sum(axis=1)`` bit
-    for bit, whatever the layout of ``a``."""
-    acc, buf = np.empty((2, 8) + a.shape[1:])
-    return _pairwise(lambda i, j, out: a[i:j], 0, len(a), acc, buf) + 0.0
 
 
 def _pairwise(term, lo: int, hi: int, acc: np.ndarray, buf: np.ndarray):
@@ -695,9 +687,10 @@ def _pairwise(term, lo: int, hi: int, acc: np.ndarray, buf: np.ndarray):
 
 def _differences(v: np.ndarray, rows: np.ndarray):
     """fuzzy_difference(v, row) for each row, and where it is undefined."""
-    den = _degree_sum(v) + _degree_sum(rows.T)
+    rows = np.ascontiguousarray(rows)  # so each row sums in numpy's row order
+    den = v.sum() + rows.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = _degree_sum(np.abs(v - rows).T) / den
+        d = np.abs(v - rows).sum(axis=1) / den
         np.minimum(d, 1.0, out=d)
     return d, den <= 0.0
 

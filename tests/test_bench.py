@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from demandcast import dataset
-from demandcast.bench import (ExperimentConfig, emit_report,
+from demandcast.bench import (HOLDOUT_PERIODS, ExperimentConfig, emit_report,
                               recursive_forecast, run_experiment, train_model,
                               training_pool)
 from demandcast.errors import ConfigError, DataError
@@ -175,10 +175,10 @@ def test_csv_input_matches_synthetic_route(tmp_path):
     assert direct.worst["efunn"].test_rmse == via_csv.worst["efunn"].test_rmse
 
 
-def _a_half_hour_at_a_time(records, stats, predict, test_start, periods):
+def _a_half_hour_at_a_time(records, stats, predict, test_start):
     """The test-window recursion one row per ``predict`` call."""
     norm, demand = [], []
-    for k in range(periods):
+    for k in range(HOLDOUT_PERIODS):
         prev = [demand[k - 48]] if k >= 48 else None
         raw = dataset.encode_features(records, test_start + k,
                                       test_start + k + 1, prev)
@@ -190,32 +190,29 @@ def _a_half_hour_at_a_time(records, stats, predict, test_start, periods):
 @pytest.fixture(scope="module")
 def fitted():
     """Records, pool stats and an EFuNN and an MLP fitted on the pool
-    before the last 100 half-hours."""
+    before the test window."""
     records = dataset.synthesize(40, seed=1)
-    x, y, stats = training_pool(records, len(records) - 100)
+    x, y, stats = training_pool(records, len(records) - HOLDOUT_PERIODS)
     config = small_config(epochs=50)
     return records, stats, {
         name: train_model(name, config, x[::4], y[::4], seed=2).predict
         for name in ("efunn", "mlp-scg")}
 
 
-@pytest.mark.parametrize("periods", [1, 47, 48, 49, 96, 100])
 @pytest.mark.parametrize("name", ["efunn", "mlp-scg"])
-def test_day_blocks_forecast_as_a_half_hour_at_a_time(fitted, name, periods):
+def test_day_blocks_forecast_as_a_half_hour_at_a_time(fitted, name):
     records, stats, models = fitted
-    test_start = len(records) - periods
+    test_start = len(records) - HOLDOUT_PERIODS
     calls = []
 
     def predict(x):
         calls.append(len(x))
         return models[name](x)
 
-    norm, demand = recursive_forecast(records, stats, predict, test_start,
-                                      periods)
-    # one call per day block, the last one shorter
-    assert calls == [min(48, periods - lo) for lo in range(0, periods, 48)]
+    norm, demand = recursive_forecast(records, stats, predict, test_start)
+    assert calls == [48, 48]  # one call per day of the window
     want_norm, want_demand = _a_half_hour_at_a_time(
-        records, stats, models[name], test_start, periods)
+        records, stats, models[name], test_start)
     if name == "efunn":
         assert norm.tobytes() == want_norm.tobytes()
         assert demand.tobytes() == want_demand.tobytes()

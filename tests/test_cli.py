@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demandcast import bench, dataset, mlp
+from demandcast import bench, dataset, mlp, snapshot
 from demandcast.cli import main
 from demandcast.efunn import EfunnConfig, EfunnModel
+from demandcast.fuzzy import build_partition
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,35 @@ def test_rules_prints_if_then_lines(data_csv, tmp_path, capsys):
     assert main(["rules", "--snapshot", str(snap),
                  "--out", str(rules_file)]) == 0
     assert rules_file.read_text().startswith("IF ")
+
+
+def test_efunn_snapshot_of_three_mfs_still_forecasts(data_csv, tmp_path,
+                                                    capsys):
+    # train builds 4 MFs per variable; a snapshot carries its own partitions
+    records = dataset.parse_csv(data_csv)
+    _, test_start = bench.holdout(records, dataset.HALF_HOURS_PER_DAY,
+                                  data_csv)
+    x, y, stats = bench.training_pool(records, test_start)
+    model = EfunnModel(EfunnConfig(), [build_partition(0.0, 1.0, 3, name)
+                                       for name in dataset.FEATURE_NAMES],
+                       build_partition(0.0, 1.0, 3, dataset.TARGET_NAME))
+    for xi, yi in zip(x[::8], y[::8]):
+        model.learn_one(xi, yi)
+    snap = tmp_path / "three.snap"
+    model.save(snap, extra={"norm.mins": snapshot.format_array(stats.mins),
+                            "norm.maxs": snapshot.format_array(stats.maxs)})
+    fc = tmp_path / "fc.csv"
+    assert main(["forecast", "--snapshot", str(snap), "--data", str(data_csv),
+                 "--out", str(fc)]) == 0
+    _, want = bench.recursive_forecast(records, stats, model.predict,
+                                       test_start)
+    got = [float(row.split(",")[3])
+           for row in fc.read_text().splitlines()[1:]]
+    assert np.allclose(got, want)
+    capsys.readouterr()
+    assert main(["rules", "--snapshot", str(snap)]) == 0
+    rules = capsys.readouterr().out.splitlines()
+    assert rules == [r.text() for r in model.extract_rules()]
 
 
 def test_bench_writes_report_directory(tmp_path):
@@ -188,7 +218,8 @@ EXIT_1_CASES = (
                    "efunn rules")),
     "huge efunn node count", "huge arima differencing order",
     *(f"removed efunn key {key}"
-      for key in ("lr3", "tc", "ss", "activation")),
+      for key in ("lr3", "tc", "ss", "activation", "mf_count")),
+    *(f"removed bench key {key}" for key in ("test_periods", "mf_count")),
     "unimplemented efunn activation", "unimplemented efunn m_mode",
     "one-value norm bounds", "nan norm min", "norm max at its min",
     "zero-unit mlp layer", "extra arima coefficient",
@@ -312,7 +343,10 @@ def bad_inputs(data_csv, tmp_path_factory):
                                            "\nnodes=1000000000000\n"))
     removed = {key: write(f"{key}.cfg", f"sthr=0.9\n{key}={value}\n")
                for key, value in (("lr3", 0.3), ("tc", 0.2), ("ss", 2),
-                                  ("activation", "radbas"))}
+                                  ("activation", "radbas"), ("mf_count", 3))}
+    # one test window and one partition layout: bench sets neither
+    removed_bench = {key: write(f"bench-{key}.cfg", f"{key}={value}\n")
+                     for key, value in (("test_periods", 48), ("mf_count", 3))}
     # learn_one and predict implement one activation and one propagation
     # rule, which older snapshots name in the config block
     rule = {key: write(f"{key}.snap", text.replace(
@@ -543,6 +577,10 @@ def bad_inputs(data_csv, tmp_path_factory):
         cases[f"removed efunn key {key}"] = (
             train("efunn", str(data_csv), "--config", cfg),
             f"error: {cfg}:2: unknown efunn key {key!r}")
+    for key, cfg in removed_bench.items():
+        cases[f"removed bench key {key}"] = (
+            ["bench", "--days", "40", "--out", out, "--config", cfg],
+            f"error: {cfg}:1: unknown bench key {key!r}")
     return cases
 
 

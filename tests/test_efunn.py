@@ -3,12 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from demandcast import efunn
 from demandcast.efunn import (_SCRATCH, EfunnConfig, EfunnModel, LearnOutcome,
-                              _degree_sum, _differences)
+                              _differences)
 from demandcast.errors import (CapacityError, ConfigError, DataError,
                                EmptyModelError, ParseError, ShapeError)
 from demandcast.fuzzy import (build_partition, defuzzify, fuzzify,
@@ -463,31 +463,6 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-_EDGES = st.sampled_from([0.0, -0.0, np.inf, -np.inf])
-
-
-@_PROPERTY
-@given(st.integers(1, 4), st.integers(1, 300), st.integers(0, 2**32 - 1),
-       st.lists(st.tuples(st.integers(0, 1199), _EDGES), max_size=6))
-def test_degree_sum_adds_in_numpys_row_order(rows, width, seed, edges):
-    # mixed signs and scales, so that adding in any other order rounds
-    # differently
-    rng = np.random.default_rng(seed)
-    a = (rng.standard_normal((rows, width))
-         * 10.0 ** rng.integers(-3, 4, size=(rows, width)))
-    for pos, value in edges:
-        a.flat[pos % a.size] = value
-    with np.errstate(invalid="ignore"):  # inf - inf
-        assert np.array_equal(_bits(_degree_sum(a.T)), _bits(a.sum(axis=1)))
-
-
-@pytest.mark.parametrize("width", [1, 7, 8, 24, 129, 300])
-def test_degree_sum_of_negative_zeros_is_positive_zero(width):
-    a = np.full((2, width), -0.0)
-    assert _bits(_degree_sum(a.T)).tolist() == _bits(a.sum(axis=1)).tolist()
-    assert _bits(_degree_sum(a.T)).tolist() == _bits([0.0, 0.0]).tolist()
-
-
 def _old_distances(w1, ex):
     """The row-major distance formula over C-ordered copies, capped at 1
     as ``fuzzy_difference`` is."""
@@ -501,6 +476,10 @@ def _old_distances(w1, ex):
 @_PROPERTY
 @given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 300),
        st.integers(1, 5), st.integers(0, 2**32 - 1))
+# wide partitions, as a snapshot may carry: above 128 degrees the kernel
+# sums the two halves apart, and at 300 each half again
+@example(n_in=2, mfs=70, nodes=40, rows=3, seed=7)
+@example(n_in=3, mfs=100, nodes=9, rows=2, seed=8)
 def test_distances_equal_the_row_major_formula_in_any_layout(
         n_in, mfs, nodes, rows, seed):
     rng = np.random.default_rng(seed)
@@ -586,7 +565,7 @@ def test_distances_equal_the_row_major_formula_at_thousands_of_nodes(nodes):
 
 def _assert_sums_fresh(m):
     assert np.array_equal(_bits(m._w1sum[: m.n_nodes]),
-                          _bits(_degree_sum(m.w1.T)))
+                          _bits(np.ascontiguousarray(m.w1).sum(axis=1)))
 
 
 @_PROPERTY
