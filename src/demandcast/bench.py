@@ -53,15 +53,29 @@ from .flops import DISCARD, FlopCounter
 from .fuzzy import build_partition
 from .mlp import BpConfig
 
-MODEL_NAMES = ("efunn", "mlp-bp", "mlp-scg", "arima")
 HOLDOUT_PERIODS = 96  # two days of half-hours
 MF_COUNT = 4  # Gaussian membership functions per variable
 
 
-def default_arima_spec() -> arima_mod.ArimaSpec:
-    """Weekly pre-differencing, then (1,1,1)(1,0,1) at the daily period."""
-    return arima_mod.ArimaSpec(p=1, d=1, q=1, sp=1, sd=0, sq=1, season=48,
-                               pre_diff_lag=336)
+@dataclass(frozen=True)
+class Forecaster:
+    """What the protocol and its report know of a model; how it is fitted
+    is ``train_model``'s."""
+
+    rank: int  # fits start in rank order, the longest first
+    color: str  # its line in forecast.svg
+    # fitted once on the series before the test window, not per sample,
+    # and forecasts the window from its own state
+    on_series: bool = False
+
+
+# every model, in report order
+FORECASTERS = {
+    "efunn": Forecaster(rank=1, color="#c0392b"),
+    "mlp-bp": Forecaster(rank=0, color="#2980b9"),
+    "mlp-scg": Forecaster(rank=0, color="#27ae60"),
+    "arima": Forecaster(rank=2, color="#8e44ad", on_series=True),
+}
 
 
 @dataclass
@@ -78,7 +92,10 @@ class ExperimentConfig:
     bp_epsilon: float = 0.01
     bp_alpha: float = 0.9
     efunn: EfunnConfig = field(default_factory=EfunnConfig)
-    models: tuple = MODEL_NAMES
+    # weekly pre-differencing, then (1,1,1)(1,0,1) at the daily period
+    arima: arima_mod.ArimaSpec = arima_mod.ArimaSpec(
+        p=1, d=1, q=1, sp=1, sd=0, sq=1, season=48, pre_diff_lag=336)
+    models: tuple = tuple(FORECASTERS)
 
     def __post_init__(self):
         check_finite(self)
@@ -90,9 +107,10 @@ class ExperimentConfig:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        unknown = [m for m in self.models if m not in MODEL_NAMES]
+        unknown = [m for m in self.models if m not in FORECASTERS]
         if unknown:
-            raise ConfigError(f"unknown model names {unknown}; pick from {MODEL_NAMES}")
+            raise ConfigError(f"unknown model names {unknown}; "
+                              f"pick from {tuple(FORECASTERS)}")
         repeated = sorted({m for m in self.models if self.models.count(m) > 1})
         if repeated:
             raise ConfigError(f"models lists {', '.join(repeated)} more "
@@ -217,25 +235,40 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
     timestamps = [r.timestamp for r in records[test_start:]]
 
     def run(s, name):
-        if name == "arima":
-            return _run_arima(config, demand[:test_start], stats, actual_norm)
-        idx = samples[s]
-        return _run_model(config, records, stats, pool_x[idx], pool_y[idx],
-                          test_start, s, actual_norm, name)
+        counter = FlopCounter()
+        seed = config.seed * 1000 + 101 + s
+        if FORECASTERS[name].on_series:
+            trained = train_model(name, config, demand[:test_start], seed,
+                                  counter)
+            preds = arima_mod.forecast(trained.model, HOLDOUT_PERIODS)
+            norm_preds = dataset.norm_target(preds, stats)
+        else:
+            data = pool_x[samples[s]], pool_y[samples[s]]
+            trained = train_model(name, config, data, seed, counter)
+            norm_preds, preds = recursive_forecast(records, stats,
+                                                   trained.predict, test_start)
+        return SampleOutcome(
+            model=name, sample=s, epochs=trained.epochs,
+            train_rmse=trained.train_rmse,
+            test_rmse=mlp.rmse(norm_preds, actual_norm),
+            flops=counter.total, wall_time=trained.wall_time,
+            predictions=preds, trace=trained.trace,
+            nodes=getattr(trained.model, "n_nodes", None),
+        )
 
-    # ARIMA is fitted once, on the contiguous series; the MLP fits take
-    # longest, so they start first and EFuNN and ARIMA fill the tail.
-    # Every job before a failing one has started, so the failure raised
-    # is the earliest in this list
+    # a model fitted on the series is fitted once; the longest fits start
+    # first, so that the short ones fill the tail. Every job before a
+    # failing one has started, so the failure raised is the earliest in
+    # this list
     order = [(s, name) for s in range(len(samples)) for name in config.models]
-    rank = {"mlp-bp": 0, "mlp-scg": 0, "efunn": 1, "arima": 2}
-    jobs = sorted((job for job in order if job[1] != "arima" or job[0] == 0),
-                  key=lambda job: rank[job[1]])
+    jobs = sorted((job for job in order
+                   if job[0] == 0 or not FORECASTERS[job[1]].on_series),
+                  key=lambda job: FORECASTERS[job[1]].rank)
     with one_blas_thread():
         done = dict(zip(jobs, _run_all([functools.partial(run, *job)
                                         for job in jobs])))
-    outcomes = [replace(done[0, name], sample=s) if name == "arima"
-                else done[s, name] for s, name in order]
+    outcomes = [done.get(job) or replace(done[0, job[1]], sample=job[0])
+                for job in order]
 
     worst = {}
     for name in config.models:
@@ -254,75 +287,51 @@ def run_experiment(config: ExperimentConfig) -> BenchReport:
 
 @dataclass
 class TrainedModel:
-    """One model fitted to a training set and scored on it."""
+    """One model fitted to its training data and scored on it."""
 
-    model: object
-    predict: Callable  # normalized input rows -> normalized demand
-    train_rmse: float
+    model: object  # an EfunnModel, mlp.MlpModel or arima.ArimaFit
+    # normalized input rows -> normalized demand; None for ARIMA
+    predict: Optional[Callable]
+    train_rmse: Optional[float]
     wall_time: float  # seconds of learning, scoring excluded
+    epochs: int  # passes over the data; ARIMA's estimation iterations
     trace: Optional[list] = None
 
 
-def train_model(name: str, config: ExperimentConfig, train_x, train_y,
-                seed: int, counter=DISCARD) -> TrainedModel:
-    """Train efunn, mlp-bp or mlp-scg under ``config``; flops of learning
-    (not of scoring) go to ``counter``. ``seed`` initializes an MLP.
+def train_model(name: str, config: ExperimentConfig, data, seed: int,
+                counter=DISCARD) -> TrainedModel:
+    """Fit the model ``name`` under ``config``; flops of learning (not of
+    scoring) go to ``counter``.
 
-    MLP bits equal the protocol's when the call runs inside
-    ``one_blas_thread()``, as ``run_experiment`` and ``cli train`` do.
+    ``data`` is the demand before the test window for arima, the
+    normalized (inputs, targets) of the training examples for efunn,
+    mlp-bp and mlp-scg. ``seed`` initializes an MLP. MLP bits equal the
+    protocol's when the call runs inside ``one_blas_thread()``, as
+    ``run_experiment`` and ``cli train`` do.
     """
     t0 = time.perf_counter()
-    if name == "efunn":
-        inputs, output = make_partitions()
-        model = EfunnModel(config.efunn, inputs, output)
-        for x, y in zip(train_x, train_y):
+    predict, epochs, trace = None, config.epochs, None
+    if name == "arima":
+        model = arima_mod.fit(data, config.arima, counter)
+        epochs = model.iterations
+    elif name == "efunn":
+        model = EfunnModel(config.efunn, *make_partitions())
+        for x, y in zip(*data):
             model.learn_one(x, y, counter)
-        wall = time.perf_counter() - t0
-        return TrainedModel(model, model.predict,
-                            mlp.rmse(model.predict(train_x), train_y), wall)
-    model = mlp.init_mlp(config.mlp_layers, seed)
-    if name == "mlp-bp":
-        cfg = BpConfig(epsilon=config.bp_epsilon, alpha=config.bp_alpha,
-                       epochs=config.epochs)
-        trace = mlp.bp_train(model, (train_x, train_y), cfg, counter)
+        predict, epochs = model.predict, 1
     else:
-        trace = mlp.scg_train(model, (train_x, train_y), config.epochs,
-                              counter=counter)
+        model = mlp.init_mlp(config.mlp_layers, seed)
+        if name == "mlp-bp":
+            cfg = BpConfig(epsilon=config.bp_epsilon, alpha=config.bp_alpha,
+                           epochs=config.epochs)
+            trace = mlp.bp_train(model, data, cfg, counter)
+        else:
+            trace = mlp.scg_train(model, data, config.epochs, counter=counter)
+        predict = functools.partial(mlp.forward, model)
     wall = time.perf_counter() - t0
-    return TrainedModel(model, lambda x: mlp.forward(model, x),
-                        mlp.rmse(mlp.forward(model, train_x), train_y),
-                        wall, trace)
-
-
-def _run_model(config, records, stats, train_x, train_y, test_start, s,
-               actual_norm, name):
-    counter = FlopCounter()
-    trained = train_model(name, config, train_x, train_y,
-                          config.seed * 1000 + 101 + s, counter)
-    norm_preds, demand_preds = recursive_forecast(
-        records, stats, trained.predict, test_start)
-    efunn = name == "efunn"
-    return SampleOutcome(
-        model=name, sample=s, epochs=1 if efunn else config.epochs,
-        train_rmse=trained.train_rmse,
-        test_rmse=mlp.rmse(norm_preds, actual_norm),
-        flops=counter.total, wall_time=trained.wall_time,
-        predictions=demand_preds, trace=trained.trace,
-        nodes=trained.model.n_nodes if efunn else None,
-    )
-
-
-def _run_arima(config, series, stats, actual_norm):
-    counter = FlopCounter()
-    t0 = time.perf_counter()
-    fit = arima_mod.fit(series, default_arima_spec(), counter)
-    preds = arima_mod.forecast(fit, HOLDOUT_PERIODS)
-    wall = time.perf_counter() - t0
-    return SampleOutcome(
-        model="arima", sample=0, epochs=fit.iterations, train_rmse=None,
-        test_rmse=mlp.rmse(dataset.norm_target(preds, stats), actual_norm),
-        flops=counter.total, wall_time=wall, predictions=preds,
-    )
+    train_rmse = None if predict is None else mlp.rmse(predict(data[0]),
+                                                       data[1])
+    return TrainedModel(model, predict, train_rmse, wall, epochs, trace)
 
 
 # -- fits in child processes -----------------------------------------------
@@ -572,20 +581,11 @@ def _forecast_csv(report: BenchReport) -> list:
 
 def _convergence_csv(report: BenchReport) -> list:
     lines = ["trainer,epoch,rmse"]
-    for name in ("mlp-bp", "mlp-scg"):
+    for name in FORECASTERS:
         if name in report.worst and report.worst[name].trace:
             for epoch, value in enumerate(report.worst[name].trace, start=1):
                 lines.append(f"{name},{epoch},{_fmt(value)}")
     return lines
-
-
-_SVG_COLORS = {
-    "actual": "#222222",
-    "efunn": "#c0392b",
-    "mlp-bp": "#2980b9",
-    "mlp-scg": "#27ae60",
-    "arima": "#8e44ad",
-}
 
 
 def _forecast_svg(report: BenchReport) -> list:
@@ -594,11 +594,12 @@ def _forecast_svg(report: BenchReport) -> list:
     left, right, top, bottom = 60, 150, 20, 40
     plot_w = width - left - right
     plot_h = height - top - bottom
-    series = [("actual", report.actuals)]
+    series = [("actual", "#222222", report.actuals)]
     for name in report.config.models:
-        series.append((name, report.worst[name].predictions))
-    lo = min(float(np.min(v)) for _, v in series)
-    hi = max(float(np.max(v)) for _, v in series)
+        series.append((name, FORECASTERS[name].color,
+                       report.worst[name].predictions))
+    lo = min(float(np.min(v)) for _, _, v in series)
+    hi = max(float(np.max(v)) for _, _, v in series)
     if hi <= lo:
         hi = lo + 1.0
 
@@ -639,11 +640,10 @@ def _forecast_svg(report: BenchReport) -> list:
         'text-anchor="middle" font-size="12" fill="#333">half-hour period'
         "</text>"
     )
-    for row, (name, values) in enumerate(series):
+    for row, (name, color, values) in enumerate(series):
         pts = " ".join(
             f"{sx(i):.2f},{sy(float(v)):.2f}" for i, v in enumerate(values)
         )
-        color = _SVG_COLORS.get(name, "#555")
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'

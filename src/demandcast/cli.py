@@ -130,42 +130,40 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     kv = (read_config(args.config, _TRAIN_KEYS[args.model], args.model)
           if args.config else {})
-    if args.model == "arima":
-        spec = arima_mod.ArimaSpec(**kv) if kv else bench.default_arima_spec()
-        demand, test_start = bench.holdout(dataset.parse_csv(args.data), 0,
-                                           args.data)
-        fit = arima_mod.fit(demand[:test_start], spec)
-        arima_mod.save(fit, args.out, extra={"trained.rows": str(demand.size)})
-        print(f"fitted arima {spec.label()} in {fit.iterations} iterations "
-              f"(sigma2 {fit.sigma2:.6g}); snapshot {args.out}")
-        return 0
-
-    records = dataset.parse_csv(args.data)
-    _, test_start = bench.holdout(records, HALF_HOURS_PER_DAY, args.data)
-    train_x, train_y, stats = bench.training_pool(records, test_start)
-    extra = _norm_extra(stats)
-    extra["trained.examples"] = str(len(train_y))
-
     if args.model == "efunn":
         settings = {"efunn": EfunnConfig(**kv)}
+    elif args.model == "arima":
+        settings = {"arima": arima_mod.ArimaSpec(**kv)} if kv else {}
     else:  # scg has no settings beyond the layers
         settings = {_MLP_SETTINGS[k]: v for k, v in kv.items()}
-        settings["epochs"] = args.epochs
+    config = bench.ExperimentConfig(epochs=args.epochs, **settings)
+    records = dataset.parse_csv(args.data)
+    if args.model == "arima":
+        demand, test_start = bench.holdout(records, 0, args.data)
+        data, extra = demand[:test_start], {"trained.rows": str(demand.size)}
+    else:
+        _, test_start = bench.holdout(records, HALF_HOURS_PER_DAY, args.data)
+        train_x, train_y, stats = bench.training_pool(records, test_start)
+        data, extra = (train_x, train_y), _norm_extra(stats)
+        extra["trained.examples"] = str(len(train_y))
     # one BLAS thread gives the MLP bits of the protocol on any machine
     with bench.one_blas_thread():
-        trained = bench.train_model(args.model,
-                                    bench.ExperimentConfig(**settings),
-                                    train_x, train_y, args.seed)
-    if args.model == "efunn":
+        trained = bench.train_model(args.model, config, data, args.seed)
+    if args.model == "arima":
+        arima_mod.save(trained.model, args.out, extra=extra)
+        print(f"fitted arima {config.arima.label()} in {trained.epochs} "
+              f"iterations (sigma2 {trained.model.sigma2:.6g}); snapshot "
+              f"{args.out}")
+    elif args.model == "efunn":
         trained.model.save(args.out, extra=extra)
-        print(f"trained efunn in 1 pass over {len(train_y)} examples: "
+        print(f"trained efunn in 1 pass over {len(data[1])} examples: "
               f"{trained.model.n_nodes} rule nodes, train rmse "
               f"{trained.train_rmse:.4f}; snapshot {args.out}")
-        return 0
-    mlp.save(trained.model, args.out, extra=extra)
-    print(f"trained {args.model} for {args.epochs} epochs over {len(train_y)} "
-          f"examples: train rmse {trained.train_rmse:.4f} (first epoch "
-          f"{trained.trace[0]:.4f}); snapshot {args.out}")
+    else:
+        mlp.save(trained.model, args.out, extra=extra)
+        print(f"trained {args.model} for {args.epochs} epochs over "
+              f"{len(data[1])} examples: train rmse {trained.train_rmse:.4f} "
+              f"(first epoch {trained.trace[0]:.4f}); snapshot {args.out}")
     return 0
 
 
@@ -235,7 +233,8 @@ def _cmd_bench(args) -> int:
           f"worst of {config.n_samples}):")
     for name in config.models:
         w = report.worst[name]
-        detail = f"{w.nodes} rule nodes" if name == "efunn" else f"{w.epochs} epochs"
+        detail = (f"{w.epochs} epochs" if w.nodes is None
+                  else f"{w.nodes} rule nodes")
         print(f"  {name:8s} test rmse {w.test_rmse:.4f}  ({detail})")
     for p in paths:
         print(f"wrote {p}")
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "train",
         help="train one model, holding out the final 96 half-hours",
     )
-    p.add_argument("--model", required=True, choices=bench.MODEL_NAMES)
+    p.add_argument("--model", required=True, choices=bench.FORECASTERS)
     p.add_argument("--data", required=True, help="demand CSV")
     p.add_argument("--out", required=True, help="snapshot path")
     p.add_argument("--seed", type=_seed, default=0)

@@ -195,7 +195,7 @@ def fitted():
     x, y, stats = training_pool(records, len(records) - HOLDOUT_PERIODS)
     config = small_config(epochs=50)
     return records, stats, {
-        name: train_model(name, config, x[::4], y[::4], seed=2).predict
+        name: train_model(name, config, (x[::4], y[::4]), seed=2).predict
         for name in ("efunn", "mlp-scg")}
 
 

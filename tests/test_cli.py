@@ -232,6 +232,7 @@ EXIT_1_CASES = (
     "nan synth config", "inf train config", "nan bench config",
     "backprop key for mlp-scg", "two-output mlp forecast",
     "two-input efunn forecast",
+    *(f"negative {model} epochs" for model in ("efunn", "arima")),
 )
 
 
@@ -577,6 +578,10 @@ def bad_inputs(data_csv, tmp_path_factory):
         cases[f"removed efunn key {key}"] = (
             train("efunn", str(data_csv), "--config", cfg),
             f"error: {cfg}:2: unknown efunn key {key!r}")
+    for model in ("efunn", "arima"):
+        cases[f"negative {model} epochs"] = (
+            train(model, str(data_csv), "--epochs", "-1"),
+            "error: epochs must be >= 1, got -1")
     for key, cfg in removed_bench.items():
         cases[f"removed bench key {key}"] = (
             ["bench", "--days", "40", "--out", out, "--config", cfg],

@@ -120,14 +120,14 @@ def test_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
         assert one[name] == serial[name], name
     nproc = len(os.sched_getaffinity(0))
     assert workers == min(nproc, 4)
-    # EFuNN and both MLP trainers on each of two samples
-    assert len(fits) == len(pinned_fits) == len(serial_fits) == 6
+    # EFuNN and both MLP trainers on each of two samples, and ARIMA once
+    assert len(fits) == len(pinned_fits) == len(serial_fits) == 7
     assert {blas for *_, blas in fits + pinned_fits + serial_fits} == {1}
     assert 1 <= _most_at_once(fits) <= workers
     if workers > 1:
         # a child forked for each fit
         pids = {p for p, *_ in fits}
-        assert len(pids) == 6 and pid not in pids
+        assert len(pids) == 7 and pid not in pids
     assert pinned_workers == 1
     assert {p for p, *_ in pinned_fits} == {pinned_pid}
     assert {p for p, *_ in serial_fits} == {serial_pid}

@@ -152,16 +152,23 @@ def test_arima_fits_the_same_bits_with_and_without_a_counter(seed, spec):
                               equal_nan=True), name
 
 
-@pytest.mark.parametrize("name", ["efunn", "mlp-bp", "mlp-scg"])
+@pytest.mark.parametrize("name", ["efunn", "mlp-bp", "mlp-scg", "arima"])
 def test_train_model_counts_learning_only(name):
-    config = bench.ExperimentConfig(epochs=3, mlp_layers=(6, 3, 1))
+    config = bench.ExperimentConfig(epochs=3, mlp_layers=(6, 3, 1),
+                                    arima=arima.ArimaSpec(p=1))
     rng = np.random.default_rng(0)
     X, y = rng.uniform(size=(20, 6)), rng.uniform(size=20)
+    data = y if name == "arima" else (X, y)  # ARIMA fits the series
     counter = FlopCounter()
-    counted = bench.train_model(name, config, X, y, seed=1, counter=counter)
+    counted = bench.train_model(name, config, data, seed=1, counter=counter)
     total = counter.total
-    plain = bench.train_model(name, config, X, y, seed=1)
+    plain = bench.train_model(name, config, data, seed=1)
     assert total > 0
     assert counted.train_rmse == plain.train_rmse
-    assert counted.predict(X).tolist() == plain.predict(X).tolist()
     assert counter.total == total
+    if name == "arima":
+        assert counted.train_rmse is counted.predict is None
+        assert counted.epochs == counted.model.iterations
+        assert counted.model.ar.tolist() == plain.model.ar.tolist()
+    else:
+        assert counted.predict(X).tolist() == plain.predict(X).tolist()
