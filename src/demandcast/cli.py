@@ -8,10 +8,13 @@ snapshot against a CSV, ``bench`` runs the full comparison, and
 train and forecast share a holdout convention: the final 96 half-hours
 (two days) of the CSV are never trained on, and forecast predicts
 exactly that window. Exit codes: 0 on success, 1 for usage, config, or
-data problems, 2 when an estimator fails to converge.
+data problems, 2 when an estimator fails to converge, and 141 (128 +
+SIGPIPE, as the shell reports a command killed by it) when the reader
+of standard output closes it early.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -319,7 +322,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help, --version, or a usage error
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader of stdout stopped early (``| head``): exit as the shell
+        # reports a command killed by SIGPIPE (128 + 13), writing nothing
+        # more to the pipe, not even at the interpreter's final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConvergenceError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

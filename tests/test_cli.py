@@ -206,6 +206,18 @@ def test_console_script_is_installed():
     assert "demandcast" in proc.stdout
 
 
+def test_stdout_closed_early_exits_141_quietly():
+    # no reader at all, as when ``| head -1`` has had its line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "demandcast", "rules", "--snapshot",
+         str(Path(__file__).parent / "data" / "efunn.snap")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 EXIT_1_CASES = (
     "bad csv header", "timestamp gap", "nan demand, mlp", "nan demand, efunn",
     "non-numeric efunn config", "non-numeric arima config",
