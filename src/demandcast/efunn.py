@@ -22,8 +22,7 @@ previous winner to link from.
 
 The rule layer is held as the connection matrices of Kasabov (2001):
 row k of ``w1`` (nodes x input degrees) and ``w2`` (nodes x output
-degrees) are node k's centroids, beside per-node ``age`` and ``absorbed``
-vectors, all grown together by capacity doubling.
+degrees) are node k's centroids, grown together by capacity doubling.
 
 ``w1`` is stored degree-major (Fortran order): the values of one input
 degree over all nodes are contiguous, so the fuzzy difference from an
@@ -154,8 +153,6 @@ class LinguisticRule:
 _NODE_FIELDS = (
     ("nodes.w1", "_w1", snapshot.parse_finite),
     ("nodes.w2", "_w2", snapshot.parse_finite),
-    ("nodes.age", "_age", snapshot.parse_ints),
-    ("nodes.absorbed", "_absorbed", snapshot.parse_ints),
 )
 # every array of the rule layer: the snapshot's, and the sum of each w1
 # row, kept beside w1 for the distance kernel
@@ -190,9 +187,6 @@ class EfunnModel:
         self._w1 = np.zeros((0, self.input_width), order="F")
         self._w1sum = np.zeros(0)
         self._w2 = np.zeros((0, output_partition.size))
-        self._age = np.zeros(0, dtype=np.int64)  # examples since creation
-        # examples that shaped the centroids, creation included
-        self._absorbed = np.zeros(0, dtype=np.int64)
         self._scratch = np.zeros(0)
         self._reserve(4)
 
@@ -226,7 +220,7 @@ class EfunnModel:
     def _reserve(self, rows: int) -> None:
         """Grow every rule-layer array to hold ``rows`` nodes, at least
         doubling the capacity when it has to grow."""
-        cap = self._age.size
+        cap = len(self._w2)
         if rows <= cap:
             return
         cap = max(rows, 2 * cap)
@@ -271,8 +265,6 @@ class EfunnModel:
         self._reserve(k + 1)
         self._put_w1(k, ex)
         self._w2[k] = te
-        self._age[k] = 0
-        self._absorbed[k] = 1
         self._n = k + 1
         return k
 
@@ -381,11 +373,10 @@ class EfunnModel:
     def learn_one(self, x, y: float, counter=DISCARD) -> LearnOutcome:
         """Feed one (input, target) example through the evolving procedure.
 
-        The example is fuzzified, every node ages by one, and the example
-        is either absorbed (all sufficiently activated nodes are updated)
-        or memorized in a new node. At the node budget the nearest node is
-        updated instead of failing the stream. The step's flops go to
-        ``counter``.
+        The example is fuzzified and then either absorbed (all
+        sufficiently activated nodes are updated) or memorized in a new
+        node. At the node budget the nearest node is updated instead of
+        failing the stream. The step's flops go to ``counter``.
         """
         x = self._check_input(x)
         # NaN fails every comparison, so check what must hold
@@ -403,7 +394,6 @@ class EfunnModel:
         if not n:
             self.create_rule_node(ex, te)
             return LearnOutcome(True, 0.0, 1)
-        self._age[:n] += 1
         # at the budget the nearest node may be needed, so all are scored
         found = (self._candidates(ex[None, :], self._scratch, counter)
                  if n < cfg.max_nodes else None)
@@ -450,7 +440,6 @@ class EfunnModel:
         w1, w2 = self._w1[rows], self._w2[rows]
         self._put_w1(rows, w1 + self.config.lr1 * (ex - w1))
         self._w2[rows] = w2 + self.config.lr2 * (te - satlin(w2)) * a1
-        self._absorbed[rows] += 1
         counter.add_mac(2 * (ex.size + te.size) * np.size(rows))
 
     # -- inference --------------------------------------------------------
@@ -523,7 +512,6 @@ class EfunnModel:
             raise ConfigError("aggregation thresholds must be >= 0")
         n = self._n
         w1, w2 = self._w1, self.w2
-        age, absorbed = self._age, self._absorbed
         live = np.ones(n, dtype=bool)
         for i in range(n):
             start = i + 1
@@ -541,8 +529,6 @@ class EfunnModel:
                         "fuzzy difference of two all-zero vectors is undefined")
                 self._put_w1(i, (w1[i] + w1[j]) / 2.0)
                 w2[i] = (w2[i] + w2[j]) / 2.0
-                age[i] = max(age[i], age[j])
-                absorbed[i] += absorbed[j]
                 live[j] = False
                 start = j + 1
         merged = np.flatnonzero(~live)
@@ -616,7 +602,9 @@ class EfunnModel:
             if body.get(key, implemented) != implemented:
                 raise ParseError(f"snapshot {key} {body[key]!r} is not "
                                  f"implemented; expected {implemented!r}")
-        # nor is their nodes.a1av line read, a mean activation no rule uses
+        # nor are their nodes.a1av, nodes.age and nodes.absorbed lines read:
+        # a mean activation, examples since creation and examples absorbed,
+        # which no rule uses
         n_in = need(body, "inputs", int)
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")

@@ -10,14 +10,13 @@ caller metadata follows as ``extra.<key>=<value>`` lines in insertion
 order. ``load`` checks the header and splits the extras back off.
 Floats are printed with 17 significant digits, which is enough to
 reconstruct an IEEE double exactly, so parse followed by serialize is
-byte-identical. Arrays are space-separated in row-major order, integer
-arrays as exact integers.
+byte-identical. Arrays are space-separated in row-major order.
 
 Format 3 holds a whole array on one line: an EFuNN snapshot writes
-``nodes.w1`` (nodes x input degrees values), ``nodes.w2``,
-``nodes.age`` and ``nodes.absorbed``; an older format 3 file may also
-hold ``nodes.a1av``, a per-node mean activation nothing reads, which
-loading skips. Older formats are refused, and a model saved in one is
+``nodes.w1`` (nodes x input degrees values) and ``nodes.w2``; an older
+format 3 file may also hold ``nodes.a1av``, ``nodes.age`` and
+``nodes.absorbed``, per-node statistics nothing reads, which loading
+skips. Older formats are refused, and a model saved in one is
 retrained with ``demandcast train``: format 1 held an EFuNN's arrays a
 node per line, and format 2 also held its temporal links, which EFuNN
 no longer has.
@@ -59,15 +58,12 @@ def format_float(x) -> str:
 
 
 def format_array(a) -> str:
-    """Row-major space-separated rendering of an array (may be empty);
-    integer arrays print exactly, floats as ``format_float``.
+    """Row-major space-separated rendering of an array (may be empty),
+    each value as ``format_float``.
 
     Each distinct bit pattern is formatted once, so long runs of one
     value cost a lookup per entry.
     """
-    a = np.asarray(a)
-    if a.dtype.kind in "iu":
-        return " ".join(map(str, a.ravel().tolist()))
     flat = np.ascontiguousarray(a, dtype=float).ravel()
     bits = flat.view(np.uint64)
     bits, where = np.unique(bits, return_inverse=True)
@@ -103,15 +99,6 @@ def parse_finite(text: str) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ParseError("holds a non-finite value")
     return values
-
-
-def parse_ints(text: str) -> np.ndarray:
-    """The integers of space-separated text, as an int64 array; an
-    integer past int64 raises OverflowError, which ``need`` reports."""
-    try:
-        return np.array([int(t) for t in text.split()], dtype=np.int64)
-    except ValueError as exc:
-        raise ParseError(f"bad integer in snapshot array: {exc}") from None
 
 
 def format_value(value) -> str:
@@ -150,8 +137,6 @@ def need(body: dict, key: str, convert=None, size: Optional[int] = None):
         value = convert(body[key])
     except ParseError as exc:
         raise ParseError(f"snapshot key {key!r}: {exc}") from None
-    except OverflowError:
-        raise ParseError(f"snapshot key {key!r} is out of range") from None
     except ValueError:
         raise ParseError(f"bad value for snapshot key {key!r}: "
                          f"{body[key]!r}") from None

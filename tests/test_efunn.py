@@ -66,7 +66,6 @@ def test_update_node_input_centroid_drift_oracle():
     m = _one_node([0.4, 0.4], [0.5, 0.5], lr1=0.05, lr2=0.0)
     m._absorb(0, np.array([0.8, 0.8]), np.array([0.6, 0.6]), 1.0)
     assert m.w1[0, 0] == pytest.approx(0.42)
-    assert m._absorbed[0] == 2
 
 
 def test_update_node_output_drift_scales_with_activation():
@@ -83,16 +82,6 @@ def test_output_error_above_threshold_creates_despite_spatial_match():
     m.learn_one(np.array([0.3]), 0.2)
     out = m.learn_one(np.array([0.3]), 0.8)
     assert out.created_node and m.n_nodes == 2
-
-
-def test_node_age_counts_the_examples_since_its_creation():
-    m = make_model()
-    m.learn_one(np.array([0.1]), 0.2)
-    assert m._age[0] == 0
-    m.learn_one(np.array([0.9]), 0.8)  # far away: a second node
-    m.learn_one(np.array([0.9]), 0.8)  # absorbed by it
-    assert m.n_nodes == 2
-    assert m._age[:2].tolist() == [2, 1]
 
 
 def test_all_above_threshold_falls_back_to_argmax():
@@ -179,12 +168,10 @@ def test_aggregate_merges_close_pair_to_elementwise_average():
     m = make_model(mfs=2)
     m.create_rule_node(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
     m.create_rule_node(np.array([0.4, 0.6]), np.array([0.5, 0.5]))
-    m._age[:2] = 3, 7
     assert m.aggregate(0.5, 0.5) == 1
     assert m.n_nodes == 1
     assert np.allclose(m.w1[0], [0.3, 0.7])
-    assert m._age[0] == 7
-    assert m._absorbed[0] == 2
+    assert m.w2[0].tolist() == [0.5, 0.5]
 
 
 def test_aggregate_never_increases_node_count():
@@ -258,9 +245,8 @@ def test_snapshot_save_load_file(tmp_path):
 
 @pytest.mark.parametrize("key, value, message", [
     ("nodes.w1", "0.5", "'nodes.w1' holds 1 values, expected 3"),
-    ("nodes.age", "9" * 20, "'nodes.age' is out of range"),
-    ("nodes.absorbed", "9" * 400, "'nodes.absorbed' is out of range"),
-], ids=["short w1", "age past int64", "absorbed past float"])
+    ("nodes.w2", "0.5 0.5", "'nodes.w2' holds 2 values, expected 3"),
+], ids=["short w1", "short w2"])
 def test_snapshot_rejects_node_fields_that_do_not_fit(key, value, message):
     m = make_model()
     m.learn_one(np.array([0.5]), 0.5)
@@ -361,24 +347,18 @@ def test_predict_stays_within_the_memory_its_docstring_states(n_nodes):
 def test_rows_survive_capacity_growth():
     m = make_model(mfs=2)
     xs = np.linspace(0.0, 1.0, 9)
-    for k, x in enumerate(xs):  # grows capacity from 4 past 8 nodes
+    for x in xs:  # grows capacity from 4 past 8 nodes
         m.create_rule_node(np.array([x, 1.0 - x]), np.array([1.0 - x, x]))
-        m._age[k] = k
-    assert m._age.size > 8 and m.n_nodes == 9
+    assert len(m._w2) > 8 and m.n_nodes == 9
     assert m.w1.tolist() == [[x, 1.0 - x] for x in xs]
     assert m.w2.tolist() == [[1.0 - x, x] for x in xs]
-    assert m._age[:9].tolist() == list(range(9))
     m._put_w1(0, m.w1[0] + 1.0)
     assert m.w1[0].tolist() == [1.0, 2.0] and m._w1sum[0] == 3.0
 
 
 def _rows(m):
     """Each live rule node's row of every array, as plain values."""
-    n = m.n_nodes
-    return [dict(w1=w1.copy(), w2=w2.copy(), age=int(age),
-                 absorbed=int(absorbed))
-            for w1, w2, age, absorbed in zip(
-                m.w1, m.w2, m._age[:n], m._absorbed[:n])]
+    return [dict(w1=w1.copy(), w2=w2.copy()) for w1, w2 in zip(m.w1, m.w2)]
 
 
 def _old_aggregate(m, thr1, thr2):
@@ -393,8 +373,6 @@ def _old_aggregate(m, thr1, thr2):
                     and fuzzy_difference(a["w2"], b["w2"]) <= thr2):
                 a["w1"] = (a["w1"] + b["w1"]) / 2.0
                 a["w2"] = (a["w2"] + b["w2"]) / 2.0
-                a["age"] = max(a["age"], b["age"])
-                a["absorbed"] += b["absorbed"]
                 del nodes[j]
             else:
                 j += 1
@@ -412,7 +390,6 @@ def test_aggregate_matches_the_pair_loop(model_and_xs, thr1, thr2):
     for row, node in zip(_rows(m), nodes, strict=True):
         assert row["w1"].tolist() == node["w1"].tolist()
         assert row["w2"].tolist() == node["w2"].tolist()
-        assert (row["age"], row["absorbed"]) == (node["age"], node["absorbed"])
 
 
 def test_aggregate_skips_nodes_already_merged():
@@ -424,7 +401,7 @@ def test_aggregate_skips_nodes_already_merged():
     nodes = _old_aggregate(m, 0.3, 0.3)
     assert m.aggregate(0.3, 0.3) == 1
     assert m.w1.tolist() == [n["w1"].tolist() for n in nodes]
-    assert m._absorbed[1] == 1
+    assert m.w1[1].tolist() == [0.5, 0.5]  # absorbed nothing
 
 
 def test_remove_nodes_moves_kept_rows():
@@ -432,11 +409,11 @@ def test_remove_nodes_moves_kept_rows():
     m = make_model(n_inputs=6, mfs=4)
     for _ in range(1000):
         m.create_rule_node(rng.uniform(size=24), rng.uniform(size=4))
-    m._absorbed[:1000] = np.arange(1000)  # the id rides in absorbed
+    m.w2[:, 0] = np.arange(1000)  # the id rides in w2
     w1 = m.w1.copy()
     m._remove_nodes(rng.choice(1000, size=400, replace=False))
     assert m.n_nodes == 600
-    ids = m._absorbed[: m.n_nodes].copy()
+    ids = m.w2[:, 0].astype(int)
     assert np.all(np.diff(ids) > 0)
     assert np.array_equal(m.w1, w1[ids])
 
@@ -664,7 +641,6 @@ def _dense_learn_one(m, x, y):
     if not n:
         m.create_rule_node(ex, te)
         return LearnOutcome(True, 0.0, 1)
-    m._age[:n] += 1
     a1 = _dense_a1(m, ex)
     err = 0.0
     if a1.max() >= cfg.sthr:
@@ -726,7 +702,7 @@ def test_candidate_filter_matches_the_full_kernel_bit_for_bit(case, gather):
         for x, y in stream:
             assert filtered.learn_one(x, y) == _dense_learn_one(dense, x, y)
         n = dense.n_nodes
-        for name in ("_w1", "_w2", "_absorbed", "_age"):
+        for name in ("_w1", "_w2"):
             assert (getattr(filtered, name)[:n].tobytes()
                     == getattr(dense, name)[:n].tobytes()), name
         got = filtered.predict(np.array(xs))

@@ -70,11 +70,11 @@ def test_at_budget_stream_learns_fixed_snapshot_bytes():
     # every example past the first 20 is absorbed by the nearest node
     m = EfunnModel(EfunnConfig(max_nodes=20), *bench.make_partitions())
     rng = np.random.default_rng(3)
-    for x in rng.uniform(size=(400, 7)):
-        m.learn_one(x[:6], float(x[6]))
-    assert m.n_nodes == 20 and m._absorbed[:20].sum() == 400
+    created = [m.learn_one(x[:6], float(x[6])).created_node
+               for x in rng.uniform(size=(400, 7))]
+    assert created == [True] * 20 + [False] * 380 and m.n_nodes == 20
     assert hashlib.sha256(m.to_text().encode()).hexdigest() == (
-        "5bb7b5d5158dddd1b3f292ea74e4f37192390b3131a3e124a81fc95296325a2b")
+        "e701139d64df3efea6b1e77241e42783c9bda1ac7b562dbf574bf8a77cd7514e")
 
 
 def test_an_update_at_the_node_budget_counts_its_flops():
@@ -92,9 +92,10 @@ def test_an_update_at_the_node_budget_counts_its_flops():
         counter = FlopCounter()
         m.learn_one(np.ones(6), 1.0, counter)
         counts[max_nodes] = counter.total
-    assert (models[1].n_nodes, models[1]._absorbed[0]) == (1, 2)
-    assert models[100000].n_nodes == 2
     m = models[1]
+    assert m.n_nodes == 1  # its one node moved toward the second example
+    assert m.w1[0].tolist() != m.fuzzify_input(np.zeros(6)).tolist()
+    assert models[100000].n_nodes == 2
     degrees = m.fuzzify_input(np.ones(6)).size
     width = degrees + m.output_partition.size
     assert counts[1] - counts[100000] == (4 * (degrees - 8)

@@ -102,12 +102,11 @@ def test_need_converts_and_names_bad_values():
     assert snapshot.need({"nodes": "3"}, "nodes", int) == 3
     with pytest.raises(ParseError, match="nodes"):
         snapshot.need({"nodes": "three"}, "nodes", int)
-    body = {"age": "1 2", "big": "9" * 20}
-    assert snapshot.need(body, "age", snapshot.parse_ints, 2).tolist() == [1, 2]
-    with pytest.raises(ParseError, match="'age' holds 2 values, expected 3"):
-        snapshot.need(body, "age", snapshot.parse_ints, 3)
-    with pytest.raises(ParseError, match="'big' is out of range"):
-        snapshot.need(body, "big", snapshot.parse_ints)
+    body = {"w2": "1 2"}
+    assert snapshot.need(body, "w2", snapshot.parse_finite, 2).tolist() == [
+        1.0, 2.0]
+    with pytest.raises(ParseError, match="'w2' holds 2 values, expected 3"):
+        snapshot.need(body, "w2", snapshot.parse_finite, 3)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1 / 3])
@@ -119,7 +118,7 @@ _VALUE = st.one_of(_SPECIAL, st.floats())
 @given(st.one_of(
     # every value repeats
     st.lists(_VALUE, max_size=30).map(lambda v: v + v[::-1]),
-    # one value throughout, as in nodes.absorbed of unmerged nodes
+    # one value throughout: one bit pattern formatted for every entry
     st.builds(lambda v, n: [v] * (2 * n), _VALUE, st.integers(1, 40)),
 ))
 @example([0.0] * 8)
@@ -374,13 +373,22 @@ _CODECS = {"efunn": (EfunnModel.load, EfunnModel.save),
            "mlp": (mlp.load, mlp.save), "arima": (arima.load, arima.save)}
 
 
+def _as_saved(text: str) -> str:
+    """``text`` less the nodes.age and nodes.absorbed lines, per-node
+    counts that efunn.snap still holds, that loading skips and saving
+    leaves out."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(("nodes.age=", "nodes.absorbed=")))
+
+
 @pytest.mark.parametrize("path", sorted(_DATA.glob("*.snap")),
                          ids=lambda path: path.name)
 def test_committed_snapshot_loads_and_saves_byte_for_byte(path, tmp_path):
     load, save = _CODECS[snapshot.read_kind(path)]
     model, extra = load(path)
     save(model, tmp_path / "again.snap", extra)
-    assert (tmp_path / "again.snap").read_bytes() == path.read_bytes()
+    assert (tmp_path / "again.snap").read_text() == _as_saved(
+        path.read_text())
 
 
 def _fixture_stream():
@@ -429,8 +437,9 @@ def test_efunn_fixture_loads_to_the_same_model():
     body, _ = snapshot.load(path.read_text(), "efunn")
     n = int(body["nodes"])
     assert model.n_nodes == n == 34
-    for key, name in (("nodes.w1", "w1"), ("nodes.w2", "w2"),
-                      ("nodes.age", "_age"), ("nodes.absorbed", "_absorbed")):
+    # the file predates the removal of the per-node counts
+    assert "nodes.age" in body and "nodes.absorbed" in body
+    for key, name in (("nodes.w1", "w1"), ("nodes.w2", "w2")):
         assert getattr(model, name)[:n].ravel().tolist() == [
             float(v) for v in body[key].split()]
     # today's learning of the same stream gives the same model
@@ -453,7 +462,7 @@ def test_efunn_snapshot_naming_the_implemented_rule_loads_as_without(
                     "config.activation=satlin\n" + text[at:])
     model, extra = EfunnModel.load(path)
     want, want_extra = EfunnModel.from_text(text)
-    assert model.to_text(extra) == want.to_text(want_extra) == text
+    assert model.to_text(extra) == want.to_text(want_extra) == _as_saved(text)
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
     assert model.predict(grid).tolist() == snapshot.parse_array(
         extra["predict.values"]).tolist()
@@ -470,7 +479,7 @@ def test_efunn_snapshot_holding_mean_activations_loads_as_without(tmp_path):
                     + "\n" + text[at:])
     model, extra = EfunnModel.load(path)
     want, want_extra = EfunnModel.from_text(text)
-    assert model.to_text(extra) == want.to_text(want_extra) == text
+    assert model.to_text(extra) == want.to_text(want_extra) == _as_saved(text)
     grid = snapshot.parse_array(extra["predict.grid"]).reshape(-1, 2)
     assert model.predict(grid).tolist() == snapshot.parse_array(
         extra["predict.values"]).tolist()
