@@ -159,13 +159,13 @@ def _cmd_train(args) -> int:
               f"{args.out}")
     elif args.model == "efunn":
         trained.model.save(args.out, extra=extra)
-        print(f"trained efunn in 1 pass over {len(data[1])} examples: "
+        print(f"trained efunn in 1 pass over {len(train_y)} examples: "
               f"{trained.model.n_nodes} rule nodes, train rmse "
               f"{trained.train_rmse:.4f}; snapshot {args.out}")
     else:
         mlp.save(trained.model, args.out, extra=extra)
         print(f"trained {args.model} for {args.epochs} epochs over "
-              f"{len(data[1])} examples: train rmse {trained.train_rmse:.4f} "
+              f"{len(train_y)} examples: train rmse {trained.train_rmse:.4f} "
               f"(first epoch {trained.trace[0]:.4f}); snapshot {args.out}")
     return 0
 
