@@ -42,7 +42,7 @@ at most the distance's numerator, so a node whose block alone exceeds
 distances, bit for bit the full kernel's. The full kernel still scores
 rows that no node fires for (the most activated node of all then
 propagates), learning at the node budget (which updates the nearest
-node), and chunks where the bound leaves too many nodes to pay off.
+node), and inputs the bound leaves too many nodes for to pay off.
 
 Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
@@ -106,16 +106,14 @@ class EfunnConfig:
             raise ConfigError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
-# distance scratch of batched scoring stays within this
-_BATCH_BYTES = 2 * 1024 * 1024
-# scratch values per (input row, node) pair: two blocks of 8 degrees
+# scratch values per node: two blocks of 8 degrees
 _SCRATCH = 16
 # the candidate bound reads the kernel's first block of degrees
 _HEAD = 8
 # widening of the bound's radius, relative and absolute
 _SLACK = 1e-9
-# degrees the candidates may gather per (input row, node) pair; beyond
-# that the full kernel costs less
+# degrees the candidates may gather per node; beyond that the full
+# kernel costs less
 _GATHER = 3
 
 
@@ -182,7 +180,7 @@ class EfunnModel:
         self.output_partition = output_partition
         self.examples_seen = 0
         # the rule layer: rows [:_n] are live, later rows spare capacity;
-        # the distance kernel's scratch for one input row grows with it
+        # the distance kernel's scratch grows with it
         self._n = 0
         self._w1 = np.zeros((0, self.input_width), order="F")
         self._w1sum = np.zeros(0)
@@ -233,10 +231,6 @@ class EfunnModel:
             setattr(self, name, new)
         self._scratch = np.empty(_SCRATCH * cap)
 
-    def _chunk_rows(self) -> int:
-        """Input rows whose distance scratch fits in _BATCH_BYTES."""
-        return max(1, _BATCH_BYTES // (8 * _SCRATCH * max(1, self._n)))
-
     def _put_w1(self, rows, value) -> None:
         """Write input centroids and refresh their degree sums, summing
         each centroid as a C-ordered row."""
@@ -269,32 +263,29 @@ class EfunnModel:
         return k
 
     def _gaps(self, ex: np.ndarray, i: int, j: int, out: np.ndarray):
-        """|w1 - ex| of input degrees i..j-1, in ``out`` (degrees x rows of
-        ``ex`` x nodes)."""
-        n = self._n
+        """|w1 - ex| of input degrees i..j-1, in ``out`` (degrees x nodes)."""
         out = out[: j - i]
-        np.subtract(self._w1[:n, i:j].T[:, None, :], ex.T[i:j, :, None], out)
+        np.subtract(self._w1[: self._n, i:j].T, ex[i:j, None], out)
         return np.abs(out, out)
 
     def _denominators(self, ex: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """w1.sum(axis=1) + ex.sum(axis=1) for each row of ``ex`` and node,
-        in ``out``."""
-        return np.add(self._w1sum[: self._n],
-                      np.ascontiguousarray(ex).sum(axis=1)[:, None], out)
+        """w1.sum(axis=1) + ex.sum() for each node, in ``out``."""
+        return np.add(self._w1sum[: self._n], np.ascontiguousarray(ex).sum(),
+                      out)
 
     def _distances(self, ex: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Normalized fuzzy difference from each row of ``ex`` (one
-        fuzzified input per row) to every node's input centroid.
+        """Normalized fuzzy difference from the fuzzified input ``ex`` to
+        every node's input centroid.
 
-        Equal bit for bit to the row-major ``|w1 - ex|.sum(axis=2) /
-        (w1.sum(axis=1) + ex.sum(axis=1))`` of C-ordered operands, for
-        ``ex`` in any memory layout, capped at 1 as ``fuzzy_difference``
-        is. ``scratch`` holds at least ``_SCRATCH * len(ex) * n_nodes``
-        floats, and the distances are returned in it.
+        Equal bit for bit to the row-major ``|w1 - ex|.sum(axis=1) /
+        (w1.sum(axis=1) + ex.sum())`` of C-ordered operands, for ``ex`` in
+        any memory layout, capped at 1 as ``fuzzy_difference`` is.
+        ``scratch`` holds at least ``_SCRATCH * n_nodes`` floats, and the
+        distances are returned in it.
         """
-        size = 8 * len(ex) * self._n
-        acc = scratch[:size].reshape(8, len(ex), self._n)
-        buf = scratch[size : 2 * size].reshape(acc.shape)
+        n = self._n
+        acc = scratch[: 8 * n].reshape(8, n)
+        buf = scratch[8 * n : 16 * n].reshape(8, n)
         # sums of |w1 - ex| hold no -0.0, so adding the reduction's start
         # value +0.0 would change no bit
         total = _pairwise(lambda i, j, out: self._gaps(ex, i, j, out),
@@ -304,20 +295,19 @@ class EfunnModel:
 
     def _activations(self, ex: np.ndarray, scratch: np.ndarray,
                      counter=DISCARD) -> np.ndarray:
-        """A1 of every rule node (columns) for each row of ``ex``, in
+        """A1 of every rule node for the fuzzified input ``ex``, in
         ``scratch``."""
         if not self._n:
             raise EmptyModelError("model has no rule nodes")
         dist = self._distances(ex, scratch)
-        counter.add(4 * len(ex) * self._n * self._w1.shape[1])
+        counter.add(4 * self._n * self._w1.shape[1])
         return satlin(np.subtract(1.0, dist, dist), dist)
 
     def _candidates(self, ex: np.ndarray, scratch: np.ndarray,
                     counter=DISCARD):
-        """(rows, nodes, a1): each pair of a row of ``ex`` and a node whose
-        activation can reach sthr, in row-major order, with that exact
-        activation; None when so many pairs are left that the full
-        kernel costs less.
+        """(nodes, a1): each node whose activation for the fuzzified input
+        ``ex`` can reach sthr, in index order, with that exact activation;
+        None when so many nodes are left that the full kernel costs less.
 
         |w1 - ex| summed over the first _HEAD degrees is at most the whole
         sum, so a node whose partial sum exceeds (1 - sthr) of its
@@ -325,30 +315,28 @@ class EfunnModel:
         sthr. The radius is widened by _SLACK, relative and absolute, far
         more than the few ulp by which rounding the sums, the quotient
         and ``1 - dist`` can move a node. The activations kept equal those
-        of ``_activations`` bit for bit: each pair's ``|w1 - ex|`` is
+        of ``_activations`` bit for bit: each node's ``|w1 - ex|`` is
         summed as a C-ordered row, the form ``_distances`` matches.
         ``scratch`` is as ``_distances`` takes it.
         """
-        rows, n, width = len(ex), self._n, self._w1.shape[1]
+        n, width = self._n, self._w1.shape[1]
         head = min(_HEAD, width)
-        counter.add(4 * rows * n * head)
-        pairs = rows * n
-        gaps = scratch[: head * pairs].reshape(head, rows, n)
-        bound, den, limit = scratch[8 * pairs : 11 * pairs].reshape(3, rows, n)
+        counter.add(4 * n * head)
+        gaps = scratch[: head * n].reshape(head, n)
+        bound, den, limit = scratch[8 * n : 11 * n].reshape(3, n)
         np.add.reduce(self._gaps(ex, 0, head, gaps), axis=0, out=bound)
         radius = (1.0 - self.config.sthr + _SLACK) * (1.0 + _SLACK)
         np.multiply(self._denominators(ex, den), radius, limit)
         far = np.greater(bound, limit)  # nan decides nothing, so is kept
-        kept = np.flatnonzero(np.logical_not(far, far))
-        if kept.size * width > _GATHER * pairs:
+        nodes = np.flatnonzero(np.logical_not(far, far))
+        if nodes.size * width > _GATHER * n:
             return None
-        counter.add(4 * kept.size * width)
-        row, node = np.divmod(kept, n)
-        diff = self._w1[node]  # C-ordered: a node's degrees adjoin
-        diff -= ex[row]
+        counter.add(4 * nodes.size * width)
+        diff = self._w1[nodes]  # C-ordered: a node's degrees adjoin
+        diff -= ex
         total = np.abs(diff, diff).sum(axis=1)
-        dist = np.minimum(total / den.ravel()[kept], 1.0)
-        return row, node, satlin(1.0 - dist)
+        dist = np.minimum(total / den[nodes], 1.0)
+        return nodes, satlin(1.0 - dist)
 
     def _select(self, a1: np.ndarray) -> np.ndarray:
         """Nodes that propagate: those above sthr, else the most activated."""
@@ -395,13 +383,13 @@ class EfunnModel:
             self.create_rule_node(ex, te)
             return LearnOutcome(True, 0.0, 1)
         # at the budget the nearest node may be needed, so all are scored
-        found = (self._candidates(ex[None, :], self._scratch, counter)
+        found = (self._candidates(ex, self._scratch, counter)
                  if n < cfg.max_nodes else None)
         if found is None:
             nodes = np.arange(n)
-            a1 = self._activations(ex[None, :], self._scratch, counter)[0]
+            a1 = self._activations(ex, self._scratch, counter)
         else:
-            _, nodes, a1 = found
+            nodes, a1 = found
 
         err = 0.0
         if not a1.size or a1.max() < cfg.sthr:
@@ -454,19 +442,15 @@ class EfunnModel:
 
     def predict(self, xs) -> np.ndarray:
         """Crisp demand estimates for the normalized input rows ``xs``;
-        changes no learned state. Each row's estimate is independent of
-        the others, so a batch equals its rows predicted one at a time,
-        bit for bit.
+        changes no learned state. Each row is scored alone, as learn_one
+        scores its example: the candidates that fire propagate, and a row
+        that none fires for is scored by the full kernel, whose most
+        activated node propagates.
 
-        Activations are computed for a chunk of rows at a time in scratch
-        allocated once: as many rows as fit in ``_BATCH_BYTES`` (2 MiB),
-        and at least one, whose scratch takes 128 bytes per node. Besides
-        the output, memory thus stays within max(2 MiB, 128 bytes per
-        node) of scratch and half as much again for a chunk's other
-        temporaries, at any number of rows: the candidates' exact
-        distances gather at most _GATHER degrees a (row, node) pair.
-        A row that no candidate fires for is scored by the full kernel,
-        which finds its most activated node.
+        Besides the output, memory stays within ``_SCRATCH * n_nodes``
+        floats of scratch (128 bytes per node), allocated once, and
+        ``input_width`` fuzzified floats a row (24 for six inputs of four
+        MFs): a row's candidates gather at most _GATHER degrees a node.
         """
         if not self._n:
             raise EmptyModelError("cannot predict with no rule nodes")
@@ -475,27 +459,19 @@ class EfunnModel:
             raise ShapeError(f"expected rows of {len(self.input_partitions)} "
                              f"inputs, got shape {xs.shape}")
         out = np.empty(len(xs))
-        step = self._chunk_rows()
-        scratch = np.empty(_SCRATCH * min(step, len(xs)) * self._n)
-        sthr, part = self.config.sthr, self.output_partition
-        for start in range(0, len(xs), step):
-            ex = fuzzify_rows(xs[start : start + step], self.input_partitions)
-            fired = np.zeros(len(ex), dtype=bool)
+        scratch = np.empty(_SCRATCH * self._n)
+        part = self.output_partition
+        for r, ex in enumerate(fuzzify_rows(xs, self.input_partitions)):
             found = self._candidates(ex, scratch)
             if found is not None:
-                row, node, a1 = found
-                cuts = np.searchsorted(row, np.arange(len(ex) + 1))
-                for r, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-                    s = np.flatnonzero(a1[lo:hi] > sthr)
-                    if s.size:
-                        out[start + r] = defuzzify(self._propagate(
-                            a1[lo:hi][s], node[lo:hi][s]), part)
-                        fired[r] = True
-            rest = np.flatnonzero(~fired)
-            if rest.size:
-                for r, a1 in zip(rest, self._activations(ex[rest], scratch)):
-                    s = self._select(a1)
-                    out[start + r] = defuzzify(self._propagate(a1[s], s), part)
+                nodes, a1 = found
+                s = np.flatnonzero(a1 > self.config.sthr)
+                if s.size:
+                    out[r] = defuzzify(self._propagate(a1[s], nodes[s]), part)
+                    continue
+            a1 = self._activations(ex, scratch)
+            s = self._select(a1)
+            out[r] = defuzzify(self._propagate(a1[s], s), part)
         return out
 
     # -- structure maintenance --------------------------------------------

@@ -24,12 +24,13 @@ def make_model(n_inputs=1, mfs=3, **cfg_kwargs):
 
 def _a1(m, ex):
     """A1 activation of every rule node for one fuzzified input."""
-    return m._activations(np.asarray(ex, dtype=float)[None, :], m._scratch)[0]
+    return m._activations(np.asarray(ex, dtype=float), m._scratch)
 
 
 def _distances(m, ex):
-    """``m._distances`` of the rows ``ex``, in scratch of their own."""
-    return m._distances(ex, np.empty(_SCRATCH * len(ex) * m.n_nodes))
+    """``m._distances`` of each row of ``ex`` alone, in scratch of its own."""
+    return np.array([m._distances(row, np.empty(_SCRATCH * m.n_nodes))
+                     for row in ex])
 
 
 def test_first_example_creates_a_memorizing_node():
@@ -286,18 +287,28 @@ _UNIT = st.floats(0.0, 1.0)
 
 
 @st.composite
-def trained_models(draw):
-    """Random small models, and inputs to score."""
+def learning_cases(draw):
+    """Random small model settings, a stream to learn, and inputs to
+    score."""
     n_in = draw(st.integers(1, 3))
-    m = make_model(
+    config = dict(
         n_inputs=n_in, mfs=draw(st.integers(2, 4)),
         sthr=draw(st.floats(0.5, 0.99)), errthr=draw(st.floats(1e-4, 0.5)),
         lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
     )
     inputs = st.lists(_UNIT, min_size=n_in, max_size=n_in).map(np.array)
-    for _ in range(draw(st.integers(1, 30))):
-        m.learn_one(draw(inputs), draw(_UNIT))
-    return m, draw(st.lists(inputs, min_size=1, max_size=20))
+    stream = draw(st.lists(st.tuples(inputs, _UNIT), min_size=1, max_size=30))
+    return config, stream, draw(st.lists(inputs, min_size=1, max_size=20))
+
+
+@st.composite
+def trained_models(draw):
+    """Random small models, and inputs to score."""
+    config, stream, xs = draw(learning_cases())
+    m = make_model(**config)
+    for x, y in stream:
+        m.learn_one(x, y)
+    return m, xs
 
 
 @_PROPERTY
@@ -308,8 +319,18 @@ def test_predict_batch_equals_predict_bit_for_bit(model_and_xs):
     assert batch.tolist() == [m.predict(np.array([x]))[0] for x in xs]
 
 
-def test_predict_batch_spans_several_chunks():
-    # 1500 nodes: a 2 MB budget of distance scratch scores 10 rows a chunk
+@_PROPERTY
+@given(learning_cases())
+def test_predict_between_learning_steps_changes_nothing_learned(case):
+    config, stream, xs = case
+    plain, probed = make_model(**config), make_model(**config)
+    for x, y in stream:
+        assert probed.learn_one(x, y) == plain.learn_one(x, y)
+        probed.predict(np.array(xs))
+    assert probed.to_text() == plain.to_text()
+
+
+def test_predict_of_many_rows_at_1500_nodes_equals_each_row_alone():
     rng = np.random.default_rng(5)
     m = make_model(n_inputs=6, mfs=4, sthr=0.5)
     for _ in range(1500):
@@ -326,8 +347,8 @@ def test_predict_batch_spans_several_chunks():
 
 @pytest.mark.parametrize("n_nodes", [3000, 17000])
 def test_predict_stays_within_the_memory_its_docstring_states(n_nodes):
-    # above 16384 nodes the scratch of one row alone exceeds 2 MiB; at
-    # sthr 0.05 the candidate bound drops next to no node
+    # above 16384 nodes the scratch alone exceeds 2 MiB; at sthr 0.05 the
+    # candidate bound drops next to no node
     rng = np.random.default_rng(7)
     m = make_model(n_inputs=6, mfs=4)
     for _ in range(n_nodes):
@@ -459,6 +480,8 @@ def _old_distances(w1, ex):
 @example(n_in=3, mfs=100, nodes=9, rows=2, seed=8)
 def test_distances_equal_the_row_major_formula_in_any_layout(
         n_in, mfs, nodes, rows, seed):
+    # each row of each layout is scored alone: a Fortran array's rows and
+    # the strided array's are not contiguous
     rng = np.random.default_rng(seed)
     m = make_model(n_inputs=n_in, mfs=mfs)
     width = n_in * mfs
@@ -491,7 +514,7 @@ def test_disjoint_supports_lie_at_distance_one():
     m = make_model()
     m.create_rule_node(v, np.array([0.0, 1.0, 0.0]))
     m.create_rule_node(rows[0], np.array([0.0, 1.0, 0.0]))
-    assert _distances(m, v[None, :]).tolist() == [[0.0, 1.0]]
+    assert m._distances(v, m._scratch).tolist() == [0.0, 1.0]
     assert m.aggregate(1.0, 1.0) == 1  # every pair lies within thr1 = thr2 = 1
 
 
@@ -532,12 +555,14 @@ def test_distances_equal_the_row_major_formula_at_thousands_of_nodes(nodes):
     for _ in range(nodes):
         m.create_rule_node(rng.uniform(size=24) * (rng.uniform(size=24) > 0.2),
                            rng.uniform(size=4))
-    for rows in (1, 2, 7, 16):
-        ex = rng.uniform(size=(rows, 24))
-        want = _bits(_old_distances(m.w1, ex))
-        assert np.array_equal(_bits(_distances(m, ex)), want)
+    ex = rng.uniform(size=(16, 24))
+    want = _bits(_old_distances(m.w1, ex))
+    strided = np.zeros((16, 72))[:, ::3]
+    strided[:] = ex
+    for layout in (ex, np.asfortranarray(ex), strided):
+        assert np.array_equal(_bits(_distances(m, layout)), want)
     # one row in the model's own scratch, as learning scores it
-    assert np.array_equal(_bits(m._distances(ex[:1], m._scratch)), want[:1])
+    assert np.array_equal(_bits(m._distances(ex[0], m._scratch)), want[0])
 
 
 def _assert_sums_fresh(m):
@@ -725,7 +750,7 @@ def test_a_row_no_node_fires_for_takes_the_nearest_of_all_nodes():
     assert np.argmax(dense) == 1 and dense.max() < 0.99
     # two nodes are too few for the cap on candidates to let one through
     with mock.patch.object(efunn, "_GATHER", float("inf")):
-        _, nodes, a1 = m._candidates(ex[None, :], m._scratch)
+        nodes, a1 = m._candidates(ex, m._scratch)
         assert nodes.tolist() == [0] and a1.max() < 0.99
         assert m.predict(x[None, :]).tolist() == [
             defuzzify(satlin(np.eye(4)[1]), m.output_partition)]
