@@ -14,6 +14,7 @@ of standard output closes it early.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -136,7 +137,8 @@ def _cmd_train(args) -> int:
     if args.model == "efunn":
         settings = {"efunn": EfunnConfig(**kv)}
     elif args.model == "arima":
-        settings = {"arima": arima_mod.ArimaSpec(**kv)} if kv else {}
+        settings = {"arima": dataclasses.replace(bench.ExperimentConfig.arima,
+                                                 **kv)}
     else:  # scg has no settings beyond the layers
         settings = {_MLP_SETTINGS[k]: v for k, v in kv.items()}
     config = bench.ExperimentConfig(epochs=args.epochs, **settings)
@@ -178,6 +180,9 @@ def _load(path):
         return (kind, *arima_mod.load(path))
     if kind == "efunn":
         model, extra = EfunnModel.load(path)
+        if not model.n_nodes:
+            raise DataError(f"{path}: the efunn model has no rule nodes; "
+                            "retrain it to forecast")
         n_in, n_out = len(model.input_partitions), 1
     elif kind == "mlp":
         model, extra = mlp.load(path)

@@ -81,6 +81,18 @@ def test_train_arima_accepts_order_config(data_csv, tmp_path):
     assert "spec.d=1" in snap.read_text()
 
 
+def test_train_arima_config_keys_override_the_default_spec(data_csv, tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "p2.cfg"
+    cfg.write_text("p=2\n")
+    capsys.readouterr()
+    assert main(["train", "--model", "arima", "--data", str(data_csv),
+                 "--out", str(tmp_path / "p2.snap"), "--config",
+                 str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "fitted arima (2,1,1)(1,0,1)[48]+prediff336 in ")
+
+
 def test_rules_prints_if_then_lines(data_csv, tmp_path, capsys):
     snap = tmp_path / "efunn.snap"
     main(["train", "--model", "efunn", "--data", str(data_csv),
@@ -95,6 +107,15 @@ def test_rules_prints_if_then_lines(data_csv, tmp_path, capsys):
     assert main(["rules", "--snapshot", str(snap),
                  "--out", str(rules_file)]) == 0
     assert rules_file.read_text().startswith("IF ")
+
+
+def test_rules_of_a_model_with_no_rule_nodes_prints_nothing(tmp_path, capsys):
+    # forecast refuses such a file; its rule list is empty, not an error
+    snap = tmp_path / "empty.snap"
+    EfunnModel(EfunnConfig(), *bench.make_partitions()).save(snap)
+    capsys.readouterr()
+    assert main(["rules", "--snapshot", str(snap)]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_efunn_snapshot_of_three_mfs_still_forecasts(data_csv, tmp_path,
@@ -243,7 +264,7 @@ EXIT_1_CASES = (
     "huge arima season config", "huge arima season snapshot",
     "nan synth config", "inf train config", "nan bench config",
     "backprop key for mlp-scg", "two-output mlp forecast",
-    "two-input efunn forecast",
+    "two-input efunn forecast", "efunn forecast with no rule nodes",
     *(f"negative {model} epochs" for model in ("efunn", "arima")),
 )
 
@@ -354,6 +375,9 @@ def bad_inputs(data_csv, tmp_path_factory):
     nodes = int(re.search(r"\nnodes=(\d+)\n", text)[1])
     huge = write("huge.snap", text.replace(f"\nnodes={nodes}\n",
                                            "\nnodes=1000000000000\n"))
+    no_nodes = write("no-nodes.snap", re.sub(
+        r"\nnodes\.(w\d)=[^\n]*", r"\nnodes.\1=",
+        text.replace(f"\nnodes={nodes}\n", "\nnodes=0\n")))
     removed = {key: write(f"{key}.cfg", f"sthr=0.9\n{key}={value}\n")
                for key, value in (("lr3", 0.3), ("tc", 0.2), ("ss", 2),
                                   ("activation", "radbas"), ("mf_count", 3))}
@@ -372,11 +396,11 @@ def bad_inputs(data_csv, tmp_path_factory):
         "\npartition.in.0.kind=triangular\n"))
     # a seasonal MA reach no series or snapshot array covers
     season_cfg = write("season.cfg", "p=1\nd=1\nq=0\nsp=0\nsd=0\nsq=1\n"
-                       "season=1000000000000\n")
+                       "season=1000000000000\npre_diff_lag=0\n")
     assert main(["train", "--model", "arima", "--data", str(data_csv),
                  "--out", str(d / "sma.snap"), "--config",
                  write("sma.cfg", "p=1\nd=1\nq=0\nsp=0\nsd=0\nsq=1\n"
-                       "season=48\n")]) == 0
+                       "season=48\npre_diff_lag=0\n")]) == 0
     season_snap = write("season.snap", re.sub(
         r"\nresiduals=[^\n]*", "\nresiduals=0.5", re.sub(
             r"\ne_tail=[^\n]*", "\ne_tail=0.5",
@@ -578,6 +602,9 @@ def bad_inputs(data_csv, tmp_path_factory):
             forecast(str(data_csv), two_efunn),
             f"error: {two_efunn}: the efunn model maps 2 inputs to 1 "
             "output(s); forecast needs 6 inputs and one output"),
+        "efunn forecast with no rule nodes": (
+            forecast(str(data_csv), no_nodes),
+            f"error: {no_nodes}: the efunn model has no rule nodes"),
     }
     for (version, kind), snap in old.items():
         cases[f"format {version} {kind} forecast"] = (
