@@ -89,6 +89,22 @@ def _overrides(module, cls: str, name: str) -> bool:
     return any(name in vars(base) for base in bases)
 
 
+def _definitions(tree):
+    """(parent, node, name) of every def and class, and of every name a
+    module-level assignment binds."""
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield parent, node, node.name
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for name in (n for target in targets for n in ast.walk(target)):
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                yield tree, node, name.id
+
+
 def test_every_definition_is_used_outside_the_tests():
     files = [*(_REPO / "src").rglob("*.py"), *(_REPO / "demos").glob("*.py"),
              *(_REPO / "perfbench").glob("*.py")]
@@ -97,21 +113,17 @@ def test_every_definition_is_used_outside_the_tests():
     unused = []
     for path in sorted((_REPO / "src" / "demandcast").glob("*.py")):
         module = f"demandcast.{path.stem}"
-        for parent in ast.walk(trees[path]):
-            for node in ast.iter_child_nodes(parent):
-                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    continue
-                name = node.name
-                if (name.startswith("__") and name.endswith("__")
-                        or name in _TEST_ONLY):
-                    continue
-                # uses inside its own definition do not count
-                if used[name] > _names(node)[name]:
-                    continue
-                if (isinstance(parent, ast.ClassDef)
-                        and _overrides(module, parent.name, name)):
-                    continue
-                unused.append(f"{path.name}:{node.lineno} {name}")
+        for parent, node, name in _definitions(trees[path]):
+            if (name.startswith("__") and name.endswith("__")
+                    or name in _TEST_ONLY):
+                continue
+            # uses inside its own definition do not count
+            if used[name] > _names(node)[name]:
+                continue
+            if (isinstance(parent, ast.ClassDef)
+                    and _overrides(module, parent.name, name)):
+                continue
+            unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
 
 
