@@ -42,7 +42,7 @@ at most the distance's numerator, so a node whose block alone exceeds
 distances, bit for bit the full kernel's. The full kernel still scores
 rows that no node fires for (the most activated node of all then
 propagates), learning at the node budget (which updates the nearest
-node), and inputs the bound leaves too many nodes for to pay off.
+node), and inputs for which the bound leaves too many nodes to pay off.
 
 Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
@@ -448,9 +448,11 @@ class EfunnModel:
         activated node propagates.
 
         Besides the output, memory stays within ``_SCRATCH * n_nodes``
-        floats of scratch (128 bytes per node), allocated once, and
-        ``input_width`` fuzzified floats a row (24 for six inputs of four
-        MFs): a row's candidates gather at most _GATHER degrees a node.
+        floats of scratch (128 bytes per node), allocated once, half as
+        much again for one row's other temporaries (its candidates
+        gather at most _GATHER degrees a node), and ``input_width``
+        fuzzified floats a row (24 for six inputs of four MFs; three
+        times that while they are computed).
         """
         if not self._n:
             raise EmptyModelError("cannot predict with no rule nodes")
