@@ -13,19 +13,19 @@ __version__ = "0.1.0"
 from .bench import ExperimentConfig, emit_report, run_experiment
 from .dataset import SynthConfig, parse_csv, synthesize, write_csv
 from .efunn import EfunnConfig, EfunnModel
-from .errors import (CapacityError, ConfigError, ConvergenceError, DataError,
-                     DegenerateError, DemandcastError, DivergenceError,
-                     EmptyModelError, GapError, ParseError, ShapeError)
+from .errors import (ConfigError, ConvergenceError, DataError, DegenerateError,
+                     DemandcastError, DivergenceError, EmptyModelError,
+                     GapError, ParseError, ShapeError)
 from .fuzzy import MembershipPartition, build_partition, defuzzify, fuzzify
 from .mlp import BpConfig, MlpModel, bp_train, init_mlp, scg_minimize, scg_train
 
 __all__ = [
     "__version__",
-    "BpConfig", "CapacityError", "ConfigError", "ConvergenceError",
-    "DataError", "DegenerateError", "DemandcastError", "DivergenceError",
-    "EfunnConfig", "EfunnModel", "EmptyModelError", "ExperimentConfig",
-    "GapError", "MembershipPartition", "MlpModel", "ParseError",
-    "ShapeError", "SynthConfig", "bp_train", "build_partition", "defuzzify",
-    "emit_report", "fuzzify", "init_mlp", "parse_csv", "run_experiment",
-    "scg_minimize", "scg_train", "synthesize", "write_csv",
+    "BpConfig", "ConfigError", "ConvergenceError", "DataError",
+    "DegenerateError", "DemandcastError", "DivergenceError", "EfunnConfig",
+    "EfunnModel", "EmptyModelError", "ExperimentConfig", "GapError",
+    "MembershipPartition", "MlpModel", "ParseError", "ShapeError",
+    "SynthConfig", "bp_train", "build_partition", "defuzzify", "emit_report",
+    "fuzzify", "init_mlp", "parse_csv", "run_experiment", "scg_minimize",
+    "scg_train", "synthesize", "write_csv",
 ]

@@ -132,6 +132,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    folder = os.path.dirname(args.out) or "."  # a bad --out fails at once
+    if os.path.isdir(args.out) or not os.access(folder, os.W_OK | os.X_OK):
+        raise DataError(f"cannot write snapshot {args.out}: it is a "
+                        f"directory, or {folder} is not a writable one")
     kv = (read_config(args.config, _TRAIN_KEYS[args.model], args.model)
           if args.config else {})
     if args.model == "efunn":
@@ -234,6 +238,8 @@ def _cmd_bench(args) -> int:
     else:
         cfg_kwargs["synth_days"] = args.days
     config = bench.ExperimentConfig(**cfg_kwargs)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise DataError(f"cannot write report into {args.out}: not a directory")
     report = bench.run_experiment(config)
     paths = bench.emit_report(report, args.out)
     print(f"benchmark on {report.test_start + HOLDOUT_PERIODS} records "

@@ -41,8 +41,8 @@ at most the distance's numerator, so a node whose block alone exceeds
 ``1 - sthr`` of the denominator cannot fire. Only the others get exact
 distances, bit for bit the full kernel's. The full kernel still scores
 rows that no node fires for (the most activated node of all then
-propagates), learning at the node budget (which updates the nearest
-node), and inputs for which the bound leaves too many nodes to pay off.
+propagates) and inputs for which the bound leaves too many nodes to pay
+off.
 
 Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
@@ -56,7 +56,6 @@ import numpy as np
 from . import snapshot
 from .config import check_finite
 from .errors import (
-    CapacityError,
     ConfigError,
     DataError,
     DegenerateError,
@@ -91,7 +90,6 @@ class EfunnConfig:
     errthr: float = 0.001
     lr1: float = 0.05
     lr2: float = 0.05
-    max_nodes: int = 100000
 
     def __post_init__(self):
         check_finite(self)
@@ -102,8 +100,6 @@ class EfunnConfig:
         for name in ("lr1", "lr2"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.max_nodes < 1:
-            raise ConfigError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
 # scratch values per node: two blocks of 8 degrees
@@ -178,7 +174,6 @@ class EfunnModel:
         self.config = config
         self.input_partitions = tuple(input_partitions)
         self.output_partition = output_partition
-        self.examples_seen = 0
         # the rule layer: rows [:_n] are live, later rows spare capacity;
         # the distance kernel's scratch grows with it
         self._n = 0
@@ -250,10 +245,6 @@ class EfunnModel:
             raise ShapeError(
                 f"output centroid has {te.size} degrees, partition defines "
                 f"{self.output_partition.size}"
-            )
-        if self._n >= self.config.max_nodes:
-            raise CapacityError(
-                f"node budget exhausted at max_nodes={self.config.max_nodes}"
             )
         k = self._n
         self._reserve(k + 1)
@@ -363,8 +354,7 @@ class EfunnModel:
 
         The example is fuzzified and then either absorbed (all
         sufficiently activated nodes are updated) or memorized in a new
-        node. At the node budget the nearest node is updated instead of
-        failing the stream. The step's flops go to ``counter``.
+        node. The step's flops go to ``counter``.
         """
         x = self._check_input(x)
         # NaN fails every comparison, so check what must hold
@@ -376,45 +366,28 @@ class EfunnModel:
         ex = self.fuzzify_input(x)
         te = fuzzify(y, self.output_partition)
         counter.add_transcendental(ex.size + te.size)
-        self.examples_seen += 1
 
-        n = self._n
-        if not n:
+        if not self._n:
             self.create_rule_node(ex, te)
             return LearnOutcome(True, 0.0, 1)
-        # at the budget the nearest node may be needed, so all are scored
-        found = (self._candidates(ex, self._scratch, counter)
-                 if n < cfg.max_nodes else None)
-        if found is None:
-            nodes = np.arange(n)
+        found = self._candidates(ex, self._scratch, counter)
+        if found is None:  # too many candidates: score every node
+            nodes = np.arange(self._n)
             a1 = self._activations(ex, self._scratch, counter)
         else:
             nodes, a1 = found
-
         err = 0.0
-        if not a1.size or a1.max() < cfg.sthr:
-            created = self._create_or_absorb(ex, te, a1, counter)
-        else:
+        # both tests are negated so that nan passes them
+        if a1.size and not a1.max() < cfg.sthr:
             # no other node reaches sthr, so the most activated is here
             s = self._select(a1)
             a2 = self._propagate(a1[s], nodes[s], counter)
             err = fuzzy_difference(a2, te)
-            if err > cfg.errthr:
-                created = self._create_or_absorb(ex, te, a1, counter)
-            else:
+            if not err > cfg.errthr:
                 self._absorb(nodes[s], ex, te, a1[s, None], counter)
-                created = False
-        return LearnOutcome(created, float(err), self._n)
-
-    def _create_or_absorb(self, ex, te, a1, counter) -> bool:
-        """Create a node (True), or at the budget update the nearest one;
-        ``a1`` then holds every node's activation."""
-        if self._n < self.config.max_nodes:
-            self.create_rule_node(ex, te)
-            return True
-        k = int(np.argmax(a1))
-        self._absorb(k, ex, te, float(a1[k]), counter)
-        return False
+                return LearnOutcome(False, float(err), self._n)
+        self.create_rule_node(ex, te)
+        return LearnOutcome(True, float(err), self._n)
 
     def _absorb(self, rows, ex, te, a1, counter=DISCARD) -> None:
         """Drift the centroids of ``rows`` toward an absorbed example.
@@ -559,7 +532,6 @@ class EfunnModel:
         n = fields["nodes"] = self._n
         for key, name, _ in _NODE_FIELDS:
             fields[key] = getattr(self, name)[:n]
-        fields["examples_seen"] = self.examples_seen
         return fields
 
     def to_text(self, extra: Optional[dict] = None) -> str:
@@ -580,9 +552,9 @@ class EfunnModel:
             if body.get(key, implemented) != implemented:
                 raise ParseError(f"snapshot {key} {body[key]!r} is not "
                                  f"implemented; expected {implemented!r}")
-        # nor are their nodes.a1av, nodes.age and nodes.absorbed lines read:
-        # a mean activation, examples since creation and examples absorbed,
-        # which no rule uses
+        # nor are their lines no rule uses read: a node budget learn_one no
+        # longer has, a count of the examples learned, and nodes.a1av,
+        # nodes.age and nodes.absorbed, per-node means and counts
         n_in = need(body, "inputs", int)
         inputs = [_partition_from(body, f"partition.in.{i}") for i in range(n_in)]
         output = _partition_from(body, "partition.out")
@@ -599,7 +571,6 @@ class EfunnModel:
             array[:] = values.reshape(array.shape)
         model._n = n
         model._put_w1(slice(0, n), model._w1[:n])
-        model.examples_seen = need(body, "examples_seen", int)
         return model, extra
 
     def save(self, path, extra: Optional[dict] = None) -> None:

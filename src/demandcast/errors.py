@@ -35,10 +35,6 @@ class DegenerateError(DataError):
     """Data has no variation where variation is required."""
 
 
-class CapacityError(DemandcastError):
-    """A structural budget (rule node limit) would be exceeded."""
-
-
 class EmptyModelError(DemandcastError):
     """An operation needs a trained or non-empty model."""
 

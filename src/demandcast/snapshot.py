@@ -14,12 +14,12 @@ byte-identical. Arrays are space-separated in row-major order.
 
 Format 3 holds a whole array on one line: an EFuNN snapshot writes
 ``nodes.w1`` (nodes x input degrees values) and ``nodes.w2``; an older
-format 3 file may also hold ``nodes.a1av``, ``nodes.age`` and
-``nodes.absorbed``, per-node statistics nothing reads, which loading
-skips. Older formats are refused, and a model saved in one is
-retrained with ``demandcast train``: format 1 held an EFuNN's arrays a
-node per line, and format 2 also held its temporal links, which EFuNN
-no longer has.
+format 3 file may also hold ``nodes.a1av``, ``nodes.age``,
+``nodes.absorbed``, a node budget and a count of the examples learned,
+which nothing reads and loading skips. Older formats are refused, and a
+model saved in one is retrained with ``demandcast train``: format 1 held
+an EFuNN's arrays a node per line, and format 2 also held its temporal
+links, which EFuNN no longer has.
 
 A key may hold neither ``=`` nor a line break and a value no line
 break, since either would read back as something else; ``dump`` and
@@ -227,9 +227,11 @@ def write(path, kind: str, fields: dict, extra: Optional[dict] = None) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(_pieces(kind, fields, extra))
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(f"cannot write snapshot {path}: "
+                      f"{exc.strerror or exc}") from exc
+    finally:  # a replaced temp file is gone already
         tmp.unlink(missing_ok=True)
-        raise
 
 
 @contextlib.contextmanager

@@ -251,7 +251,7 @@ EXIT_1_CASES = (
                    "efunn rules")),
     "huge efunn node count", "huge arima differencing order",
     *(f"removed efunn key {key}"
-      for key in ("lr3", "tc", "ss", "activation", "mf_count")),
+      for key in ("lr3", "tc", "ss", "activation", "mf_count", "max_nodes")),
     *(f"removed bench key {key}" for key in ("test_periods", "mf_count")),
     "unimplemented efunn activation", "unimplemented efunn m_mode",
     "one-value norm bounds", "nan norm min", "norm max at its min",
@@ -380,7 +380,8 @@ def bad_inputs(data_csv, tmp_path_factory):
         text.replace(f"\nnodes={nodes}\n", "\nnodes=0\n")))
     removed = {key: write(f"{key}.cfg", f"sthr=0.9\n{key}={value}\n")
                for key, value in (("lr3", 0.3), ("tc", 0.2), ("ss", 2),
-                                  ("activation", "radbas"), ("mf_count", 3))}
+                                  ("activation", "radbas"), ("mf_count", 3),
+                                  ("max_nodes", 20))}
     # one test window and one partition layout: bench sets neither
     removed_bench = {key: write(f"bench-{key}.cfg", f"{key}={value}\n")
                      for key, value in (("test_periods", 48), ("mf_count", 3))}
@@ -636,6 +637,37 @@ def test_bad_input_exits_1_naming_the_source(case, bad_inputs, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert expected in err
+
+
+def test_train_to_an_unwritable_out_fails_before_the_fit(data_csv, tmp_path,
+                                                         capsys, monkeypatch):
+    def fit(*args):
+        raise AssertionError("the fit ran")
+
+    monkeypatch.setattr(bench, "train_model", fit)
+    for out in (tmp_path / "missing" / "m.snap", tmp_path):
+        capsys.readouterr()
+        assert main(["train", "--model", "mlp-bp", "--data", str(data_csv),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write snapshot {out}: ")
+        assert ".tmp" not in err
+
+
+def test_bench_into_an_existing_file_fails_before_the_experiment(tmp_path,
+                                                                 capsys,
+                                                                 monkeypatch):
+    def run(*args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(bench, "run_experiment", run)
+    out = tmp_path / "report"
+    out.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main(["bench", "--days", "40", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write report into {out}: not a directory\n"
+    assert out.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "bench"])

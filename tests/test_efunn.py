@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from demandcast import efunn
 from demandcast.efunn import (_SCRATCH, EfunnConfig, EfunnModel, LearnOutcome,
                               _differences)
-from demandcast.errors import (CapacityError, ConfigError, DataError,
-                               EmptyModelError, ParseError, ShapeError)
+from demandcast.errors import (ConfigError, DataError, EmptyModelError,
+                               ParseError, ShapeError)
 from demandcast.fuzzy import (build_partition, defuzzify, fuzzify,
                               fuzzy_difference, mf_labels, satlin)
 
@@ -101,23 +101,6 @@ def test_single_node_propagation_reproduces_its_centroid():
     assert np.allclose(a2, satlin(m.w2[0]), atol=1e-15)
 
 
-def test_node_budget_updates_nearest_instead_of_raising():
-    m = make_model(max_nodes=1)
-    m.learn_one(np.array([0.2]), 0.2)
-    w1_before = m.w1[0].copy()
-    out = m.learn_one(np.array([0.9]), 0.9)
-    assert not out.created_node and m.n_nodes == 1
-    assert not np.allclose(m.w1[0], w1_before)
-
-
-def test_create_rule_node_raises_at_budget():
-    m = make_model(max_nodes=1)
-    m.learn_one(np.array([0.2]), 0.2)
-    with pytest.raises(CapacityError):
-        m.create_rule_node(m.fuzzify_input(np.array([0.9])),
-                           fuzzify(0.9, m.output_partition))
-
-
 def test_learning_grows_past_initial_capacity():
     m = make_model()
     xs = np.linspace(0.0, 1.0, 9)
@@ -140,12 +123,12 @@ def test_learn_one_validates_shape_and_range():
 def test_learn_one_refuses_nan_and_inf_before_changing_the_model(bad):
     m = make_model(n_inputs=6)
     m.learn_one(np.full(6, 0.5), 0.5)
-    w1, n, seen = m.w1.copy(), m.n_nodes, m.examples_seen
+    w1, text = m.w1.copy(), m.to_text()
     for x, y in (([bad] + [0.5] * 5, 0.5), ([0.5] * 6, bad)):
         with pytest.raises(DataError):
             m.learn_one(np.array(x), y)
         assert m.w1.tobytes() == w1.tobytes()
-        assert (m.n_nodes, m.examples_seen) == (n, seen)
+        assert m.to_text() == text
     assert m.predict(np.full((1, 6), 0.5))[0] == pytest.approx(0.5, abs=0.05)
 
 
@@ -229,7 +212,6 @@ def test_snapshot_round_trip_is_byte_identical():
     m2, extra = EfunnModel.from_text(text)
     assert extra == {"note": "hello"}
     assert m2.to_text(extra=extra) == text
-    assert m2.examples_seen == m.examples_seen
     xs = rng.uniform(size=(10, 2))
     assert m2.predict(xs).tolist() == m.predict(xs).tolist()
 
@@ -267,8 +249,6 @@ def test_config_validation():
         EfunnConfig(sthr=1.5)
     with pytest.raises(ConfigError):
         EfunnConfig(errthr=0.0)
-    with pytest.raises(ConfigError):
-        EfunnConfig(max_nodes=0)
     # nan passes every range check
     for bad in ({"errthr": np.nan}, {"lr1": np.nan}, {"lr2": np.inf}):
         with pytest.raises(ConfigError, match="must be finite"):
@@ -363,6 +343,10 @@ def test_predict_stays_within_the_memory_its_docstring_states(n_nodes):
         finally:
             tracemalloc.stop()
         assert peak - 8 * len(xs) <= 1.5 * max(2 * 2**20, 128 * n_nodes)
+        # the docstring's own statement: scratch and half as much again,
+        # and three times each row's fuzzified floats
+        assert peak - 8 * len(xs) <= (1.5 * _SCRATCH * 8 * n_nodes
+                                      + 3 * 8 * m.input_width * len(xs))
 
 
 def test_rows_survive_capacity_growth():
@@ -661,7 +645,6 @@ def _dense_learn_one(m, x, y):
     ran before the candidate filter."""
     cfg = m.config
     ex, te = m.fuzzify_input(x), fuzzify(y, m.output_partition)
-    m.examples_seen += 1
     n = m.n_nodes
     if not n:
         m.create_rule_node(ex, te)
@@ -676,12 +659,8 @@ def _dense_learn_one(m, x, y):
                 sel = np.array([int(np.argmax(a1))])
             m._absorb(sel, ex, te, a1[sel, None])
             return LearnOutcome(False, err, n)
-    if n < cfg.max_nodes:
-        m.create_rule_node(ex, te)
-        return LearnOutcome(True, err, n + 1)
-    k = int(np.argmax(a1))
-    m._absorb(k, ex, te, float(a1[k]))
-    return LearnOutcome(False, err, n)
+    m.create_rule_node(ex, te)
+    return LearnOutcome(True, err, n + 1)
 
 
 @st.composite
@@ -692,8 +671,7 @@ def filter_cases(draw):
     n_in, mfs = draw(st.integers(1, 4)), draw(st.integers(2, 5))
     cfg = EfunnConfig(
         sthr=draw(st.floats(0.05, 0.995)), errthr=draw(st.floats(1e-4, 0.3)),
-        lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
-        max_nodes=draw(st.sampled_from((1, 2, 5, 100000))))
+        lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)))
     inputs = st.lists(_UNIT, min_size=n_in, max_size=n_in).map(np.array)
     seen = draw(st.lists(inputs, min_size=1, max_size=4))
     near = st.tuples(st.sampled_from(seen), st.floats(-0.1, 0.1)).map(
@@ -718,7 +696,7 @@ def test_candidate_filter_matches_the_full_kernel_bit_for_bit(case, gather):
     output = build_partition(0.0, 1.0, mfs, name="y")
     filtered, dense = (EfunnModel(cfg, inputs, output) for _ in range(2))
     for m in (filtered, dense):
-        for x, y in twice[: cfg.max_nodes // 2]:
+        for x, y in twice:
             for _ in range(2):
                 m.create_rule_node(m.fuzzify_input(x),
                                    fuzzify(y, m.output_partition))

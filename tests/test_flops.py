@@ -35,13 +35,12 @@ def test_discard_keeps_nothing():
 @st.composite
 def efunn_streams(draw):
     """A small network's config and partitions, a stream, and inputs to
-    score. Small budgets send the stream down the at-budget branch."""
+    score."""
     n_in = draw(st.integers(1, 3))
     mfs = draw(st.integers(2, 4))
     cfg = EfunnConfig(
         sthr=draw(st.floats(0.5, 0.99)), errthr=draw(st.floats(1e-4, 0.5)),
         lr1=draw(st.floats(0.0, 0.5)), lr2=draw(st.floats(0.0, 0.5)),
-        max_nodes=draw(st.sampled_from((1, 3, 100000))),
     )
     partitions = ([build_partition(0.0, 1.0, mfs, name=f"x{i}")
                    for i in range(n_in)], build_partition(0.0, 1.0, mfs, name="y"))
@@ -66,40 +65,35 @@ def test_efunn_learns_the_same_bits_with_and_without_a_counter(case):
     assert counter.total == total  # the model kept no counter
 
 
-def test_at_budget_stream_learns_fixed_snapshot_bytes():
-    # every example past the first 20 is absorbed by the nearest node
-    m = EfunnModel(EfunnConfig(max_nodes=20), *bench.make_partitions())
+def test_a_stream_of_distinct_examples_learns_fixed_snapshot_bytes():
+    # no two of these 400 examples lie within sthr of each other, so each
+    # one creates a node
+    m = EfunnModel(EfunnConfig(), *bench.make_partitions())
     rng = np.random.default_rng(3)
     created = [m.learn_one(x[:6], float(x[6])).created_node
                for x in rng.uniform(size=(400, 7))]
-    assert created == [True] * 20 + [False] * 380 and m.n_nodes == 20
+    assert created == [True] * 400 and m.n_nodes == 400
     assert hashlib.sha256(m.to_text().encode()).hexdigest() == (
-        "e701139d64df3efea6b1e77241e42783c9bda1ac7b562dbf574bf8a77cd7514e")
+        "a2d9bf9e750bce7bd6d047895629358a3505b64fc1856e9865ec4a76c10af8a8")
 
 
-def test_an_update_at_the_node_budget_counts_its_flops():
-    # the second example is far from the first node: a network at its
-    # budget updates that node where an unbounded one creates a node,
-    # which counts nothing. The network at its budget reads every input
-    # degree of the node (4 flops a degree), the unbounded one only the
-    # 8 its bound reads before it drops the node; beyond that only the
-    # update tells the counts apart
-    models, counts = {}, {}
-    for max_nodes in (1, 100000):
-        m = models[max_nodes] = EfunnModel(EfunnConfig(max_nodes=max_nodes),
-                                           *bench.make_partitions())
+def test_an_absorbed_example_counts_its_update():
+    # after one node, a repeat of its example is absorbed and a far
+    # example creates a node, which counts nothing. Both fuzzify and
+    # bound the node on its first 8 degrees; the repeat alone then scores
+    # every degree of the node (4 flops a degree), blends its w2 and
+    # updates it
+    counts = {}
+    for x in (0.0, 1.0):
+        m = EfunnModel(EfunnConfig(), *bench.make_partitions())
         m.learn_one(np.zeros(6), 0.0)
         counter = FlopCounter()
-        m.learn_one(np.ones(6), 1.0, counter)
-        counts[max_nodes] = counter.total
-    m = models[1]
-    assert m.n_nodes == 1  # its one node moved toward the second example
-    assert m.w1[0].tolist() != m.fuzzify_input(np.zeros(6)).tolist()
-    assert models[100000].n_nodes == 2
-    degrees = m.fuzzify_input(np.ones(6)).size
-    width = degrees + m.output_partition.size
-    assert counts[1] - counts[100000] == (4 * (degrees - 8)
-                                          + MAC_FLOPS * 2 * width)
+        m.learn_one(np.full(6, x), x, counter)
+        counts[x] = counter.total
+    assert m.n_nodes == 2
+    degrees, outputs = m.input_width, m.output_partition.size
+    assert counts[0.0] - counts[1.0] == (4 * degrees + 2 * outputs
+                                         + MAC_FLOPS * 2 * (degrees + outputs))
 
 
 @st.composite

@@ -184,7 +184,6 @@ def efunn_models(draw):
         errthr=draw(st.floats(1e-4, 0.5)),
         lr1=draw(st.floats(0.0, 0.5)),
         lr2=draw(st.floats(0.0, 0.5)),
-        max_nodes=draw(st.integers(1, 12)),
     )
     thr = draw(st.none() | st.floats(0.0, 0.5))
     n_in = draw(st.integers(1, 3))
@@ -374,11 +373,13 @@ _CODECS = {"efunn": (EfunnModel.load, EfunnModel.save),
 
 
 def _as_saved(text: str) -> str:
-    """``text`` less the nodes.age and nodes.absorbed lines, per-node
-    counts that efunn.snap still holds, that loading skips and saving
-    leaves out."""
+    """``text`` less the lines efunn.snap still holds that loading skips
+    and saving leaves out: the node budget, the count of examples learned
+    and the per-node counts nodes.age and nodes.absorbed."""
     return "".join(line for line in text.splitlines(keepends=True)
-                   if not line.startswith(("nodes.age=", "nodes.absorbed=")))
+                   if not line.startswith(("config.max_nodes=", "nodes.age=",
+                                           "nodes.absorbed=",
+                                           "examples_seen=")))
 
 
 @pytest.mark.parametrize("path", sorted(_DATA.glob("*.snap")),
