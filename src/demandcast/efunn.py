@@ -366,10 +366,7 @@ class EfunnModel:
         ex = self.fuzzify_input(x)
         te = fuzzify(y, self.output_partition)
         counter.add_transcendental(ex.size + te.size)
-
-        if not self._n:
-            self.create_rule_node(ex, te)
-            return LearnOutcome(True, 0.0, 1)
+        # an empty model has no candidates, so its first example makes a node
         found = self._candidates(ex, self._scratch, counter)
         if found is None:  # too many candidates: score every node
             nodes = np.arange(self._n)
