@@ -71,8 +71,8 @@ class Forecaster:
 
 # every model, in report order
 FORECASTERS = {
-    "efunn": Forecaster(rank=1, color="#c0392b"),
-    "mlp-bp": Forecaster(rank=0, color="#2980b9"),
+    "efunn": Forecaster(rank=3, color="#c0392b"),
+    "mlp-bp": Forecaster(rank=1, color="#2980b9"),
     "mlp-scg": Forecaster(rank=0, color="#27ae60"),
     "arima": Forecaster(rank=2, color="#8e44ad", on_series=True),
 }

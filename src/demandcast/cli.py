@@ -238,7 +238,10 @@ def _cmd_bench(args) -> int:
     else:
         cfg_kwargs["synth_days"] = args.days
     config = bench.ExperimentConfig(**cfg_kwargs)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
+    folder = os.path.abspath(args.out)  # it or a parent may be a file
+    while not os.path.exists(folder):
+        folder = os.path.dirname(folder)
+    if not os.path.isdir(folder):
         raise DataError(f"cannot write report into {args.out}: not a directory")
     report = bench.run_experiment(config)
     paths = bench.emit_report(report, args.out)

@@ -27,22 +27,18 @@ degrees) are node k's centroids, grown together by capacity doubling.
 ``w1`` is stored degree-major (Fortran order): the values of one input
 degree over all nodes are contiguous, so the fuzzy difference from an
 input to every node is a few passes of length "all nodes", one per
-degree. ``_pairwise`` adds those passes in exactly the order numpy's
-pairwise sum adds a contiguous row, forming each block of 8 degrees'
-``|w1 - ex|`` in reused scratch just before adding it, and divides by
-per-node degree sums kept beside ``w1``. Every write to ``w1`` refreshes
-them, so every activation is bit-identical to the row-major
-``|w1 - ex|.sum(axis=1) / (w1.sum(axis=1) + ex.sum())`` form, whatever
-the memory layout of its operands.
+degree. The numerator ``|w1 - ex|`` is summed over the degrees one after
+another, in storage order, and divided by per-node degree sums kept
+beside ``w1``; every write to ``w1`` refreshes them.
 
 Most nodes lie far outside an input's radius, and ``_candidates``
-shows it cheaply: ``|w1 - ex|`` over the first block of 8 degrees is
-at most the distance's numerator, so a node whose block alone exceeds
+shows it cheaply: ``|w1 - ex|`` summed over the first 8 degrees is a
+prefix of the distance's numerator, so a node whose prefix alone exceeds
 ``1 - sthr`` of the denominator cannot fire. Only the others get exact
-distances, bit for bit the full kernel's. The full kernel still scores
-rows that no node fires for (the most activated node of all then
-propagates) and inputs for which the bound leaves too many nodes to pay
-off.
+distances, resumed from their prefix and so bit for bit the full
+kernel's. The full kernel still scores rows that no node fires for (the
+most activated node of all then propagates) and inputs for which the
+bound leaves too many nodes to pay off.
 
 Because every rule node is a pair of fuzzy centroids, the whole model
 can be read out as (and rebuilt from) a list of linguistic rules.
@@ -102,9 +98,9 @@ class EfunnConfig:
                 raise ConfigError(f"{name} must be >= 0")
 
 
-# scratch values per node: two blocks of 8 degrees
+# scratch values per node: a block of degrees under the running sum
 _SCRATCH = 16
-# the candidate bound reads the kernel's first block of degrees
+# degrees the candidate bound sums
 _HEAD = 8
 # widening of the bound's radius, relative and absolute
 _SLACK = 1e-9
@@ -253,35 +249,34 @@ class EfunnModel:
         self._n = k + 1
         return k
 
-    def _gaps(self, ex: np.ndarray, i: int, j: int, out: np.ndarray):
-        """|w1 - ex| of input degrees i..j-1, in ``out`` (degrees x nodes)."""
-        out = out[: j - i]
-        np.subtract(self._w1[: self._n, i:j].T, ex[i:j, None], out)
-        return np.abs(out, out)
-
     def _denominators(self, ex: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """w1.sum(axis=1) + ex.sum() for each node, in ``out``."""
-        return np.add(self._w1sum[: self._n], np.ascontiguousarray(ex).sum(),
+        """``out.size`` nodes' w1.sum(axis=1) + ex.sum(), in ``out``."""
+        return np.add(self._w1sum[: out.size], np.ascontiguousarray(ex).sum(),
                       out)
 
     def _distances(self, ex: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Normalized fuzzy difference from the fuzzified input ``ex`` to
-        every node's input centroid.
-
-        Equal bit for bit to the row-major ``|w1 - ex|.sum(axis=1) /
-        (w1.sum(axis=1) + ex.sum())`` of C-ordered operands, for ``ex`` in
-        any memory layout, capped at 1 as ``fuzzy_difference`` is.
-        ``scratch`` holds at least ``_SCRATCH * n_nodes`` floats, and the
-        distances are returned in it.
+        every node's input centroid, capped at 1 as ``fuzzy_difference``
+        is: ``|w1 - ex|`` added up one degree after another, in storage
+        order, over ``w1.sum(axis=1) + ex.sum()``. ``scratch`` holds at
+        least ``_SCRATCH * max(n_nodes, 2)`` floats, and the distances are
+        returned in it.
         """
-        n = self._n
-        acc = scratch[: 8 * n].reshape(8, n)
-        buf = scratch[8 * n : 16 * n].reshape(8, n)
-        # sums of |w1 - ex| hold no -0.0, so adding the reduction's start
-        # value +0.0 would change no bit
-        total = _pairwise(lambda i, j, out: self._gaps(ex, i, j, out),
-                          0, self._w1.shape[1], acc, buf)
-        dist = np.divide(total, self._denominators(ex, acc[0]), acc[0])
+        n, width = self._n, self._w1.shape[1]
+        cols = max(n, 2)  # numpy sums a single column pairwise
+        rows = scratch[: _SCRATCH * cols].reshape(_SCRATCH, cols)
+        # each block of gaps is added row by row under the running sum;
+        # adding +0.0 to the first gap changes no bit
+        total = np.zeros(cols)
+        for i in range(0, width, _SCRATCH - 1):
+            j = min(i + _SCRATCH - 1, width)
+            rows[0] = total
+            gaps = rows[1 : 1 + j - i]
+            np.abs(np.subtract(self._w1[:cols, i:j].T, ex[i:j, None], gaps),
+                   gaps)
+            np.add.reduce(rows[: 1 + j - i], axis=0, out=total)
+        dist = np.divide(total[:n], self._denominators(ex, rows[0, :n]),
+                         rows[0, :n])
         return np.minimum(dist, 1.0, out=dist)
 
     def _activations(self, ex: np.ndarray, scratch: np.ndarray,
@@ -300,32 +295,42 @@ class EfunnModel:
         ``ex`` can reach sthr, in index order, with that exact activation;
         None when so many nodes are left that the full kernel costs less.
 
-        |w1 - ex| summed over the first _HEAD degrees is at most the whole
-        sum, so a node whose partial sum exceeds (1 - sthr) of its
-        denominator lies outside its radius, and its activation below
-        sthr. The radius is widened by _SLACK, relative and absolute, far
-        more than the few ulp by which rounding the sums, the quotient
-        and ``1 - dist`` can move a node. The activations kept equal those
-        of ``_activations`` bit for bit: each node's ``|w1 - ex|`` is
-        summed as a C-ordered row, the form ``_distances`` matches.
+        The sum of |w1 - ex| over the first _HEAD degrees is a prefix of
+        the distance's numerator, which adds the degrees in storage order,
+        so it is at most the whole sum: a node whose partial sum exceeds
+        (1 - sthr) of its denominator lies outside its radius, and its
+        activation below sthr. The radius is widened by _SLACK, relative
+        and absolute, far more than the few ulp by which rounding the
+        quotient, ``1 - dist`` and the radius itself can move a node. The
+        exact step resumes each kept node's sum from its prefix, so the
+        activations kept equal those of ``_activations`` bit for bit.
         ``scratch`` is as ``_distances`` takes it.
         """
         n, width = self._n, self._w1.shape[1]
         head = min(_HEAD, width)
+        cols = max(n, 2)  # numpy sums a single column pairwise
         counter.add(4 * n * head)
-        gaps = scratch[: head * n].reshape(head, n)
-        bound, den, limit = scratch[8 * n : 11 * n].reshape(3, n)
-        np.add.reduce(self._gaps(ex, 0, head, gaps), axis=0, out=bound)
+        gaps = scratch[: head * cols].reshape(head, cols)
+        bound, den, limit = scratch[8 * cols : 11 * cols].reshape(3, cols)
+        np.abs(np.subtract(self._w1[:cols, :head].T, ex[:head, None], gaps),
+               gaps)
+        np.add.reduce(gaps, axis=0, out=bound)
         radius = (1.0 - self.config.sthr + _SLACK) * (1.0 + _SLACK)
         np.multiply(self._denominators(ex, den), radius, limit)
-        far = np.greater(bound, limit)  # nan decides nothing, so is kept
+        far = np.greater(bound[:n], limit[:n])  # nan decides nothing: kept
         nodes = np.flatnonzero(np.logical_not(far, far))
         if nodes.size * width > _GATHER * n:
             return None
-        counter.add(4 * nodes.size * width)
-        diff = self._w1[nodes]  # C-ordered: a node's degrees adjoin
-        diff -= ex
-        total = np.abs(diff, diff).sum(axis=1)
+        counter.add(4 * nodes.size * (width - head))
+        # one C-ordered block, summed row by row: the prefixes (in place of
+        # degree head - 1), then the other degrees' gaps; a single column
+        # numpy would sum pairwise
+        picks = nodes.repeat(2) if nodes.size == 1 else nodes
+        rest = self._w1.T[head - 1 :].take(picks, axis=1)
+        rest[0] = bound.take(picks)
+        gaps = rest[1:]
+        np.abs(np.subtract(gaps, ex[head:, None], gaps), gaps)
+        total = np.add.reduce(rest, axis=0)[: nodes.size]
         dist = np.minimum(total / den[nodes], 1.0)
         return nodes, satlin(1.0 - dist)
 
@@ -410,19 +415,19 @@ class EfunnModel:
             )
         return x
 
-    def predict(self, xs) -> np.ndarray:
+    def predict(self, xs, counter=DISCARD) -> np.ndarray:
         """Crisp demand estimates for the normalized input rows ``xs``;
         changes no learned state. Each row is scored alone, as learn_one
         scores its example: the candidates that fire propagate, and a row
         that none fires for is scored by the full kernel, whose most
-        activated node propagates.
+        activated node propagates. The flops go to ``counter``.
 
         Besides the output, memory stays within ``_SCRATCH * n_nodes``
-        floats of scratch (128 bytes per node), allocated once, half as
-        much again for one row's other temporaries (its candidates
-        gather at most _GATHER degrees a node), and ``input_width``
-        fuzzified floats a row (24 for six inputs of four MFs; three
-        times that while they are computed).
+        floats of scratch (128 bytes per node, for two nodes at least),
+        allocated once, half as much again for one row's other
+        temporaries (its candidates gather at most _GATHER degrees a
+        node), and ``input_width`` fuzzified floats a row (24 for six
+        inputs of four MFs; three times that while they are computed).
         """
         if not self._n:
             raise EmptyModelError("cannot predict with no rule nodes")
@@ -431,19 +436,21 @@ class EfunnModel:
             raise ShapeError(f"expected rows of {len(self.input_partitions)} "
                              f"inputs, got shape {xs.shape}")
         out = np.empty(len(xs))
-        scratch = np.empty(_SCRATCH * self._n)
+        scratch = np.empty(_SCRATCH * max(self._n, 2))
         part = self.output_partition
+        counter.add_transcendental(len(xs) * self.input_width)
         for r, ex in enumerate(fuzzify_rows(xs, self.input_partitions)):
-            found = self._candidates(ex, scratch)
+            found = self._candidates(ex, scratch, counter)
             if found is not None:
                 nodes, a1 = found
                 s = np.flatnonzero(a1 > self.config.sthr)
                 if s.size:
-                    out[r] = defuzzify(self._propagate(a1[s], nodes[s]), part)
+                    out[r] = defuzzify(
+                        self._propagate(a1[s], nodes[s], counter), part)
                     continue
-            a1 = self._activations(ex, scratch)
+            a1 = self._activations(ex, scratch, counter)
             s = self._select(a1)
-            out[r] = defuzzify(self._propagate(a1[s], s), part)
+            out[r] = defuzzify(self._propagate(a1[s], s, counter), part)
         return out
 
     # -- structure maintenance --------------------------------------------
@@ -576,47 +583,6 @@ class EfunnModel:
     @classmethod
     def load(cls, path):
         return snapshot.read(path, "efunn", cls._from_fields)
-
-
-def _pairwise(term, lo: int, hi: int, acc: np.ndarray, buf: np.ndarray):
-    """Sum of the terms lo..hi-1 in numpy's pairwise order, before the
-    reduction's start value +0.0 is added.
-
-    That order: below 8 terms one after another; up to 128 terms eight
-    running sums over blocks of 8, combined by a fixed tree, then the
-    remainder one at a time; above 128 the two halves (the first a
-    multiple of 8 long) summed apart and added. Each step is one pass
-    over whole slices.
-
-    ``term(i, j, out)`` gives terms i..j-1 stacked on axis 0, computed
-    into ``out`` or taken from elsewhere; ``acc`` and ``buf`` are scratch
-    for 8 terms each. The sum is returned in ``buf`` (a new array above
-    128 terms).
-    """
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        first = _pairwise(term, lo, lo + half, acc, buf).copy()
-        return first + _pairwise(term, lo + half, hi, acc, buf)
-    total = buf[:1]
-    if n < 8:
-        np.copyto(total, term(lo, lo + 1, acc))
-        tail = lo + 1
-    else:
-        tail = hi - n % 8
-        r = acc[:8]
-        if tail - lo > 8:
-            np.add(term(lo, lo + 8, acc), term(lo + 8, lo + 16, buf), r)
-        else:
-            np.copyto(r, term(lo, lo + 8, acc))
-        for i in range(lo + 16, tail, 8):
-            np.add(r, term(i, i + 8, buf), r)
-        np.add(r[0::2], r[1::2], buf[:4])
-        np.add(buf[0:4:2], buf[1:4:2], acc[:2])
-        np.add(acc[:1], acc[1:2], total)
-    for i in range(tail, hi):
-        np.add(total, term(i, i + 1, acc), total)
-    return total[0]
 
 
 def _differences(v: np.ndarray, rows: np.ndarray):

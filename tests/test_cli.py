@@ -670,6 +670,23 @@ def test_bench_into_an_existing_file_fails_before_the_experiment(tmp_path,
     assert out.read_text() == "not a directory\n"
 
 
+def test_bench_under_an_existing_file_fails_before_the_experiment(
+        tmp_path, capsys, monkeypatch):
+    def run(*args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(bench, "run_experiment", run)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    out = afile / "sub" / "report"
+    capsys.readouterr()
+    assert main(["bench", "--days", "40", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write report into {out}: not a directory\n"
+    assert afile.read_text() == "not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "bench"])
 def test_negative_seed_is_a_usage_error(command, data_csv, tmp_path, capsys):
     out = str(tmp_path / "out")

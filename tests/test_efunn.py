@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from unittest import mock
 
@@ -29,7 +30,7 @@ def _a1(m, ex):
 
 def _distances(m, ex):
     """``m._distances`` of each row of ``ex`` alone, in scratch of its own."""
-    return np.array([m._distances(row, np.empty(_SCRATCH * m.n_nodes))
+    return np.array([m._distances(row, np.empty(_SCRATCH * max(m.n_nodes, 2)))
                      for row in ex])
 
 
@@ -446,20 +447,20 @@ def _bits(a):
 
 
 def _old_distances(w1, ex):
-    """The row-major distance formula over C-ordered copies, capped at 1
-    as ``fuzzy_difference`` is."""
+    """The distance formula, capped at 1 as ``fuzzy_difference`` is: each
+    node's ``|w1 - ex|`` added one degree after another, over the
+    row-major sums of C-ordered copies."""
     w1, ex = np.ascontiguousarray(w1), np.ascontiguousarray(ex)
-    diff = w1 - ex[:, None, :]
-    np.abs(diff, out=diff)
-    return np.minimum(diff.sum(axis=2)
-                      / (w1.sum(axis=1) + ex.sum(axis=1)[:, None]), 1.0)
+    gaps = np.abs(w1 - ex[:, None, :])
+    total = functools.reduce(np.add, [gaps[..., d] for d in range(w1.shape[1])])
+    return np.minimum(total / (w1.sum(axis=1) + ex.sum(axis=1)[:, None]), 1.0)
 
 
 @_PROPERTY
 @given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 300),
        st.integers(1, 5), st.integers(0, 2**32 - 1))
-# wide partitions, as a snapshot may carry: above 128 degrees the kernel
-# sums the two halves apart, and at 300 each half again
+# wide partitions, as a snapshot may carry: the kernel sums their degrees
+# in many blocks, each under the running sum of the blocks before
 @example(n_in=2, mfs=70, nodes=40, rows=3, seed=7)
 @example(n_in=3, mfs=100, nodes=9, rows=2, seed=8)
 def test_distances_equal_the_row_major_formula_in_any_layout(
@@ -625,7 +626,7 @@ def test_extract_rules_labels_each_node_by_its_argmax(model_and_xs):
 
 def _dense_a1(m, ex):
     """Every node's activation for one fuzzified input, by the dense
-    row-major formula."""
+    formula that adds the degrees one after another."""
     return satlin(1.0 - _old_distances(m.w1, ex[None, :])[0])
 
 
@@ -713,6 +714,33 @@ def test_candidate_filter_matches_the_full_kernel_bit_for_bit(case, gather):
                                                      dense.fuzzify_input(x))),
                       dense.output_partition) for x in xs]
     assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n_nodes, near", [(1, 1), (60, 1), (60, 4)])
+def test_exact_step_adds_degrees_in_order_where_numpy_sums_pairwise(n_nodes,
+                                                                    near):
+    # numpy's reduce sums a single column pairwise, and each column of an
+    # F-ordered gather such as w1.T[:, nodes]: a one-node model, a row
+    # with one candidate and a row with several must still add the
+    # degrees one after another, as the full kernel does
+    # (distances near 0.5, where 1 - dist keeps their last bits)
+    rng = np.random.default_rng(n_nodes + near)
+    m = make_model(n_inputs=6, mfs=4, sthr=0.5)
+    far = np.repeat([1.0, 0.0], [8, 16])  # fails the bound
+    for k in range(n_nodes):
+        m.create_rule_node(rng.uniform(0.0, 0.4, size=24) if k < near
+                           else far, rng.uniform(size=4))
+    pairwise = 0
+    with mock.patch.object(efunn, "_GATHER", float("inf")):
+        for _ in range(20):
+            x = rng.uniform(0.0, 0.2, size=24)
+            nodes, a1 = m._candidates(x, m._scratch)
+            assert nodes.tolist() == list(range(near))
+            assert np.array_equal(_bits(a1), _bits(_dense_a1(m, x)[:near]))
+            sums = [np.abs(w1 - x).sum() for w1 in m.w1[:near]]  # pairwise
+            pairwise += not np.array_equal(_bits(satlin(1.0 - np.minimum(
+                sums / (m._w1sum[:near] + x.sum()), 1.0))), _bits(a1))
+    assert pairwise  # the draws tell the two orders apart
 
 
 def test_a_row_no_node_fires_for_takes_the_nearest_of_all_nodes():

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import subprocess
@@ -417,7 +418,8 @@ def _row_major_predict(model, grid):
     for x in grid:
         ex = np.concatenate([fuzzify(v, p)
                              for v, p in zip(x, model.input_partitions)])
-        dist = np.minimum(np.abs(w1 - ex).sum(axis=1)
+        gaps = np.abs(w1 - ex)  # added one degree after another
+        dist = np.minimum(functools.reduce(np.add, gaps.T)
                           / (w1.sum(axis=1) + ex.sum()), 1.0)
         a1 = satlin(1.0 - dist)
         sel = np.flatnonzero(a1 > model.config.sthr)
