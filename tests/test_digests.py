@@ -17,8 +17,8 @@ and names each moved digest and its cause.
 """
 
 import contextlib
-import ctypes
 import hashlib
+import importlib.util
 import io
 import os
 import sys
@@ -30,6 +30,7 @@ import numpy as np
 from demandcast.cli import main
 
 DIGESTS = Path(__file__).parent / "data" / "digests.txt"
+_KERNELS = Path(__file__).resolve().parent.parent / "tools" / "kernels.py"
 MODELS = ("efunn", "mlp-bp", "mlp-scg", "arima")
 REPORT = ("report.csv", "forecast.csv", "convergence.csv", "forecast.svg")
 
@@ -67,29 +68,12 @@ def run_commands() -> dict:
     return digests
 
 
-def _blas_core() -> str:
-    """The OpenBLAS kernel numpy loaded, found by its mapping in
-    /proc/self/maps."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln})
-    except OSError:
-        paths = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.argtypes, get.restype = (), ctypes.c_char_p
-                return get().decode()
-    return "unknown"
-
-
 def _platform() -> str:
-    return f"numpy {np.__version__}, OpenBLAS core {_blas_core()}"
+    # the OpenBLAS core lookup lives once, in tools/kernels.py
+    spec = importlib.util.spec_from_file_location("kernels", _KERNELS)
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    return f"numpy {np.__version__}, OpenBLAS core {kernels.blas_core()}"
 
 
 def _lines(digests: dict) -> list:

@@ -16,13 +16,16 @@ def _kernels():
     return kernels
 
 
-def test_kernel_script_writes_times_and_flops_per_size(tmp_path, capsys):
+def test_kernel_script_writes_times_and_flops_per_size(tmp_path, capsys,
+                                                        monkeypatch):
+    kernels = _kernels()
+    monkeypatch.setattr(kernels, "EXAMPLES", (117,))
+    monkeypatch.setattr(kernels, "REPEATS", 1)
     out = tmp_path / "BENCH.json"
-    assert _kernels().main(["--examples", "117", "--repeats", "1",
-                            "--out", str(out)]) == 0
+    assert kernels.main(["--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert result["numpy"] == np.__version__ and result["openblas_core"]
-    assert result["repeats"] == 1 and result["reference_s"] > 0
+    assert result["repeats"] == 1
     [row] = result["efunn"]
     assert row["examples"] == 117 and row["nodes"] == 100
     for kernel in ("learn", "predict_block", "predict_train"):

@@ -1,11 +1,10 @@
 """EFuNN kernel timings, written to a JSON trend file.
 
     PYTHONPATH=src python3 tools/kernels.py --out BENCH_<n>.json
-        [--examples 117 922 4176] [--repeats 5]
 
 The data is the training pool of ``synth --days 90 --seed 0``, as
 ``train`` and ``bench`` build it (4176 normalized examples before the
-two-day test window). For each prefix length in ``--examples`` the
+two-day test window). For each prefix length in ``EXAMPLES`` the
 script times, on one BLAS thread and through public entry points only:
 
 - ``learn``: a fresh ``EfunnModel`` learning the prefix with
@@ -15,11 +14,9 @@ script times, on one BLAS thread and through public entry points only:
   rows, the block ``recursive_forecast`` scores first);
 - ``predict_train``: ``predict`` of the prefix's own rows.
 
-Each time is the minimum over ``--repeats`` runs, in seconds, with the
-flops the run counted beside it. ``reference_s`` times a fixed numpy
-kernel in the same process, so that files from different sessions or
-machines compare by ratio. The file also records the numpy version and
-the OpenBLAS core numpy loaded.
+Each time is the minimum over ``REPEATS`` runs, in seconds, with the
+flops the run counted beside it. The file also records the numpy
+version and the OpenBLAS core numpy loaded.
 """
 
 import argparse
@@ -36,7 +33,8 @@ from demandcast import bench, dataset
 from demandcast.efunn import EfunnConfig, EfunnModel
 from demandcast.flops import FlopCounter
 
-DEFAULT_EXAMPLES = (117, 922, 4176)
+EXAMPLES = (117, 922, 4176)
+REPEATS = 5
 
 
 def blas_core() -> str:
@@ -79,15 +77,6 @@ def learn(x, y, counter) -> EfunnModel:
     return model
 
 
-def reference_kernel(counter) -> None:
-    """A fixed numpy workload of the distance kernel's kind."""
-    rng = np.random.default_rng(0)
-    a, b = rng.uniform(size=(24, 4096)), rng.uniform(size=(24, 1))
-    for _ in range(50):
-        np.add.reduce(np.abs(a - b), axis=0)
-    counter.add(50 * 3 * a.size)
-
-
 def measure(examples, repeats: int) -> dict:
     records = dataset.synthesize(90, 0)
     _, test_start = bench.holdout(records, dataset.HALF_HOURS_PER_DAY, "synth")
@@ -96,8 +85,6 @@ def measure(examples, repeats: int) -> dict:
         records, test_start, test_start + dataset.HALF_HOURS_PER_DAY), stats)[0]
     rows = []
     for k in examples:
-        if not 0 < k <= len(x):
-            raise SystemExit(f"--examples {k}: the pool holds {len(x)}")
         learn_s, learn_flops, model = timed(
             lambda c, k=k: learn(x[:k], y[:k], c), repeats)
         block_s, block_flops, _ = timed(
@@ -110,33 +97,25 @@ def measure(examples, repeats: int) -> dict:
                          predict_block_flops=block_flops,
                          predict_train_s=train_s,
                          predict_train_flops=train_flops))
-    reference_s, _, _ = timed(reference_kernel, repeats)
     return dict(numpy=np.__version__, openblas_core=blas_core(),
-                python=platform.python_version(), repeats=repeats,
-                reference_s=reference_s, efunn=rows)
+                python=platform.python_version(), repeats=repeats, efunn=rows)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--examples", type=int, nargs="+",
-                        default=list(DEFAULT_EXAMPLES),
-                        help="prefix lengths of the training pool to learn")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", required=True,
                         help="JSON file to write; the trend files are "
                         "BENCH_<n>.json at the repository root")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     with bench.one_blas_thread():
-        result = measure(args.examples, args.repeats)
+        result = measure(EXAMPLES, REPEATS)
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     for row in result["efunn"]:
         print(f"{row['examples']:5d} examples {row['nodes']:5d} nodes: "
               f"learn {row['learn_s']:.4f} s, "
               f"predict 48 rows {row['predict_block_s']:.4f} s, "
               f"predict train {row['predict_train_s']:.4f} s")
-    print(f"reference {result['reference_s']:.4f} s; wrote {args.out}")
+    print(f"wrote {args.out}")
     return 0
 
 
